@@ -23,7 +23,6 @@ import numpy as np
 
 from .diagmat import COMPLEX, DiagMatrix, Diagonal, diag_length, drop_zero_diagonals
 from .errors import PlanError
-from .spmspm import overlap_range
 
 AUTO_CUT_WINDOW = 4096
 
@@ -185,33 +184,39 @@ def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
 # -- functional reference for job outputs --------------------------------------
 
 
-def job_product(n: int, a_segments, b_segments) -> dict[int, np.ndarray]:
+def job_product(n: int, a_segments, b_segments,
+                out: dict[int, np.ndarray] | None = None) -> tuple[dict[int, np.ndarray], int]:
     """Exact product restricted to a job's segments, keyed by output offset.
 
-    The multiply set is the segment-intersected overlap range; the grid
-    simulator must reproduce it one-to-one.
+    A row r of A's segment meets B's segment where row r + dA is one of its
+    rows; both segments lie in bounds, so that intersection is the overlap
+    range cut to the segments.  The grid simulator must reproduce this
+    multiply set one-to-one.  Products are added into out (a fresh dict when
+    absent); returns it with the multiply count.
     """
-    out: dict[int, np.ndarray] = {}
+    out = {} if out is None else out
+    multiplies = 0
+    b_sorted = [(s.offset, s.row_start, s.row_start + len(s.values) - 1, s.values)
+                for s in sorted(b_segments, key=lambda s: (s.offset, s.row_start))]
     for seg_a in sorted(a_segments, key=lambda s: (s.offset, s.row_start)):
-        da = seg_a.offset
-        for seg_b in sorted(b_segments, key=lambda s: (s.offset, s.row_start)):
-            db = seg_b.offset
-            rng = overlap_range(da, db, n)
-            r_lo = max(rng.r_lo, seg_a.row_start, seg_b.row_start - da)
-            r_hi = min(rng.r_hi, seg_a.row_start + len(seg_a) - 1,
-                       seg_b.row_start + len(seg_b) - 1 - da)
+        da, a_lo, a_vals = seg_a.offset, seg_a.row_start, seg_a.values
+        a_hi = a_lo + len(a_vals) - 1
+        for db, b_lo, b_hi, b_vals in b_sorted:
+            r_lo = max(a_lo, b_lo - da)
+            r_hi = min(a_hi, b_hi - da)
             if r_hi < r_lo:
                 continue
+            multiplies += r_hi - r_lo + 1
             dc = da + db
             vec = out.get(dc)
             if vec is None:
                 vec = np.zeros(diag_length(n, dc), dtype=COMPLEX)
                 out[dc] = vec
-            prod = (seg_a.values[r_lo - seg_a.row_start: r_hi + 1 - seg_a.row_start]
-                    * seg_b.values[r_lo + da - seg_b.row_start: r_hi + 1 + da - seg_b.row_start])
+            prod = (a_vals[r_lo - a_lo: r_hi + 1 - a_lo]
+                    * b_vals[r_lo + da - b_lo: r_hi + 1 + da - b_lo])
             c0 = max(0, -dc)
             vec[r_lo - c0: r_hi + 1 - c0] += prod
-    return out
+    return out, multiplies
 
 
 def merge_outputs(n: int, banks) -> DiagMatrix:

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import diagio
-from .dataflow import FeedConfig
-from .diagmat import DiagMatrix, drop_zero_diagonals, to_dense
+from .dataflow import FeedConfig, StageCycles, add_counters
+from .diagmat import DiagMatrix, drop_zero_diagonals, rel_frobenius_error, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, SimulatorError, VerificationError)
 from .hamiltonians import gen_benchmark
@@ -166,10 +166,7 @@ def cmd_simulate(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
-    want = diag_matmul(a, b)
-    got, ref = to_dense(product), to_dense(want)
-    scale = max(float(np.linalg.norm(ref)), 1e-300)
-    err = float(np.linalg.norm(got - ref)) / scale
+    err = rel_frobenius_error(product, diag_matmul(a, b))
     if err > 1e-12:
         print(f"simulator/functional cross-check FAILED: {err:.3e}", file=sys.stderr)
         return VERIFY_EXIT
@@ -209,23 +206,12 @@ def cmd_expm(args) -> int:
         u = drop_zero_diagonals(diag_matmul(u, segment_u), 0.0)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
-    totals = [sum(r.stage_cycles.total for r in records)]
-    stage_sum = type(records[0].stage_cycles)(
-        sum(r.stage_cycles.preload for r in records),
-        sum(r.stage_cycles.compute for r in records),
-        sum(r.stage_cycles.popout for r in records),
-        totals[0],
-    ) if records else None
+    stage = sum((r.stage_cycles for r in records), StageCycles(0, 0, 0, 0))
     counters: dict[str, int] = {}
     for r in records:
-        for key, val in r.counters.items():
-            if key == "active_dpes":
-                counters[key] = max(counters.get(key, 0), val)
-            else:
-                counters[key] = counters.get(key, 0) + val
-    mem = cache.stats
-    report = build_report(workload, grid.rows, grid.cols, stage_sum or _ZeroStage(),
-                          counters, mem, records, model=EnergyModel())
+        add_counters(counters, r.counters)
+    report = build_report(workload, grid.rows, grid.cols, stage,
+                          counters, cache.stats, records, model=EnergyModel())
     report["segments"] = max(args.segments, 1)
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)
@@ -234,10 +220,6 @@ def cmd_expm(args) -> int:
     if args.out:
         print(f"{workload}: {len(records)} terms; report written to {args.out}")
     return 0
-
-
-class _ZeroStage:
-    preload = compute = popout = total = 0
 
 
 def cmd_report(args) -> int:
@@ -316,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     simc.add_argument("b")
     simc.add_argument("--out", default=None, help="report JSON path (stdout if absent)")
     simc.add_argument("--product-out", default=None)
-    simc.add_argument("--trace", default=None, help="per-cycle JSONL trace path")
+    simc.add_argument("--trace", default=None,
+                      help="per-cycle JSONL trace path; runs the per-cycle grid "
+                           "stepper in place of the closed-form job model")
     _add_grid_flags(simc)
     simc.set_defaults(func=cmd_simulate)
 

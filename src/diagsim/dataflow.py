@@ -1,4 +1,4 @@
-"""Cycle-level simulator of the diagonal processing grid.
+"""Grid model of the diagonal processing grid: closed-form jobs, stepper oracle.
 
 Columns carry operand-A diagonal segments (fed from the top), rows carry
 operand-B segments (fed from the left).  Feeds start one cycle apart in grid
@@ -10,21 +10,31 @@ on a mismatch the smaller-indexed operand moves on while the larger is
 retained as pending state until its partner arrives (indices along a stream
 only grow, so a passed-over operand can never match later).
 
-The model is the stall-free idealization the closed-form cycle analysis
-assumes: operand flow is never throttled, and retention is bookkeeping
-rather than backpressure.  Each stream is trailed by an end marker that
-flows through the same cells; a cell releases an end marker only once the
-opposing stream's marker has also reached it, so the pair of end waves
-sweeps the grid and drains through the far corner.  That drain is what the
-measured total reports, and it lands on R + C + L_max - 1 exactly: the
-marker departure time D satisfies D(r,c) = max(D(r-1,c), D(r,c-1)) + 1 with
-edge values fixed by the feed lengths, which telescopes to the
-position-independent total.
+The model is stall-free: operand flow is never throttled, and retention is
+bookkeeping rather than backpressure.  Each stream is trailed by an end
+marker that flows through the same cells; a cell releases an end marker only
+once the opposing stream's marker has also reached it, so the pair of end
+waves sweeps the grid and drains through the far corner.  The marker
+departure time D satisfies D(r,c) = max(D(r-1,c), D(r,c-1)) + 1 with edge
+values fixed by the feed lengths, which telescopes to the
+position-independent total R + C + L_max - 1.
 
-Per-cell depth-1 FIFO discipline holds by construction: a side of a cell
-receives at most one operand per cycle.  Partial products spend one cycle
-in the output FIFO, so a multiply fired at cycle t reaches its accumulator
-at t + 1.
+Because nothing stalls, every figure of a job has a closed form, and
+run_job computes it that way by default.  With R rows, C columns, A-column
+lengths La and B-row lengths Lb:
+
+  * multiplies = the segment-restricted overlap count (blocking.job_product);
+  * fifo reads = fifo writes = R * sum(La) + C * sum(Lb) + multiplies: each
+    cell sees La[c] + Lb[r] operand transits, and each product crosses the
+    depth-1 output FIFO once (reaching its accumulator one cycle later);
+  * active DPE cycles = sum over cells of max(La[c], Lb[r]), since both
+    streams reach cell (r, c) first at cycle r + c;
+  * dynamic preload = R + C - 1, the cycle after the far corner first holds
+    both operands.
+
+GridRun steps the same grid one cycle at a time.  It is the oracle the tests
+hold the closed form to, and the path taken when a caller asks for a
+per-cycle trace or the individual partial products.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import DiagSegment
+from .blocking import DiagSegment, job_product
 from .diagmat import COMPLEX, diag_length
 from .errors import GridCapacityError, SimulatorError
 
@@ -66,6 +76,10 @@ class StageCycles:
     popout: int
     total: int
 
+    def __add__(self, other: "StageCycles") -> "StageCycles":
+        return StageCycles(self.preload + other.preload, self.compute + other.compute,
+                           self.popout + other.popout, self.total + other.total)
+
 
 class PartialProduct:
     """One multiplier output: value plus the output coordinate it lands on."""
@@ -76,10 +90,6 @@ class PartialProduct:
         self.value = value
         self.i = i
         self.j = j
-
-    @property
-    def d_c(self) -> int:
-        return self.j - self.i
 
 
 class DiagAccumulatorBank:
@@ -144,6 +154,11 @@ class DpeGrid:
         if interleave > 1:
             if len(a_segs) != 1:
                 raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")
+            if interleave > len(a_segs[0]):
+                # a wider interleave would build empty columns that still
+                # occupy cells and stagger the feeds
+                raise GridCapacityError(
+                    f"interleave {interleave} exceeds the {len(a_segs[0])}-element A segment")
             self.a_streams = [_Stream(a_segs[0], interleave, p) for p in range(interleave)]
         else:
             self.a_streams = [_Stream(s) for s in a_segs]
@@ -166,12 +181,6 @@ class DpeGrid:
 
     def b_lengths(self):
         return [len(s) for s in self.b_streams]
-
-
-def minkowski_mapping(grid: DpeGrid, pos: tuple[int, int]) -> int:
-    """d_C handled by the cell at (row, col) under the grid's feed orders."""
-    r, c = pos
-    return grid.d_c(r, c)
 
 
 def longest_diagonal(grid: DpeGrid) -> tuple[str, int, int]:
@@ -218,30 +227,58 @@ def _zero_counters():
     return {
         "multiplies": 0, "fifo_reads": 0, "fifo_writes": 0,
         "active_dpe_cycles": 0, "active_dpes": 0,
-        "dyn_preload": 0, "t_ff": 0, "t_pf": 0,
+        "dyn_preload": 0,
     }
+
+
+def add_counters(total: dict, counters: dict) -> None:
+    """Fold one job's counters into a running total, in place.
+
+    active_dpes is the peak grid size in use, so it takes the maximum; every
+    other counter is an event count and sums.
+    """
+    for key, val in counters.items():
+        if key == "active_dpes":
+            total[key] = max(total.get(key, 0), val)
+        else:
+            total[key] = total.get(key, 0) + val
 
 
 def run_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
             n: int, max_rows: int | None = None, max_cols: int | None = None,
             interleave: int = 1, bank: DiagAccumulatorBank | None = None,
             collect_products: bool = False, trace=None) -> RunResult:
-    """Simulate one grid job to drain; accumulate products by output offset.
+    """Run one grid job to drain; accumulate products by output offset.
 
-    Returns the stage cycles (total measured from the run), event counters,
-    the accumulator bank, and optionally every partial product.
+    Returns the stage cycles, event counters, the accumulator bank, and the
+    partial products when collect_products is set.  The figures come from
+    the closed forms in the module docstring; a trace callback or
+    collect_products steps the grid with GridRun instead, which yields the
+    same stage and counters.
     """
     bank = bank or DiagAccumulatorBank(n)
     if not a_segments or not b_segments:
         return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), bank, [])
     grid = DpeGrid(a_segments, b_segments, feed, n=n,
                    max_rows=max_rows, max_cols=max_cols, interleave=interleave)
-    sim = GridRun(grid, bank, collect_products=collect_products, trace=trace)
-    total = sim.drain()
-    side, length, position = longest_diagonal(grid)
-    closed = predict_cycles(grid.rows, grid.cols, side, length, position)
-    stage = StageCycles(closed.preload, closed.compute, closed.popout, total)
-    return RunResult(stage, sim.counters, sim.bank, sim.products)
+    stage = predict_cycles(grid.rows, grid.cols, *longest_diagonal(grid))
+    if trace is not None or collect_products:
+        sim = GridRun(grid, bank, collect_products=collect_products, trace=trace)
+        total = sim.drain()
+        stage = StageCycles(stage.preload, stage.compute, stage.popout, total)
+        return RunResult(stage, sim.counters, sim.bank, sim.products)
+    _, multiplies = job_product(n, a_segments, b_segments, out=bank.vectors)
+    a_len, b_len = grid.a_lengths(), grid.b_lengths()
+    fifo = grid.rows * sum(a_len) + grid.cols * sum(b_len) + multiplies
+    counters = {
+        "multiplies": multiplies,
+        "fifo_reads": fifo,
+        "fifo_writes": fifo,
+        "active_dpe_cycles": int(np.maximum.outer(b_len, a_len).sum()),
+        "active_dpes": grid.rows * grid.cols,
+        "dyn_preload": stage.preload,
+    }
+    return RunResult(stage, counters, bank, None)
 
 
 class GridRun:
@@ -266,8 +303,6 @@ class GridRun:
         self._end_a_row: list[int | None] = [None] * grid.cols
         self._end_b_col: list[int | None] = [None] * grid.rows
         self._ends_left = grid.rows + grid.cols
-        self._last_multiply = -1
-        self._last_feed = -1
         self._first_both_max = -1
         self._last_end_cycle = -1
         self._idle_guard = grid.rows + grid.cols + max(grid.a_lengths() + grid.b_lengths()) + 8
@@ -327,8 +362,6 @@ class GridRun:
                     else:
                         break
                 transits += 1
-                if r == 0:
-                    self._last_feed = max(self._last_feed, t)
             progressed = True
         # -- B-side transits: element m of row r visits col t - r - m
         for r in range(rows):
@@ -363,8 +396,6 @@ class GridRun:
                     else:
                         break
                 transits += 1
-                if c == 0:
-                    self._last_feed = max(self._last_feed, t)
                 # same-cycle co-transit counts the cell once
                 if 0 <= t - c - r < a_len[c]:
                     both_cells += 1
@@ -418,8 +449,6 @@ class GridRun:
                 raise SimulatorError(f"livelock: grid failed to drain by cycle {t}")
         self.cycle = t + 1
         if self.finished:
-            counters["t_ff"] = self._last_feed + 2
-            counters["t_pf"] = self._last_multiply + 2 if self._last_multiply >= 0 else 0
             counters["dyn_preload"] = self._first_both_max + 1
         return self._fired
 
@@ -441,7 +470,6 @@ class GridRun:
         # the product crosses the depth-1 output FIFO on its way out
         counters["fifo_writes"] += 1
         counters["fifo_reads"] += 1
-        self._last_multiply = t
         product = PartialProduct(value, i, j)
         self._fired.append(product)
         if self.products is not None:

@@ -202,3 +202,17 @@ def one_norm(m: DiagMatrix) -> float:
         cols = np.arange(r0, r0 + len(diag.values)) + diag.offset
         col_sums[cols] += np.abs(diag.values)
     return float(col_sums.max()) if m.dim else 0.0
+
+
+def rel_frobenius_error(got: DiagMatrix, ref: DiagMatrix) -> float:
+    """||got - ref||_F / ||ref||_F, accumulated diagonal-wise (never densifies)."""
+    if got.dim != ref.dim:
+        raise ShapeError(f"dim mismatch: {got.dim} vs {ref.dim}")
+    unmatched = {d.offset: d.values for d in got.diagonals}
+    diff_sq = ref_sq = 0.0
+    for diag in ref.diagonals:
+        delta = unmatched.pop(diag.offset, 0.0) - diag.values
+        diff_sq += float(np.vdot(delta, delta).real)
+        ref_sq += float(np.vdot(diag.values, diag.values).real)
+    diff_sq += sum(float(np.vdot(v, v).real) for v in unmatched.values())
+    return diff_sq ** 0.5 / max(ref_sq ** 0.5, 1e-300)

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocking import BlockPlan, make_plan, merge_outputs, whole_segments
-from .dataflow import DiagAccumulatorBank, FeedConfig, StageCycles, run_job
-from .diagmat import DiagMatrix, drop_zero_diagonals, identity, one_norm, to_dense
+from .dataflow import DiagAccumulatorBank, FeedConfig, StageCycles, add_counters, run_job
+from .diagmat import (DiagMatrix, drop_zero_diagonals, identity, one_norm,
+                      rel_frobenius_error)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul
@@ -149,7 +150,7 @@ def simulate_product(a: DiagMatrix, b: DiagMatrix, grid: GridSetup,
                      a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
     mem_before = cache.stats.snapshot()
     banks = []
-    totals = np.zeros(4, dtype=np.int64)
+    stage = StageCycles(0, 0, 0, 0)
     counters: dict[str, int] = {}
     for job in plan.jobs:
         bank = DiagAccumulatorBank(a.dim)
@@ -157,26 +158,16 @@ def simulate_product(a: DiagMatrix, b: DiagMatrix, grid: GridSetup,
                          n=a.dim, max_rows=grid.rows, max_cols=grid.cols,
                          interleave=grid.interleave, bank=bank, trace=trace)
         banks.append(bank.vectors)
-        stage = result.stage
-        totals += (stage.preload, stage.compute, stage.popout, stage.total)
-        for key, val in result.counters.items():
-            if key == "active_dpes":  # peak concurrently-sized grid, not a sum
-                counters[key] = max(counters.get(key, 0), val)
-            else:
-                counters[key] = counters.get(key, 0) + val
+        stage += result.stage
+        add_counters(counters, result.counters)
         charge_job(cache, job, a_tag, b_tag, c_tag, bank.vectors.keys())
     flush_product(cache, c_tag)
     product = merge_outputs(a.dim, banks)
-    stage = StageCycles(*(int(x) for x in totals))
     return product, stage, counters, cache.stats.delta(mem_before)
 
 
 def _verify(product: DiagMatrix, a: DiagMatrix, b: DiagMatrix, k: int) -> None:
-    want = diag_matmul(a, b)
-    got = to_dense(product)
-    ref = to_dense(want)
-    scale = max(float(np.linalg.norm(ref)), 1e-300)
-    err = float(np.linalg.norm(got - ref)) / scale
+    err = rel_frobenius_error(product, diag_matmul(a, b))
     if err > 1e-12:
         raise VerificationError(
             f"simulated product diverged from the functional kernel at step {k}: "

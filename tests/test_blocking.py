@@ -13,7 +13,7 @@ from conftest import rand_matrix
 
 
 def blocked_product(plan, n):
-    return merge_outputs(n, [job_product(n, j.a_group.segments, j.b_group.segments)
+    return merge_outputs(n, [job_product(n, j.a_group.segments, j.b_group.segments)[0]
                              for j in plan.jobs])
 
 
@@ -111,7 +111,7 @@ class TestMakePlan:
         for _ in range(4):
             order = rng.permutation(len(plan.jobs))
             banks = [job_product(n, plan.jobs[i].a_group.segments,
-                                 plan.jobs[i].b_group.segments) for i in order]
+                                 plan.jobs[i].b_group.segments)[0] for i in order]
             got = to_dense(merge_outputs(n, banks))
             assert np.linalg.norm(got - want) / scale < 1e-12
 
@@ -150,7 +150,8 @@ class TestMakePlan:
         a = rand_matrix(rng, n, k=4)
         b = rand_matrix(rng, n, k=4)
         a_groups, b_groups = partition_rowcol(a, b, [8])
-        cross = job_product(n, a_groups[0], b_groups[1])
+        cross, multiplies = job_product(n, a_groups[0], b_groups[1])
+        assert multiplies == 0
         assert all(np.allclose(v, 0) for v in cross.values())
 
     def test_group_size_exceeding_grid_rejected(self):

@@ -3,9 +3,10 @@ import pytest
 
 from diagsim import diag_matmul, identity, minkowski, multiply_count, to_dense
 from diagsim.blocking import merge_outputs, whole_segments
+from diagsim.cli import main
 from diagsim.dataflow import (DiagAccumulatorBank, DpeGrid, FeedConfig, GridRun,
-                              longest_diagonal, minkowski_mapping, predict_cycles,
-                              run_job)
+                              longest_diagonal, predict_cycles, run_job)
+from diagsim.diagio import save_matrix
 from diagsim.errors import GridCapacityError
 from diagsim.spmspm import pair_products
 
@@ -51,6 +52,25 @@ class TestBuildGrid:
         with pytest.raises(GridCapacityError):
             DpeGrid(whole_segments(a), whole_segments(a), n=6, interleave=4)
 
+    def test_interleave_wider_than_segment_rejected(self, tmp_path):
+        # empty interleave columns used to add cells and stagger cycles: on
+        # this one-multiply job interleave 1, 2, 4 reported totals 7, 8, 10
+        rng = np.random.default_rng(152)
+        a = rand_matrix(rng, 6, offsets=[5])
+        b = rand_matrix(rng, 6, offsets=[0])
+        res = run_whole(a, b)
+        assert res.stage.total == 7
+        assert (res.counters["multiplies"], res.counters["active_dpes"]) == (1, 1)
+        for interleave in (2, 4):
+            with pytest.raises(GridCapacityError):
+                run_whole(a, b, interleave=interleave)
+        save_matrix(a, str(tmp_path / "a.diaq"))
+        save_matrix(b, str(tmp_path / "b.diaq"))
+        argv = ["simulate", str(tmp_path / "a.diaq"), str(tmp_path / "b.diaq"),
+                "--out", str(tmp_path / "r.json"), "--interleave"]
+        assert main(argv + ["1"]) == 0
+        assert main(argv + ["2"]) == 2
+
     def test_capacity_enforced(self):
         rng = np.random.default_rng(157)
         a = rand_matrix(rng, 8, k=5)
@@ -89,9 +109,10 @@ class TestStepSemantics:
         a = rand_matrix(rng, 4, offsets=[1])
         b = rand_matrix(rng, 4, offsets=[-1])
         res = run_whole(a, b, collect_products=True)
+        grid = DpeGrid(whole_segments(a), whole_segments(b), n=4)
         assert res.counters["multiplies"] == len(res.products)
         for p in res.products:
-            assert p.d_c == 0  # offset sum of the producing cell's feeds
+            assert p.j - p.i == grid.d_c(0, 0) == 0  # offset sum of the cell's feeds
 
     def test_mismatch_retains_larger_index(self):
         # A carries column indices {3}, B row indices {0..2}: every B element
@@ -231,8 +252,7 @@ class TestMinkowskiMapping:
                 for r2 in range(3):
                     for c2 in range(3):
                         if r + c == r2 + c2:
-                            assert minkowski_mapping(grid, (r, c)) == \
-                                minkowski_mapping(grid, (r2, c2))
+                            assert grid.d_c(r, c) == grid.d_c(r2, c2)
 
     def test_mixed_orders_diagonals_share_output(self):
         rng = np.random.default_rng(229)
@@ -245,21 +265,22 @@ class TestMinkowskiMapping:
                 for r2 in range(3):
                     for c2 in range(3):
                         if r - c == r2 - c2:
-                            assert minkowski_mapping(grid, (r, c)) == \
-                                minkowski_mapping(grid, (r2, c2))
+                            assert grid.d_c(r, c) == grid.d_c(r2, c2)
 
     def test_single_offsets_map_to_zero(self):
         m = identity(4)
         grid = DpeGrid(whole_segments(m), whole_segments(m), n=4)
-        assert minkowski_mapping(grid, (0, 0)) == 0
+        assert grid.d_c(0, 0) == 0
 
     def test_products_respect_offset_sum(self):
         rng = np.random.default_rng(233)
         a = rand_matrix(rng, 12, k=4)
         b = rand_matrix(rng, 12, k=4)
         res = run_whole(a, b, collect_products=True)
-        allowed = set(minkowski(a.offsets, b.offsets))
-        assert {p.d_c for p in res.products} <= allowed
+        grid = DpeGrid(whole_segments(a), whole_segments(b), n=12)
+        cells = {grid.d_c(r, c) for r in range(grid.rows) for c in range(grid.cols)}
+        assert cells == set(minkowski(a.offsets, b.offsets))
+        assert {p.j - p.i for p in res.products} <= cells
 
 
 class TestUtilization:

@@ -3,6 +3,7 @@ import pytest
 
 from diagsim import (DiagMatrix, Diagonal, diag_length, drop_zero_diagonals,
                      from_dense, identity, one_norm, to_dense)
+from diagsim.diagmat import rel_frobenius_error
 from diagsim.errors import DomainError, ShapeError
 
 from conftest import rand_matrix
@@ -132,6 +133,28 @@ class TestOneNorm:
             m = rand_matrix(rng, 64, k=5)
             want = np.abs(to_dense(m)).sum(axis=0).max()
             assert abs(one_norm(m) - want) <= 1e-12 * want
+
+
+class TestRelFrobeniusError:
+    def test_matches_dense(self):
+        # offsets drawn independently, so some diagonals sit in only one operand
+        rng = np.random.default_rng(263)
+        for _ in range(20):
+            n = int(rng.integers(1, 24))
+            got, ref = rand_matrix(rng, n), rand_matrix(rng, n)
+            want = np.linalg.norm(to_dense(got) - to_dense(ref)) / np.linalg.norm(to_dense(ref))
+            assert rel_frobenius_error(got, ref) == pytest.approx(want, rel=1e-12)
+
+    def test_identical_is_zero(self):
+        m = rand_matrix(np.random.default_rng(269), 9)
+        assert rel_frobenius_error(m, m) == 0.0
+
+    def test_zero_reference_is_finite(self):
+        assert rel_frobenius_error(DiagMatrix(3, ()), DiagMatrix(3, ())) == 0.0
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            rel_frobenius_error(identity(3), identity(4))
 
 
 class TestInvariants:
