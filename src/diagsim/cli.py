@@ -2,7 +2,9 @@
 
 Subcommands: gen, convert, matmul, simulate, expm, report.
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
-An optional key=value config file supplies flag defaults; explicit flags win.
+An optional key=value config file (``--config``, before the subcommand)
+supplies flag defaults, typed like the flags themselves (on/off flags take
+true or false); explicit flags win.  Unknown keys are usage errors.
 """
 
 from __future__ import annotations
@@ -259,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diagsim",
                      description="diagonal-sparse SpMSpM kernels and grid model")
     parser.add_argument("--config", default=None, help="key=value defaults file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (current implementation runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a benchmark Hamiltonian")
@@ -329,31 +329,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the subcommands' defaults.
+
+    argparse then types them like command-line values, and explicit flags
+    still win.  Unknown keys and malformed files are usage errors.
+    """
+    try:
+        values = _load_config(path)
+    except (OSError, DomainError) as exc:
+        parser.error(f"config {path}: {exc}")
+    known = set()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+        known |= actions.keys()
+        defaults = {}
+        for key in values.keys() & actions.keys():
+            val = values[key]
+            if actions[key].nargs == 0:  # on/off flags
+                if val not in ("true", "false"):
+                    parser.error(f"config key {key} must be true or false, got {val!r}")
+                val = val == "true"
+            defaults[key] = val
+        sub.set_defaults(**defaults)
+    if values.keys() - known:
+        parser.error(f"unknown config keys: {sorted(values.keys() - known)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.config:
-        defaults = _load_config(args.config)
-        known = {a.dest for a in parser._actions}
-        for action in parser._subparsers._group_actions:
-            for p in action.choices.values():
-                known |= {a.dest for a in p._actions}
-        bad = set(defaults) - known
-        if bad:
-            print(f"error: unknown config keys: {sorted(bad)}", file=sys.stderr)
-            return USAGE_EXIT
-        # config supplies defaults only where the flag was left at its default
-        argv_text = " ".join(argv if argv is not None else sys.argv[1:])
-        for key, val in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if flag in argv_text:
-                continue
-            if hasattr(args, key):
-                current = getattr(args, key)
-                cast = type(current) if current is not None else str
-                setattr(args, key, cast(val) if cast is not bool else val == "true")
+        _apply_config(parser, args.config)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ShapeError, DomainError, PlanError, GridCapacityError,

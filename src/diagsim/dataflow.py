@@ -151,6 +151,8 @@ class DpeGrid:
                  max_cols: int | None = None, interleave: int = 1):
         a_segs = _ordered(a_segments, feed.a_order)
         b_segs = _ordered(b_segments, feed.b_order)
+        if interleave < 1:
+            raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
         if interleave > 1:
             if len(a_segs) != 1:
                 raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")

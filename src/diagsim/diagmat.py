@@ -37,9 +37,14 @@ def _as_values(values, n: int, d: int) -> np.ndarray:
             f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} values, "
             f"got shape {vec.shape}"
         )
-    if not np.all(np.isfinite(vec.view(np.float64))):
+    if not np.all(np.isfinite(vec)):
         raise DomainError(f"diagonal {d} contains non-finite values")
     return vec
+
+
+def _flat(diags) -> np.ndarray:
+    """Every stored value of diags, concatenated in order."""
+    return np.concatenate([d.values for d in diags])
 
 
 @dataclass(frozen=True)
@@ -62,15 +67,22 @@ class DiagMatrix:
     diagonals: tuple[Diagonal, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dim must be positive, got {self.dim}")
+        n = self.dim
+        if n < 1:
+            raise DomainError(f"dim must be positive, got {n}")
+        checked = list(self.diagonals)
         prev = None
-        checked = []
-        for diag in self.diagonals:
-            if prev is not None and diag.offset <= prev:
+        for i, diag in enumerate(checked):
+            d, vec = diag.offset, diag.values
+            if prev is not None and d <= prev:
                 raise DomainError("diagonal offsets must be strictly increasing")
-            prev = diag.offset
-            checked.append(Diagonal(int(diag.offset), _as_values(diag.values, self.dim, diag.offset)))
+            prev = d
+            if not (type(d) is int and type(vec) is np.ndarray and vec.dtype == COMPLEX
+                    and vec.ndim == 1 and -n < d < n and vec.shape[0] == n - abs(d)):
+                checked[i] = Diagonal(int(d), _as_values(vec, n, d))
+        if checked and not np.isfinite(_flat(checked)).all():
+            for diag in checked:
+                _as_values(diag.values, n, diag.offset)  # names the bad diagonal
         object.__setattr__(self, "diagonals", tuple(checked))
 
     @staticmethod
@@ -187,11 +199,12 @@ def drop_zero_diagonals(m: DiagMatrix, eps: float = 0.0) -> DiagMatrix:
     """Remove diagonals whose largest magnitude entry is <= eps."""
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    kept = tuple(
-        d for d in m.diagonals
-        if len(d.values) and float(np.max(np.abs(d.values))) > eps
-    )
-    return DiagMatrix(m.dim, kept)
+    if not m.diagonals:
+        return m
+    starts = np.cumsum([0] + [len(d.values) for d in m.diagonals[:-1]])
+    peaks = np.maximum.reduceat(np.abs(_flat(m.diagonals)), starts)
+    kept = tuple(d for d, live in zip(m.diagonals, (peaks > eps).tolist()) if live)
+    return m if len(kept) == m.nnzd else DiagMatrix(m.dim, kept)
 
 
 def one_norm(m: DiagMatrix) -> float:

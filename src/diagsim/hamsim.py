@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import BlockPlan, make_plan, merge_outputs, whole_segments
+from .blocking import make_plan, merge_outputs
 from .dataflow import DiagAccumulatorBank, FeedConfig, StageCycles, add_counters, run_job
 from .diagmat import (DiagMatrix, drop_zero_diagonals, identity, one_norm,
                       rel_frobenius_error)
@@ -127,7 +125,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             mem = MemStats()
         t_k = product.scaled(1.0 / k)
         if t_k.nnzd:
-            floor = CANCEL_EPS * max(float(np.max(np.abs(d.values))) for d in t_k.diagonals)
+            floor = CANCEL_EPS * np.abs(np.concatenate([d.values for d in t_k.diagonals])).max()
             t_k = drop_zero_diagonals(t_k, floor)
         u = u.add(t_k)
         records.append(IterationRecord(
@@ -172,23 +170,6 @@ def _verify(product: DiagMatrix, a: DiagMatrix, b: DiagMatrix, k: int) -> None:
         raise VerificationError(
             f"simulated product diverged from the functional kernel at step {k}: "
             f"relative error {err:.3e}")
-
-
-def dense_taylor_oracle(h: np.ndarray, t: float, terms: int) -> np.ndarray:
-    """Independent dense reference: sum of (-i t H)^k / k! by repeated matmul."""
-    n = h.shape[0]
-    m = np.asarray(h, dtype=complex) * (-1j * t)
-    acc = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ m / k
-        acc = acc + term
-    return acc
-
-
-def storage_report(records: list[IterationRecord]) -> list[float]:
-    """Per-iteration storage savings relative to the dense scalar count."""
-    return [r.savings for r in records]
 
 
 def records_to_json(records: list[IterationRecord]) -> list[dict]:

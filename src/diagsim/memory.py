@@ -16,7 +16,7 @@ by construction (operands are forwarded cell to cell, never re-fetched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ class SetAssocCache:
                     written += 1
                 ways.remove(way)
         return written
-
-    def resident(self, line: LineId) -> bool:
-        return any(way.line == line for way in self._set_of(line))
 
 
 def charge_job(cache: SetAssocCache, job, a_tag: str, b_tag: str, c_tag: str,

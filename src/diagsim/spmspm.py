@@ -11,6 +11,35 @@ where A, B and C positions are all in-bounds:
 which pins r to [max(0, -dA, -(dA+dB)), N-1 - max(0, dA, dA+dB)].  This
 module is the single source of index truth; the grid simulator must produce
 the identical multiply set.
+
+``diag_matmul`` does the work as dense array operations on whole diagonals.
+A diagonal is laid out as a length-N vector, zero-padded outside its natural
+length, in one of two ways: *by row* (position j holds the entry in matrix
+row j) or *by column* (position j holds the entry in column j).  The kernel
+loops over the diagonals of the operand with fewer of them (the narrow one;
+A on a tie) and, per step, multiplies one of its diagonals into every laid-out
+diagonal of the other (wide) operand with a single array operation:
+
+* narrow A: B and C are laid out by row, and for each dA in ascending order
+  ``C[dA + dB, r] += A_dA[r] * B[dB, r + dA]`` for all dB at once;
+* narrow B: A and C are laid out by column, and for each dB in descending
+  order ``C[dA + dB, k + dB] += A[dA, k] * B_dB[k]`` for all dA at once.
+
+Padding is zero and inputs are finite, so the out-of-range positions of a
+step only ever add zeros.  Pairs whose offset sum falls outside the matrix
+multiply padding alone and go to one scratch row that is discarded.
+
+Accumulation order: every output diagonal receives its terms in ascending dA,
+the order of a loop over (dA, dB) pairs in ascending dA then dB, so results
+are bit-reproducible and agree with that loop.  (Descending dB is ascending
+dA for a fixed dA + dB, and the wide operand's blocks are visited in the
+matching direction.)
+
+Memory: the accumulator holds one length-N row per output offset, plus the
+scratch row.  The wide operand is laid out ``BLOCK`` diagonals at a time, so
+the other temporaries stay within about BLOCK x N values.  All-zero output
+rows are dropped, and the kept ones are packed into one exact-length buffer
+before the accumulator is freed.
 """
 
 from __future__ import annotations
@@ -19,8 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix, Diagonal, diag_length, drop_zero_diagonals
+from .diagmat import COMPLEX, DiagMatrix, Diagonal
 from .errors import ShapeError
+
+# diagonals of the wide operand laid out, and multiplied, per array operation
+BLOCK = 64
 
 
 def minkowski(da: set[int] | list[int] | tuple[int, ...], db) -> tuple[int, ...]:
@@ -54,48 +86,66 @@ def multiply_count(offsets_a, offsets_b, n: int) -> int:
     return sum(len(overlap_range(da, db, n)) for da in offsets_a for db in offsets_b)
 
 
-def pair_products(a: DiagMatrix, b: DiagMatrix):
-    """Yield (da, db, rng, elementwise product over rng) for every contributing pair.
+def _window(offsets: np.ndarray, n: int, by_col: bool) -> np.ndarray:
+    """(len(offsets), n) mask of the positions each diagonal fills when laid out.
 
-    Pairs are emitted in ascending da then ascending db, the fixed
-    accumulation order that makes results bit-reproducible.
+    Row-major order over the mask is the order of the diagonals' values
+    concatenated, so one boolean index scatters or gathers them all.
     """
-    n = a.dim
-    for diag_a in a.diagonals:
-        da = diag_a.offset
-        a0 = max(0, -da)
-        for diag_b in b.diagonals:
-            db = diag_b.offset
-            rng = overlap_range(da, db, n)
-            if not rng:
-                continue
-            b0 = max(0, -db)
-            a_slice = diag_a.values[rng.r_lo - a0: rng.r_hi + 1 - a0]
-            b_slice = diag_b.values[rng.r_lo + da - b0: rng.r_hi + 1 + da - b0]
-            yield da, db, rng, a_slice * b_slice
+    start = np.maximum(0, offsets if by_col else -offsets)
+    j = np.arange(n)
+    return (j >= start[:, None]) & (j < (start + n - np.abs(offsets))[:, None])
+
+
+def _layout(diags, n: int, by_col: bool) -> np.ndarray:
+    """The diagonals as the rows of a zero-padded (len(diags), n) array."""
+    mask = _window(np.array([d.offset for d in diags]), n, by_col)
+    out = np.zeros(mask.shape, dtype=COMPLEX)
+    out[mask] = np.concatenate([d.values for d in diags])
+    return out
 
 
 def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     """C = A @ B computed entirely in diagonal space.
 
-    Output diagonals are allocated lazily at full natural length; head/tail
-    zeros from partial overlaps stay stored.  Only diagonals that end up
-    exactly zero everywhere are dropped.
+    Output diagonals keep their full natural length; head/tail zeros from
+    partial overlaps stay stored.  Only diagonals that end up exactly zero
+    everywhere are dropped.
     """
     if a.dim != b.dim:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     n = a.dim
-    out: dict[int, np.ndarray] = {}
-    for da, db, rng, prod in pair_products(a, b):
-        dc = da + db
-        vec = out.get(dc)
-        if vec is None:
-            vec = np.zeros(diag_length(n, dc), dtype=COMPLEX)
-            out[dc] = vec
-        c0 = max(0, -dc)
-        vec[rng.r_lo - c0: rng.r_hi + 1 - c0] += prod
-    result = DiagMatrix(n, tuple(Diagonal(d, out[d]) for d in sorted(out)))
-    return drop_zero_diagonals(result, 0.0)
+    if not a.nnzd or not b.nnzd:
+        return DiagMatrix(n, ())
+    sums = np.array(a.offsets)[:, None] + np.array(b.offsets)[None, :]
+    out_offsets = np.unique(sums)
+    out_offsets = out_offsets[np.abs(out_offsets) < n]
+    slot = np.searchsorted(out_offsets, sums)
+    slot[np.abs(sums) >= n] = len(out_offsets)  # the scratch row
+    acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
+    by_col = a.nnzd > b.nnzd
+    if by_col:
+        for i0 in range(0, a.nnzd, BLOCK):
+            wide = _layout(a.diagonals[i0:i0 + BLOCK], n, by_col=True)
+            for j in range(b.nnzd - 1, -1, -1):
+                db, b_vals = b.diagonals[j].offset, b.diagonals[j].values
+                lo, hi = max(0, -db), n - max(0, db)
+                acc[slot[i0:i0 + BLOCK, j], lo + db:hi + db] += wide[:, lo:hi] * b_vals
+    else:
+        for j1 in range(b.nnzd, 0, -BLOCK):
+            j0 = max(0, j1 - BLOCK)
+            wide = _layout(b.diagonals[j0:j1], n, by_col=False)
+            for i, diag in enumerate(a.diagonals):
+                da = diag.offset
+                lo, hi = max(0, -da), n - max(0, da)
+                acc[slot[i, j0:j1], lo:hi] += diag.values * wide[:, lo + da:hi + da]
+    keep = acc[:-1].any(axis=1)
+    mask = _window(out_offsets, n, by_col) & keep[:, None]
+    packed = acc[:-1][mask]
+    del acc
+    out_offsets = out_offsets[keep]
+    values = np.split(packed, np.cumsum(n - np.abs(out_offsets))[:-1])
+    return DiagMatrix(n, tuple(Diagonal(d, v) for d, v in zip(out_offsets.tolist(), values)))
 
 
 def dense_matmul_oracle(a, b) -> np.ndarray:

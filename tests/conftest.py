@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diagsim import DiagMatrix
+from diagsim.spmspm import overlap_range
 
 
 def rand_matrix(rng, n, offsets=None, k=None, real=False):
@@ -27,6 +28,39 @@ def rand_hermitian(rng, n, k=None):
         diags[d] = vec
         diags[-d] = np.conj(vec)
     return DiagMatrix.from_diagonals(n, diags)
+
+
+def pair_products(a, b):
+    """Yield (da, db, rng, elementwise product over rng) for every contributing pair.
+
+    The pair-loop oracle of the diagonal-space product: one step per (da, db)
+    pair, in ascending da then ascending db.
+    """
+    n = a.dim
+    for diag_a in a.diagonals:
+        da = diag_a.offset
+        a0 = max(0, -da)
+        for diag_b in b.diagonals:
+            db = diag_b.offset
+            rng = overlap_range(da, db, n)
+            if not rng:
+                continue
+            b0 = max(0, -db)
+            a_slice = diag_a.values[rng.r_lo - a0: rng.r_hi + 1 - a0]
+            b_slice = diag_b.values[rng.r_lo + da - b0: rng.r_hi + 1 + da - b0]
+            yield da, db, rng, a_slice * b_slice
+
+
+def pair_loop_matmul(a, b) -> dict[int, np.ndarray]:
+    """Offset -> values of A @ B summed pair by pair; all-zero diagonals dropped."""
+    n = a.dim
+    out: dict[int, np.ndarray] = {}
+    for da, db, rng, prod in pair_products(a, b):
+        dc = da + db
+        vec = out.setdefault(dc, np.zeros(n - abs(dc), dtype=complex))
+        c0 = max(0, -dc)
+        vec[rng.r_lo - c0: rng.r_hi + 1 - c0] += prod
+    return {d: v for d, v in sorted(out.items()) if np.any(v != 0)}
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from diagsim import DiagMatrix, diag_matmul, to_dense
-from diagsim.blocking import (Job, default_cuts, job_product, make_plan,
+from diagsim import diag_matmul, to_dense
+from diagsim.blocking import (default_cuts, job_product, make_plan,
                               merge_outputs, partition_diagonals,
                               partition_rowcol, whole_segments, DiagSegment)
 from diagsim.errors import PlanError

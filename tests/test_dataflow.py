@@ -4,13 +4,12 @@ import pytest
 from diagsim import diag_matmul, identity, minkowski, multiply_count, to_dense
 from diagsim.blocking import merge_outputs, whole_segments
 from diagsim.cli import main
-from diagsim.dataflow import (DiagAccumulatorBank, DpeGrid, FeedConfig, GridRun,
-                              longest_diagonal, predict_cycles, run_job)
+from diagsim.dataflow import (DpeGrid, FeedConfig, GridRun, longest_diagonal,
+                              predict_cycles, run_job)
 from diagsim.diagio import save_matrix
 from diagsim.errors import GridCapacityError
-from diagsim.spmspm import pair_products
 
-from conftest import rand_matrix
+from conftest import pair_products, rand_matrix
 
 
 def run_whole(a, b, feed=FeedConfig(), **kw):

@@ -184,6 +184,25 @@ class TestInvariants:
         with pytest.raises(DomainError):
             DiagMatrix(2, (Diagonal(0, np.array([1.0, np.nan])),))
 
+    # complex128 vectors are checked without being converted or copied
+    def test_wrong_shape_complex_rejected(self):
+        with pytest.raises(ShapeError):
+            DiagMatrix(3, (Diagonal(1, np.ones(3, dtype=complex)),))
+        with pytest.raises(ShapeError):
+            DiagMatrix(3, (Diagonal(0, np.ones((1, 3), dtype=complex)),))
+        with pytest.raises(DomainError):
+            DiagMatrix(3, (Diagonal(3, np.ones(1, dtype=complex)),))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
+    def test_non_finite_complex_rejected(self, bad):
+        vals = np.array([1.0, bad], dtype=complex)
+        with pytest.raises(DomainError, match="diagonal -1 "):
+            DiagMatrix(3, (Diagonal(-1, vals), Diagonal(0, np.ones(3, dtype=complex))))
+
+    def test_offsets_normalized_to_int(self):
+        m = DiagMatrix(3, (Diagonal(np.int64(1), np.ones(2, dtype=complex)),))
+        assert type(m.offsets[0]) is int
+
     def test_conj_transpose_mirrors_offsets(self):
         rng = np.random.default_rng(29)
         m = rand_matrix(rng, 12, k=4)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diagsim import (DiagMatrix, dense_matmul_oracle, diag_matmul, from_dense,
-                     identity, minkowski, multiply_count, overlap_range, to_dense)
-from diagsim.errors import ShapeError
-from diagsim.spmspm import pair_products
+from diagsim import (DiagMatrix, Diagonal, dense_matmul_oracle, diag_matmul, from_dense,
+                     identity, minkowski, multiply_count, overlap_range, spmspm, to_dense)
+from diagsim.errors import DomainError, ShapeError
 
-from conftest import rand_matrix
+from conftest import pair_loop_matmul, pair_products, rand_matrix
 
 
 class TestMinkowski:
@@ -112,6 +112,66 @@ class TestDiagMatmul:
         assert c1.offsets == c2.offsets
         for d in c1.offsets:
             assert np.array_equal(c1.diagonal(d).values, c2.diagonal(d).values)
+
+
+def _check_against_oracles(a, b):
+    got = diag_matmul(a, b)
+    want = pair_loop_matmul(a, b)
+    assert got.offsets == tuple(want)
+    for diag in got.diagonals:
+        ref = want[diag.offset]
+        assert np.max(np.abs(diag.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    dense = dense_matmul_oracle(to_dense(a), to_dense(b))
+    scale = max(np.linalg.norm(dense), 1e-300)
+    assert np.linalg.norm(to_dense(got) - dense) / scale <= 1e-12
+
+
+@st.composite
+def operand_pairs(draw):
+    """Random operands of one dim, from empty to every diagonal present."""
+    n = draw(st.integers(1, 40))
+    offsets = st.lists(st.integers(-(n - 1), n - 1), max_size=2 * n - 1, unique=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rand_matrix(rng, n, offsets=sorted(draw(offsets)))
+    b = rand_matrix(rng, n, offsets=sorted(draw(offsets)))
+    return a, b
+
+
+class TestKernelAgainstOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs(), st.sampled_from([1, 3, spmspm.BLOCK]))
+    def test_random_operands(self, pair, block):
+        # small blocks split the wide operand into several layout passes
+        saved, spmspm.BLOCK = spmspm.BLOCK, block
+        try:
+            _check_against_oracles(*pair)
+        finally:
+            spmspm.BLOCK = saved
+
+    @pytest.mark.parametrize("n, offs_a, offs_b", [
+        (1, [0], [0]),
+        (5, [], [0, 2]),
+        (5, [1], []),
+        (5, [-4, 4], [-4, 4]),           # corner diagonals; sums at +-8 leave the matrix
+        (5, [4], [-4, -3, 0, 1, 2, 3]),  # narrow A
+        (5, [-4, -3, 0, 1, 2, 3], [4]),  # narrow B
+        (6, list(range(-5, 6)), list(range(-5, 6))),
+    ])
+    def test_edge_cases(self, n, offs_a, offs_b):
+        rng = np.random.default_rng(71)
+        _check_against_oracles(rand_matrix(rng, n, offsets=offs_a),
+                               rand_matrix(rng, n, offsets=offs_b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("k_b", [1, 2])
+    def test_overflowing_product_rejected(self, k_b):
+        big = np.full(3, 1e200, dtype=complex)
+        a = DiagMatrix(3, (Diagonal(0, big),))
+        b = DiagMatrix(3, tuple(Diagonal(d, big[:3 - d]) for d in range(k_b)))
+        with pytest.raises(DomainError):
+            diag_matmul(a, b)
+        with pytest.raises(DomainError):
+            diag_matmul(b, a)
 
 
 class TestWorkCount:
