@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def pair_loop_matmul(a, b) -> dict[int, np.ndarray]:
         c0 = max(0, -dc)
         vec[rng.r_lo - c0: rng.r_hi + 1 - c0] += prod
     return {d: v for d, v in sorted(out.items()) if np.any(v != 0)}
+
+
+def diaq_json_oracle(m) -> bytes:
+    """DiaQ JSON bytes built entry by entry through json.dumps: the writer's oracle."""
+    doc = {
+        "n": m.dim,
+        "diags": [
+            {"offset": d.offset,
+             "values": [[float(v.real), float(v.imag)] for v in d.values]}
+            for d in m.diagonals
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -65,3 +66,33 @@ def test_interleave_below_one_rejected(tmp_path, interleave):
     argv = ["simulate", path, path, "--out", str(tmp_path / "r.json"),
             f"--interleave={interleave}"]
     assert cli.main(argv) == cli.DATA_EXIT
+
+
+# 2x2 matrix whose main diagonal needs 32 value bytes but has 16
+TRUNCATED_DIAQ = b"DIAQ1" + struct.pack("<QQq", 2, 1, 0) + bytes(16)
+
+
+MALFORMED = {
+    "truncated.diaq": TRUNCATED_DIAQ,
+    "short.diaq": b"DIAQ1" + bytes(7),
+    "no-diags.json": b'{"n": 4}',
+    "no-offset.json": b'{"n": 1, "diags": [{"values": [[1, 0]]}]}',
+    "no-values.json": b'{"n": 1, "diags": [{"offset": 0}]}',
+    "triples.json": b'{"n": 2, "diags": [{"offset": 0, "values": [[1, 0, 0], [2, 0, 0]]}]}',
+    "strings.json": b'{"n": 1, "diags": [{"offset": 0, "values": [["1", "0"]]}]}',
+    "float-offset.json": b'{"n": 3, "diags": [{"offset": 1.7, "values": [[1, 0], [2, 0]]}]}',
+    "float-dim.json": b'{"n": 3.9, "diags": []}',
+    "short-diagonal.json": b'{"n": 3, "diags": [{"offset": 0, "values": [[1, 0]]}]}',
+    "binary.json": b"\xff\xfe\x00garbage",
+    "garbage.mtx": b"not a Matrix Market file\n",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, name):
+    src = tmp_path / name
+    src.write_bytes(MALFORMED[name])
+    assert cli.main(["convert", str(src), str(tmp_path / "out.diaq")]) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.diaq").exists()
