@@ -10,7 +10,6 @@ from .diagmat import (
     identity,
     one_norm,
     to_dense,
-    zero,
 )
 from .spmspm import (
     OverlapRange,
@@ -41,5 +40,4 @@ __all__ = [
     "overlap_range",
     "pauli_to_diagmatrix",
     "to_dense",
-    "zero",
 ]

@@ -17,11 +17,11 @@ next B-group starts, which maximizes reuse of cached A lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix, Diagonal, diag_length, drop_zero_diagonals
+from .diagmat import COMPLEX, DiagMatrix, buffer_starts, diag_length, drop_zero_diagonals
 from .errors import PlanError
 
 AUTO_CUT_WINDOW = 4096
@@ -67,8 +67,6 @@ class BlockPlan:
     jobs: tuple[Job, ...]
     grid_rows: int
     grid_cols: int
-    a_groups: tuple[BlockGroup, ...] = field(default=())
-    b_groups: tuple[BlockGroup, ...] = field(default=())
 
     def to_json(self) -> str:
         doc = {
@@ -140,10 +138,8 @@ def partition_diagonals(segments: list[DiagSegment], group_size: int, kind: str,
     if group_size < 1:
         raise PlanError(f"group_size must be >= 1, got {group_size}")
     ordered = sorted(segments, key=lambda s: (s.offset, s.row_start))
-    groups = []
-    for g, start in enumerate(range(0, len(ordered), group_size)):
-        groups.append(BlockGroup(id_base + g, kind, tuple(ordered[start: start + group_size])))
-    return groups
+    return [BlockGroup(id_base + g, kind, tuple(ordered[start: start + group_size]))
+            for g, start in enumerate(range(0, len(ordered), group_size))]
 
 
 def default_cuts(n: int) -> list[int]:
@@ -168,17 +164,13 @@ def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
     win_a, win_b = partition_rowcol(a, b, default_cuts(a.dim) if cuts is None else cuts)
 
     jobs = []
-    a_groups_all, b_groups_all = [], []
+    a_count = b_count = 0  # group ids run on across windows
     for w, (segs_a, segs_b) in enumerate(zip(win_a, win_b)):
-        ga = partition_diagonals(segs_a, a_gs, "A", id_base=len(a_groups_all))
-        gb = partition_diagonals(segs_b, b_gs, "B", id_base=len(b_groups_all))
-        a_groups_all.extend(ga)
-        b_groups_all.extend(gb)
-        for bg in gb:
-            for ag in ga:
-                jobs.append(Job(w, ag, bg))
-    return BlockPlan(a.dim, tuple(jobs), grid_rows, grid_cols,
-                     tuple(a_groups_all), tuple(b_groups_all))
+        ga = partition_diagonals(segs_a, a_gs, "A", id_base=a_count)
+        gb = partition_diagonals(segs_b, b_gs, "B", id_base=b_count)
+        a_count, b_count = a_count + len(ga), b_count + len(gb)
+        jobs += [Job(w, ag, bg) for bg in gb for ag in ga]
+    return BlockPlan(a.dim, tuple(jobs), grid_rows, grid_cols)
 
 
 # -- functional reference for job outputs --------------------------------------
@@ -220,14 +212,13 @@ def job_product(n: int, a_segments, b_segments,
 
 
 def merge_outputs(n: int, banks) -> DiagMatrix:
-    """Sum per-offset partial vectors across jobs in schedule order."""
-    acc: dict[int, np.ndarray] = {}
+    """Sum per-offset partial vectors across jobs in schedule order, in one buffer."""
+    offsets = sorted(set().union(*banks))
+    starts = buffer_starts(n, offsets).tolist()
+    slices = {d: slice(lo, hi) for d, lo, hi in zip(offsets, starts, starts[1:])}
+    # every slot gets a full-length partial, and -0.0 + x is x bit for bit
+    values = np.full(starts[-1], complex(-0.0, -0.0))
     for bank in banks:
-        for dc in sorted(bank):
-            vec = acc.get(dc)
-            if vec is None:
-                acc[dc] = bank[dc].copy()
-            else:
-                vec += bank[dc]
-    m = DiagMatrix(n, tuple(Diagonal(d, acc[d]) for d in sorted(acc)))
-    return drop_zero_diagonals(m, 0.0)
+        for dc, vec in bank.items():
+            values[slices[dc]] += vec
+    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, values), 0.0)

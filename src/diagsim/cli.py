@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen, convert, matmul, simulate, expm, report.
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
+Exit codes: 0 ok, 1 usage error, 2 data or file error, 3 verification failure.
 An optional key=value config file (``--config``, before the subcommand)
 supplies flag defaults, typed like the flags themselves (on/off flags take
 true or false); explicit flags win.  Unknown keys are usage errors.
@@ -21,10 +21,10 @@ from .diagmat import DiagMatrix, drop_zero_diagonals, rel_frobenius_error, to_de
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, SimulatorError, VerificationError)
 from .hamiltonians import gen_benchmark
-from .hamsim import (GridSetup, TaylorConfig, records_to_csv, simulate_product,
-                     taylor_expm)
+from .hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from .memory import CacheConfig, SetAssocCache
-from .report import EnergyModel, build_report, report_to_csv, report_to_json
+from .report import (EnergyModel, build_report, iterations_to_csv, report_to_csv,
+                     report_to_json)
 from .spmspm import dense_matmul_oracle, diag_matmul
 
 USAGE_EXIT = 1
@@ -218,7 +218,7 @@ def cmd_expm(args) -> int:
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)
     if args.csv:
-        diagio._atomic_write(args.csv, records_to_csv(records).encode())
+        diagio._atomic_write(args.csv, iterations_to_csv(report["iterations"]).encode())
     if args.out:
         print(f"{workload}: {len(records)} terms; report written to {args.out}")
     return 0
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ShapeError, DomainError, PlanError, GridCapacityError,
-            ConvergenceError, FileNotFoundError, json.JSONDecodeError) as exc:
+            ConvergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except (VerificationError, SimulatorError) as exc:

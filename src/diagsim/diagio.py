@@ -20,7 +20,8 @@ Matrix Market coordinate files never densify: duplicate entries are summed,
 each entry goes to the diagonal at offset col - row, and a diagonal whose
 summed values are all zero is dropped, as ``from_dense`` drops it.  Memory is
 O(nnz + stored diagonal entries).  Only ``array`` (dense) files go through
-``from_dense``.
+``from_dense``.  The writer writes the nonzero entries only, so a stored zero
+(or -0.0) on a kept diagonal reads back as +0.0.
 
 Every reader reports a malformed file (short header, a diagonal running past
 the end, a missing key, a value that is not a numeric [re, im] pair, a
@@ -30,6 +31,7 @@ non-finite values) as DomainError, both naming the file.
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import os
@@ -41,7 +43,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .diagmat import COMPLEX, DiagMatrix, Diagonal, diag_length, from_dense
+from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, diag_length, drop_zero_diagonals,
+                      from_dense)
 from .errors import DomainError, ShapeError
 
 MAGIC = b"DIAQ1"
@@ -78,7 +81,7 @@ def read_diaq(path: str) -> DiagMatrix:
             raise ShapeError(f"{len(blob)} bytes, shorter than the {HEADER}-byte header")
         n, count = struct.unpack_from("<QQ", blob, len(MAGIC))
         pos = HEADER
-        diags = []
+        offsets, parts = [], []
         for i in range(count):
             if pos + 8 > len(blob):
                 raise ShapeError(f"file ends before diagonal {i} of {count}")
@@ -87,12 +90,12 @@ def read_diaq(path: str) -> DiagMatrix:
             pos += 8
             if pos + 16 * length > len(blob):
                 raise ShapeError(f"diagonal {offset} runs past the end of the file")
-            values = np.frombuffer(blob, "<c16", count=length, offset=pos).astype(COMPLEX)
-            diags.append(Diagonal(offset, values))
+            offsets.append(offset)
+            parts.append(np.frombuffer(blob, "<c16", count=length, offset=pos))
             pos += 16 * length
         if pos != len(blob):
             raise ShapeError(f"{len(blob) - pos} trailing bytes")
-        return DiagMatrix(n, tuple(diags))
+        return DiagMatrix.packed(n, offsets, np.concatenate([np.empty(0, COMPLEX), *parts]))
 
 
 def write_diaq_json(m: DiagMatrix, path: str) -> None:
@@ -116,39 +119,29 @@ def _json_pairs(values: np.ndarray) -> str:
 def read_diaq_json(path: str) -> DiagMatrix:
     with open(path) as fh, _reading(path):
         doc = json.load(fh)
-        diags = sorted((Diagonal(operator.index(d["offset"]), _complex_pairs(d["values"]))
-                        for d in doc["diags"]), key=lambda d: d.offset)
-        return DiagMatrix(operator.index(doc["n"]), tuple(diags))
-
-
-def _complex_pairs(values) -> np.ndarray:
-    """complex128 vector of a list of [re, im] numbers, bit-exact."""
-    pairs = np.array(values)
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ShapeError("values must be a list of [re, im] number pairs")
-    return pairs.astype(np.float64).view(COMPLEX).ravel()
+        n = operator.index(doc["n"])
+        diags = sorted(((operator.index(d["offset"]), d["values"]) for d in doc["diags"]),
+                       key=lambda diag: diag[0])
+        values, pos = np.empty(sum(len(pairs) for _, pairs in diags), dtype=COMPLEX), 0
+        for d, pairs in diags:
+            pairs = np.array(pairs)
+            if pairs.dtype.kind not in "biuf" or pairs.shape != (diag_length(n, d), 2):
+                raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} "
+                                 f"[re, im] number pairs, got shape {pairs.shape}")
+            values[pos:pos + len(pairs)] = pairs.astype(np.float64).view(COMPLEX).ravel()
+            pos += len(pairs)
+        return DiagMatrix.packed(n, [d for d, _ in diags], values)
 
 
 def write_matrix_market(m: DiagMatrix, path: str) -> None:
-    rows, cols, vals = [], [], []
-    for diag in m.diagonals:
-        r0 = diag.row_start()
-        idx = np.arange(r0, r0 + len(diag.values))
-        rows.append(idx)
-        cols.append(idx + diag.offset)
-        vals.append(diag.values)
-    if rows:
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m.dim, m.dim),
-        )
-    else:
-        coo = scipy.sparse.coo_matrix((m.dim, m.dim), dtype=COMPLEX)
-    with tempfile.NamedTemporaryFile(dir=os.path.dirname(path) or ".",
-                                     suffix=".mtx", delete=False) as tmp:
-        scipy.io.mmwrite(tmp, coo)
-        tmp_path = tmp.name
-    os.replace(tmp_path, path)
+    """Coordinate file of the nonzero entries (stored zeros are not written)."""
+    rows, cols = m.coordinates()
+    nonzero = m.values != 0
+    coo = scipy.sparse.coo_matrix((m.values[nonzero], (rows[nonzero], cols[nonzero])),
+                                  shape=(m.dim, m.dim))
+    text = io.BytesIO()
+    scipy.io.mmwrite(text, coo)
+    _atomic_write(path, text.getvalue())
 
 
 def read_matrix_market(path: str) -> DiagMatrix:
@@ -162,22 +155,14 @@ def read_matrix_market(path: str) -> DiagMatrix:
 
 
 def _coo_diagonals(coo: scipy.sparse.coo_matrix) -> DiagMatrix:
-    """Sum duplicates, then scatter each offset's entries into its diagonal."""
+    """Sum duplicates, then scatter every entry into its diagonal's slot of one buffer."""
     n = coo.shape[0]
     coo.sum_duplicates()
-    offsets = coo.col.astype(np.int64) - coo.row
-    order = np.argsort(offsets, kind="stable")
-    index = np.minimum(coo.row, coo.col)[order]
-    values = coo.data.astype(COMPLEX)[order]
-    distinct, starts = np.unique(offsets[order], return_index=True)
-    ends = [*starts[1:].tolist(), len(order)]
-    diags = []
-    for d, lo, hi in zip(distinct.tolist(), starts.tolist(), ends):
-        vec = np.zeros(n - abs(d), dtype=COMPLEX)
-        vec[index[lo:hi]] = values[lo:hi]
-        if vec.any():
-            diags.append(Diagonal(d, vec))
-    return DiagMatrix(n, tuple(diags))
+    offsets, slot = np.unique(coo.col.astype(np.int64) - coo.row, return_inverse=True)
+    starts = buffer_starts(n, offsets)
+    values = np.zeros(starts[-1], dtype=COMPLEX)
+    values[starts[slot] + np.minimum(coo.row, coo.col)] = coo.data
+    return drop_zero_diagonals(DiagMatrix.packed(n, offsets.tolist(), values), 0.0)
 
 
 _FORMATS = {
@@ -207,7 +192,10 @@ def save_matrix(m: DiagMatrix, path: str, fmt: str | None = None) -> None:
 
 def _atomic_write(path: str, data: bytes) -> None:
     """Write-to-temp then rename; partial files are never left behind."""
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -1,18 +1,32 @@
 """Diagonal-sparse matrix container and core operations.
 
 A square matrix is stored as its nonzero diagonals only.  Each diagonal is
-identified by its offset d = col - row and keeps a dense value vector of
-natural length N - |d|; no padding is ever stored.  Entry values[r] of the
-diagonal at offset d sits at matrix position (row, col) with
+identified by its offset d = col - row and has natural length N - |d|; no
+padding is ever stored.  Entry values[r] of the diagonal at offset d sits at
+matrix position (row, col) with
 
     row = r + max(0, -d),   col = row + d.
 
 All other modules inherit this indexing convention.
+
+Storage: ``offsets``, a strictly increasing tuple of ints (also kept as the
+int64 array ``offset_array``), and ``values``, one flat complex128 buffer
+holding the diagonals back to back in that order: diagonal i is
+``values[starts[i]:starts[i + 1]]``, ``starts`` being 0 and the running sum
+of the lengths.  Whole-matrix operations are a fixed number of numpy calls
+on the buffer.  ``diagonals`` holds ``Diagonal`` views into the buffer, built
+on first use and cached; the library never writes through them.
+
+Every construction checks 1 <= dim < 2**63, offsets strictly increasing
+inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and finite
+values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` converts
+and length-checks each Diagonal's values, then packs them;
+``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,21 +44,9 @@ def diag_length(n: int, d: int) -> int:
     return n - abs(d)
 
 
-def _as_values(values, n: int, d: int) -> np.ndarray:
-    vec = np.asarray(values, dtype=COMPLEX)
-    if vec.ndim != 1 or vec.shape[0] != diag_length(n, d):
-        raise ShapeError(
-            f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} values, "
-            f"got shape {vec.shape}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise DomainError(f"diagonal {d} contains non-finite values")
-    return vec
-
-
-def _flat(diags) -> np.ndarray:
-    """Every stored value of diags, concatenated in order."""
-    return np.concatenate([d.values for d in diags])
+def buffer_starts(n: int, offsets) -> np.ndarray:
+    """0 and the running sum of the diagonal lengths: where each one starts."""
+    return np.concatenate(([0], np.cumsum(n - np.abs(np.asarray(offsets, dtype=np.int64)))))
 
 
 @dataclass(frozen=True)
@@ -59,31 +61,55 @@ class Diagonal:
         return max(0, -self.offset)
 
 
-@dataclass(frozen=True)
 class DiagMatrix:
-    """Immutable square matrix held as sorted nonzero diagonals."""
+    """Square matrix as sorted offsets plus one flat value buffer; never mutated."""
 
-    dim: int
-    diagonals: tuple[Diagonal, ...] = field(default_factory=tuple)
+    __slots__ = ("dim", "offsets", "offset_array", "values", "starts", "_views")
+
+    def __init__(self, dim: int, diagonals=()):
+        diagonals = tuple(diagonals)
+        self.dim = dim
+        self.offsets = tuple(d.offset for d in diagonals)
+        self.values = [d.values for d in diagonals]  # packed by __post_init__
+        self.__post_init__()
+
+    @classmethod
+    def packed(cls, dim: int, offsets, values: np.ndarray) -> "DiagMatrix":
+        """Build from sorted offsets and the flat buffer of their values (not copied)."""
+        m = cls.__new__(cls)
+        m.dim, m.offsets, m.values = dim, offsets, values
+        m.__post_init__()
+        return m
 
     def __post_init__(self):
+        """Check, and pack a per-diagonal list; perfbench traces this name as validate."""
         n = self.dim
-        if n < 1:
-            raise DomainError(f"dim must be positive, got {n}")
-        checked = list(self.diagonals)
-        prev = None
-        for i, diag in enumerate(checked):
-            d, vec = diag.offset, diag.values
-            if prev is not None and d <= prev:
-                raise DomainError("diagonal offsets must be strictly increasing")
-            prev = d
-            if not (type(d) is int and type(vec) is np.ndarray and vec.dtype == COMPLEX
-                    and vec.ndim == 1 and -n < d < n and vec.shape[0] == n - abs(d)):
-                checked[i] = Diagonal(int(d), _as_values(vec, n, d))
-        if checked and not np.isfinite(_flat(checked)).all():
-            for diag in checked:
-                _as_values(diag.values, n, diag.offset)  # names the bad diagonal
-        object.__setattr__(self, "diagonals", tuple(checked))
+        if not 1 <= n < 2**63:  # lengths are int64
+            raise DomainError(f"dim must lie in [1, 2**63), got {n}")
+        offs = np.array(self.offsets, dtype=np.int64)
+        if (offs[1:] <= offs[:-1]).any():
+            raise DomainError("diagonal offsets must be strictly increasing")
+        self.offsets, self.offset_array = tuple(offs.tolist()), offs
+        for d in self.offsets[:1] + self.offsets[-1:]:  # the outermost two
+            diag_length(n, d)
+        self.starts = buffer_starts(n, offs)
+        if type(self.values) is list:
+            parts = [np.asarray(vec, dtype=COMPLEX) for vec in self.values]
+            for d, vec in zip(self.offsets, parts):
+                if vec.shape != (n - abs(d),):
+                    raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {n - abs(d)} "
+                                     f"values, got shape {vec.shape}")
+            self.values = np.concatenate([np.empty(0, COMPLEX), *parts])
+        values, total = self.values, int(self.starts[-1])
+        if not (type(values) is np.ndarray and values.dtype == COMPLEX
+                and values.shape == (total,) and values.flags.c_contiguous):
+            raise ShapeError(f"{len(offs)} diagonals of a dim-{n} matrix need a contiguous "
+                             f"complex128 buffer of {total} values, got {values!r:.60}")
+        finite = np.isfinite(values.view(np.float64))  # faster than on complex128
+        if not finite.all():
+            i = np.searchsorted(self.starts, np.argmin(finite) // 2, side="right") - 1
+            raise DomainError(f"diagonal {self.offsets[i]} contains non-finite values")
+        self._views = None
 
     @staticmethod
     def from_diagonals(dim: int, diags: dict[int, np.ndarray]) -> "DiagMatrix":
@@ -93,82 +119,100 @@ class DiagMatrix:
     # -- queries -------------------------------------------------------------
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(d.offset for d in self.diagonals)
+    def diagonals(self) -> tuple[Diagonal, ...]:
+        """The stored diagonals as views into the buffer (built once, cached)."""
+        if self._views is None:
+            bounds = self.starts.tolist()
+            self._views = tuple(Diagonal(d, self.values[lo:hi])
+                                for d, lo, hi in zip(self.offsets, bounds, bounds[1:]))
+        return self._views
 
     @property
     def nnzd(self) -> int:
         """Number of stored (nonzero) diagonals."""
-        return len(self.diagonals)
+        return len(self.offsets)
 
     @property
     def storage_scalars(self) -> int:
         """Total stored scalar count: sum of N - |d| over stored diagonals."""
-        return sum(len(d.values) for d in self.diagonals)
+        return len(self.values)
 
     @property
     def nnze(self) -> int:
         """Count of entries that are actually nonzero."""
-        return int(sum(np.count_nonzero(d.values) for d in self.diagonals))
+        return int(np.count_nonzero(self.values))
 
     def diagonal(self, offset: int) -> Diagonal | None:
-        for d in self.diagonals:
-            if d.offset == offset:
-                return d
-        return None
+        if offset not in self.offsets:
+            return None
+        i = self.offsets.index(offset)
+        return Diagonal(offset, self.values[self.starts[i]:self.starts[i + 1]])
 
     def get(self, i: int, j: int) -> complex:
         """Entry (i, j) without densifying."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise DomainError(f"index ({i}, {j}) out of range for dim {self.dim}")
         diag = self.diagonal(j - i)
-        if diag is None:
-            return 0j
-        return complex(diag.values[i - diag.row_start()])
+        return 0j if diag is None else complex(diag.values[i - diag.row_start()])
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): the matrix position of every buffer entry."""
+        offs = self.offset_array
+        return _entry_index(self, np.maximum(0, -offs)), _entry_index(self, np.maximum(0, offs))
 
     def astype(self, dtype) -> "DiagMatrix":
         """Value-precision cast (used by the float32 datapath mode)."""
-        return DiagMatrix(
-            self.dim,
-            tuple(
-                Diagonal(d.offset, d.values.astype(dtype).astype(COMPLEX))
-                for d in self.diagonals
-            ),
-        )
+        return DiagMatrix.packed(self.dim, self.offsets, self.values.astype(dtype).astype(COMPLEX))
 
     def conj_transpose(self) -> "DiagMatrix":
-        """Conjugate transpose, diagonal-wise: offset d maps to -d, reversed."""
-        return DiagMatrix.from_diagonals(
-            self.dim,
-            {-d.offset: np.conj(d.values) for d in self.diagonals},
-        )
+        """Conjugate transpose: offset d maps to -d with its values in the same
+        order, so the diagonals' blocks come in reverse order in the buffer."""
+        values = np.empty_like(self.values)
+        values[_entry_index(self, len(self.values) - self.starts[1:])] = np.conj(self.values)
+        return DiagMatrix.packed(self.dim, tuple(-d for d in reversed(self.offsets)), values)
 
     def scaled(self, factor: complex) -> "DiagMatrix":
-        return DiagMatrix(
-            self.dim,
-            tuple(Diagonal(d.offset, d.values * factor) for d in self.diagonals),
-        )
+        return DiagMatrix.packed(self.dim, self.offset_array, self.values * factor)
 
     def add(self, other: "DiagMatrix") -> "DiagMatrix":
         """Diagonal-wise sum; exact-zero result diagonals are dropped."""
-        if self.dim != other.dim:
-            raise ShapeError(f"dim mismatch: {self.dim} vs {other.dim}")
-        acc: dict[int, np.ndarray] = {d.offset: d.values.copy() for d in self.diagonals}
-        for d in other.diagonals:
-            if d.offset in acc:
-                acc[d.offset] = acc[d.offset] + d.values
-            else:
-                acc[d.offset] = d.values.copy()
-        out = DiagMatrix.from_diagonals(self.dim, acc)
-        return drop_zero_diagonals(out, 0.0)
+        offsets, values = _combine(self, other, np.add)
+        return drop_zero_diagonals(DiagMatrix.packed(self.dim, offsets, values), 0.0)
+
+
+def _combine(a: DiagMatrix, b: DiagMatrix, op) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the offsets of a and b, and the buffer of op(a, b) on it."""
+    if a.dim != b.dim:
+        raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
+    both = np.sort(np.concatenate((a.offset_array, b.offset_array)))
+    offsets = both[np.diff(both, prepend=-a.dim) > 0]
+    starts = buffer_starts(a.dim, offsets)
+    # every slot is written by a, b or both, and -0.0 + x is x bit for bit
+    values = np.full(starts[-1], complex(-0.0, -0.0))
+    for lo, hi, to in _runs(a, offsets, starts):
+        values[to:to + hi - lo] = a.values[lo:hi]
+    for lo, hi, to in _runs(b, offsets, starts):
+        seg = values[to:to + hi - lo]
+        op(seg, b.values[lo:hi], out=seg)
+    return offsets, values
+
+
+def _runs(m: DiagMatrix, offsets, starts: np.ndarray):
+    """Maximal runs (lo, hi, to): m.values[lo:hi] goes to [to, to + hi - lo) in the
+    buffer of the given superset of m's offsets, whose starts are given."""
+    shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
+    first = np.flatnonzero(np.diff(shift, prepend=-1))
+    lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
+    return zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist())
+
+
+def _entry_index(m: DiagMatrix, block_starts: np.ndarray) -> np.ndarray:
+    """block_starts[i] plus the position within diagonal i, for every buffer entry."""
+    return np.arange(len(m.values)) + np.repeat(block_starts - m.starts[:-1], np.diff(m.starts))
 
 
 def identity(n: int) -> DiagMatrix:
-    return DiagMatrix(n, (Diagonal(0, np.ones(n, dtype=COMPLEX)),))
-
-
-def zero(n: int) -> DiagMatrix:
-    return DiagMatrix(n, ())
+    return DiagMatrix.packed(n, (0,), np.ones(n, dtype=COMPLEX))
 
 
 def from_dense(rows) -> DiagMatrix:
@@ -176,22 +220,17 @@ def from_dense(rows) -> DiagMatrix:
     grid = np.asarray(rows, dtype=COMPLEX)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ShapeError(f"square input required, got shape {grid.shape}")
-    n = grid.shape[0]
-    diags: dict[int, np.ndarray] = {}
-    for d in range(-(n - 1), n):
-        vec = np.diagonal(grid, offset=d)
-        if np.any(vec != 0):
-            diags[d] = np.array(vec, dtype=COMPLEX)
-    return DiagMatrix.from_diagonals(n, diags)
+    n, (rows, cols) = grid.shape[0], np.nonzero(grid)
+    offsets = np.unique(cols - rows)
+    # a zero matrix on those diagonals gives the coordinates of their entries
+    layout = DiagMatrix.packed(n, offsets, np.zeros(buffer_starts(n, offsets)[-1], COMPLEX))
+    return DiagMatrix.packed(n, offsets, grid[layout.coordinates()])
 
 
 def to_dense(m: DiagMatrix) -> np.ndarray:
     """Expand to a dense grid; exact inverse of from_dense."""
     grid = np.zeros((m.dim, m.dim), dtype=COMPLEX)
-    for diag in m.diagonals:
-        r0 = diag.row_start()
-        rows = np.arange(r0, r0 + len(diag.values))
-        grid[rows, rows + diag.offset] = diag.values
+    grid[m.coordinates()] = m.values
     return grid
 
 
@@ -199,33 +238,26 @@ def drop_zero_diagonals(m: DiagMatrix, eps: float = 0.0) -> DiagMatrix:
     """Remove diagonals whose largest magnitude entry is <= eps."""
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    if not m.diagonals:
+    if not m.nnzd:
         return m
-    starts = np.cumsum([0] + [len(d.values) for d in m.diagonals[:-1]])
-    peaks = np.maximum.reduceat(np.abs(_flat(m.diagonals)), starts)
-    kept = tuple(d for d, live in zip(m.diagonals, (peaks > eps).tolist()) if live)
-    return m if len(kept) == m.nnzd else DiagMatrix(m.dim, kept)
+    if eps == 0:  # |v| > 0 exactly when re or im is nonzero: skip the magnitudes
+        live = np.logical_or.reduceat(m.values.view(np.float64) != 0, 2 * m.starts[:-1])
+    else:
+        live = np.maximum.reduceat(np.abs(m.values), m.starts[:-1]) > eps
+    if live.all():
+        return m
+    kept = m.values[np.repeat(live, np.diff(m.starts))]
+    return DiagMatrix.packed(m.dim, m.offset_array[live], kept)
 
 
 def one_norm(m: DiagMatrix) -> float:
-    """Max absolute column sum, accumulated diagonal-wise."""
-    col_sums = np.zeros(m.dim, dtype=np.float64)
-    for diag in m.diagonals:
-        r0 = diag.row_start()
-        cols = np.arange(r0, r0 + len(diag.values)) + diag.offset
-        col_sums[cols] += np.abs(diag.values)
-    return float(col_sums.max()) if m.dim else 0.0
+    """Max absolute column sum, accumulated diagonal by diagonal in offset order."""
+    return float(np.bincount(m.coordinates()[1], weights=np.abs(m.values), minlength=m.dim).max())
 
 
 def rel_frobenius_error(got: DiagMatrix, ref: DiagMatrix) -> float:
-    """||got - ref||_F / ||ref||_F, accumulated diagonal-wise (never densifies)."""
-    if got.dim != ref.dim:
-        raise ShapeError(f"dim mismatch: {got.dim} vs {ref.dim}")
-    unmatched = {d.offset: d.values for d in got.diagonals}
-    diff_sq = ref_sq = 0.0
-    for diag in ref.diagonals:
-        delta = unmatched.pop(diag.offset, 0.0) - diag.values
-        diff_sq += float(np.vdot(delta, delta).real)
-        ref_sq += float(np.vdot(diag.values, diag.values).real)
-    diff_sq += sum(float(np.vdot(v, v).real) for v in unmatched.values())
+    """||got - ref||_F / ||ref||_F over the stored diagonals (never densifies)."""
+    diff = _combine(got, ref, np.subtract)[1]
+    diff_sq = float(np.vdot(diff, diff).real)
+    ref_sq = float(np.vdot(ref.values, ref.values).real)
     return diff_sq ** 0.5 / max(ref_sq ** 0.5, 1e-300)

@@ -14,8 +14,6 @@ remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +72,6 @@ class IterationRecord:
     counters: dict
 
     @property
-    def cycles_total(self) -> int:
-        return self.stage_cycles.total
-
-    @property
     def hit_rate(self) -> float:
         return self.mem.hit_rate
 
@@ -125,8 +119,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             mem = MemStats()
         t_k = product.scaled(1.0 / k)
         if t_k.nnzd:
-            floor = CANCEL_EPS * np.abs(np.concatenate([d.values for d in t_k.diagonals])).max()
-            t_k = drop_zero_diagonals(t_k, floor)
+            t_k = drop_zero_diagonals(t_k, CANCEL_EPS * np.abs(t_k.values).max())
         u = u.add(t_k)
         records.append(IterationRecord(
             k=k, nnzd=t_k.nnzd, nnze=t_k.nnze, storage_scalars=t_k.storage_scalars,
@@ -197,13 +190,3 @@ def records_to_json(records: list[IterationRecord]) -> list[dict]:
         }
         for r in records
     ]
-
-
-def records_to_csv(records: list[IterationRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "nnzd", "nnze", "savings", "cycles_total", "hit_rate"])
-    for r in records:
-        writer.writerow([r.k, r.nnzd, r.nnze, f"{r.savings:.6f}",
-                         r.cycles_total, f"{r.hit_rate:.6f}"])
-    return buf.getvalue()

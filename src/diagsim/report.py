@@ -112,9 +112,16 @@ def report_to_csv(report: dict) -> str:
         writer.writerow([f"events.{key}", val])
     if report["iterations"]:
         writer.writerow([])
-        writer.writerow(["k", "nnzd", "nnze", "savings", "cycles_total", "hit_rate"])
-        for it in report["iterations"]:
-            writer.writerow([it["k"], it["nnzd"], it["nnze"],
-                             f"{it['savings']:.6f}", it["cycles"]["total"],
-                             f"{it['hit_rate']:.6f}"])
+        buf.write(iterations_to_csv(report["iterations"]))
+    return buf.getvalue()
+
+
+def iterations_to_csv(iterations: list[dict]) -> str:
+    """One row per series iteration, from the report's iteration records."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "nnzd", "nnze", "savings", "cycles_total", "hit_rate"])
+    for it in iterations:
+        writer.writerow([it["k"], it["nnzd"], it["nnze"], f"{it['savings']:.6f}",
+                         it["cycles"]["total"], f"{it['hit_rate']:.6f}"])
     return buf.getvalue()

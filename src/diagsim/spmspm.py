@@ -35,11 +35,13 @@ are bit-reproducible and agree with that loop.  (Descending dB is ascending
 dA for a fixed dA + dB, and the wide operand's blocks are visited in the
 matching direction.)
 
-Memory: the accumulator holds one length-N row per output offset, plus the
-scratch row.  The wide operand is laid out ``BLOCK`` diagonals at a time, so
-the other temporaries stay within about BLOCK x N values.  All-zero output
-rows are dropped, and the kept ones are packed into one exact-length buffer
-before the accumulator is freed.
+Memory: operands are read from their flat value buffers (see ``diagmat``):
+a block of the wide operand is one buffer slice scattered into its layout,
+and a narrow diagonal is a slice view.  The accumulator holds one length-N row
+per output offset plus the scratch row; the wide operand is laid out
+``BLOCK`` diagonals at a time, so other temporaries stay within about
+BLOCK x N values.  The kept (not all-zero) rows are gathered into one
+exact-length buffer that becomes the product's value buffer as it is.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix, Diagonal
+from .diagmat import COMPLEX, DiagMatrix
 from .errors import ShapeError
 
 # diagonals of the wide operand laid out, and multiplied, per array operation
@@ -97,11 +99,11 @@ def _window(offsets: np.ndarray, n: int, by_col: bool) -> np.ndarray:
     return (j >= start[:, None]) & (j < (start + n - np.abs(offsets))[:, None])
 
 
-def _layout(diags, n: int, by_col: bool) -> np.ndarray:
-    """The diagonals as the rows of a zero-padded (len(diags), n) array."""
-    mask = _window(np.array([d.offset for d in diags]), n, by_col)
+def _layout(m: DiagMatrix, lo: int, hi: int, by_col: bool) -> np.ndarray:
+    """Diagonals lo..hi-1 of m as the rows of a zero-padded (hi - lo, n) array."""
+    mask = _window(m.offset_array[lo:hi], m.dim, by_col)
     out = np.zeros(mask.shape, dtype=COMPLEX)
-    out[mask] = np.concatenate([d.values for d in diags])
+    out[mask] = m.values[m.starts[lo]:m.starts[hi]]
     return out
 
 
@@ -117,7 +119,7 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     n = a.dim
     if not a.nnzd or not b.nnzd:
         return DiagMatrix(n, ())
-    sums = np.array(a.offsets)[:, None] + np.array(b.offsets)[None, :]
+    sums = a.offset_array[:, None] + b.offset_array[None, :]
     out_offsets = np.unique(sums)
     out_offsets = out_offsets[np.abs(out_offsets) < n]
     slot = np.searchsorted(out_offsets, sums)
@@ -125,27 +127,27 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
     by_col = a.nnzd > b.nnzd
     if by_col:
+        b_starts = b.starts.tolist()
         for i0 in range(0, a.nnzd, BLOCK):
-            wide = _layout(a.diagonals[i0:i0 + BLOCK], n, by_col=True)
+            wide = _layout(a, i0, min(i0 + BLOCK, a.nnzd), by_col=True)
             for j in range(b.nnzd - 1, -1, -1):
-                db, b_vals = b.diagonals[j].offset, b.diagonals[j].values
+                db, b_vals = b.offsets[j], b.values[b_starts[j]:b_starts[j + 1]]
                 lo, hi = max(0, -db), n - max(0, db)
                 acc[slot[i0:i0 + BLOCK, j], lo + db:hi + db] += wide[:, lo:hi] * b_vals
     else:
+        a_starts = a.starts.tolist()
         for j1 in range(b.nnzd, 0, -BLOCK):
             j0 = max(0, j1 - BLOCK)
-            wide = _layout(b.diagonals[j0:j1], n, by_col=False)
-            for i, diag in enumerate(a.diagonals):
-                da = diag.offset
+            wide = _layout(b, j0, j1, by_col=False)
+            for i, da in enumerate(a.offsets):
+                a_vals = a.values[a_starts[i]:a_starts[i + 1]]
                 lo, hi = max(0, -da), n - max(0, da)
-                acc[slot[i, j0:j1], lo:hi] += diag.values * wide[:, lo + da:hi + da]
+                acc[slot[i, j0:j1], lo:hi] += a_vals * wide[:, lo + da:hi + da]
     keep = acc[:-1].any(axis=1)
     mask = _window(out_offsets, n, by_col) & keep[:, None]
-    packed = acc[:-1][mask]
+    values = acc[:-1][mask]
     del acc
-    out_offsets = out_offsets[keep]
-    values = np.split(packed, np.cumsum(n - np.abs(out_offsets))[:-1])
-    return DiagMatrix(n, tuple(Diagonal(d, v) for d, v in zip(out_offsets.tolist(), values)))
+    return DiagMatrix.packed(n, out_offsets[keep], values)
 
 
 def dense_matmul_oracle(a, b) -> np.ndarray:

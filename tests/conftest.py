@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diagsim import DiagMatrix
+from diagsim import DiagMatrix, Diagonal
 from diagsim.spmspm import overlap_range
 
 
@@ -63,6 +63,25 @@ def pair_loop_matmul(a, b) -> dict[int, np.ndarray]:
         c0 = max(0, -dc)
         vec[rng.r_lo - c0: rng.r_hi + 1 - c0] += prod
     return {d: v for d, v in sorted(out.items()) if np.any(v != 0)}
+
+
+# DiagMatrix.scaled, .add and drop_zero_diagonals as they were written diagonal
+# by diagonal, before the matrix became one flat buffer: the packed versions' oracles
+
+
+def scaled_oracle(m, factor):
+    return DiagMatrix(m.dim, tuple(Diagonal(d.offset, d.values * factor) for d in m.diagonals))
+
+
+def drop_zero_oracle(m, eps=0.0):
+    return DiagMatrix(m.dim, tuple(d for d in m.diagonals if np.abs(d.values).max() > eps))
+
+
+def add_oracle(a, b):
+    acc = {d.offset: d.values.copy() for d in a.diagonals}
+    for d in b.diagonals:
+        acc[d.offset] = acc[d.offset] + d.values if d.offset in acc else d.values.copy()
+    return drop_zero_oracle(DiagMatrix.from_diagonals(a.dim, acc))
 
 
 def diaq_json_oracle(m) -> bytes:

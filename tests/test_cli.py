@@ -96,3 +96,22 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: ") and err.count("\n") == 1
     assert not (tmp_path / "out.diaq").exists()
+
+
+def test_directory_as_input_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out.diaq"
+    assert cli.main(["convert", str(tmp_path), str(out)]) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["out.diaq", "out.json", "out.mtx"])
+def test_output_in_missing_directory_exits_2_with_one_line(tmp_path, capsys, name):
+    src = tmp_path / "h.diaq"
+    save_matrix(gen_benchmark("tfim", 3), str(src))
+    out = tmp_path / "missing" / name
+    assert cli.main(["convert", str(src), str(out)]) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert str(out) in err and err.count("\n") == 1
+    assert not out.parent.exists()

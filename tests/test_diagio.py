@@ -127,6 +127,39 @@ def test_matrix_market_round_trip(tmp_path, sample):
     assert np.allclose(to_dense(back), to_dense(sample))
 
 
+def test_matrix_market_writes_only_nonzero_entries(tmp_path):
+    m = DiagMatrix.from_diagonals(4, {
+        -1: from_parts([0.0, 2.0, -0.0], [0.0, 0.0, -0.0]),
+        0: from_parts([0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]),
+        2: from_parts([1.0, -0.0], [-0.0, 3.0]),
+    })
+    path = str(tmp_path / "z.mtx")
+    write_matrix_market(m, path)
+    with open(path) as fh:
+        size = next(line for line in fh if not line.startswith("%"))
+    assert size.split() == ["4", "4", str(m.nnze)] and m.nnze == 3
+    # the all-zero diagonal is dropped and zero entries, -0.0 included, read back
+    # as +0.0; a nonzero entry keeps a signed zero part
+    want = DiagMatrix.from_diagonals(4, {
+        -1: from_parts([0.0, 2.0, 0.0], [0.0, 0.0, 0.0]),
+        2: m.diagonal(2).values,
+    })
+    assert matrices_equal(read_matrix_market(path), want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_matrix_market_entry_count_is_nnze(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    m = rand_matrix(rng, 12, k=6, real=True)
+    zeroed = {d.offset: np.where(rng.random(len(d.values)) < 0.5, 0.0, d.values)
+              for d in m.diagonals}
+    m = DiagMatrix.from_diagonals(12, zeroed)
+    path = str(tmp_path / "m.mtx")
+    write_matrix_market(m, path)
+    assert scipy.io.mminfo(path)[2] == m.nnze
+    assert np.array_equal(to_dense(read_matrix_market(path)), to_dense(m))
+
+
 def test_matrix_market_real_import(tmp_path):
     path = str(tmp_path / "real.mtx")
     with open(path, "w") as fh:

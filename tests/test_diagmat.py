@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagsim import (DiagMatrix, Diagonal, diag_length, drop_zero_diagonals,
                      from_dense, identity, one_norm, to_dense)
 from diagsim.diagmat import rel_frobenius_error
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import rand_matrix
+from conftest import add_oracle, drop_zero_oracle, rand_matrix, scaled_oracle
 
 
 class TestDiagLength:
@@ -208,3 +209,103 @@ class TestInvariants:
         m = rand_matrix(rng, 12, k=4)
         mh = m.conj_transpose()
         assert np.allclose(to_dense(mh), to_dense(m).conj().T)
+
+
+# -- the packed buffer against a dense oracle and the per-diagonal oracles ------
+
+
+def signed_zero_values(rng, length: int) -> np.ndarray:
+    """Random complex values with +0.0 and -0.0 mixed in; sometimes all zeros."""
+    parts = rng.standard_normal((2, length))
+    zero = rng.random((2, length)) < (1.0 if rng.random() < 0.25 else 0.3)
+    parts[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    return parts[0] + 1j * parts[1]
+
+
+def oracle_dense(n: int, diags: dict) -> np.ndarray:
+    grid = np.zeros((n, n), dtype=complex)
+    for d, vec in diags.items():
+        for r, v in enumerate(vec):
+            grid[r + max(0, -d), r + max(0, -d) + d] = v
+    return grid
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two same-dim matrices as (offset -> values) dicts; shared diagonals of b
+    sometimes cancel a's exactly."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = st.lists(st.integers(-(n - 1), n - 1), max_size=8, unique=True)
+    a = {d: signed_zero_values(rng, n - abs(d)) for d in draw(offsets)}
+    b = {d: -a[d] if d in a and rng.random() < 0.3 else signed_zero_values(rng, n - abs(d))
+         for d in draw(offsets)}
+    return n, a, b
+
+
+def same_bits(got: DiagMatrix, want: DiagMatrix) -> bool:
+    return (got.dim, got.offsets) == (want.dim, want.offsets) and \
+        got.values.tobytes() == want.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs(), st.sampled_from([2.5, -0.5j, 1 / 3, -1.0, 0.0]),
+       st.sampled_from([0.0, 0.5, 1.5]))
+def test_packed_ops_match_dense_and_per_diagonal_oracles(pair, factor, eps):
+    n, a_diags, b_diags = pair
+    a, b = DiagMatrix.from_diagonals(n, a_diags), DiagMatrix.from_diagonals(n, b_diags)
+    da, db = oracle_dense(n, a_diags), oracle_dense(n, b_diags)
+    # storage and queries
+    assert np.array_equal(to_dense(a), da)
+    assert same_bits(from_dense(da), drop_zero_oracle(a))
+    assert a.storage_scalars == sum(n - abs(d) for d in a_diags) == len(a.values)
+    assert a.nnze == np.count_nonzero(da)
+    for diag in a.diagonals:
+        assert diag.values.tobytes() == a_diags[diag.offset].tobytes()
+        assert np.shares_memory(diag.values, a.values)
+        assert a.diagonal(diag.offset).values.tobytes() == diag.values.tobytes()
+    assert a.diagonal(n) is None
+    # whole-matrix operations against the dense oracle
+    assert np.array_equal(to_dense(a.scaled(factor)), da * factor)
+    assert np.array_equal(to_dense(a.add(b)), da + db)
+    assert np.array_equal(to_dense(a.conj_transpose()), da.conj().T)
+    assert np.array_equal(to_dense(a.astype(np.complex64)), da.astype(np.complex64))
+    assert one_norm(a) == pytest.approx(np.abs(da).sum(axis=0).max(), rel=1e-12, abs=0)
+    if b.nnzd and np.any(db):
+        want = np.linalg.norm(da - db) / np.linalg.norm(db)
+        assert rel_frobenius_error(a, b) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    dropped = drop_zero_diagonals(a, eps)
+    assert dropped.offsets == tuple(d for d in sorted(a_diags)
+                                    if np.abs(a_diags[d]).max() > eps)
+    # bit for bit, signed zeros included, against the per-diagonal versions
+    assert same_bits(a.scaled(factor), scaled_oracle(a, factor))
+    assert same_bits(a.add(b), add_oracle(a, b))
+    assert same_bits(b.add(a), add_oracle(b, a))
+    assert same_bits(dropped, drop_zero_oracle(a, eps))
+
+
+class TestPackedConstruction:
+    def test_packed_checks_the_buffer(self):
+        values = np.ones(5, dtype=complex)
+        assert DiagMatrix.packed(3, (0, 1), values).offsets == (0, 1)
+        with pytest.raises(ShapeError):
+            DiagMatrix.packed(3, (0, 1), values[:4])
+        with pytest.raises(ShapeError):
+            DiagMatrix.packed(3, (0, 1), values.real)
+        with pytest.raises(ShapeError):
+            DiagMatrix.packed(3, (0, 1), np.ones(10, dtype=complex)[::2])
+        with pytest.raises(DomainError):
+            DiagMatrix.packed(3, (1, 0), values)
+        with pytest.raises(DomainError):
+            DiagMatrix.packed(3, (0, 3), values)
+
+    def test_packed_names_the_non_finite_diagonal(self):
+        values = np.ones(5, dtype=complex)
+        values[4] = np.inf
+        with pytest.raises(DomainError, match="diagonal 1 "):
+            DiagMatrix.packed(3, (0, 1), values)
+
+    @pytest.mark.parametrize("dim", [0, 2**64 - 1])
+    def test_dim_outside_int64_lengths_rejected(self, dim):
+        with pytest.raises(DomainError):
+            DiagMatrix(dim, ())
