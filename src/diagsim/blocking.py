@@ -138,8 +138,10 @@ def partition_diagonals(segments: list[DiagSegment], group_size: int, kind: str,
     if group_size < 1:
         raise PlanError(f"group_size must be >= 1, got {group_size}")
     ordered = sorted(segments, key=lambda s: (s.offset, s.row_start))
-    return [BlockGroup(id_base + g, kind, tuple(ordered[start: start + group_size]))
-            for g, start in enumerate(range(0, len(ordered), group_size))]
+    groups = []
+    for g, start in enumerate(range(0, len(ordered), group_size)):
+        groups.append(BlockGroup(id_base + g, kind, tuple(ordered[start: start + group_size])))
+    return groups
 
 
 def default_cuts(n: int) -> list[int]:
@@ -169,7 +171,9 @@ def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
         ga = partition_diagonals(segs_a, a_gs, "A", id_base=a_count)
         gb = partition_diagonals(segs_b, b_gs, "B", id_base=b_count)
         a_count, b_count = a_count + len(ga), b_count + len(gb)
-        jobs += [Job(w, ag, bg) for bg in gb for ag in ga]
+        for bg in gb:
+            for ag in ga:
+                jobs.append(Job(w, ag, bg))
     return BlockPlan(a.dim, tuple(jobs), grid_rows, grid_cols)
 
 

@@ -19,9 +19,10 @@ on first use and cached; the library never writes through them.
 
 Every construction checks 1 <= dim < 2**63, offsets strictly increasing
 inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and finite
-values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` converts
-and length-checks each Diagonal's values, then packs them;
-``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is.
+values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` first
+converts and length-checks each Diagonal's values, then packs them;
+``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is and
+rejects anything else.
 """
 
 from __future__ import annotations
@@ -67,10 +68,15 @@ class DiagMatrix:
     __slots__ = ("dim", "offsets", "offset_array", "values", "starts", "_views")
 
     def __init__(self, dim: int, diagonals=()):
+        """Convert and length-check each Diagonal, naming it, then pack them."""
         diagonals = tuple(diagonals)
-        self.dim = dim
-        self.offsets = tuple(d.offset for d in diagonals)
-        self.values = [d.values for d in diagonals]  # packed by __post_init__
+        parts = [np.asarray(diag.values, dtype=COMPLEX) for diag in diagonals]
+        for diag, vec in zip(diagonals, parts):
+            if vec.shape != (diag_length(dim, diag.offset),):
+                raise ShapeError(f"diagonal {diag.offset} of dim-{dim} matrix needs "
+                                 f"{dim - abs(diag.offset)} values, got shape {vec.shape}")
+        self.dim, self.offsets = dim, tuple(diag.offset for diag in diagonals)
+        self.values = np.concatenate([np.empty(0, COMPLEX), *parts])
         self.__post_init__()
 
     @classmethod
@@ -82,7 +88,7 @@ class DiagMatrix:
         return m
 
     def __post_init__(self):
-        """Check, and pack a per-diagonal list; perfbench traces this name as validate."""
+        """Check the offsets and the buffer; perfbench traces this name as validate."""
         n = self.dim
         if not 1 <= n < 2**63:  # lengths are int64
             raise DomainError(f"dim must lie in [1, 2**63), got {n}")
@@ -93,13 +99,6 @@ class DiagMatrix:
         for d in self.offsets[:1] + self.offsets[-1:]:  # the outermost two
             diag_length(n, d)
         self.starts = buffer_starts(n, offs)
-        if type(self.values) is list:
-            parts = [np.asarray(vec, dtype=COMPLEX) for vec in self.values]
-            for d, vec in zip(self.offsets, parts):
-                if vec.shape != (n - abs(d),):
-                    raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {n - abs(d)} "
-                                     f"values, got shape {vec.shape}")
-            self.values = np.concatenate([np.empty(0, COMPLEX), *parts])
         values, total = self.values, int(self.starts[-1])
         if not (type(values) is np.ndarray and values.dtype == COMPLEX
                 and values.shape == (total,) and values.flags.c_contiguous):
@@ -153,12 +152,13 @@ class DiagMatrix:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise DomainError(f"index ({i}, {j}) out of range for dim {self.dim}")
         diag = self.diagonal(j - i)
-        return 0j if diag is None else complex(diag.values[i - diag.row_start()])
+        if diag is None:
+            return 0j
+        return complex(diag.values[i - diag.row_start()])
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols): the matrix position of every buffer entry."""
-        offs = self.offset_array
-        return _entry_index(self, np.maximum(0, -offs)), _entry_index(self, np.maximum(0, offs))
+        return _coordinates(self.offset_array, self.starts)
 
     def astype(self, dtype) -> "DiagMatrix":
         """Value-precision cast (used by the float32 datapath mode)."""
@@ -168,7 +168,7 @@ class DiagMatrix:
         """Conjugate transpose: offset d maps to -d with its values in the same
         order, so the diagonals' blocks come in reverse order in the buffer."""
         values = np.empty_like(self.values)
-        values[_entry_index(self, len(self.values) - self.starts[1:])] = np.conj(self.values)
+        values[_entry_index(self.starts, len(self.values) - self.starts[1:])] = np.conj(self.values)
         return DiagMatrix.packed(self.dim, tuple(-d for d in reversed(self.offsets)), values)
 
     def scaled(self, factor: complex) -> "DiagMatrix":
@@ -187,28 +187,28 @@ def _combine(a: DiagMatrix, b: DiagMatrix, op) -> tuple[np.ndarray, np.ndarray]:
     both = np.sort(np.concatenate((a.offset_array, b.offset_array)))
     offsets = both[np.diff(both, prepend=-a.dim) > 0]
     starts = buffer_starts(a.dim, offsets)
-    # every slot is written by a, b or both, and -0.0 + x is x bit for bit
-    values = np.full(starts[-1], complex(-0.0, -0.0))
-    for lo, hi, to in _runs(a, offsets, starts):
-        values[to:to + hi - lo] = a.values[lo:hi]
-    for lo, hi, to in _runs(b, offsets, starts):
-        seg = values[to:to + hi - lo]
-        op(seg, b.values[lo:hi], out=seg)
+    values = np.full(starts[-1], complex(-0.0, -0.0))  # -0.0 + x is x bit for bit
+    for m, ufunc in ((a, np.add), (b, op)):
+        # each maximal run of m's diagonals that stays contiguous in the union
+        shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
+        first = np.flatnonzero(np.diff(shift, prepend=-1))
+        lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
+        for i, j, to in zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist()):
+            seg = values[to:to + j - i]
+            ufunc(seg, m.values[i:j], out=seg)
     return offsets, values
 
 
-def _runs(m: DiagMatrix, offsets, starts: np.ndarray):
-    """Maximal runs (lo, hi, to): m.values[lo:hi] goes to [to, to + hi - lo) in the
-    buffer of the given superset of m's offsets, whose starts are given."""
-    shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
-    first = np.flatnonzero(np.diff(shift, prepend=-1))
-    lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
-    return zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist())
+def _entry_index(starts: np.ndarray, block_starts: np.ndarray) -> np.ndarray:
+    """block_starts[i] plus the position within diagonal i, for every entry of the
+    buffer whose diagonals start at starts."""
+    return np.arange(starts[-1]) + np.repeat(block_starts - starts[:-1], np.diff(starts))
 
 
-def _entry_index(m: DiagMatrix, block_starts: np.ndarray) -> np.ndarray:
-    """block_starts[i] plus the position within diagonal i, for every buffer entry."""
-    return np.arange(len(m.values)) + np.repeat(block_starts - m.starts[:-1], np.diff(m.starts))
+def _coordinates(offsets: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every entry of the buffer laid out by offsets and starts."""
+    return (_entry_index(starts, np.maximum(0, -offsets)),
+            _entry_index(starts, np.maximum(0, offsets)))
 
 
 def identity(n: int) -> DiagMatrix:
@@ -222,9 +222,7 @@ def from_dense(rows) -> DiagMatrix:
         raise ShapeError(f"square input required, got shape {grid.shape}")
     n, (rows, cols) = grid.shape[0], np.nonzero(grid)
     offsets = np.unique(cols - rows)
-    # a zero matrix on those diagonals gives the coordinates of their entries
-    layout = DiagMatrix.packed(n, offsets, np.zeros(buffer_starts(n, offsets)[-1], COMPLEX))
-    return DiagMatrix.packed(n, offsets, grid[layout.coordinates()])
+    return DiagMatrix.packed(n, offsets, grid[_coordinates(offsets, buffer_starts(n, offsets))])
 
 
 def to_dense(m: DiagMatrix) -> np.ndarray:
@@ -240,10 +238,7 @@ def drop_zero_diagonals(m: DiagMatrix, eps: float = 0.0) -> DiagMatrix:
         raise DomainError("eps must be nonnegative")
     if not m.nnzd:
         return m
-    if eps == 0:  # |v| > 0 exactly when re or im is nonzero: skip the magnitudes
-        live = np.logical_or.reduceat(m.values.view(np.float64) != 0, 2 * m.starts[:-1])
-    else:
-        live = np.maximum.reduceat(np.abs(m.values), m.starts[:-1]) > eps
+    live = np.maximum.reduceat(np.abs(m.values), m.starts[:-1]) > eps
     if live.all():
         return m
     kept = m.values[np.repeat(live, np.diff(m.starts))]

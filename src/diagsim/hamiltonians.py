@@ -80,7 +80,8 @@ def pauli_to_diagmatrix(terms: list[PauliTerm], n: int, max_qubits: int = MAX_QU
                 sel = pattern == pat
                 d = int(pat - (pat ^ xmask))  # col - row is constant per pattern
                 _scatter(acc, d, rows[sel], vals[sel], dim)
-    return drop_zero_diagonals(DiagMatrix.from_diagonals(dim, acc), 0.0)
+    m = DiagMatrix.from_diagonals(dim, acc) if acc else DiagMatrix(dim, ())
+    return drop_zero_diagonals(m, 0.0)
 
 
 def _scatter(acc: dict[int, np.ndarray], d: int, rows: np.ndarray, vals: np.ndarray, dim: int):

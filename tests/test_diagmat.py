@@ -294,6 +294,8 @@ class TestPackedConstruction:
             DiagMatrix.packed(3, (0, 1), values.real)
         with pytest.raises(ShapeError):
             DiagMatrix.packed(3, (0, 1), np.ones(10, dtype=complex)[::2])
+        with pytest.raises(ShapeError):  # a buffer, not per-diagonal values
+            DiagMatrix.packed(3, (0, 1), [np.ones(3, dtype=complex), np.ones(2, dtype=complex)])
         with pytest.raises(DomainError):
             DiagMatrix.packed(3, (1, 0), values)
         with pytest.raises(DomainError):
