@@ -12,6 +12,11 @@ Two orthogonal strategies compose:
 
 Job order is B-group-major: all A-groups run against one B-group before the
 next B-group starts, which maximizes reuse of cached A lines.
+
+The plan decides what the grid model counts; the product's values come from
+the functional kernel.  job_product and merge_outputs compute a plan's
+values job by job: they are the reference the tests hold per-job outputs
+to, and no modeled figure reads them.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ class DiagSegment:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def first_coord(self) -> tuple[int, int]:
-        """(i, j) of the first element; later coordinates self-increment."""
-        return self.row_start, self.row_start + self.offset
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,10 @@ def job_product(n: int, a_segments, b_segments,
 
     A row r of A's segment meets B's segment where row r + dA is one of its
     rows; both segments lie in bounds, so that intersection is the overlap
-    range cut to the segments.  The grid simulator must reproduce this
-    multiply set one-to-one.  Products are added into out (a fresh dict when
-    absent); returns it with the multiply count.
+    range cut to the segments.  dataflow.run_job counts the same multiply
+    set in closed form, and a cycle-stepped grid must fire it one-to-one.
+    Products are added into out (a fresh dict when absent); returns it with
+    the multiply count.
     """
     out = {} if out is None else out
     multiplies = 0

@@ -1,4 +1,4 @@
-"""Grid model of the diagonal processing grid: closed-form jobs, stepper oracle.
+"""Grid model of the diagonal processing grid, counted in closed form per job.
 
 Columns carry operand-A diagonal segments (fed from the top), rows carry
 operand-B segments (fed from the left).  Feeds start one cycle apart in grid
@@ -19,11 +19,13 @@ departure time D satisfies D(r,c) = max(D(r-1,c), D(r,c-1)) + 1 with edge
 values fixed by the feed lengths, which telescopes to the
 position-independent total R + C + L_max - 1.
 
-Because nothing stalls, every figure of a job has a closed form, and
-run_job computes it that way by default.  With R rows, C columns, A-column
-lengths La and B-row lengths Lb:
+Because nothing stalls, every figure of a job has a closed form, and run_job
+computes them from the segments alone, never reading a value.  With R rows,
+C columns, A-column lengths La and B-row lengths Lb:
 
-  * multiplies = the segment-restricted overlap count (blocking.job_product);
+  * multiplies = sum over (A segment, B segment) pairs of the rows r that
+    both cover: r_lo = max(a_lo, b_lo - dA), r_hi = min(a_hi, b_hi - dA);
+  * touched output offsets = dA + dB over the pairs with a nonempty range;
   * fifo reads = fifo writes = R * sum(La) + C * sum(Lb) + multiplies: each
     cell sees La[c] + Lb[r] operand transits, and each product crosses the
     depth-1 output FIFO once (reaching its accumulator one cycle later);
@@ -32,20 +34,20 @@ lengths La and B-row lengths Lb:
   * dynamic preload = R + C - 1, the cycle after the far corner first holds
     both operands.
 
-GridRun steps the same grid one cycle at a time.  It is the oracle the tests
-hold the closed form to, and the path taken when a caller asks for a
-per-cycle trace or the individual partial products.
+The product's values come from the functional kernel (spmspm.diag_matmul);
+blocking.job_product is the per-job value reference.  A per-cycle stepper of
+the same grid lives with the tests as the oracle these closed forms are held
+to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocking import DiagSegment, job_product
-from .diagmat import COMPLEX, diag_length
-from .errors import GridCapacityError, SimulatorError
+from .errors import GridCapacityError
 
 
 @dataclass(frozen=True)
@@ -81,123 +83,23 @@ class StageCycles:
                            self.popout + other.popout, self.total + other.total)
 
 
-class PartialProduct:
-    """One multiplier output: value plus the output coordinate it lands on."""
-
-    __slots__ = ("value", "i", "j")
-
-    def __init__(self, value: complex, i: int, j: int):
-        self.value = value
-        self.i = i
-        self.j = j
-
-
-class DiagAccumulatorBank:
-    """Per-output-offset reduction buffers, N - |d| long, zero-initialized."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.vectors: dict[int, np.ndarray] = {}
-
-    def add(self, i: int, j: int, value: complex) -> None:
-        dc = j - i
-        vec = self.vectors.get(dc)
-        if vec is None:
-            vec = np.zeros(diag_length(self.n, dc), dtype=COMPLEX)
-            self.vectors[dc] = vec
-        vec[i - max(0, -dc)] += value
-
-
-class _Stream:
-    """One fed diagonal segment: coordinates self-increment from the first
-    element, optionally strided for the pipelined single-diagonal layout."""
-
-    __slots__ = ("offset", "i0", "j0", "values", "stride")
-
-    def __init__(self, seg: DiagSegment, stride: int = 1, phase: int = 0):
-        i0, j0 = seg.first_coord()
-        self.offset = seg.offset
-        self.i0 = i0 + phase
-        self.j0 = j0 + phase
-        self.values = seg.values[phase::stride]
-        self.stride = stride
-
-    def __len__(self):
-        return len(self.values)
-
-
-class _Cell:
-    __slots__ = ("pending_a", "pending_b", "a_done", "b_done", "seen_a", "seen_b")
-
-    def __init__(self):
-        self.pending_a: dict[int, tuple[int, complex]] = {}  # j -> (i, value)
-        self.pending_b: dict[int, tuple[int, complex]] = {}  # i -> (j, value)
-        self.a_done = False
-        self.b_done = False
-        self.seen_a = False
-        self.seen_b = False
-
-
-def _ordered(segments, order: str):
+def _feed_order(segments, order: str) -> list:
+    """Segments in grid order: by (offset, row_start), reversed for descending."""
     segs = sorted(segments, key=lambda s: (s.offset, s.row_start))
     return segs if order == "ascending" else segs[::-1]
 
 
-class DpeGrid:
-    """R x C grid of comparator cells wired to staggered feed schedules."""
-
-    def __init__(self, a_segments, b_segments, feed: FeedConfig = FeedConfig(),
-                 n: int | None = None, max_rows: int | None = None,
-                 max_cols: int | None = None, interleave: int = 1):
-        a_segs = _ordered(a_segments, feed.a_order)
-        b_segs = _ordered(b_segments, feed.b_order)
-        if interleave < 1:
-            raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
-        if interleave > 1:
-            if len(a_segs) != 1:
-                raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")
-            if interleave > len(a_segs[0]):
-                # a wider interleave would build empty columns that still
-                # occupy cells and stagger the feeds
-                raise GridCapacityError(
-                    f"interleave {interleave} exceeds the {len(a_segs[0])}-element A segment")
-            self.a_streams = [_Stream(a_segs[0], interleave, p) for p in range(interleave)]
-        else:
-            self.a_streams = [_Stream(s) for s in a_segs]
-        self.b_streams = [_Stream(s) for s in b_segs]
-        self.rows = len(self.b_streams)
-        self.cols = len(self.a_streams)
-        if max_cols is not None and self.cols > max_cols:
-            raise GridCapacityError(f"{self.cols} A segments exceed the {max_cols}-column grid")
-        if max_rows is not None and self.rows > max_rows:
-            raise GridCapacityError(f"{self.rows} B segments exceed the {max_rows}-row grid")
-        self.n = n
-        self.feed = feed
-
-    def d_c(self, r: int, c: int) -> int:
-        """Output offset the cell at (row, col) contributes to."""
-        return self.b_streams[r].offset + self.a_streams[c].offset
-
-    def a_lengths(self):
-        return [len(s) for s in self.a_streams]
-
-    def b_lengths(self):
-        return [len(s) for s in self.b_streams]
-
-
-def longest_diagonal(grid: DpeGrid) -> tuple[str, int, int]:
+def longest_diagonal(a_lengths: list[int], b_lengths: list[int]) -> tuple[str, int, int]:
     """(side, length, 1-based feed position) of the longest fed diagonal.
 
     Ties across sides resolve to B (the operand whose shape stays fixed
     across chained products); ties within a side take the first position.
     """
-    a_len = grid.a_lengths()
-    b_len = grid.b_lengths()
-    best_a = max(a_len, default=0)
-    best_b = max(b_len, default=0)
+    best_a = max(a_lengths, default=0)
+    best_b = max(b_lengths, default=0)
     if best_b >= best_a:
-        return "B", best_b, b_len.index(best_b) + 1
-    return "A", best_a, a_len.index(best_a) + 1
+        return "B", best_b, b_lengths.index(best_b) + 1
+    return "A", best_a, a_lengths.index(best_a) + 1
 
 
 def predict_cycles(rows: int, cols: int, side: str, length: int, position: int) -> StageCycles:
@@ -215,17 +117,19 @@ def predict_cycles(rows: int, cols: int, side: str, length: int, position: int) 
     return StageCycles(preload, compute, popout, rows + cols + length - 1)
 
 
-class RunResult:
-    __slots__ = ("stage", "counters", "bank", "products")
+class RunResult(NamedTuple):
+    """One job's figures: stage cycles, event counters, the output offsets it
+    touches (ascending), the grid shape and the longest fed diagonal."""
 
-    def __init__(self, stage, counters, bank, products):
-        self.stage = stage
-        self.counters = counters
-        self.bank = bank
-        self.products = products
+    stage: StageCycles
+    counters: dict
+    offsets: list[int]
+    rows: int
+    cols: int
+    longest: tuple[str, int, int]
 
 
-def _zero_counters():
+def _zero_counters() -> dict:
     return {
         "multiplies": 0, "fifo_reads": 0, "fifo_writes": 0,
         "active_dpe_cycles": 0, "active_dpes": 0,
@@ -247,234 +151,54 @@ def add_counters(total: dict, counters: dict) -> None:
 
 
 def run_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
-            n: int, max_rows: int | None = None, max_cols: int | None = None,
-            interleave: int = 1, bank: DiagAccumulatorBank | None = None,
-            collect_products: bool = False, trace=None) -> RunResult:
-    """Run one grid job to drain; accumulate products by output offset.
+            max_rows: int | None = None, max_cols: int | None = None,
+            interleave: int = 1) -> RunResult:
+    """Count one grid job in closed form (module docstring); reads no value.
 
-    Returns the stage cycles, event counters, the accumulator bank, and the
-    partial products when collect_products is set.  The figures come from
-    the closed forms in the module docstring; a trace callback or
-    collect_products steps the grid with GridRun instead, which yields the
-    same stage and counters.
+    interleave > 1 deals a single A segment round-robin over that many
+    columns (the pipelined single-diagonal layout).  Raises
+    GridCapacityError when the job does not fit the grid or the interleave
+    does not apply.
     """
-    bank = bank or DiagAccumulatorBank(n)
     if not a_segments or not b_segments:
-        return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), bank, [])
-    grid = DpeGrid(a_segments, b_segments, feed, n=n,
-                   max_rows=max_rows, max_cols=max_cols, interleave=interleave)
-    stage = predict_cycles(grid.rows, grid.cols, *longest_diagonal(grid))
-    if trace is not None or collect_products:
-        sim = GridRun(grid, bank, collect_products=collect_products, trace=trace)
-        total = sim.drain()
-        stage = StageCycles(stage.preload, stage.compute, stage.popout, total)
-        return RunResult(stage, sim.counters, sim.bank, sim.products)
-    _, multiplies = job_product(n, a_segments, b_segments, out=bank.vectors)
-    a_len, b_len = grid.a_lengths(), grid.b_lengths()
-    fifo = grid.rows * sum(a_len) + grid.cols * sum(b_len) + multiplies
+        return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), [], 0, 0, ("B", 0, 0))
+    if interleave < 1:
+        raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
+    a_len = [len(s) for s in _feed_order(a_segments, feed.a_order)]
+    if interleave > 1:
+        if len(a_len) != 1:
+            raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")
+        if interleave > a_len[0]:
+            # a wider interleave would build empty columns that still occupy
+            # cells and stagger the feeds
+            raise GridCapacityError(
+                f"interleave {interleave} exceeds the {a_len[0]}-element A segment")
+        a_len = [(a_len[0] - p + interleave - 1) // interleave for p in range(interleave)]
+    b_len = [len(s) for s in _feed_order(b_segments, feed.b_order)]
+    rows, cols = len(b_len), len(a_len)
+    if max_cols is not None and cols > max_cols:
+        raise GridCapacityError(f"{cols} A segments exceed the {max_cols}-column grid")
+    if max_rows is not None and rows > max_rows:
+        raise GridCapacityError(f"{rows} B segments exceed the {max_rows}-row grid")
+    longest = longest_diagonal(a_len, b_len)
+    stage = predict_cycles(rows, cols, *longest)
+    # one row per A segment, one column per B segment: offset, first and last row
+    da, a_lo, a_hi = np.array([[s.offset, s.row_start, s.row_start + len(s) - 1]
+                               for s in a_segments]).T[:, :, None]
+    db, b_lo, b_hi = np.array([[s.offset, s.row_start, s.row_start + len(s) - 1]
+                               for s in b_segments]).T
+    r_lo = np.maximum(a_lo, b_lo - da)
+    r_hi = np.minimum(a_hi, b_hi - da)
+    live = r_hi >= r_lo
+    multiplies = int((r_hi - r_lo + 1)[live].sum())
+    offsets = np.unique((da + db)[live]).tolist()
+    fifo = rows * sum(a_len) + cols * sum(b_len) + multiplies
     counters = {
         "multiplies": multiplies,
         "fifo_reads": fifo,
         "fifo_writes": fifo,
         "active_dpe_cycles": int(np.maximum.outer(b_len, a_len).sum()),
-        "active_dpes": grid.rows * grid.cols,
+        "active_dpes": rows * cols,
         "dyn_preload": stage.preload,
     }
-    return RunResult(stage, counters, bank, None)
-
-
-class GridRun:
-    """Steppable execution of one grid job.
-
-    step() advances a single cycle and returns the partial products fired in
-    it; drain() steps until the grid has emptied and returns the total cycle
-    count.
-    """
-
-    def __init__(self, grid: DpeGrid, bank: DiagAccumulatorBank | None = None,
-                 collect_products: bool = False, trace=None):
-        self.grid = grid
-        self.bank = bank or DiagAccumulatorBank(grid.n or 0)
-        self.trace = trace
-        self.products: list[PartialProduct] | None = [] if collect_products else None
-        self.counters = _zero_counters()
-        self.counters["active_dpes"] = grid.rows * grid.cols
-        self.cells = [[_Cell() for _ in range(grid.cols)] for _ in range(grid.rows)]
-        self.cycle = 0
-        # end markers: grid coordinate once entered, None before, "out" after
-        self._end_a_row: list[int | None] = [None] * grid.cols
-        self._end_b_col: list[int | None] = [None] * grid.rows
-        self._ends_left = grid.rows + grid.cols
-        self._first_both_max = -1
-        self._last_end_cycle = -1
-        self._idle_guard = grid.rows + grid.cols + max(grid.a_lengths() + grid.b_lengths()) + 8
-        self._fired: list[PartialProduct] = []
-
-    @property
-    def finished(self) -> bool:
-        return self._ends_left == 0
-
-    def step(self) -> list[PartialProduct]:
-        """Advance one cycle; returns the partial products it produced."""
-        if self.finished:
-            return []
-        grid = self.grid
-        rows, cols = grid.rows, grid.cols
-        cells = self.cells
-        counters = self.counters
-        a_len = grid.a_lengths()
-        b_len = grid.b_lengths()
-        trace = self.trace
-        t = self.cycle
-        self._fired = []
-        progressed = False
-        transits = 0
-        both_cells = 0
-        # -- A-side transits: element k of column c visits row t - c - k
-        for c in range(cols):
-            stream = grid.a_streams[c]
-            r_hi = min(rows - 1, t - c)
-            r_lo = max(0, t - c - (a_len[c] - 1))
-            if r_hi < r_lo:
-                continue
-            j_base = stream.j0
-            stride = stream.stride
-            values = stream.values
-            for r in range(r_lo, r_hi + 1):
-                k = t - c - r
-                j = j_base + stride * k
-                i = stream.i0 + stride * k
-                cell = cells[r][c]
-                if not cell.seen_a:
-                    cell.seen_a = True
-                    if cell.seen_b:
-                        self._first_both_max = max(self._first_both_max, t)
-                partner = cell.pending_b.pop(j, None)
-                if partner is not None:
-                    self._fire(r, c, i, partner[0], values[k] * partner[1], t)
-                else:
-                    cell.pending_a[j] = (i, values[k])
-                    if trace is not None:
-                        trace({"cycle": t, "dpe": [r, c], "action": "transit_a", "j": j})
-                pend_b = cell.pending_b
-                while pend_b:
-                    head = next(iter(pend_b))
-                    if head < j:
-                        del pend_b[head]  # passed over: can never match a later j
-                    else:
-                        break
-                transits += 1
-            progressed = True
-        # -- B-side transits: element m of row r visits col t - r - m
-        for r in range(rows):
-            stream = grid.b_streams[r]
-            c_hi = min(cols - 1, t - r)
-            c_lo = max(0, t - r - (b_len[r] - 1))
-            if c_hi < c_lo:
-                continue
-            i_base = stream.i0
-            values = stream.values
-            for c in range(c_lo, c_hi + 1):
-                m = t - r - c
-                i = i_base + m
-                j = stream.j0 + m
-                cell = cells[r][c]
-                if not cell.seen_b:
-                    cell.seen_b = True
-                    if cell.seen_a:
-                        self._first_both_max = max(self._first_both_max, t)
-                partner = cell.pending_a.pop(i, None)
-                if partner is not None:
-                    self._fire(r, c, partner[0], j, partner[1] * values[m], t)
-                else:
-                    cell.pending_b[i] = (j, values[m])
-                    if trace is not None:
-                        trace({"cycle": t, "dpe": [r, c], "action": "transit_b", "i": i})
-                pend_a = cell.pending_a
-                while pend_a:
-                    head = next(iter(pend_a))
-                    if head < i:
-                        del pend_a[head]
-                    else:
-                        break
-                transits += 1
-                # same-cycle co-transit counts the cell once
-                if 0 <= t - c - r < a_len[c]:
-                    both_cells += 1
-            progressed = True
-        counters["fifo_writes"] += transits
-        counters["fifo_reads"] += transits
-        counters["active_dpe_cycles"] += transits - both_cells
-        # -- end markers arrive (set exhaustion flags) ...
-        for c in range(cols):
-            if self._end_a_row[c] is None and t == c + a_len[c]:
-                self._end_a_row[c] = 0
-                cells[0][c].a_done = True
-                if trace is not None:
-                    trace({"cycle": t, "dpe": [0, c], "action": "end_a"})
-                progressed = True
-        for r in range(rows):
-            if self._end_b_col[r] is None and t == r + b_len[r]:
-                self._end_b_col[r] = 0
-                cells[r][0].b_done = True
-                if trace is not None:
-                    trace({"cycle": t, "dpe": [r, 0], "action": "end_b"})
-                progressed = True
-        # -- ... and depart once the opposing stream is exhausted here too
-        moved_a = [(c, pos) for c, pos in enumerate(self._end_a_row)
-                   if isinstance(pos, int) and cells[pos][c].b_done]
-        moved_b = [(r, pos) for r, pos in enumerate(self._end_b_col)
-                   if isinstance(pos, int) and cells[r][pos].a_done]
-        for c, pos in moved_a:
-            cells[pos][c].pending_a.clear()
-            if pos + 1 >= rows:
-                self._end_a_row[c] = "out"
-                self._ends_left -= 1
-                self._last_end_cycle = t
-            else:
-                self._end_a_row[c] = pos + 1
-                cells[pos + 1][c].a_done = True
-            progressed = True
-        for r, pos in moved_b:
-            cells[r][pos].pending_b.clear()
-            if pos + 1 >= cols:
-                self._end_b_col[r] = "out"
-                self._ends_left -= 1
-                self._last_end_cycle = t
-            else:
-                self._end_b_col[r] = pos + 1
-                cells[r][pos + 1].b_done = True
-            progressed = True
-        if not progressed and not self.finished:
-            self._idle_guard -= 1
-            if self._idle_guard <= 0:
-                raise SimulatorError(f"livelock: grid failed to drain by cycle {t}")
-        self.cycle = t + 1
-        if self.finished:
-            counters["dyn_preload"] = self._first_both_max + 1
-        return self._fired
-
-    def drain(self) -> int:
-        """Run to completion; returns the measured total cycle count."""
-        bound = 4 * self._idle_guard + 64
-        while not self.finished:
-            self.step()
-            if self.cycle > bound:
-                raise SimulatorError("runaway simulation; grid failed to drain")
-        return self._last_end_cycle + 1
-
-    def _fire(self, r: int, c: int, i: int, j: int, value: complex, t: int) -> None:
-        if j - i != self.grid.d_c(r, c):
-            raise SimulatorError("partial product off its offset-sum diagonal")
-        self.bank.add(i, j, value)
-        counters = self.counters
-        counters["multiplies"] += 1
-        # the product crosses the depth-1 output FIFO on its way out
-        counters["fifo_writes"] += 1
-        counters["fifo_reads"] += 1
-        product = PartialProduct(value, i, j)
-        self._fired.append(product)
-        if self.products is not None:
-            self.products.append(product)
-        if self.trace is not None:
-            self.trace({"cycle": t, "dpe": [r, c], "action": "multiply", "i": i, "j": j})
+    return RunResult(stage, counters, offsets, rows, cols, longest)

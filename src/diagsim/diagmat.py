@@ -17,7 +17,7 @@ of the lengths.  Whole-matrix operations are a fixed number of numpy calls
 on the buffer.  ``diagonals`` holds ``Diagonal`` views into the buffer, built
 on first use and cached; the library never writes through them.
 
-Every construction checks 1 <= dim < 2**63, offsets strictly increasing
+Every construction checks 1 <= dim < 2**63, integer offsets strictly increasing
 inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and finite
 values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` first
 converts and length-checks each Diagonal's values, then packs them;
@@ -50,6 +50,15 @@ def buffer_starts(n: int, offsets) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(n - np.abs(np.asarray(offsets, dtype=np.int64)))))
 
 
+def _offset_array(offsets) -> np.ndarray:
+    """offsets as a fresh int64 array; DomainError naming any that is not an integer."""
+    offs = np.asarray(offsets)
+    if offs.dtype.kind not in "iu" and offs.size:
+        bad = [d for d in offsets if isinstance(d, bool) or not isinstance(d, (int, np.integer))]
+        raise DomainError(f"diagonal offset {(bad or list(offsets))[0]} is not an integer")
+    return offs.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Diagonal:
     """One stored diagonal: signed offset plus its dense value vector."""
@@ -70,6 +79,7 @@ class DiagMatrix:
     def __init__(self, dim: int, diagonals=()):
         """Convert and length-check each Diagonal, naming it, then pack them."""
         diagonals = tuple(diagonals)
+        _offset_array(tuple(diag.offset for diag in diagonals))  # before the lengths use them
         parts = [np.asarray(diag.values, dtype=COMPLEX) for diag in diagonals]
         for diag, vec in zip(diagonals, parts):
             if vec.shape != (diag_length(dim, diag.offset),):
@@ -92,7 +102,7 @@ class DiagMatrix:
         n = self.dim
         if not 1 <= n < 2**63:  # lengths are int64
             raise DomainError(f"dim must lie in [1, 2**63), got {n}")
-        offs = np.array(self.offsets, dtype=np.int64)
+        offs = _offset_array(self.offsets)
         if (offs[1:] <= offs[:-1]).any():
             raise DomainError("diagonal offsets must be strictly increasing")
         self.offsets, self.offset_array = tuple(offs.tolist()), offs
@@ -238,11 +248,17 @@ def drop_zero_diagonals(m: DiagMatrix, eps: float = 0.0) -> DiagMatrix:
         raise DomainError("eps must be nonnegative")
     if not m.nnzd:
         return m
-    live = np.maximum.reduceat(np.abs(m.values), m.starts[:-1]) > eps
+    return drop_below(m, np.abs(m.values), eps)[0]
+
+
+def drop_below(m: DiagMatrix, mag: np.ndarray, eps: float) -> tuple[DiagMatrix, np.ndarray]:
+    """m without the diagonals whose largest entry of mag, the magnitudes of
+    m's values, is <= eps; and mag cut to the diagonals kept.  m has a diagonal."""
+    live = np.maximum.reduceat(mag, m.starts[:-1]) > eps
     if live.all():
-        return m
-    kept = m.values[np.repeat(live, np.diff(m.starts))]
-    return DiagMatrix.packed(m.dim, m.offset_array[live], kept)
+        return m, mag
+    keep = np.repeat(live, np.diff(m.starts))
+    return DiagMatrix.packed(m.dim, m.offset_array[live], m.values[keep]), mag[keep]
 
 
 def one_norm(m: DiagMatrix) -> float:

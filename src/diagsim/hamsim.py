@@ -1,8 +1,11 @@
 """Truncated-series matrix exponentiation driven through the grid stack.
 
 exp(-i t H) is approximated by K+1 series terms; each iteration performs one
-chained diagonal-space product T_k = T_{k-1} (-i t H) / k, routed through
-blocking, the grid simulator, and the memory model when requested.  The
+chained diagonal-space product T_k = T_{k-1} (-i t H) / k.  With the
+simulator on, each product is also planned into grid jobs, counted by the
+closed-form grid model and charged to the memory model (simulate_product);
+its values always come from the functional kernel, so U does not depend on
+whether the simulator runs.  The
 running term is renormalized by 1/k at every step (rather than dividing by
 k! at the end) so the chain stays finite for deep truncations, and
 cancellation debris below a relative floor is dropped so the diagonal-count
@@ -18,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import make_plan, merge_outputs
-from .dataflow import DiagAccumulatorBank, FeedConfig, StageCycles, add_counters, run_job
-from .diagmat import (DiagMatrix, drop_zero_diagonals, identity, one_norm,
-                      rel_frobenius_error)
+from .blocking import make_plan
+from .dataflow import FeedConfig, StageCycles, add_counters, run_job
+from .diagmat import DiagMatrix, drop_below, identity, one_norm
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
-from .spmspm import diag_matmul
+from .spmspm import diag_matmul, multiply_count
 
 TERM_CAP = 64
 CANCEL_EPS = 1e-14
@@ -88,13 +90,14 @@ def term_count_for(norm: float, eps: float, cap: int = TERM_CAP) -> int:
 
 
 def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
-                cache: SetAssocCache | None = None, check: bool = False,
+                cache: SetAssocCache | None = None,
                 ) -> tuple[DiagMatrix, list[IterationRecord]]:
     """Approximate exp(-i t H); returns (U, per-iteration records).
 
-    With use_simulator every product runs through the blocked grid model and
-    the cache; otherwise the functional kernel is used directly.  check=True
-    cross-verifies each simulated product against the functional kernel.
+    With use_simulator every product also runs through the blocked grid
+    model and the cache, and its plan is checked to cover the product
+    (simulate_product); otherwise only the functional kernel runs.  U is the
+    same either way.
     """
     grid = grid or GridSetup()
     n = h.dim
@@ -110,19 +113,19 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         if cfg.use_simulator:
             product, stage, counters, mem = simulate_product(
                 t_k, m, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
-            if check:
-                _verify(product, t_k, m, k)
         else:
             product = diag_matmul(t_k, m)
             stage = StageCycles(0, 0, 0, 0)
             counters = {}
             mem = MemStats()
         t_k = product.scaled(1.0 / k)
+        mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
         if t_k.nnzd:
-            t_k = drop_zero_diagonals(t_k, CANCEL_EPS * np.abs(t_k.values).max())
+            t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
         u = u.add(t_k)
         records.append(IterationRecord(
-            k=k, nnzd=t_k.nnzd, nnze=t_k.nnze, storage_scalars=t_k.storage_scalars,
+            k=k, nnzd=t_k.nnzd, nnze=int(np.count_nonzero(mag)),
+            storage_scalars=t_k.storage_scalars,
             savings=1.0 - t_k.storage_scalars / float(n) ** 2,
             stage_cycles=stage, mem=mem, counters=counters,
         ))
@@ -135,34 +138,41 @@ def simulate_product(a: DiagMatrix, b: DiagMatrix, grid: GridSetup,
                      cache: SetAssocCache, tags: tuple[str, str, str] = ("A", "B", "C"),
                      trace=None):
     """One full product through plan -> grid jobs -> cache; returns
-    (product, summed stage cycles, summed counters, memory stats delta)."""
+    (product, summed stage cycles, summed counters, memory stats delta).
+
+    The product is diag_matmul(a, b).  The plan must cover it, or
+    VerificationError: the jobs' multiplies sum to the product's count, and
+    some job touches each of its diagonals.  trace, when given, receives one
+    dict per job in schedule order: its plan position and closed-form figures.
+    """
     a_tag, b_tag, c_tag = tags
     plan = make_plan(a, b, grid.rows, grid.cols, cuts=grid.cuts,
                      a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
     mem_before = cache.stats.snapshot()
-    banks = []
     stage = StageCycles(0, 0, 0, 0)
     counters: dict[str, int] = {}
-    for job in plan.jobs:
-        bank = DiagAccumulatorBank(a.dim)
+    touched: set[int] = set()
+    for index, job in enumerate(plan.jobs):
         result = run_job(job.a_group.segments, job.b_group.segments, grid.feed,
-                         n=a.dim, max_rows=grid.rows, max_cols=grid.cols,
-                         interleave=grid.interleave, bank=bank, trace=trace)
-        banks.append(bank.vectors)
+                         max_rows=grid.rows, max_cols=grid.cols, interleave=grid.interleave)
         stage += result.stage
         add_counters(counters, result.counters)
-        charge_job(cache, job, a_tag, b_tag, c_tag, bank.vectors.keys())
+        touched.update(result.offsets)
+        mem = charge_job(cache, job, a_tag, b_tag, c_tag, result.offsets)
+        if trace is not None:
+            trace({"job": index, "window": job.window, "a_group": job.a_group.group_id,
+                   "b_group": job.b_group.group_id, "rows": result.rows, "cols": result.cols,
+                   "longest": list(result.longest), "cycles": dict(vars(result.stage)),
+                   "counters": dict(result.counters), "mem": vars(mem), "offsets": result.offsets})
     flush_product(cache, c_tag)
-    product = merge_outputs(a.dim, banks)
-    return product, stage, counters, cache.stats.delta(mem_before)
-
-
-def _verify(product: DiagMatrix, a: DiagMatrix, b: DiagMatrix, k: int) -> None:
-    err = rel_frobenius_error(product, diag_matmul(a, b))
-    if err > 1e-12:
+    product = diag_matmul(a, b)
+    multiplies, want = counters.get("multiplies", 0), multiply_count(a.offsets, b.offsets, a.dim)
+    missed = sorted(set(product.offsets) - touched)
+    if multiplies != want or missed:
         raise VerificationError(
-            f"simulated product diverged from the functional kernel at step {k}: "
-            f"relative error {err:.3e}")
+            f"plan coverage check failed: the jobs perform {multiplies} of the product's "
+            f"{want} multiplies; output diagonals no job touches: {missed}")
+    return product, stage, counters, cache.stats.delta(mem_before)
 
 
 def records_to_json(records: list[IterationRecord]) -> list[dict]:

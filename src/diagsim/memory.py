@@ -17,6 +17,7 @@ by construction (operands are forwarded cell to cell, never re-fetched).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,12 @@ class CacheConfig:
             raise ValueError(f"invalid cache configuration {self}")
 
 
-@dataclass(frozen=True)
-class LineId:
+class LineId(NamedTuple):
     """kind 'A' | 'B' | 'C', a matrix tag (epoch identity), and the group id.
 
     The set index is group_id mod sets; the tag keeps lines of different
-    matrices distinct across chained products.
+    matrices distinct across chained products.  A tuple, so the LRU's
+    equality tests and the seen-set's hashing run in C.
     """
 
     kind: str
@@ -78,69 +79,56 @@ class MemStats:
                         self.dram_reads, self.dram_writes, self.stall_cycles)
 
 
-@dataclass
-class _Way:
-    line: LineId
-    dirty: bool = False
-
-
 class SetAssocCache:
-    """LRU cache; each set keeps its ways ordered least-recent first."""
+    """LRU cache; each set maps its lines to their dirty bits, least-recent first."""
 
     def __init__(self, config: CacheConfig = CacheConfig()):
         self.config = config
-        self._sets: list[list[_Way]] = [[] for _ in range(config.sets)]
+        self._sets: list[dict[LineId, bool]] = [{} for _ in range(config.sets)]
         self._ever_seen: set[LineId] = set()
         self.stats = MemStats()
 
-    def _set_of(self, line: LineId) -> list[_Way]:
-        return self._sets[line.group_id % self.config.sets]
-
     def access(self, line: LineId, rw: str = "read") -> int:
         """One cache access; returns its latency in cycles."""
-        cfg = self.config
-        ways = self._set_of(line)
-        for pos, way in enumerate(ways):
-            if way.line == line:
-                ways.append(ways.pop(pos))
-                if rw == "write":
-                    way.dirty = True
-                self.stats.hits += 1
-                self.stats.stall_cycles += cfg.hit_cycles
-                return cfg.hit_cycles
+        cfg, stats = self.config, self.stats
+        ways = self._sets[line.group_id % cfg.sets]
+        if line in ways:
+            ways[line] = ways.pop(line) or rw == "write"  # now the most recent
+            stats.hits += 1
+            stats.stall_cycles += cfg.hit_cycles
+            return cfg.hit_cycles
         # miss; fresh output partials allocate without a DRAM fetch
         fresh_partial = rw == "write" and line.kind == "C" and line not in self._ever_seen
         if fresh_partial:
-            self.stats.hits += 1
+            stats.hits += 1
             latency = cfg.hit_cycles
         else:
-            self.stats.misses += 1
+            stats.misses += 1
             if line not in self._ever_seen:
-                self.stats.compulsory_misses += 1
-            self.stats.dram_reads += 1
+                stats.compulsory_misses += 1
+            stats.dram_reads += 1
             latency = cfg.miss_penalty_cycles + cfg.dram_cycles
         self._ever_seen.add(line)
         if len(ways) >= cfg.ways:
-            victim = ways.pop(0)
-            if victim.dirty:
-                self.stats.dram_writes += 1
+            if ways.pop(next(iter(ways))):  # the least recent line was dirty
+                stats.dram_writes += 1
                 latency += cfg.dram_cycles
-        ways.append(_Way(line, dirty=(rw == "write")))
-        self.stats.stall_cycles += latency
+        ways[line] = rw == "write"
+        stats.stall_cycles += latency
         return latency
 
     def flush(self, keep=None) -> int:
         """Write back and drop dirty lines (all, or those failing keep)."""
         written = 0
         for ways in self._sets:
-            for way in list(ways):
-                if keep is not None and keep(way.line):
+            for line, dirty in list(ways.items()):
+                if keep is not None and keep(line):
                     continue
-                if way.dirty:
+                if dirty:
                     self.stats.dram_writes += 1
                     self.stats.stall_cycles += self.config.dram_cycles
                     written += 1
-                ways.remove(way)
+                del ways[line]
         return written
 
 

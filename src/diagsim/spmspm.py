@@ -84,8 +84,13 @@ def overlap_range(da: int, db: int, n: int) -> OverlapRange:
 
 
 def multiply_count(offsets_a, offsets_b, n: int) -> int:
-    """Scalar multiplies a full diagonal-space product performs."""
-    return sum(len(overlap_range(da, db, n)) for da in offsets_a for db in offsets_b)
+    """Scalar multiplies a full diagonal-space product performs: the summed
+    overlap_range lengths, n - max(0, dA, dC) - max(0, -dA, -dC) when
+    positive, over all pairs with dC = dA + dB."""
+    da = np.asarray(offsets_a, dtype=np.int64)[:, None]
+    dc = da + np.asarray(offsets_b, dtype=np.int64)
+    lengths = n - np.maximum(0, np.maximum(da, dc)) - np.maximum(0, -np.minimum(da, dc))
+    return int(np.maximum(lengths, 0).sum())
 
 
 def _window(offsets: np.ndarray, n: int, by_col: bool) -> np.ndarray:

@@ -1,10 +1,10 @@
+import dataclasses
 import json
 import struct
 
-import numpy as np
 import pytest
 
-from diagsim import cli, gen_benchmark
+from diagsim import cli, gen_benchmark, hamsim
 from diagsim.diagio import save_matrix
 
 
@@ -12,20 +12,19 @@ def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     h = gen_benchmark("tfim", 4)
     path = str(tmp_path / "h.diaq")
     save_matrix(h, path)
-    argv = ["simulate", path, path, "--out", str(tmp_path / "r.json")]
-    assert cli.main(argv) == 0
-    real = cli.simulate_product
+    argv = ["simulate", path, path, "--grid-rows", "2", "--grid-cols", "2", "--out"]
+    assert cli.main(argv + [str(tmp_path / "r.json")]) == 0
+    real = hamsim.make_plan
 
-    def perturbed(*args, **kwargs):
-        product, *rest = real(*args, **kwargs)
-        # one entry off by a relative 1e-10 of the product's Frobenius norm
-        scale = np.sqrt(sum(np.vdot(d.values, d.values).real for d in product.diagonals))
-        product.diagonals[0].values[0] += 1e-10 * scale
-        return (product, *rest)
+    def one_job_short(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        return dataclasses.replace(plan, jobs=plan.jobs[1:])
 
-    monkeypatch.setattr(cli, "simulate_product", perturbed)
-    assert cli.main(argv) == cli.VERIFY_EXIT
-    assert "cross-check FAILED" in capsys.readouterr().err
+    monkeypatch.setattr(hamsim, "make_plan", one_job_short)
+    assert cli.main(argv + [str(tmp_path / "r2.json")]) == cli.VERIFY_EXIT
+    err = capsys.readouterr().err
+    assert "plan coverage check failed" in err and err.count("\n") == 1
+    assert not (tmp_path / "r2.json").exists()  # no report from an uncovered plan
 
 
 def _expm_terms(tmp_path, config, *flags):

@@ -1,16 +1,20 @@
-"""The closed-form job model against the per-cycle stepper it replaces."""
+"""The closed-form job model against the per-cycle stepper oracle."""
+
+import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagsim import dataflow, gen_benchmark
-from diagsim.blocking import make_plan
+from diagsim import gen_benchmark
+from diagsim.blocking import job_product, make_plan
+from diagsim.cli import main
 from diagsim.dataflow import FeedConfig, run_job
+from diagsim.diagio import save_matrix
 from diagsim.hamsim import GridSetup, simulate_product
 from diagsim.memory import SetAssocCache
 
 from conftest import rand_matrix
+from stepper import step_job
 
 ORDERS = ("ascending", "descending")
 
@@ -41,25 +45,47 @@ def test_closed_form_matches_stepper(product, data):
         interleave = 1
         if len(a_segs) == 1:
             interleave = data.draw(st.integers(1, min(len(a_segs[0]), 4)), label="interleave")
-        kw = dict(n=n, max_rows=4, max_cols=4, interleave=interleave)
+        kw = dict(max_rows=4, max_cols=4, interleave=interleave)
         closed = run_job(a_segs, b_segs, feed, **kw)
-        stepped = run_job(a_segs, b_segs, feed, collect_products=True, **kw)
+        stepped = step_job(a_segs, b_segs, feed, n=n, collect_products=True, **kw)
         assert closed.stage == stepped.stage
         assert closed.counters == stepped.counters
-        assert closed.bank.vectors.keys() == stepped.bank.vectors.keys()
+        assert closed.offsets == sorted(stepped.bank.vectors)
+        # the functional per-job reference fires the same multiplies to the same values
+        values, multiplies = job_product(n, a_segs, b_segs)
+        assert multiplies == closed.counters["multiplies"]
+        assert values.keys() == stepped.bank.vectors.keys()
         for dc, vec in stepped.bank.vectors.items():
             scale = max(float(np.max(np.abs(vec))), 1.0)
-            assert np.max(np.abs(closed.bank.vectors[dc] - vec)) <= 1e-12 * scale
+            assert np.max(np.abs(values[dc] - vec)) <= 1e-12 * scale
 
 
-def test_untraced_jobs_never_step(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the default path constructed the grid stepper")
-
-    monkeypatch.setattr(dataflow, "GridRun", refuse)
+def test_trace_is_one_closed_form_line_per_job(tmp_path):
+    """simulate --trace writes one closed-form line per job, and tracing moves
+    no modeled figure."""
     h = gen_benchmark("tfim", 5)
     grid = GridSetup(rows=4, cols=4, cuts=(16,))
-    _, stage, counters, _ = simulate_product(h, h, grid, SetAssocCache(grid.cache))
-    assert stage.total > 0 and counters["multiplies"] > 0
-    with pytest.raises(AssertionError, match="stepper"):
-        simulate_product(h, h, grid, SetAssocCache(grid.cache), trace=lambda evt: None)
+    plan = make_plan(h, h, grid.rows, grid.cols, cuts=grid.cuts)
+    events = []
+    traced = simulate_product(h, h, grid, SetAssocCache(grid.cache), trace=events.append)
+    untraced = simulate_product(h, h, grid, SetAssocCache(grid.cache))
+    assert traced[1:] == untraced[1:]
+    assert [e["job"] for e in events] == list(range(len(plan.jobs)))
+    for event, job in zip(events, plan.jobs):
+        assert (event["window"], event["a_group"], event["b_group"]) == (
+            job.window, job.a_group.group_id, job.b_group.group_id)
+        result = run_job(job.a_group.segments, job.b_group.segments, grid.feed)
+        assert event["counters"] == result.counters and event["offsets"] == result.offsets
+        assert event["cycles"]["total"] == result.stage.total
+    assert sum(e["cycles"]["total"] for e in events) == untraced[1].total
+    assert sum(e["mem"]["hits"] + e["mem"]["misses"] for e in events) == (
+        untraced[3].accesses)
+
+    path = tmp_path / "h.diaq"
+    save_matrix(h, str(path))
+    argv = ["simulate", str(path), str(path), "--grid-rows", "4", "--grid-cols", "4",
+            "--cuts", "16", "--out", str(tmp_path / "r.json"), "--trace",
+            str(tmp_path / "t.jsonl")]
+    assert main(argv) == 0
+    lines = (tmp_path / "t.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == json.loads(json.dumps(events))

@@ -1,19 +1,28 @@
+"""The grid model: closed-form jobs (dataflow.run_job) and the per-cycle
+stepper (tests/stepper.py) they are held to."""
+
 import numpy as np
 import pytest
 
 from diagsim import diag_matmul, identity, minkowski, multiply_count, to_dense
 from diagsim.blocking import merge_outputs, whole_segments
 from diagsim.cli import main
-from diagsim.dataflow import (DpeGrid, FeedConfig, GridRun, longest_diagonal,
-                              predict_cycles, run_job)
+from diagsim.dataflow import FeedConfig, longest_diagonal, predict_cycles, run_job
 from diagsim.diagio import save_matrix
 from diagsim.errors import GridCapacityError
 
 from conftest import pair_products, rand_matrix
+from stepper import DpeGrid, GridRun, step_job
 
 
 def run_whole(a, b, feed=FeedConfig(), **kw):
-    return run_job(whole_segments(a), whole_segments(b), feed, n=a.dim, **kw)
+    """The closed-form figures of one job holding every diagonal whole."""
+    return run_job(whole_segments(a), whole_segments(b), feed, **kw)
+
+
+def step_whole(a, b, feed=FeedConfig(), **kw):
+    """The same job stepped cycle by cycle."""
+    return step_job(whole_segments(a), whole_segments(b), feed, n=a.dim, **kw)
 
 
 def expected_multiplies(a, b):
@@ -33,23 +42,32 @@ class TestBuildGrid:
         b = rand_matrix(rng, 5, offsets=[-1, 0, 1])
         grid = DpeGrid(whole_segments(a), whole_segments(b), n=5)
         assert (grid.rows, grid.cols) == (3, 3)
+        res = run_whole(a, b)
+        assert (res.rows, res.cols) == (3, 3)
 
     def test_single_pair_gives_unit_grid(self):
         m = identity(4)
         grid = DpeGrid(whole_segments(m), whole_segments(m), n=4)
         assert (grid.rows, grid.cols) == (1, 1)
+        res = run_whole(m, m)
+        assert (res.rows, res.cols) == (1, 1)
 
     def test_pipelined_interleave(self):
         m = identity(8)
         grid = DpeGrid(whole_segments(m), whole_segments(m), n=8, interleave=4)
         assert (grid.rows, grid.cols) == (1, 4)
         assert grid.a_lengths() == [2, 2, 2, 2]
+        res = run_whole(m, m, interleave=4)
+        assert (res.rows, res.cols, res.longest) == (1, 4, ("B", 8, 1))
+        assert res.counters["active_dpe_cycles"] == 4 * 8
 
     def test_interleave_requires_single_diagonal(self):
         rng = np.random.default_rng(151)
         a = rand_matrix(rng, 6, k=2)
         with pytest.raises(GridCapacityError):
             DpeGrid(whole_segments(a), whole_segments(a), n=6, interleave=4)
+        with pytest.raises(GridCapacityError):
+            run_whole(a, a, interleave=4)
 
     def test_interleave_wider_than_segment_rejected(self, tmp_path):
         # empty interleave columns used to add cells and stagger cycles: on
@@ -75,11 +93,16 @@ class TestBuildGrid:
         a = rand_matrix(rng, 8, k=5)
         with pytest.raises(GridCapacityError):
             DpeGrid(whole_segments(a), whole_segments(a), n=8, max_cols=4)
+        for limits in ({"max_cols": 4}, {"max_rows": 4}):
+            with pytest.raises(GridCapacityError):
+                run_whole(a, a, **limits)
+        assert run_whole(a, a, max_rows=5, max_cols=5).counters["active_dpes"] == 25
 
     def test_empty_side_zero_cycles(self):
-        res = run_job([], whole_segments(identity(4)), n=4)
+        res = run_job([], whole_segments(identity(4)))
         assert res.stage.total == 0
         assert res.counters["multiplies"] == 0
+        assert res.offsets == []
 
     def test_feed_order_controls_columns(self):
         rng = np.random.default_rng(163)
@@ -92,6 +115,9 @@ class TestBuildGrid:
                           FeedConfig("descending", "ascending"), n=6)
         assert [s.offset for s in flipped.a_streams] == [3, 1, -2]
         assert [s.offset for s in flipped.b_streams] == [-1, 2]
+        # the longest diagonal (B's -1, 5 long) sits where each feed order puts it
+        assert run_whole(a, b).longest == ("B", 5, 2)
+        assert run_whole(a, b, FeedConfig("descending", "ascending")).longest == ("B", 5, 1)
 
 
 class TestStepSemantics:
@@ -107,7 +133,7 @@ class TestStepSemantics:
         rng = np.random.default_rng(167)
         a = rand_matrix(rng, 4, offsets=[1])
         b = rand_matrix(rng, 4, offsets=[-1])
-        res = run_whole(a, b, collect_products=True)
+        res = step_whole(a, b, collect_products=True)
         grid = DpeGrid(whole_segments(a), whole_segments(b), n=4)
         assert res.counters["multiplies"] == len(res.products)
         for p in res.products:
@@ -119,9 +145,11 @@ class TestStepSemantics:
         rng = np.random.default_rng(173)
         a = rand_matrix(rng, 4, offsets=[3])
         b = rand_matrix(rng, 4, offsets=[1])
-        res = run_whole(a, b, collect_products=True)
+        res = step_whole(a, b, collect_products=True)
         assert res.counters["multiplies"] == 0
         assert res.products == []
+        closed = run_whole(a, b)
+        assert (closed.counters, closed.offsets) == (res.counters, [])
 
     def test_late_partner_still_matches(self):
         # the lone operand must wait while the opposing stream is live:
@@ -129,8 +157,9 @@ class TestStepSemantics:
         rng = np.random.default_rng(179)
         a = rand_matrix(rng, 9, offsets=[0])
         b = rand_matrix(rng, 9, offsets=[-7])
-        res = run_whole(a, b, collect_products=True)
+        res = step_whole(a, b, collect_products=True)
         assert res.counters["multiplies"] == multiply_count([0], [-7], 9) == 2
+        assert run_whole(a, b).counters == res.counters
 
 
 class TestRunJob:
@@ -155,7 +184,7 @@ class TestRunJob:
             n = int(rng.integers(2, 40))
             a = rand_matrix(rng, n)
             b = rand_matrix(rng, n)
-            res = run_whole(a, b, collect_products=True)
+            res = step_whole(a, b, collect_products=True)
             got = sorted(((p.i, p.j, p.value) for p in res.products),
                          key=lambda t: (t[0], t[1], t[2].real, t[2].imag))
             want = expected_multiplies(a, b)
@@ -170,7 +199,7 @@ class TestRunJob:
             n = int(rng.integers(2, 48))
             a = rand_matrix(rng, n)
             b = rand_matrix(rng, n)
-            res = run_whole(a, b)
+            res = step_whole(a, b)
             got = to_dense(merge_outputs(n, [res.bank.vectors]))
             want = to_dense(diag_matmul(a, b))
             scale = max(np.linalg.norm(want), 1e-300)
@@ -195,10 +224,12 @@ class TestRunJob:
         rng = np.random.default_rng(199)
         a = rand_matrix(rng, 16, offsets=[0])
         b = rand_matrix(rng, 16, offsets=[0])
-        res = run_whole(a, b, interleave=4)
+        res = step_whole(a, b, interleave=4)
         got = to_dense(merge_outputs(16, [res.bank.vectors]))
         assert np.allclose(got, to_dense(diag_matmul(a, b)))
         assert res.counters["multiplies"] == 16
+        closed = run_whole(a, b, interleave=4)
+        assert (closed.stage, closed.counters) == (res.stage, res.counters)
 
     def test_total_scales_linearly_with_inputs(self):
         rng = np.random.default_rng(211)
@@ -228,9 +259,11 @@ class TestPredictCycles:
             a = rand_matrix(rng, n, k=int(rng.integers(1, 7)))
             b = rand_matrix(rng, n, k=int(rng.integers(1, 7)))
             grid = DpeGrid(whole_segments(a), whole_segments(b), n=n)
-            res = run_whole(a, b)
-            assert res.stage.total == predict_cycles(
-                grid.rows, grid.cols, *longest_diagonal(grid)).total
+            stepped = step_whole(a, b).stage.total
+            assert stepped == predict_cycles(
+                grid.rows, grid.cols,
+                *longest_diagonal(grid.a_lengths(), grid.b_lengths())).total
+            assert run_whole(a, b).stage.total == stepped
 
     def test_stage_split_can_go_negative(self):
         # a short early diagonal finishes feeding before the preload wave
@@ -275,11 +308,12 @@ class TestMinkowskiMapping:
         rng = np.random.default_rng(233)
         a = rand_matrix(rng, 12, k=4)
         b = rand_matrix(rng, 12, k=4)
-        res = run_whole(a, b, collect_products=True)
+        res = step_whole(a, b, collect_products=True)
         grid = DpeGrid(whole_segments(a), whole_segments(b), n=12)
         cells = {grid.d_c(r, c) for r in range(grid.rows) for c in range(grid.cols)}
         assert cells == set(minkowski(a.offsets, b.offsets))
         assert {p.j - p.i for p in res.products} <= cells
+        assert run_whole(a, b).offsets == sorted({p.j - p.i for p in res.products})
 
 
 class TestUtilization:
@@ -295,7 +329,7 @@ class TestUtilization:
         a = rand_matrix(rng, 10, k=3)
         b = rand_matrix(rng, 10, k=3)
         events = []
-        run_whole(a, b, trace=events.append)
+        step_whole(a, b, trace=events.append)
         seen_j = {}
         seen_i = {}
         for evt in events:

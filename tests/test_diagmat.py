@@ -307,6 +307,20 @@ class TestPackedConstruction:
         with pytest.raises(DomainError, match="diagonal 1 "):
             DiagMatrix.packed(3, (0, 1), values)
 
+    @pytest.mark.parametrize("offsets, bad", [((0.7,), "0.7"), ((0, 1.0), "1.0"),
+                                              (np.array([0.5]), "0.5"), ((True,), "True")])
+    def test_packed_rejects_non_integer_offset(self, offsets, bad):
+        # a float offset once truncated silently: (0.7,) built the main diagonal
+        with pytest.raises(DomainError, match=f"offset {bad} is not an integer"):
+            DiagMatrix.packed(3, offsets, np.ones(3 * len(offsets), dtype=complex))
+
+    def test_diagonals_reject_non_integer_offset_before_lengths(self):
+        # not a length error about "1.5 values"
+        with pytest.raises(DomainError, match="offset 1.5 is not an integer"):
+            DiagMatrix(3, (Diagonal(1.5, np.ones(2, dtype=complex)),))
+        with pytest.raises(DomainError, match="offset 2.0 is not an integer"):
+            DiagMatrix(3, (Diagonal(0, np.ones(3)), Diagonal(2.0, np.ones(1))))
+
     @pytest.mark.parametrize("dim", [0, 2**64 - 1])
     def test_dim_outside_int64_lengths_rejected(self, dim):
         with pytest.raises(DomainError):

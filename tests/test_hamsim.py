@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, identity, to_dense
-from diagsim.hamsim import CANCEL_EPS, TaylorConfig, taylor_expm
+from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, to_dense
+from diagsim.errors import VerificationError
+from diagsim.hamsim import CANCEL_EPS, GridSetup, TaylorConfig, simulate_product, taylor_expm
+from diagsim.memory import SetAssocCache
 
 from conftest import add_oracle, drop_zero_oracle, scaled_oracle
 
@@ -63,3 +65,40 @@ def test_functional_chain_builds_no_diagonal_views(monkeypatch):
     u, _ = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
     diag_matmul(u, h)
     diag_matmul(h, u)
+
+
+@pytest.mark.parametrize("model, qubits", [("heisenberg", 4), ("tfim", 5), ("maxcut", 6)])
+def test_simulated_series_is_bit_identical_to_functional(model, qubits):
+    # the grid model only counts: both paths take every product from diag_matmul
+    h = gen_benchmark(model, qubits)
+    grid = GridSetup(rows=4, cols=4)
+    u_sim, sim = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8), grid)
+    u_fun, fun = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
+    assert u_sim.offsets == u_fun.offsets
+    assert u_sim.values.tobytes() == u_fun.values.tobytes()
+    assert [(r.nnzd, r.nnze) for r in sim] == [(r.nnzd, r.nnze) for r in fun]
+    assert sum(r.counters["multiplies"] for r in sim) > 0
+
+
+def test_iteration_nnze_counts_nonzero_entries():
+    h = gen_benchmark("heisenberg", 4)
+    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=4, use_simulator=False))
+    t_k = identity(h.dim)
+    m = h.scaled(-0.5j)
+    for k, record in enumerate(records, start=1):
+        t_k = diag_matmul(t_k, m).scaled(1.0 / k)
+        assert record.nnze == np.count_nonzero(to_dense(t_k))
+
+
+def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
+    h = gen_benchmark("tfim", 4)
+    real = hamsim.run_job
+
+    def forgetful(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result._replace(offsets=[d for d in result.offsets if d != 0])
+
+    monkeypatch.setattr(hamsim, "run_job", forgetful)
+    grid = GridSetup(rows=8, cols=8)
+    with pytest.raises(VerificationError, match=r"no job touches: \[0\]"):
+        simulate_product(h, h, grid, SetAssocCache(grid.cache))

@@ -186,6 +186,18 @@ class TestWorkCount:
             assert count == padded
             assert count <= n * a.nnzd * b.nnzd
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-(n - 1), n - 1), max_size=8, unique=True),
+        st.lists(st.integers(-(n - 1), n - 1), max_size=8, unique=True))))
+    def test_vectorized_count_equals_overlap_loop(self, case):
+        # offset sums reach (-2N, 2N): those pairs must count zero
+        n, offs_a, offs_b = case
+        want = sum(len(overlap_range(da, db, n)) for da in offs_a for db in offs_b)
+        assert multiply_count(offs_a, offs_b, n) == want
+        assert type(multiply_count(tuple(offs_a), tuple(offs_b), n)) is int
+
     def test_empty_overlap_contributes_nothing(self):
         a = rand_matrix(np.random.default_rng(1), 4, offsets=[3])
         b = rand_matrix(np.random.default_rng(2), 4, offsets=[3])
