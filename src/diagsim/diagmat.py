@@ -79,13 +79,13 @@ class DiagMatrix:
     def __init__(self, dim: int, diagonals=()):
         """Convert and length-check each Diagonal, naming it, then pack them."""
         diagonals = tuple(diagonals)
-        _offset_array(tuple(diag.offset for diag in diagonals))  # before the lengths use them
+        self.dim, self.offsets = dim, tuple(diag.offset for diag in diagonals)
+        _offset_array(self.offsets)  # before the lengths use them
         parts = [np.asarray(diag.values, dtype=COMPLEX) for diag in diagonals]
         for diag, vec in zip(diagonals, parts):
             if vec.shape != (diag_length(dim, diag.offset),):
                 raise ShapeError(f"diagonal {diag.offset} of dim-{dim} matrix needs "
                                  f"{dim - abs(diag.offset)} values, got shape {vec.shape}")
-        self.dim, self.offsets = dim, tuple(diag.offset for diag in diagonals)
         self.values = np.concatenate([np.empty(0, COMPLEX), *parts])
         self.__post_init__()
 
