@@ -95,12 +95,6 @@ def _grid_setup(args) -> GridSetup:
     )
 
 
-def _maybe_float32(m: DiagMatrix, args) -> DiagMatrix:
-    if getattr(args, "float32", False):
-        return m.astype(np.complex64)
-    return m
-
-
 def _write_report(report: dict, out: str | None) -> None:
     text = report_to_json(report)
     if out:
@@ -135,8 +129,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_matmul(args) -> int:
-    a = _maybe_float32(diagio.load_matrix(args.a), args)
-    b = _maybe_float32(diagio.load_matrix(args.b), args)
+    a = diagio.load_matrix(args.a)
+    b = diagio.load_matrix(args.b)
     c = diag_matmul(a, b)
     if args.check:
         if a.dim > CHECK_DIM_CAP:
@@ -155,8 +149,8 @@ def cmd_matmul(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    a = _maybe_float32(diagio.load_matrix(args.a), args)
-    b = _maybe_float32(diagio.load_matrix(args.b), args)
+    a = diagio.load_matrix(args.a)
+    b = diagio.load_matrix(args.b)
     grid = _grid_setup(args)
     cache = SetAssocCache(grid.cache)
     trace_fh = open(args.trace, "w") if args.trace else None
@@ -181,6 +175,8 @@ def cmd_simulate(args) -> int:
 def cmd_expm(args) -> int:
     if bool(args.h_file) == bool(args.model):
         raise DomainError("give exactly one of --h-file or --model/--qubits")
+    if args.segments < 1:
+        raise DomainError(f"--segments must be at least 1, got {args.segments}")
     if args.model:
         if args.qubits is None:
             raise DomainError("--model requires --qubits")
@@ -189,10 +185,9 @@ def cmd_expm(args) -> int:
     else:
         h = diagio.load_matrix(args.h_file)
         workload = f"expm:{args.h_file}"
-    h = _maybe_float32(h, args)
     if args.iters is None and args.eps is None:
         args.eps = 1e-8
-    cfg = TaylorConfig(t=args.t / max(args.segments, 1), terms=args.iters,
+    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters,
                        eps=args.eps, use_simulator=not args.functional_only)
     grid = _grid_setup(args)
     cache = SetAssocCache(grid.cache)
@@ -200,7 +195,7 @@ def cmd_expm(args) -> int:
     # the segmented form repeats the short-time expansion and multiplies the
     # results; the outer power is the same product kernel, run functionally
     u = segment_u
-    for _ in range(1, max(args.segments, 1)):
+    for _ in range(1, args.segments):
         u = drop_zero_diagonals(diag_matmul(u, segment_u), 0.0)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
@@ -210,7 +205,7 @@ def cmd_expm(args) -> int:
         add_counters(counters, r.counters)
     report = build_report(workload, grid.rows, grid.cols, stage,
                           counters, cache.stats, records, model=EnergyModel())
-    report["segments"] = max(args.segments, 1)
+    report["segments"] = args.segments
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)
     if args.csv:
@@ -254,8 +249,6 @@ def _add_grid_flags(sub):
     sub.add_argument("--cache-hit", type=int, default=1)
     sub.add_argument("--cache-miss-penalty", type=int, default=5)
     sub.add_argument("--dram-cycles", type=int, default=50)
-    sub.add_argument("--float32", action="store_true",
-                     help="run the datapath at float32 precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     mm.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
     mm.add_argument("--check", action="store_true",
                     help="verify against the dense oracle")
-    mm.add_argument("--float32", action="store_true")
     mm.set_defaults(func=cmd_matmul)
 
     simc = sub.add_parser("simulate", help="cycle-level run of one product")

@@ -17,9 +17,9 @@ writer formats each distinct (re, im) pair of a diagonal once, since
 Hamiltonian diagonals hold few distinct values.
 
 Matrix Market coordinate files never densify: duplicate entries are summed,
-each entry goes to the diagonal at offset col - row, and a diagonal whose
-summed values are all zero is dropped, as ``from_dense`` drops it.  Memory is
-O(nnz + stored diagonal entries).  Only ``array`` (dense) files go through
+then ``diagmat.from_coo`` puts each on the diagonal at offset col - row and
+drops a diagonal whose sums are all zero, as ``from_dense`` drops it.  Memory
+is O(nnz + stored diagonal entries).  Only ``array`` (dense) files go through
 ``from_dense``.  The writer writes the nonzero entries only, so a stored zero
 (or -0.0) on a kept diagonal reads back as +0.0.
 
@@ -43,8 +43,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, diag_length, drop_zero_diagonals,
-                      from_dense)
+from .diagmat import COMPLEX, DiagMatrix, diag_length, from_coo, from_dense
 from .errors import DomainError, ShapeError
 
 MAGIC = b"DIAQ1"
@@ -151,18 +150,9 @@ def read_matrix_market(path: str) -> DiagMatrix:
             raise ShapeError(f"square matrix required, got {mat.shape}")
         if not scipy.sparse.issparse(mat):
             return from_dense(mat)
-        return _coo_diagonals(scipy.sparse.coo_matrix(mat))
-
-
-def _coo_diagonals(coo: scipy.sparse.coo_matrix) -> DiagMatrix:
-    """Sum duplicates, then scatter every entry into its diagonal's slot of one buffer."""
-    n = coo.shape[0]
-    coo.sum_duplicates()
-    offsets, slot = np.unique(coo.col.astype(np.int64) - coo.row, return_inverse=True)
-    starts = buffer_starts(n, offsets)
-    values = np.zeros(starts[-1], dtype=COMPLEX)
-    values[starts[slot] + np.minimum(coo.row, coo.col)] = coo.data
-    return drop_zero_diagonals(DiagMatrix.packed(n, offsets.tolist(), values), 0.0)
+        coo = scipy.sparse.coo_matrix(mat)
+        coo.sum_duplicates()
+        return from_coo(coo.shape[0], coo.row, coo.col, coo.data)
 
 
 _FORMATS = {

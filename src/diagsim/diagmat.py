@@ -22,7 +22,9 @@ inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and finite
 values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` first
 converts and length-checks each Diagonal's values, then packs them;
 ``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is and
-rejects anything else.
+rejects anything else.  ``from_coo`` turns entries into diagonals for the
+Pauli generator and the Matrix Market reader; ``from_dense`` gathers them
+from a grid, keeping the grid's signed zeros.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class DiagMatrix:
             raise DomainError(f"diagonal {self.offsets[i]} contains non-finite values")
         self._views = None
 
-    @staticmethod
-    def from_diagonals(dim: int, diags: dict[int, np.ndarray]) -> "DiagMatrix":
-        """Build from an offset -> values mapping (sorted internally)."""
-        return DiagMatrix(dim, tuple(Diagonal(d, diags[d]) for d in sorted(diags)))
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -170,10 +167,6 @@ class DiagMatrix:
         """(rows, cols): the matrix position of every buffer entry."""
         return _coordinates(self.offset_array, self.starts)
 
-    def astype(self, dtype) -> "DiagMatrix":
-        """Value-precision cast (used by the float32 datapath mode)."""
-        return DiagMatrix.packed(self.dim, self.offsets, self.values.astype(dtype).astype(COMPLEX))
-
     def conj_transpose(self) -> "DiagMatrix":
         """Conjugate transpose: offset d maps to -d with its values in the same
         order, so the diagonals' blocks come in reverse order in the buffer."""
@@ -186,26 +179,26 @@ class DiagMatrix:
 
     def add(self, other: "DiagMatrix") -> "DiagMatrix":
         """Diagonal-wise sum; exact-zero result diagonals are dropped."""
-        offsets, values = _combine(self, other, np.add)
+        offsets, values = _combine(self, other)
         return drop_zero_diagonals(DiagMatrix.packed(self.dim, offsets, values), 0.0)
 
 
-def _combine(a: DiagMatrix, b: DiagMatrix, op) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of the offsets of a and b, and the buffer of op(a, b) on it."""
+def _combine(a: DiagMatrix, b: DiagMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the offsets of a and b, and the buffer of a + b on it."""
     if a.dim != b.dim:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     both = np.sort(np.concatenate((a.offset_array, b.offset_array)))
     offsets = both[np.diff(both, prepend=-a.dim) > 0]
     starts = buffer_starts(a.dim, offsets)
     values = np.full(starts[-1], complex(-0.0, -0.0))  # -0.0 + x is x bit for bit
-    for m, ufunc in ((a, np.add), (b, op)):
+    for m in (a, b):
         # each maximal run of m's diagonals that stays contiguous in the union
         shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
         first = np.flatnonzero(np.diff(shift, prepend=-1))
         lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
         for i, j, to in zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist()):
             seg = values[to:to + j - i]
-            ufunc(seg, m.values[i:j], out=seg)
+            np.add(seg, m.values[i:j], out=seg)
     return offsets, values
 
 
@@ -223,6 +216,20 @@ def _coordinates(offsets: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
 
 def identity(n: int) -> DiagMatrix:
     return DiagMatrix.packed(n, (0,), np.ones(n, dtype=COMPLEX))
+
+
+def from_coo(n: int, rows, cols, values) -> DiagMatrix:
+    """Matrix of dim n from entries at distinct positions (rows[k], cols[k]).
+
+    Each value is stored, not added, in its slot on diagonal col - row, so its
+    signed zeros survive; other slots hold +0.0; all-zero diagonals are dropped.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    offsets, slot = np.unique(cols - rows, return_inverse=True)
+    starts = buffer_starts(n, offsets)
+    buf = np.zeros(starts[-1], dtype=COMPLEX)
+    buf[starts[slot] + np.minimum(rows, cols)] = values
+    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, buf), 0.0)
 
 
 def from_dense(rows) -> DiagMatrix:
@@ -264,11 +271,3 @@ def drop_below(m: DiagMatrix, mag: np.ndarray, eps: float) -> tuple[DiagMatrix, 
 def one_norm(m: DiagMatrix) -> float:
     """Max absolute column sum, accumulated diagonal by diagonal in offset order."""
     return float(np.bincount(m.coordinates()[1], weights=np.abs(m.values), minlength=m.dim).max())
-
-
-def rel_frobenius_error(got: DiagMatrix, ref: DiagMatrix) -> float:
-    """||got - ref||_F / ||ref||_F over the stored diagonals (never densifies)."""
-    diff = _combine(got, ref, np.subtract)[1]
-    diff_sq = float(np.vdot(diff, diff).real)
-    ref_sq = float(np.vdot(ref.values, ref.values).real)
-    return diff_sq ** 0.5 / max(ref_sq ** 0.5, 1e-300)

@@ -2,8 +2,10 @@
 
 Each Pauli string has exactly one nonzero per matrix row (row i pairs with
 column i XOR xmask, where xmask collects the X/Y qubits), so a term scatters
-into at most 2^|xmask| diagonals.  Summing terms and dropping exact-zero
-diagonals yields the compact diagonal form directly, without densifying.
+into at most 2^|xmask| diagonals.  Terms that share an X/Y mask are summed
+per position in term order (two masks never share one: row XOR col is the
+mask), and ``diagmat.from_coo`` places the sums and drops exact-zero
+diagonals, giving the compact diagonal form without densifying.
 
 Generators default to open-boundary 1D chains; coupling constants and field
 strengths are exposed as parameters rather than hard-coded to any published
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix, diag_length, drop_zero_diagonals
+from .diagmat import COMPLEX, DiagMatrix, from_coo
 from .errors import DomainError
 
 MAX_QUBITS = 16
@@ -53,52 +55,20 @@ def pauli_to_diagmatrix(terms: list[PauliTerm], n: int, max_qubits: int = MAX_QU
         raise DomainError(f"{n} qubits exceeds the desk-scale cap of {max_qubits}")
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
-    acc: dict[int, np.ndarray] = {}
+    sums: dict[int, np.ndarray] = {}  # X/Y mask -> summed values at (col ^ mask, col)
     for t in terms:
         if len(t.axes) != n:
             raise DomainError(f"term has {len(t.axes)} axes, expected {n}")
-        xmask = 0
-        phase_mask = 0  # qubits contributing (-1)^bit: Y and Z
-        n_y = 0
-        for q, ax in enumerate(t.axes):
-            if ax in ("X", "Y"):
-                xmask |= 1 << q
-            if ax in ("Y", "Z"):
-                phase_mask |= 1 << q
-            if ax == "Y":
-                n_y += 1
-        rows = cols ^ xmask
-        # entry (row=j^xmask, col=j) = coeff * i^{#Y} * (-1)^{popcount(j & phase_mask)}
-        signs = 1 - 2 * (_popcount(cols & phase_mask) & 1)
-        vals = t.coefficient * (1j ** n_y) * signs.astype(COMPLEX)
-        # group rows by x-pattern: each pattern of col bits inside xmask is one offset
-        if xmask == 0:
-            _scatter(acc, 0, rows, vals, dim)
-        else:
-            pattern = cols & xmask
-            for pat in np.unique(pattern):
-                sel = pattern == pat
-                d = int(pat - (pat ^ xmask))  # col - row is constant per pattern
-                _scatter(acc, d, rows[sel], vals[sel], dim)
-    m = DiagMatrix.from_diagonals(dim, acc) if acc else DiagMatrix(dim, ())
-    return drop_zero_diagonals(m, 0.0)
-
-
-def _scatter(acc: dict[int, np.ndarray], d: int, rows: np.ndarray, vals: np.ndarray, dim: int):
-    vec = acc.get(d)
-    if vec is None:
-        vec = np.zeros(diag_length(dim, d), dtype=COMPLEX)
-        acc[d] = vec
-    np.add.at(vec, rows - max(0, -d), vals)
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    work = arr.copy()
-    while np.any(work):
-        out += work & 1
-        work >>= 1
-    return out
+        xmask = sum(1 << q for q, ax in enumerate(t.axes) if ax in ("X", "Y"))
+        phase_mask = sum(1 << q for q, ax in enumerate(t.axes) if ax in ("Y", "Z"))
+        # entry (row=j^xmask, col=j) = coeff * i^{#Y} * (-1)^{popcount(j & phase_mask)};
+        # bitwise_count is uint8, so the signs are formed in float
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & phase_mask) & 1)
+        vals = t.coefficient * (1j ** t.axes.count("Y")) * signs
+        sums[xmask] = sums.get(xmask, 0.0) + vals
+    masks = np.array(list(sums), dtype=np.int64).reshape(-1, 1)
+    return from_coo(dim, (cols ^ masks).ravel(), np.tile(cols, len(sums)),
+                    np.concatenate([np.empty(0, COMPLEX), *sums.values()]))
 
 
 # -- chain models --------------------------------------------------------------
@@ -139,6 +109,8 @@ def maxcut_ising(n: int, edges: list[tuple[int, int]] | None = None,
 
     Default graph is the 1D ring; pass a seed to draw a random graph instead.
     """
+    if n < 2:
+        raise DomainError(f"maxcut needs at least 2 qubits, got {n}")
     if edges is None:
         if seed is None:
             edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]

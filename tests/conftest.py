@@ -7,6 +7,17 @@ from diagsim import DiagMatrix, Diagonal
 from diagsim.spmspm import overlap_range
 
 
+def diag_matrix(n, diags: dict[int, np.ndarray]) -> DiagMatrix:
+    """DiagMatrix of dim n from an offset -> values mapping, in any key order."""
+    return DiagMatrix(n, tuple(Diagonal(d, diags[d]) for d in sorted(diags)))
+
+
+def same_bits(got: DiagMatrix, want: DiagMatrix) -> bool:
+    """Same dim, offsets and value bits (so -0.0 differs from 0.0)."""
+    return (got.dim, got.offsets) == (want.dim, want.offsets) and \
+        got.values.tobytes() == want.values.tobytes()
+
+
 def rand_matrix(rng, n, offsets=None, k=None, real=False):
     """Random diagonal matrix; offsets drawn without replacement if absent."""
     if offsets is None:
@@ -19,7 +30,7 @@ def rand_matrix(rng, n, offsets=None, k=None, real=False):
         if not real:
             vec = vec + 1j * rng.standard_normal(n - abs(d))
         diags[int(d)] = vec
-    return DiagMatrix.from_diagonals(n, diags)
+    return diag_matrix(n, diags)
 
 
 def rand_hermitian(rng, n, k=None):
@@ -29,7 +40,7 @@ def rand_hermitian(rng, n, k=None):
     for d, vec in upper.items():
         diags[d] = vec
         diags[-d] = np.conj(vec)
-    return DiagMatrix.from_diagonals(n, diags)
+    return diag_matrix(n, diags)
 
 
 def pair_products(a, b):
@@ -81,7 +92,7 @@ def add_oracle(a, b):
     acc = {d.offset: d.values.copy() for d in a.diagonals}
     for d in b.diagonals:
         acc[d.offset] = acc[d.offset] + d.values if d.offset in acc else d.values.copy()
-    return drop_zero_oracle(DiagMatrix.from_diagonals(a.dim, acc))
+    return drop_zero_oracle(diag_matrix(a.dim, acc))
 
 
 def diaq_json_oracle(m) -> bytes:

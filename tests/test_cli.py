@@ -67,6 +67,20 @@ def test_interleave_below_one_rejected(tmp_path, interleave):
     assert cli.main(argv) == cli.DATA_EXIT
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "maxcut", "1", "--out", "h.diaq"],
+    ["expm", "--model", "maxcut", "--qubits", "1", "--functional-only"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--segments", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--segments=-4"],
+])
+def test_count_out_of_range_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # 2x2 matrix whose main diagonal needs 32 value bytes but has 16
 TRUNCATED_DIAQ = b"DIAQ1" + struct.pack("<QQq", 2, 1, 0) + bytes(16)
 

@@ -11,7 +11,7 @@ from diagsim.diagio import (MAGIC, load_matrix, read_diaq, read_diaq_json,
                             write_diaq, write_diaq_json, write_matrix_market)
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import diaq_json_oracle, rand_matrix
+from conftest import diag_matrix, diaq_json_oracle, rand_matrix
 
 
 def matrices_equal(a: DiagMatrix, b: DiagMatrix) -> bool:
@@ -39,7 +39,7 @@ def test_binary_round_trip(tmp_path, sample):
 
 
 def test_binary_layout(tmp_path):
-    m = DiagMatrix.from_diagonals(2, {1: np.array([3 + 4j])})
+    m = diag_matrix(2, {1: np.array([3 + 4j])})
     path = str(tmp_path / "m.diaq")
     write_diaq(m, path)
     blob = open(path, "rb").read()
@@ -51,7 +51,7 @@ def test_binary_layout(tmp_path):
 
 
 def test_binary_round_trip_keeps_signed_zeros(tmp_path):
-    m = DiagMatrix.from_diagonals(3, {
+    m = diag_matrix(3, {
         0: from_parts([-0.0, 2.0, 0.0], [-1.0, -0.0, 0.0]),
         1: from_parts([-0.0, 0.0], [-0.0, 0.0]),
     })
@@ -79,22 +79,22 @@ def _json_cases() -> dict[str, DiagMatrix]:
     return {
         "random": rand_matrix(rng, 12, k=5),
         "random-real": rand_matrix(rng, 9, k=3, real=True),
-        "signed-zero": DiagMatrix.from_diagonals(3, {
+        "signed-zero": diag_matrix(3, {
             -1: from_parts([-0.0, 1.0], [1.0, -0.0]),
             0: from_parts([-0.0, 0.0, -0.0], [-0.0, 0.0, 0.0])}),
-        "subnormal": DiagMatrix.from_diagonals(2, {
+        "subnormal": diag_matrix(2, {
             0: from_parts([5e-324, -2.5e-320], [2.2250738585072014e-308 / 3, -5e-324]),
             1: from_parts([1e-310], [0.0])}),
-        "extreme": DiagMatrix.from_diagonals(3, {
+        "extreme": diag_matrix(3, {
             0: from_parts([1e300, -1e300, 1.7976931348623157e308], [1e-300, -1e-300, 1e300]),
             2: from_parts([-9.99e299], [1.0000000000000002e-300])}),
-        "distinct": DiagMatrix.from_diagonals(64, {
+        "distinct": diag_matrix(64, {
             d: rng.standard_normal(64 - abs(d)) + 1j * rng.standard_normal(64 - abs(d))
             for d in (-63, -7, 0, 5, 40)}),
-        "repeated": DiagMatrix.from_diagonals(64, {
+        "repeated": diag_matrix(64, {
             d: rng.choice([0.0, 0.5, -1.25 + 0.1j, 1e-17j], size=64 - abs(d)) + 0j
             for d in (-3, 0, 1, 63)}),
-        "dim1": DiagMatrix.from_diagonals(1, {0: np.array([0.1 - 0.3j])}),
+        "dim1": diag_matrix(1, {0: np.array([0.1 - 0.3j])}),
         "empty": DiagMatrix(7, ()),
     }
 
@@ -128,7 +128,7 @@ def test_matrix_market_round_trip(tmp_path, sample):
 
 
 def test_matrix_market_writes_only_nonzero_entries(tmp_path):
-    m = DiagMatrix.from_diagonals(4, {
+    m = diag_matrix(4, {
         -1: from_parts([0.0, 2.0, -0.0], [0.0, 0.0, -0.0]),
         0: from_parts([0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]),
         2: from_parts([1.0, -0.0], [-0.0, 3.0]),
@@ -140,7 +140,7 @@ def test_matrix_market_writes_only_nonzero_entries(tmp_path):
     assert size.split() == ["4", "4", str(m.nnze)] and m.nnze == 3
     # the all-zero diagonal is dropped and zero entries, -0.0 included, read back
     # as +0.0; a nonzero entry keeps a signed zero part
-    want = DiagMatrix.from_diagonals(4, {
+    want = diag_matrix(4, {
         -1: from_parts([0.0, 2.0, 0.0], [0.0, 0.0, 0.0]),
         2: m.diagonal(2).values,
     })
@@ -153,7 +153,7 @@ def test_matrix_market_entry_count_is_nnze(tmp_path, seed):
     m = rand_matrix(rng, 12, k=6, real=True)
     zeroed = {d.offset: np.where(rng.random(len(d.values)) < 0.5, 0.0, d.values)
               for d in m.diagonals}
-    m = DiagMatrix.from_diagonals(12, zeroed)
+    m = diag_matrix(12, zeroed)
     path = str(tmp_path / "m.mtx")
     write_matrix_market(m, path)
     assert scipy.io.mminfo(path)[2] == m.nnze

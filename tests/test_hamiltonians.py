@@ -5,6 +5,9 @@ from diagsim import PauliTerm, gen_benchmark, pauli_to_diagmatrix, to_dense
 from diagsim.errors import DomainError
 from diagsim.hamiltonians import heisenberg_chain, maxcut_ising, term, tfim_chain
 
+from conftest import same_bits
+from pauli_oracle import pauli_oracle
+
 I2 = np.eye(2, dtype=complex)
 PAULI = {
     "I": I2,
@@ -80,6 +83,39 @@ class TestPauliToDiagMatrix:
     def test_axis_count_mismatch(self):
         with pytest.raises(DomainError):
             pauli_to_diagmatrix([PauliTerm(1.0, ("Z",))], 2)
+
+
+MODELS = {
+    "heisenberg": lambda n: heisenberg_chain(n),
+    "heisenberg-anisotropic": lambda n: heisenberg_chain(n, jx=0.7, jy=-1.3, jz=0.0),
+    "tfim": lambda n: tfim_chain(n),
+    "tfim-field": lambda n: tfim_chain(n, g=-0.35),
+    "maxcut": lambda n: maxcut_ising(n),
+    "maxcut-seeded": lambda n: maxcut_ising(n, seed=n),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_models_match_term_by_term_oracle_bit_for_bit(model):
+    for n in range(2 if model.startswith("maxcut") else 1, 17):
+        terms = MODELS[model](n)
+        assert same_bits(pauli_to_diagmatrix(terms, n), pauli_oracle(terms, n)), n
+
+
+def test_random_terms_match_term_by_term_oracle_bit_for_bit():
+    # few distinct axis strings, so masks repeat and terms cancel; signed-zero
+    # and complex coefficients check that each position sums from +0.0 in term order
+    rng = np.random.default_rng(11)
+    coefficients = [0.0, -0.0, complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0),
+                    -1.0, 1.0, 0.25 - 3j]
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        pool = [tuple(rng.choice(list("IXYZ"), size=n)) for _ in range(3)]
+        terms = [PauliTerm(coefficients[rng.integers(len(coefficients))]
+                           if rng.random() < 0.6 else complex(*rng.standard_normal(2)),
+                           pool[rng.integers(len(pool))])
+                 for _ in range(int(rng.integers(0, 9)))]
+        assert same_bits(pauli_to_diagmatrix(terms, n), pauli_oracle(terms, n)), terms
 
 
 class TestChainModels:
