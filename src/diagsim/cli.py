@@ -31,6 +31,9 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 VERIFY_EXIT = 3
 CHECK_DIM_CAP = 1024
+# the coupling flags each generator model takes; gen rejects any other
+GEN_FLAGS = {"heisenberg": ("jx", "jy", "jz"), "tfim": ("g",),
+             "maxcut": ("seed",), "maxcut-ising": ("seed",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +58,10 @@ def _parse_feed(text: str) -> FeedConfig:
 def _parse_cuts(text: str | None):
     if not text:
         return None
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise DomainError(f"bad --cuts {text!r}; expected comma-separated integers") from None
 
 
 def _load_config(path: str) -> dict:
@@ -107,13 +113,12 @@ def _write_report(report: dict, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    if args.model.lower() == "tfim":
-        params["g"] = args.g
-    if args.model.lower() == "heisenberg":
-        params.update(jx=args.jx, jy=args.jy, jz=args.jz)
-    if args.model.lower() in ("maxcut", "maxcut-ising") and args.seed is not None:
-        params["seed"] = args.seed
+    params = {key: getattr(args, key) for key in ("g", "jx", "jy", "jz", "seed")
+              if getattr(args, key) is not None}
+    # an unknown model is left for gen_benchmark to name
+    stray = sorted(params.keys() - set(GEN_FLAGS.get(args.model.lower(), params)))
+    if stray:
+        raise DomainError(f"model {args.model} takes no {', '.join('--' + k for k in stray)}")
     m = gen_benchmark(args.model, args.qubits, **params)
     diagio.save_matrix(m, args.out, args.format)
     print(f"{args.model}-{args.qubits}: {_matrix_summary(m)}")
@@ -262,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("qubits", type=int)
     gen.add_argument("--out", required=True)
     gen.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
-    gen.add_argument("--g", type=float, default=1.0, help="transverse field")
-    gen.add_argument("--jx", type=float, default=1.0)
-    gen.add_argument("--jy", type=float, default=1.0)
-    gen.add_argument("--jz", type=float, default=1.0)
+    gen.add_argument("--g", type=float, default=None, help="tfim transverse field, default 1.0")
+    gen.add_argument("--jx", type=float, default=None, help="heisenberg coupling, default 1.0")
+    gen.add_argument("--jy", type=float, default=None, help="heisenberg coupling, default 1.0")
+    gen.add_argument("--jz", type=float, default=None, help="heisenberg coupling, default 1.0")
     gen.add_argument("--seed", type=int, default=None,
                      help="random graph seed for the cut-cost model")
     gen.set_defaults(func=cmd_gen)

@@ -1,14 +1,16 @@
 """Grid model of the diagonal processing grid, counted in closed form per job.
 
 Columns carry operand-A diagonal segments (fed from the top), rows carry
-operand-B segments (fed from the left).  Feeds start one cycle apart in grid
-order and inject one element per cycle, so element k of column c transits
-the cell at row r exactly at cycle c + k + r: the classic systolic
-wavefront.  Each cell compares the column index of the transiting A operand
-with the row index of the transiting B operand and multiplies on equality;
-on a mismatch the smaller-indexed operand moves on while the larger is
-retained as pending state until its partner arrives (indices along a stream
-only grow, so a passed-over operand can never match later).
+operand-B segments (fed from the left), each named by a row of a bounds array
+(blocking module docstring); a descending feed reverses the rows' ascending
+offset order.  Feeds start one cycle apart in grid order and inject one
+element per cycle, so element k of column c transits the cell at row r
+exactly at cycle c + k + r: the classic systolic wavefront.  Each cell
+compares the column index of the transiting A operand with the row index of
+the transiting B operand and multiplies on equality; on a mismatch the
+smaller-indexed operand moves on while the larger is retained as pending
+state until its partner arrives (indices along a stream only grow, so a
+passed-over operand can never match later).
 
 The model is stall-free: operand flow is never throttled, and retention is
 bookkeeping rather than backpressure.  Each stream is trailed by an end
@@ -20,7 +22,7 @@ values fixed by the feed lengths, which telescopes to the
 position-independent total R + C + L_max - 1.
 
 Because nothing stalls, every figure of a job has a closed form, and run_job
-computes them from the segments alone, never reading a value.  With R rows,
+computes them from the bounds alone; no value reaches it.  With R rows,
 C columns, A-column lengths La and B-row lengths Lb:
 
   * multiplies = sum over (A segment, B segment) pairs of the rows r that
@@ -81,12 +83,6 @@ class StageCycles:
     def __add__(self, other: "StageCycles") -> "StageCycles":
         return StageCycles(self.preload + other.preload, self.compute + other.compute,
                            self.popout + other.popout, self.total + other.total)
-
-
-def _feed_order(segments, order: str) -> list:
-    """Segments in grid order: by (offset, row_start), reversed for descending."""
-    segs = sorted(segments, key=lambda s: (s.offset, s.row_start))
-    return segs if order == "ascending" else segs[::-1]
 
 
 def longest_diagonal(a_lengths: list[int], b_lengths: list[int]) -> tuple[str, int, int]:
@@ -150,21 +146,26 @@ def add_counters(total: dict, counters: dict) -> None:
             total[key] = total.get(key, 0) + val
 
 
-def run_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
+def run_job(a_bounds: np.ndarray, b_bounds: np.ndarray, feed: FeedConfig = FeedConfig(), *,
             max_rows: int | None = None, max_cols: int | None = None,
             interleave: int = 1) -> RunResult:
-    """Count one grid job in closed form (module docstring); reads no value.
+    """Count one grid job of two bounds arrays in closed form (module docstring).
 
     interleave > 1 deals a single A segment round-robin over that many
     columns (the pipelined single-diagonal layout).  Raises
     GridCapacityError when the job does not fit the grid or the interleave
     does not apply.
     """
-    if not a_segments or not b_segments:
+    if not len(a_bounds) or not len(b_bounds):
         return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), [], 0, 0, ("B", 0, 0))
     if interleave < 1:
         raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
-    a_len = [len(s) for s in _feed_order(a_segments, feed.a_order)]
+    a_len = (a_bounds[:, 2] - a_bounds[:, 1] + 1).tolist()
+    b_len = (b_bounds[:, 2] - b_bounds[:, 1] + 1).tolist()
+    if feed.a_order == "descending":
+        a_len.reverse()
+    if feed.b_order == "descending":
+        b_len.reverse()
     if interleave > 1:
         if len(a_len) != 1:
             raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")
@@ -174,7 +175,6 @@ def run_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
             raise GridCapacityError(
                 f"interleave {interleave} exceeds the {a_len[0]}-element A segment")
         a_len = [(a_len[0] - p + interleave - 1) // interleave for p in range(interleave)]
-    b_len = [len(s) for s in _feed_order(b_segments, feed.b_order)]
     rows, cols = len(b_len), len(a_len)
     if max_cols is not None and cols > max_cols:
         raise GridCapacityError(f"{cols} A segments exceed the {max_cols}-column grid")
@@ -183,10 +183,8 @@ def run_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
     longest = longest_diagonal(a_len, b_len)
     stage = predict_cycles(rows, cols, *longest)
     # one row per A segment, one column per B segment: offset, first and last row
-    da, a_lo, a_hi = np.array([[s.offset, s.row_start, s.row_start + len(s) - 1]
-                               for s in a_segments]).T[:, :, None]
-    db, b_lo, b_hi = np.array([[s.offset, s.row_start, s.row_start + len(s) - 1]
-                               for s in b_segments]).T
+    da, a_lo, a_hi = a_bounds.T[:, :, None]
+    db, b_lo, b_hi = b_bounds.T
     r_lo = np.maximum(a_lo, b_lo - da)
     r_hi = np.minimum(a_hi, b_hi - da)
     live = r_hi >= r_lo

@@ -6,7 +6,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An index or offset lies outside the valid range for the matrix."""
+    """A value lies outside its valid range: an index, offset, count or setting."""
 
 
 class PlanError(ValueError):

@@ -153,7 +153,7 @@ def simulate_product(a: DiagMatrix, b: DiagMatrix, grid: GridSetup,
     counters: dict[str, int] = {}
     touched: set[int] = set()
     for index, job in enumerate(plan.jobs):
-        result = run_job(job.a_group.segments, job.b_group.segments, grid.feed,
+        result = run_job(job.a_group.bounds, job.b_group.bounds, grid.feed,
                          max_rows=grid.rows, max_cols=grid.cols, interleave=grid.interleave)
         stage += result.stage
         add_counters(counters, result.counters)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -31,7 +33,7 @@ class CacheConfig:
     def __post_init__(self):
         if min(self.sets, self.ways) < 1 or min(
                 self.hit_cycles, self.miss_penalty_cycles, self.dram_cycles) < 0:
-            raise ValueError(f"invalid cache configuration {self}")
+            raise DomainError(f"invalid cache configuration {self}")
 
 
 class LineId(NamedTuple):

@@ -8,9 +8,10 @@ where A, B and C positions are all in-bounds:
 
     A holds (r, r + dA), B holds (r + dA, r + dA + dB), C gets (r, r + dA + dB)
 
-which pins r to [max(0, -dA, -(dA+dB)), N-1 - max(0, dA, dA+dB)].  This
-module is the single source of index truth; the grid simulator must produce
-the identical multiply set.
+which pins r to [max(0, -dA, -(dA+dB)), N-1 - max(0, dA, dA+dB)].  The same
+range, cut to two segments' bounds, sets dataflow.run_job's multiply count and
+blocking.job_product's values.  simulate_product checks the jobs' summed count
+against multiply_count; the tests hold both to the per-cycle grid stepper.
 
 ``diag_matmul`` does the work as dense array operations on whole diagonals.
 A diagonal is laid out as a length-N vector, zero-padded outside its natural

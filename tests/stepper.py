@@ -3,10 +3,13 @@
 dataflow.run_job counts each job in closed form.  This module steps the same
 grid one cycle at a time, as the dataflow module docstring describes it:
 streams enter one cycle apart, every cell matches transiting A and B
-operands by index, and end markers drain through the far corner.  It fires
-every partial product with its value, so it checks the closed-form stage
-cycles, counters and touched output offsets, and blocking.job_product's
-per-job values, against an independent model.
+operands by index, and end markers drain through the far corner.  A job is
+two operand matrices and two bounds arrays, as dataflow.run_job takes them;
+each stream reads its values from its matrix by its bounds row, as
+blocking.job_product does.  The stepper fires every partial product with its
+value, so it checks the closed-form stage cycles, counters and touched output
+offsets, and blocking.job_product's per-job values, against an independent
+model.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from diagsim.blocking import segment_values
 from diagsim.dataflow import FeedConfig, StageCycles, longest_diagonal, predict_cycles
 from diagsim.diagmat import COMPLEX, diag_length
 from diagsim.errors import GridCapacityError, SimulatorError
@@ -56,16 +60,18 @@ class DiagAccumulatorBank:
 
 
 class _Stream:
-    """One fed diagonal segment: coordinates self-increment from the first
-    element, optionally strided for the pipelined single-diagonal layout."""
+    """One fed diagonal segment, a bounds row of matrix m: coordinates
+    self-increment from the first element, optionally strided for the
+    pipelined single-diagonal layout."""
 
     __slots__ = ("offset", "i0", "j0", "values", "stride")
 
-    def __init__(self, seg, stride: int = 1, phase: int = 0):
-        self.offset = seg.offset
-        self.i0 = seg.row_start + phase
-        self.j0 = seg.row_start + seg.offset + phase
-        self.values = seg.values[phase::stride]
+    def __init__(self, m, bound, stride: int = 1, phase: int = 0):
+        offset, first, last = bound
+        self.offset = offset
+        self.i0 = first + phase
+        self.j0 = first + offset + phase
+        self.values = segment_values(m, offset, first, last)[phase::stride]
         self.stride = stride
 
     def __len__(self):
@@ -84,40 +90,42 @@ class _Cell:
         self.seen_b = False
 
 
-def _ordered(segments, order: str):
-    segs = sorted(segments, key=lambda s: (s.offset, s.row_start))
-    return segs if order == "ascending" else segs[::-1]
+def _ordered(bounds, order: str) -> list:
+    """Bounds rows in grid order: as given (ascending offsets), or reversed."""
+    rows = bounds.tolist()
+    return rows if order == "ascending" else rows[::-1]
 
 
 class DpeGrid:
     """R x C grid of comparator cells wired to staggered feed schedules."""
 
-    def __init__(self, a_segments, b_segments, feed: FeedConfig = FeedConfig(),
-                 n: int | None = None, max_rows: int | None = None,
-                 max_cols: int | None = None, interleave: int = 1):
-        a_segs = _ordered(a_segments, feed.a_order)
-        b_segs = _ordered(b_segments, feed.b_order)
+    def __init__(self, a, b, a_bounds, b_bounds, feed: FeedConfig = FeedConfig(),
+                 max_rows: int | None = None, max_cols: int | None = None,
+                 interleave: int = 1):
+        a_segs = _ordered(a_bounds, feed.a_order)
+        b_segs = _ordered(b_bounds, feed.b_order)
         if interleave < 1:
             raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
         if interleave > 1:
             if len(a_segs) != 1:
                 raise GridCapacityError("pipelined interleave applies to single-diagonal jobs only")
-            if interleave > len(a_segs[0]):
+            _, first, last = a_segs[0]
+            if interleave > last - first + 1:
                 # a wider interleave would build empty columns that still
                 # occupy cells and stagger the feeds
                 raise GridCapacityError(
-                    f"interleave {interleave} exceeds the {len(a_segs[0])}-element A segment")
-            self.a_streams = [_Stream(a_segs[0], interleave, p) for p in range(interleave)]
+                    f"interleave {interleave} exceeds the {last - first + 1}-element A segment")
+            self.a_streams = [_Stream(a, a_segs[0], interleave, p) for p in range(interleave)]
         else:
-            self.a_streams = [_Stream(s) for s in a_segs]
-        self.b_streams = [_Stream(s) for s in b_segs]
+            self.a_streams = [_Stream(a, s) for s in a_segs]
+        self.b_streams = [_Stream(b, s) for s in b_segs]
         self.rows = len(self.b_streams)
         self.cols = len(self.a_streams)
         if max_cols is not None and self.cols > max_cols:
             raise GridCapacityError(f"{self.cols} A segments exceed the {max_cols}-column grid")
         if max_rows is not None and self.rows > max_rows:
             raise GridCapacityError(f"{self.rows} B segments exceed the {max_rows}-row grid")
-        self.n = n
+        self.n = a.dim
         self.feed = feed
 
     def d_c(self, r: int, c: int) -> int:
@@ -138,18 +146,19 @@ class StepResult(NamedTuple):
     products: list[PartialProduct] | None
 
 
-def step_job(a_segments, b_segments, feed: FeedConfig = FeedConfig(), *,
-             n: int, max_rows: int | None = None, max_cols: int | None = None,
+def step_job(a, b, a_bounds, b_bounds, feed: FeedConfig = FeedConfig(), *,
+             max_rows: int | None = None, max_cols: int | None = None,
              interleave: int = 1, collect_products: bool = False, trace=None) -> StepResult:
-    """Step one grid job to drain; accumulate its products by output offset.
+    """Step one grid job of a's and b's segments named by two bounds arrays
+    to drain; accumulate its products by output offset.
 
     The stage split comes from predict_cycles on the stepped grid's shape;
     the total and every counter are measured.
     """
-    bank = DiagAccumulatorBank(n)
-    if not a_segments or not b_segments:
+    bank = DiagAccumulatorBank(a.dim)
+    if not len(a_bounds) or not len(b_bounds):
         return StepResult(StageCycles(0, 0, 0, 0), _zero_counters(), bank, [])
-    grid = DpeGrid(a_segments, b_segments, feed, n=n,
+    grid = DpeGrid(a, b, a_bounds, b_bounds, feed,
                    max_rows=max_rows, max_cols=max_cols, interleave=interleave)
     stage = predict_cycles(grid.rows, grid.cols,
                            *longest_diagonal(grid.a_lengths(), grid.b_lengths()))
@@ -170,7 +179,7 @@ class GridRun:
     def __init__(self, grid: DpeGrid, bank: DiagAccumulatorBank | None = None,
                  collect_products: bool = False, trace=None):
         self.grid = grid
-        self.bank = bank or DiagAccumulatorBank(grid.n or 0)
+        self.bank = bank or DiagAccumulatorBank(grid.n)
         self.trace = trace
         self.products: list[PartialProduct] | None = [] if collect_products else None
         self.counters = _zero_counters()

@@ -72,6 +72,14 @@ def test_interleave_below_one_rejected(tmp_path, interleave):
     ["expm", "--model", "maxcut", "--qubits", "1", "--functional-only"],
     ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--segments", "0"],
     ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--segments=-4"],
+    # grid flags, read the same way by simulate and expm
+    ["expm", "--model", "tfim", "--qubits", "3", "--cuts", "a"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--cache-sets", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--dram-cycles=-1"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--a-group-size", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--b-group-size", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--grid-rows", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--cuts", "5,3"],
 ])
 def test_count_out_of_range_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -79,6 +87,25 @@ def test_count_out_of_range_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model, flags, config, named", [
+    ("tfim", ["--jx", "5", "--seed", "9"], None, ["--jx", "--seed"]),
+    ("heisenberg", ["--g", "0.5"], None, ["--g"]),
+    ("maxcut", ["--jz", "1"], None, ["--jz"]),
+    ("tfim", [], "jy=2\n", ["--jy"]),
+], ids=["tfim-jx-seed", "heisenberg-g", "maxcut-jz", "tfim-config-jy"])
+def test_gen_flag_of_another_model_exits_2(tmp_path, capsys, model, flags, config, named):
+    out = tmp_path / "h.diaq"
+    argv = ["gen", model, "3", "--out", str(out), *flags]
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    assert cli.main(argv) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in named)
+    assert not out.exists()
 
 
 # 2x2 matrix whose main diagonal needs 32 value bytes but has 16

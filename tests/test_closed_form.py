@@ -33,26 +33,27 @@ def products(draw):
     plan = make_plan(a, b, grid_rows=4, grid_cols=4, cuts=cuts,
                      a_group_size=a_gs, b_group_size=b_gs)
     feed = FeedConfig(draw(st.sampled_from(ORDERS)), draw(st.sampled_from(ORDERS)))
-    return n, plan, feed
+    return a, b, plan, feed
 
 
 @settings(max_examples=150, deadline=None)
 @given(products(), st.data())
 def test_closed_form_matches_stepper(product, data):
-    n, plan, feed = product
+    a, b, plan, feed = product
     for job in plan.jobs:
-        a_segs, b_segs = job.a_group.segments, job.b_group.segments
+        a_segs, b_segs = job.a_group.bounds, job.b_group.bounds
         interleave = 1
         if len(a_segs) == 1:
-            interleave = data.draw(st.integers(1, min(len(a_segs[0]), 4)), label="interleave")
+            length = int(a_segs[0, 2] - a_segs[0, 1] + 1)
+            interleave = data.draw(st.integers(1, min(length, 4)), label="interleave")
         kw = dict(max_rows=4, max_cols=4, interleave=interleave)
         closed = run_job(a_segs, b_segs, feed, **kw)
-        stepped = step_job(a_segs, b_segs, feed, n=n, collect_products=True, **kw)
+        stepped = step_job(a, b, a_segs, b_segs, feed, collect_products=True, **kw)
         assert closed.stage == stepped.stage
         assert closed.counters == stepped.counters
         assert closed.offsets == sorted(stepped.bank.vectors)
         # the functional per-job reference fires the same multiplies to the same values
-        values, multiplies = job_product(n, a_segs, b_segs)
+        values, multiplies = job_product(a, b, a_segs, b_segs)
         assert multiplies == closed.counters["multiplies"]
         assert values.keys() == stepped.bank.vectors.keys()
         for dc, vec in stepped.bank.vectors.items():
@@ -74,7 +75,7 @@ def test_trace_is_one_closed_form_line_per_job(tmp_path):
     for event, job in zip(events, plan.jobs):
         assert (event["window"], event["a_group"], event["b_group"]) == (
             job.window, job.a_group.group_id, job.b_group.group_id)
-        result = run_job(job.a_group.segments, job.b_group.segments, grid.feed)
+        result = run_job(job.a_group.bounds, job.b_group.bounds, grid.feed)
         assert event["counters"] == result.counters and event["offsets"] == result.offsets
         assert event["cycles"]["total"] == result.stage.total
     assert sum(e["cycles"]["total"] for e in events) == untraced[1].total

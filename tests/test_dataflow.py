@@ -22,7 +22,12 @@ def run_whole(a, b, feed=FeedConfig(), **kw):
 
 def step_whole(a, b, feed=FeedConfig(), **kw):
     """The same job stepped cycle by cycle."""
-    return step_job(whole_segments(a), whole_segments(b), feed, n=a.dim, **kw)
+    return step_job(a, b, whole_segments(a), whole_segments(b), feed, **kw)
+
+
+def grid_whole(a, b, feed=FeedConfig(), **kw):
+    """The stepper's grid for the same job."""
+    return DpeGrid(a, b, whole_segments(a), whole_segments(b), feed, **kw)
 
 
 def expected_multiplies(a, b):
@@ -40,21 +45,21 @@ class TestBuildGrid:
         rng = np.random.default_rng(149)
         a = rand_matrix(rng, 5, offsets=[-1, 0, 1])
         b = rand_matrix(rng, 5, offsets=[-1, 0, 1])
-        grid = DpeGrid(whole_segments(a), whole_segments(b), n=5)
+        grid = grid_whole(a, b)
         assert (grid.rows, grid.cols) == (3, 3)
         res = run_whole(a, b)
         assert (res.rows, res.cols) == (3, 3)
 
     def test_single_pair_gives_unit_grid(self):
         m = identity(4)
-        grid = DpeGrid(whole_segments(m), whole_segments(m), n=4)
+        grid = grid_whole(m, m)
         assert (grid.rows, grid.cols) == (1, 1)
         res = run_whole(m, m)
         assert (res.rows, res.cols) == (1, 1)
 
     def test_pipelined_interleave(self):
         m = identity(8)
-        grid = DpeGrid(whole_segments(m), whole_segments(m), n=8, interleave=4)
+        grid = grid_whole(m, m, interleave=4)
         assert (grid.rows, grid.cols) == (1, 4)
         assert grid.a_lengths() == [2, 2, 2, 2]
         res = run_whole(m, m, interleave=4)
@@ -65,7 +70,7 @@ class TestBuildGrid:
         rng = np.random.default_rng(151)
         a = rand_matrix(rng, 6, k=2)
         with pytest.raises(GridCapacityError):
-            DpeGrid(whole_segments(a), whole_segments(a), n=6, interleave=4)
+            grid_whole(a, a, interleave=4)
         with pytest.raises(GridCapacityError):
             run_whole(a, a, interleave=4)
 
@@ -92,7 +97,7 @@ class TestBuildGrid:
         rng = np.random.default_rng(157)
         a = rand_matrix(rng, 8, k=5)
         with pytest.raises(GridCapacityError):
-            DpeGrid(whole_segments(a), whole_segments(a), n=8, max_cols=4)
+            grid_whole(a, a, max_cols=4)
         for limits in ({"max_cols": 4}, {"max_rows": 4}):
             with pytest.raises(GridCapacityError):
                 run_whole(a, a, **limits)
@@ -108,11 +113,10 @@ class TestBuildGrid:
         rng = np.random.default_rng(163)
         a = rand_matrix(rng, 6, offsets=[-2, 1, 3])
         b = rand_matrix(rng, 6, offsets=[-1, 2])
-        grid = DpeGrid(whole_segments(a), whole_segments(b), FeedConfig(), n=6)
+        grid = grid_whole(a, b, FeedConfig())
         assert [s.offset for s in grid.a_streams] == [-2, 1, 3]      # ascending
         assert [s.offset for s in grid.b_streams] == [2, -1]         # descending
-        flipped = DpeGrid(whole_segments(a), whole_segments(b),
-                          FeedConfig("descending", "ascending"), n=6)
+        flipped = grid_whole(a, b, FeedConfig("descending", "ascending"))
         assert [s.offset for s in flipped.a_streams] == [3, 1, -2]
         assert [s.offset for s in flipped.b_streams] == [-1, 2]
         # the longest diagonal (B's -1, 5 long) sits where each feed order puts it
@@ -123,7 +127,7 @@ class TestBuildGrid:
 class TestStepSemantics:
     def test_identity_unit_grid_one_multiply_per_cycle(self):
         m = identity(5)
-        run = GridRun(DpeGrid(whole_segments(m), whole_segments(m), n=5))
+        run = GridRun(grid_whole(m, m))
         fired = []
         while not run.finished:
             fired.append(len(run.step()))
@@ -134,7 +138,7 @@ class TestStepSemantics:
         a = rand_matrix(rng, 4, offsets=[1])
         b = rand_matrix(rng, 4, offsets=[-1])
         res = step_whole(a, b, collect_products=True)
-        grid = DpeGrid(whole_segments(a), whole_segments(b), n=4)
+        grid = grid_whole(a, b)
         assert res.counters["multiplies"] == len(res.products)
         for p in res.products:
             assert p.j - p.i == grid.d_c(0, 0) == 0  # offset sum of the cell's feeds
@@ -258,7 +262,7 @@ class TestPredictCycles:
             n = int(rng.integers(2, 128))
             a = rand_matrix(rng, n, k=int(rng.integers(1, 7)))
             b = rand_matrix(rng, n, k=int(rng.integers(1, 7)))
-            grid = DpeGrid(whole_segments(a), whole_segments(b), n=n)
+            grid = grid_whole(a, b)
             stepped = step_whole(a, b).stage.total
             assert stepped == predict_cycles(
                 grid.rows, grid.cols,
@@ -277,8 +281,7 @@ class TestMinkowskiMapping:
         rng = np.random.default_rng(227)
         a = rand_matrix(rng, 8, offsets=[-1, 0, 1])
         b = rand_matrix(rng, 8, offsets=[-1, 0, 1])
-        grid = DpeGrid(whole_segments(a), whole_segments(b),
-                       FeedConfig("ascending", "ascending"), n=8)
+        grid = grid_whole(a, b, FeedConfig("ascending", "ascending"))
         for r in range(3):
             for c in range(3):
                 for r2 in range(3):
@@ -290,8 +293,7 @@ class TestMinkowskiMapping:
         rng = np.random.default_rng(229)
         a = rand_matrix(rng, 8, offsets=[-1, 0, 1])
         b = rand_matrix(rng, 8, offsets=[-1, 0, 1])
-        grid = DpeGrid(whole_segments(a), whole_segments(b),
-                       FeedConfig("ascending", "descending"), n=8)
+        grid = grid_whole(a, b, FeedConfig("ascending", "descending"))
         for r in range(3):
             for c in range(3):
                 for r2 in range(3):
@@ -301,7 +303,7 @@ class TestMinkowskiMapping:
 
     def test_single_offsets_map_to_zero(self):
         m = identity(4)
-        grid = DpeGrid(whole_segments(m), whole_segments(m), n=4)
+        grid = grid_whole(m, m)
         assert grid.d_c(0, 0) == 0
 
     def test_products_respect_offset_sum(self):
@@ -309,7 +311,7 @@ class TestMinkowskiMapping:
         a = rand_matrix(rng, 12, k=4)
         b = rand_matrix(rng, 12, k=4)
         res = step_whole(a, b, collect_products=True)
-        grid = DpeGrid(whole_segments(a), whole_segments(b), n=12)
+        grid = grid_whole(a, b)
         cells = {grid.d_c(r, c) for r in range(grid.rows) for c in range(grid.cols)}
         assert cells == set(minkowski(a.offsets, b.offsets))
         assert {p.j - p.i for p in res.products} <= cells
