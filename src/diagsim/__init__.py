@@ -11,21 +11,13 @@ from .diagmat import (
     one_norm,
     to_dense,
 )
-from .spmspm import (
-    OverlapRange,
-    dense_matmul_oracle,
-    diag_matmul,
-    minkowski,
-    multiply_count,
-    overlap_range,
-)
+from .spmspm import dense_matmul_oracle, diag_matmul, multiply_count
 from .hamiltonians import PauliTerm, gen_benchmark, pauli_to_diagmatrix
 
 __all__ = [
     "COMPLEX",
     "DiagMatrix",
     "Diagonal",
-    "OverlapRange",
     "PauliTerm",
     "dense_matmul_oracle",
     "diag_length",
@@ -34,10 +26,8 @@ __all__ = [
     "from_dense",
     "gen_benchmark",
     "identity",
-    "minkowski",
     "multiply_count",
     "one_norm",
-    "overlap_range",
     "pauli_to_diagmatrix",
     "to_dense",
 ]

@@ -50,20 +50,13 @@ class BlockPlan:
     jobs: tuple[Job, ...]
 
 
-def segment_bounds(m: DiagMatrix, lo: int, hi: int, by_col: bool) -> np.ndarray:
-    """Bounds array of m's diagonals cut to columns (by_col) or rows lo..hi-1;
-    columns lo..hi-1 of diagonal d are its rows lo-d..hi-1-d.  A diagonal left
-    with no row is dropped."""
+def segment_bounds(m: DiagMatrix, lo, hi) -> np.ndarray:
+    """Bounds array of m's diagonals cut to rows lo..hi-1, where lo and hi are
+    integers or hold one per diagonal.  A diagonal left with no row is dropped."""
     d = m.offset_array
-    shift = d if by_col else 0
-    first = np.maximum(np.maximum(0, -d), lo - shift)
-    last = np.minimum(m.dim - 1 - np.maximum(0, d), hi - 1 - shift)
+    first = np.maximum(np.maximum(0, -d), lo)
+    last = np.minimum(m.dim - 1 - np.maximum(0, d), hi - 1)
     return np.stack((d, first, last), axis=1)[first <= last]
-
-
-def whole_segments(m: DiagMatrix) -> np.ndarray:
-    """Bounds array of every stored diagonal, whole."""
-    return segment_bounds(m, 0, m.dim, by_col=False)
 
 
 def segment_values(m: DiagMatrix, offset: int, first: int, last: int) -> np.ndarray:
@@ -72,13 +65,24 @@ def segment_values(m: DiagMatrix, offset: int, first: int, last: int) -> np.ndar
     return m.diagonal(offset).values[first - row0: last + 1 - row0]
 
 
-def _check_cuts(cuts, n: int) -> list[int]:
+def check_cuts(cuts) -> list[int]:
+    """cuts as a list; PlanError unless strictly ascending."""
     cuts = list(cuts or [])
     if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
         raise PlanError(f"cuts must be strictly ascending, got {cuts}")
-    if any(not (1 <= c <= n - 1) for c in cuts):
-        raise PlanError(f"cuts must lie strictly inside [1, {n - 1}], got {cuts}")
     return cuts
+
+
+def group_sizes(grid_rows: int, grid_cols: int, a_group_size: int | None,
+                b_group_size: int | None) -> tuple[int, int]:
+    """The A and B group sizes, each defaulting to its grid side; PlanError
+    unless 1 <= size <= side, so a side below 1 fails here too."""
+    a_gs = grid_cols if a_group_size is None else a_group_size
+    b_gs = grid_rows if b_group_size is None else b_group_size
+    if not (1 <= a_gs <= grid_cols and 1 <= b_gs <= grid_rows):
+        raise PlanError(f"need 1 <= group size <= grid side, got A {a_gs} of "
+                        f"{grid_cols} columns, B {b_gs} of {grid_rows} rows")
+    return a_gs, b_gs
 
 
 def default_cuts(n: int) -> list[int]:
@@ -94,19 +98,18 @@ def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
     """Compose row/col and diagonal blocking into a deterministic job list."""
     if a.dim != b.dim:
         raise PlanError(f"dim mismatch: {a.dim} vs {b.dim}")
-    # a group size defaults to its grid side, so a side below 1 fails here too
-    a_gs = grid_cols if a_group_size is None else a_group_size
-    b_gs = grid_rows if b_group_size is None else b_group_size
-    if not (1 <= a_gs <= grid_cols and 1 <= b_gs <= grid_rows):
-        raise PlanError(f"need 1 <= group size <= grid side, got A {a_gs} of "
-                        f"{grid_cols} columns, B {b_gs} of {grid_rows} rows")
+    a_gs, b_gs = group_sizes(grid_rows, grid_cols, a_group_size, b_group_size)
     n = a.dim
-    edges = [0, *_check_cuts(default_cuts(n) if cuts is None else cuts, n), n]
+    cuts = check_cuts(default_cuts(n) if cuts is None else cuts)
+    if any(not (1 <= c <= n - 1) for c in cuts):
+        raise PlanError(f"cuts must lie strictly inside [1, {n - 1}], got {cuts}")
+    edges = [0, *cuts, n]
     jobs = []
     a_count = b_count = 0  # group ids run on across windows
     for w, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        a_rows = segment_bounds(a, lo, hi, by_col=True)
-        b_rows = segment_bounds(b, lo, hi, by_col=False)
+        # columns lo..hi-1 of A's diagonal d are its rows lo-d..hi-1-d
+        a_rows = segment_bounds(a, lo - a.offset_array, hi - a.offset_array)
+        b_rows = segment_bounds(b, lo, hi)
         ga = [BlockGroup(a_count + g, a_rows[i: i + a_gs])
               for g, i in enumerate(range(0, len(a_rows), a_gs))]
         gb = [BlockGroup(b_count + g, b_rows[i: i + b_gs])

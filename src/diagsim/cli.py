@@ -19,8 +19,8 @@ from . import diagio
 from .dataflow import FeedConfig, StageCycles, add_counters
 from .diagmat import DiagMatrix, drop_zero_diagonals, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
-                     PlanError, ShapeError, SimulatorError, VerificationError)
-from .hamiltonians import gen_benchmark
+                     PlanError, ShapeError, VerificationError)
+from .hamiltonians import MODELS, gen_benchmark
 from .hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from .memory import CacheConfig, SetAssocCache
 from .report import (EnergyModel, build_report, iterations_to_csv, report_to_csv,
@@ -31,9 +31,6 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 VERIFY_EXIT = 3
 CHECK_DIM_CAP = 1024
-# the coupling flags each generator model takes; gen rejects any other
-GEN_FLAGS = {"heisenberg": ("jx", "jy", "jz"), "tfim": ("g",),
-             "maxcut": ("seed",), "maxcut-ising": ("seed",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +113,8 @@ def cmd_gen(args) -> int:
     params = {key: getattr(args, key) for key in ("g", "jx", "jy", "jz", "seed")
               if getattr(args, key) is not None}
     # an unknown model is left for gen_benchmark to name
-    stray = sorted(params.keys() - set(GEN_FLAGS.get(args.model.lower(), params)))
+    _, takes = MODELS.get(args.model.lower(), (None, params))
+    stray = sorted(params.keys() - set(takes))
     if stray:
         raise DomainError(f"model {args.model} takes no {', '.join('--' + k for k in stray)}")
     m = gen_benchmark(args.model, args.qubits, **params)
@@ -178,13 +176,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_expm(args) -> int:
-    if bool(args.h_file) == bool(args.model):
-        raise DomainError("give exactly one of --h-file or --model/--qubits")
+    if bool(args.h_file) == bool(args.model) or bool(args.model) != (args.qubits is not None):
+        raise DomainError("give exactly one of --h-file or --model with --qubits")
     if args.segments < 1:
         raise DomainError(f"--segments must be at least 1, got {args.segments}")
     if args.model:
-        if args.qubits is None:
-            raise DomainError("--model requires --qubits")
         h = gen_benchmark(args.model, args.qubits)
         workload = f"{args.model}-{args.qubits}"
     else:
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a benchmark Hamiltonian")
-    gen.add_argument("model", help="heisenberg | tfim | maxcut-ising")
+    gen.add_argument("model", help=" | ".join(MODELS))
     gen.add_argument("qubits", type=int)
     gen.add_argument("--out", required=True)
     gen.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
@@ -367,7 +363,7 @@ def main(argv=None) -> int:
             ConvergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (VerificationError, SimulatorError) as exc:
+    except VerificationError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return VERIFY_EXIT
 

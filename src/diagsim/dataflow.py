@@ -146,6 +146,11 @@ def add_counters(total: dict, counters: dict) -> None:
             total[key] = total.get(key, 0) + val
 
 
+def check_interleave(interleave: int) -> None:
+    if interleave < 1:
+        raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
+
+
 def run_job(a_bounds: np.ndarray, b_bounds: np.ndarray, feed: FeedConfig = FeedConfig(), *,
             max_rows: int | None = None, max_cols: int | None = None,
             interleave: int = 1) -> RunResult:
@@ -158,8 +163,7 @@ def run_job(a_bounds: np.ndarray, b_bounds: np.ndarray, feed: FeedConfig = FeedC
     """
     if not len(a_bounds) or not len(b_bounds):
         return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), [], 0, 0, ("B", 0, 0))
-    if interleave < 1:
-        raise GridCapacityError(f"interleave must be at least 1, got {interleave}")
+    check_interleave(interleave)
     a_len = (a_bounds[:, 2] - a_bounds[:, 1] + 1).tolist()
     b_len = (b_bounds[:, 2] - b_bounds[:, 1] + 1).tolist()
     if feed.a_order == "descending":

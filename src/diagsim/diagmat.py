@@ -167,13 +167,6 @@ class DiagMatrix:
         """(rows, cols): the matrix position of every buffer entry."""
         return _coordinates(self.offset_array, self.starts)
 
-    def conj_transpose(self) -> "DiagMatrix":
-        """Conjugate transpose: offset d maps to -d with its values in the same
-        order, so the diagonals' blocks come in reverse order in the buffer."""
-        values = np.empty_like(self.values)
-        values[_entry_index(self.starts, len(self.values) - self.starts[1:])] = np.conj(self.values)
-        return DiagMatrix.packed(self.dim, tuple(-d for d in reversed(self.offsets)), values)
-
     def scaled(self, factor: complex) -> "DiagMatrix":
         return DiagMatrix.packed(self.dim, self.offset_array, self.values * factor)
 

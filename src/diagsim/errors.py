@@ -17,10 +17,6 @@ class GridCapacityError(ValueError):
     """A job carries more segments than the configured grid can host."""
 
 
-class SimulatorError(RuntimeError):
-    """Internal simulator invariant violated (livelock, FIFO overwrite)."""
-
-
 class ConvergenceError(RuntimeError):
     """Series truncation failed to reach the threshold within the term cap."""
 

@@ -7,9 +7,10 @@ per position in term order (two masks never share one: row XOR col is the
 mask), and ``diagmat.from_coo`` places the sums and drops exact-zero
 diagonals, giving the compact diagonal form without densifying.
 
-Generators default to open-boundary 1D chains; coupling constants and field
-strengths are exposed as parameters rather than hard-coded to any published
-instance.
+The chain generators build open-boundary 1D chains; coupling constants and
+field strengths are exposed as parameters rather than hard-coded to any
+published instance.  MODELS names each generator and the coupling parameters
+it takes.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ def term(coefficient: complex, n: int, **site_axes: ...) -> PauliTerm:
     return PauliTerm(coefficient, tuple(axes))
 
 
-def pauli_to_diagmatrix(terms: list[PauliTerm], n: int, max_qubits: int = MAX_QUBITS) -> DiagMatrix:
+def pauli_to_diagmatrix(terms: list[PauliTerm], n: int) -> DiagMatrix:
     """Sum of weighted Pauli strings as a DiagMatrix of dim 2^n."""
     if n < 1:
         raise DomainError("qubit count must be positive")
-    if n > max_qubits:
-        raise DomainError(f"{n} qubits exceeds the desk-scale cap of {max_qubits}")
+    if n > MAX_QUBITS:
+        raise DomainError(f"{n} qubits exceeds the desk-scale cap of {MAX_QUBITS}")
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
     sums: dict[int, np.ndarray] = {}  # X/Y mask -> summed values at (col ^ mask, col)
@@ -74,28 +75,22 @@ def pauli_to_diagmatrix(terms: list[PauliTerm], n: int, max_qubits: int = MAX_QU
 # -- chain models --------------------------------------------------------------
 
 
-def heisenberg_chain(n: int, jx: float = 1.0, jy: float = 1.0, jz: float = 1.0,
-                     periodic: bool = False) -> list[PauliTerm]:
+def heisenberg_chain(n: int, jx: float = 1.0, jy: float = 1.0,
+                     jz: float = 1.0) -> list[PauliTerm]:
     """sum over bonds of jx XX + jy YY + jz ZZ on a 1D chain."""
     terms = []
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
-    for i, j in bonds:
+    for i in range(n - 1):
         for coeff, ax in ((jx, "X"), (jy, "Y"), (jz, "Z")):
             if coeff != 0:
-                terms.append(term(coeff, n, **{f"q{i}": ax, f"q{j}": ax}))
+                terms.append(term(coeff, n, **{f"q{i}": ax, f"q{i + 1}": ax}))
     return terms
 
 
-def tfim_chain(n: int, g: float = 1.0, periodic: bool = False) -> list[PauliTerm]:
+def tfim_chain(n: int, g: float = 1.0) -> list[PauliTerm]:
     """-sum ZZ on bonds - g * sum X on sites."""
     terms = []
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
-    for i, j in bonds:
-        terms.append(term(-1.0, n, **{f"q{i}": "Z", f"q{j}": "Z"}))
+    for i in range(n - 1):
+        terms.append(term(-1.0, n, **{f"q{i}": "Z", f"q{i + 1}": "Z"}))
     for i in range(n):
         if g != 0:
             terms.append(term(-g, n, **{f"q{i}": "X"}))
@@ -129,18 +124,18 @@ def maxcut_ising(n: int, edges: list[tuple[int, int]] | None = None,
     return terms
 
 
-_MODELS =tuple(["heisenberg", "tfim", "maxcut", "maxcut-ising"])
+# model name -> (term builder, the coupling parameters it takes)
+MODELS = {
+    "heisenberg": (heisenberg_chain, ("jx", "jy", "jz")),
+    "tfim": (tfim_chain, ("g",)),
+    "maxcut": (maxcut_ising, ("seed",)),
+    "maxcut-ising": (maxcut_ising, ("seed",)),
+}
 
 
-def gen_benchmark(model: str, n: int, max_qubits: int = MAX_QUBITS, **params) -> DiagMatrix:
+def gen_benchmark(model: str, n: int, **params) -> DiagMatrix:
     """Build a named benchmark Hamiltonian as a DiagMatrix of dim 2^n."""
-    name = model.lower()
-    if name == "heisenberg":
-        terms = heisenberg_chain(n, **params)
-    elif name == "tfim":
-        terms = tfim_chain(n, **params)
-    elif name in ("maxcut", "maxcut-ising"):
-        terms = maxcut_ising(n, **params)
-    else:
-        raise DomainError(f"unknown model {model!r}; known: {', '.join(_MODELS)}")
-    return pauli_to_diagmatrix(terms, n, max_qubits=max_qubits)
+    if model.lower() not in MODELS:
+        raise DomainError(f"unknown model {model!r}; known: {', '.join(MODELS)}")
+    build, _ = MODELS[model.lower()]
+    return pauli_to_diagmatrix(build(n, **params), n)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import make_plan
-from .dataflow import FeedConfig, StageCycles, add_counters, run_job
+from .blocking import check_cuts, group_sizes, make_plan
+from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
 from .diagmat import DiagMatrix, drop_below, identity, one_norm
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
@@ -61,6 +61,12 @@ class GridSetup:
     b_group_size: int | None = None
     interleave: int = 1
 
+    def __post_init__(self):
+        """Check the settings that hold whatever the operands, even if nothing plans."""
+        group_sizes(self.rows, self.cols, self.a_group_size, self.b_group_size)
+        check_cuts(self.cuts)
+        check_interleave(self.interleave)
+
 
 @dataclass
 class IterationRecord:
@@ -78,15 +84,15 @@ class IterationRecord:
         return self.mem.hit_rate
 
 
-def term_count_for(norm: float, eps: float, cap: int = TERM_CAP) -> int:
-    """Smallest K with norm^(K+1) / (K+1)! <= eps."""
+def term_count_for(norm: float, eps: float) -> int:
+    """Smallest K <= TERM_CAP with norm^(K+1) / (K+1)! <= eps."""
     bound = 1.0
-    for k in range(cap + 1):
+    for k in range(TERM_CAP + 1):
         bound *= norm / (k + 1)
         if bound <= eps:
             return k
     raise ConvergenceError(
-        f"one-norm {norm:.4g} needs more than {cap} terms to reach eps={eps:g}")
+        f"one-norm {norm:.4g} needs more than {TERM_CAP} terms to reach eps={eps:g}")
 
 
 def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,

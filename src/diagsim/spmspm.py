@@ -13,80 +13,48 @@ range, cut to two segments' bounds, sets dataflow.run_job's multiply count and
 blocking.job_product's values.  simulate_product checks the jobs' summed count
 against multiply_count; the tests hold both to the per-cycle grid stepper.
 
-``diag_matmul`` does the work as dense array operations on whole diagonals.
-A diagonal is laid out as a length-N vector, zero-padded outside its natural
-length, in one of two ways: *by row* (position j holds the entry in matrix
-row j) or *by column* (position j holds the entry in column j).  The kernel
-loops over the diagonals of the operand with fewer of them (the narrow one;
-A on a tie) and, per step, multiplies one of its diagonals into every laid-out
-diagonal of the other (wide) operand with a single array operation:
-
-* narrow A: B and C are laid out by row, and for each dA in ascending order
-  ``C[dA + dB, r] += A_dA[r] * B[dB, r + dA]`` for all dB at once;
-* narrow B: A and C are laid out by column, and for each dB in descending
-  order ``C[dA + dB, k + dB] += A[dA, k] * B_dB[k]`` for all dA at once.
-
-Padding is zero and inputs are finite, so the out-of-range positions of a
-step only ever add zeros.  Pairs whose offset sum falls outside the matrix
-multiply padding alone and go to one scratch row that is discarded.
+``diag_matmul`` does the work as dense array operations on whole diagonals,
+each laid out by column: a length-N vector whose position k holds the entry
+in matrix column k, zero-padded outside its natural length.  A is laid out
+``BLOCK`` diagonals at a time, and B's diagonals stream past each block in
+descending dB, each multiplying every diagonal of the block in one array
+operation: ``C[dA + dB, k + dB] += A[dA, k] * B_dB[k]`` for all dA at once.
+B is the looped operand because in the Taylor chain (hamsim) it is the
+Hamiltonian, whose few diagonals set the loop count, while A is the widening
+series term.  Padding is zero and inputs are finite, so the out-of-range
+positions of a step only ever add zeros.  Pairs whose offset sum falls
+outside the matrix multiply padding alone and go to one scratch row that is
+discarded.
 
 Accumulation order: every output diagonal receives its terms in ascending dA,
 the order of a loop over (dA, dB) pairs in ascending dA then dB, so results
-are bit-reproducible and agree with that loop.  (Descending dB is ascending
-dA for a fixed dA + dB, and the wide operand's blocks are visited in the
-matching direction.)
+are bit-reproducible and, for real operands, bit-identical to that loop; a
+complex product may round differently by the shape of numpy's call.
+(Descending dB is ascending dA for a fixed dA + dB, and A's blocks are
+visited in ascending order.)
 
 Memory: operands are read from their flat value buffers (see ``diagmat``):
-a block of the wide operand is one buffer slice scattered into its layout,
-and a narrow diagonal is a slice view.  The accumulator holds one length-N row
-per output offset plus the scratch row; the wide operand is laid out
-``BLOCK`` diagonals at a time, so other temporaries stay within about
-BLOCK x N values.  The kept (not all-zero) rows are gathered into one
-exact-length buffer that becomes the product's value buffer as it is.
+a block of A is one buffer slice scattered into its layout, and a diagonal
+of B is a slice view.  The accumulator holds one length-N row per output
+offset plus the scratch row; other temporaries stay within about BLOCK x N
+values.  The kept (not all-zero) rows are gathered into one exact-length
+buffer that becomes the product's value buffer as it is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .diagmat import COMPLEX, DiagMatrix
 from .errors import ShapeError
 
-# diagonals of the wide operand laid out, and multiplied, per array operation
+# diagonals of A laid out, and multiplied, per array operation
 BLOCK = 64
-
-
-def minkowski(da: set[int] | list[int] | tuple[int, ...], db) -> tuple[int, ...]:
-    """All pairwise offset sums, deduplicated and sorted."""
-    return tuple(sorted({a + b for a in da for b in db}))
-
-
-@dataclass(frozen=True)
-class OverlapRange:
-    """Inclusive row range [r_lo, r_hi] of valid products; empty when r_lo > r_hi."""
-
-    r_lo: int
-    r_hi: int
-
-    def __len__(self) -> int:
-        return max(0, self.r_hi - self.r_lo + 1)
-
-    def __bool__(self) -> bool:
-        return self.r_hi >= self.r_lo
-
-
-def overlap_range(da: int, db: int, n: int) -> OverlapRange:
-    """Row range over which diagonals at offsets da (in A) and db (in B) interact."""
-    r_lo = max(0, -da, -(da + db))
-    r_hi = n - 1 - max(0, da, da + db)
-    return OverlapRange(r_lo, r_hi)
 
 
 def multiply_count(offsets_a, offsets_b, n: int) -> int:
     """Scalar multiplies a full diagonal-space product performs: the summed
-    overlap_range lengths, n - max(0, dA, dC) - max(0, -dA, -dC) when
+    overlap range lengths, n - max(0, dA, dC) - max(0, -dA, -dC) when
     positive, over all pairs with dC = dA + dB."""
     da = np.asarray(offsets_a, dtype=np.int64)[:, None]
     dc = da + np.asarray(offsets_b, dtype=np.int64)
@@ -94,20 +62,20 @@ def multiply_count(offsets_a, offsets_b, n: int) -> int:
     return int(np.maximum(lengths, 0).sum())
 
 
-def _window(offsets: np.ndarray, n: int, by_col: bool) -> np.ndarray:
-    """(len(offsets), n) mask of the positions each diagonal fills when laid out.
+def _window(offsets: np.ndarray, n: int) -> np.ndarray:
+    """(len(offsets), n) mask of the columns each diagonal fills when laid out.
 
     Row-major order over the mask is the order of the diagonals' values
     concatenated, so one boolean index scatters or gathers them all.
     """
-    start = np.maximum(0, offsets if by_col else -offsets)
+    start = np.maximum(0, offsets)
     j = np.arange(n)
     return (j >= start[:, None]) & (j < (start + n - np.abs(offsets))[:, None])
 
 
-def _layout(m: DiagMatrix, lo: int, hi: int, by_col: bool) -> np.ndarray:
+def _layout(m: DiagMatrix, lo: int, hi: int) -> np.ndarray:
     """Diagonals lo..hi-1 of m as the rows of a zero-padded (hi - lo, n) array."""
-    mask = _window(m.offset_array[lo:hi], m.dim, by_col)
+    mask = _window(m.offset_array[lo:hi], m.dim)
     out = np.zeros(mask.shape, dtype=COMPLEX)
     out[mask] = m.values[m.starts[lo]:m.starts[hi]]
     return out
@@ -131,26 +99,15 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     slot = np.searchsorted(out_offsets, sums)
     slot[np.abs(sums) >= n] = len(out_offsets)  # the scratch row
     acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
-    by_col = a.nnzd > b.nnzd
-    if by_col:
-        b_starts = b.starts.tolist()
-        for i0 in range(0, a.nnzd, BLOCK):
-            wide = _layout(a, i0, min(i0 + BLOCK, a.nnzd), by_col=True)
-            for j in range(b.nnzd - 1, -1, -1):
-                db, b_vals = b.offsets[j], b.values[b_starts[j]:b_starts[j + 1]]
-                lo, hi = max(0, -db), n - max(0, db)
-                acc[slot[i0:i0 + BLOCK, j], lo + db:hi + db] += wide[:, lo:hi] * b_vals
-    else:
-        a_starts = a.starts.tolist()
-        for j1 in range(b.nnzd, 0, -BLOCK):
-            j0 = max(0, j1 - BLOCK)
-            wide = _layout(b, j0, j1, by_col=False)
-            for i, da in enumerate(a.offsets):
-                a_vals = a.values[a_starts[i]:a_starts[i + 1]]
-                lo, hi = max(0, -da), n - max(0, da)
-                acc[slot[i, j0:j1], lo:hi] += a_vals * wide[:, lo + da:hi + da]
+    b_starts = b.starts.tolist()
+    for i0 in range(0, a.nnzd, BLOCK):
+        block = _layout(a, i0, min(i0 + BLOCK, a.nnzd))
+        for j in range(b.nnzd - 1, -1, -1):
+            db, b_vals = b.offsets[j], b.values[b_starts[j]:b_starts[j + 1]]
+            lo, hi = max(0, -db), n - max(0, db)
+            acc[slot[i0:i0 + BLOCK, j], lo + db:hi + db] += block[:, lo:hi] * b_vals
     keep = acc[:-1].any(axis=1)
-    mask = _window(out_offsets, n, by_col) & keep[:, None]
+    mask = _window(out_offsets, n) & keep[:, None]
     values = acc[:-1][mask]
     del acc
     return DiagMatrix.packed(n, out_offsets[keep], values)

@@ -1,10 +1,38 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from diagsim import DiagMatrix, Diagonal
-from diagsim.spmspm import overlap_range
+from diagsim.blocking import segment_bounds
+
+
+def minkowski(da: set[int] | list[int] | tuple[int, ...], db) -> tuple[int, ...]:
+    """All pairwise offset sums, deduplicated and sorted."""
+    return tuple(sorted({a + b for a in da for b in db}))
+
+
+@dataclass(frozen=True)
+class OverlapRange:
+    """Inclusive row range [r_lo, r_hi] of valid products; empty when r_lo > r_hi."""
+
+    r_lo: int
+    r_hi: int
+
+    def __len__(self) -> int:
+        return max(0, self.r_hi - self.r_lo + 1)
+
+    def __bool__(self) -> bool:
+        return self.r_hi >= self.r_lo
+
+
+def overlap_range(da: int, db: int, n: int) -> OverlapRange:
+    """Row range over which diagonals at offsets da (in A) and db (in B) interact:
+    the per-pair oracle of spmspm.multiply_count and the pair loop below."""
+    r_lo = max(0, -da, -(da + db))
+    r_hi = n - 1 - max(0, da, da + db)
+    return OverlapRange(r_lo, r_hi)
 
 
 def diag_matrix(n, diags: dict[int, np.ndarray]) -> DiagMatrix:
@@ -41,6 +69,11 @@ def rand_hermitian(rng, n, k=None):
         diags[d] = vec
         diags[-d] = np.conj(vec)
     return diag_matrix(n, diags)
+
+
+def whole_segments(m):
+    """Bounds array of every stored diagonal, whole: a one-job grid's operand."""
+    return segment_bounds(m, 0, m.dim)
 
 
 def pair_products(a, b):

@@ -21,7 +21,11 @@ import numpy as np
 from diagsim.blocking import segment_values
 from diagsim.dataflow import FeedConfig, StageCycles, longest_diagonal, predict_cycles
 from diagsim.diagmat import COMPLEX, diag_length
-from diagsim.errors import GridCapacityError, SimulatorError
+from diagsim.errors import GridCapacityError
+
+
+class SimulatorError(RuntimeError):
+    """Internal simulator invariant violated (livelock, FIFO overwrite)."""
 
 
 def _zero_counters():

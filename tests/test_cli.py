@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from diagsim import cli, gen_benchmark, hamsim
+from diagsim import DiagMatrix, cli, gen_benchmark, hamsim
 from diagsim.diagio import save_matrix
 
 
@@ -62,9 +62,24 @@ def test_config_on_off_flags(tmp_path):
 def test_interleave_below_one_rejected(tmp_path, interleave):
     path = str(tmp_path / "h.diaq")
     save_matrix(gen_benchmark("tfim", 4), path)
-    argv = ["simulate", path, path, "--out", str(tmp_path / "r.json"),
-            f"--interleave={interleave}"]
+    # an operand with no diagonals gives a plan with no job to check it
+    empty = str(tmp_path / "empty.diaq")
+    save_matrix(DiagMatrix(16, ()), empty)
+    for a in (path, empty):
+        argv = ["simulate", a, path, "--out", str(tmp_path / "r.json"),
+                f"--interleave={interleave}"]
+        assert cli.main(argv) == cli.DATA_EXIT
+
+
+def test_qubits_without_model_exits_2_with_one_line(tmp_path, capsys):
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("tfim", 3), path)
+    out = tmp_path / "r.json"
+    argv = ["expm", "--h-file", path, "--qubits", "9", "--functional-only", "--out", str(out)]
     assert cli.main(argv) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--qubits" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -80,6 +95,15 @@ def test_interleave_below_one_rejected(tmp_path, interleave):
     ["expm", "--model", "tfim", "--qubits", "3", "--b-group-size", "0"],
     ["expm", "--model", "tfim", "--qubits", "3", "--grid-rows", "0"],
     ["expm", "--model", "tfim", "--qubits", "3", "--cuts", "5,3"],
+    # checked when the grid setup is built, though a functional run never plans
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--grid-rows", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--a-group-size", "0"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--cuts", "5,3"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--interleave", "0"],
 ])
 def test_count_out_of_range_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

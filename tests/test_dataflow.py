@@ -4,14 +4,14 @@ stepper (tests/stepper.py) they are held to."""
 import numpy as np
 import pytest
 
-from diagsim import diag_matmul, identity, minkowski, multiply_count, to_dense
-from diagsim.blocking import merge_outputs, whole_segments
+from diagsim import diag_matmul, identity, multiply_count, to_dense
+from diagsim.blocking import merge_outputs
 from diagsim.cli import main
 from diagsim.dataflow import FeedConfig, longest_diagonal, predict_cycles, run_job
 from diagsim.diagio import save_matrix
 from diagsim.errors import GridCapacityError
 
-from conftest import pair_products, rand_matrix
+from conftest import minkowski, pair_products, rand_matrix, whole_segments
 from stepper import DpeGrid, GridRun, step_job
 
 

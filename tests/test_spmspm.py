@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagsim import (DiagMatrix, Diagonal, dense_matmul_oracle, diag_matmul, from_dense,
-                     identity, minkowski, multiply_count, overlap_range, spmspm, to_dense)
+                     identity, multiply_count, spmspm, to_dense)
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import pair_loop_matmul, pair_products, rand_matrix
+from conftest import minkowski, overlap_range, pair_loop_matmul, pair_products, rand_matrix
 
 
 class TestMinkowski:
@@ -127,13 +127,13 @@ def _check_against_oracles(a, b):
 
 
 @st.composite
-def operand_pairs(draw):
+def operand_pairs(draw, real=False):
     """Random operands of one dim, from empty to every diagonal present."""
     n = draw(st.integers(1, 40))
     offsets = st.lists(st.integers(-(n - 1), n - 1), max_size=2 * n - 1, unique=True)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rand_matrix(rng, n, offsets=sorted(draw(offsets)))
-    b = rand_matrix(rng, n, offsets=sorted(draw(offsets)))
+    a = rand_matrix(rng, n, offsets=sorted(draw(offsets)), real=real)
+    b = rand_matrix(rng, n, offsets=sorted(draw(offsets)), real=real)
     return a, b
 
 
@@ -141,12 +141,27 @@ class TestKernelAgainstOracles:
     @settings(max_examples=200, deadline=None)
     @given(operand_pairs(), st.sampled_from([1, 3, spmspm.BLOCK]))
     def test_random_operands(self, pair, block):
-        # small blocks split the wide operand into several layout passes
+        # small blocks split A into several layout passes
         saved, spmspm.BLOCK = spmspm.BLOCK, block
         try:
             _check_against_oracles(*pair)
         finally:
             spmspm.BLOCK = saved
+
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs(real=True), st.sampled_from([1, 3, spmspm.BLOCK]))
+    def test_real_operands_match_pair_loop_bit_for_bit(self, pair, block):
+        # a real product rounds the same in any array shape, so only the
+        # summation order, ascending dA per output diagonal, sets the bits
+        saved, spmspm.BLOCK = spmspm.BLOCK, block
+        try:
+            got = diag_matmul(*pair)
+        finally:
+            spmspm.BLOCK = saved
+        want = pair_loop_matmul(*pair)
+        assert got.offsets == tuple(want)
+        for diag in got.diagonals:
+            assert diag.values.tobytes() == want[diag.offset].tobytes()
 
     @pytest.mark.parametrize("n, offs_a, offs_b", [
         (1, [0], [0]),
