@@ -65,11 +65,14 @@ def segment_values(m: DiagMatrix, offset: int, first: int, last: int) -> np.ndar
     return m.diagonal(offset).values[first - row0: last + 1 - row0]
 
 
-def check_cuts(cuts) -> list[int]:
-    """cuts as a list; PlanError unless strictly ascending."""
+def check_cuts(cuts, n: int | None = None) -> list[int]:
+    """cuts as a list; PlanError unless strictly ascending and, given the
+    dim n, strictly inside [1, n - 1]."""
     cuts = list(cuts or [])
     if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
         raise PlanError(f"cuts must be strictly ascending, got {cuts}")
+    if n is not None and any(not (1 <= c <= n - 1) for c in cuts):
+        raise PlanError(f"cuts must lie strictly inside [1, {n - 1}], got {cuts}")
     return cuts
 
 
@@ -100,9 +103,7 @@ def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
         raise PlanError(f"dim mismatch: {a.dim} vs {b.dim}")
     a_gs, b_gs = group_sizes(grid_rows, grid_cols, a_group_size, b_group_size)
     n = a.dim
-    cuts = check_cuts(default_cuts(n) if cuts is None else cuts)
-    if any(not (1 <= c <= n - 1) for c in cuts):
-        raise PlanError(f"cuts must lie strictly inside [1, {n - 1}], got {cuts}")
+    cuts = check_cuts(default_cuts(n) if cuts is None else cuts, n)
     edges = [0, *cuts, n]
     jobs = []
     a_count = b_count = 0  # group ids run on across windows

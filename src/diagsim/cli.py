@@ -10,12 +10,14 @@ true or false); explicit flags win.  Unknown keys are usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import diagio
+from .blocking import check_cuts
 from .dataflow import FeedConfig, StageCycles, add_counters
 from .diagmat import DiagMatrix, drop_zero_diagonals, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
@@ -191,6 +193,7 @@ def cmd_expm(args) -> int:
     cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters,
                        eps=args.eps, use_simulator=not args.functional_only)
     grid = _grid_setup(args)
+    check_cuts(grid.cuts, h.dim)  # before the series, which plans only with the simulator
     cache = SetAssocCache(grid.cache)
     segment_u, records = taylor_expm(h, cfg, grid, cache)
     # the segmented form repeats the short-time expansion and multiplies the
@@ -351,10 +354,17 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"unknown config keys: {sorted(values.keys() - known)}")
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every run without --config, built once per process and
+    never changed: _apply_config sets defaults on a parser of its own run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.config:
+        parser = build_parser()
         _apply_config(parser, args.config)
         args = parser.parse_args(argv)
     try:

@@ -16,6 +16,9 @@ double, so both formats round-trip bit-exactly, signed zeros included.  The
 writer formats each distinct (re, im) pair of a diagonal once, since
 Hamiltonian diagonals hold few distinct values.
 
+Every format holds complex128 values; a float64-buffered matrix is written
+as its complex128 twin, each x as x + 0j, byte for byte.
+
 Matrix Market coordinate files never densify: duplicate entries are summed,
 then ``diagmat.from_coo`` puts each on the diagonal at offset col - row and
 drops a diagonal whose sums are all zero, as ``from_dense`` drops it.  Memory
@@ -108,7 +111,8 @@ def _json_pairs(values: np.ndarray) -> str:
 
     Pairs are compared as raw bytes, so -0.0 and 0.0 stay distinct.
     """
-    distinct, inverse = np.unique(values.view("V16"), return_inverse=True)
+    distinct, inverse = np.unique(values.astype(COMPLEX, copy=False).view("V16"),
+                                  return_inverse=True)
     text = np.array(["[%r,%r]" % (re, im)
                      for re, im in distinct.view(np.float64).reshape(-1, 2).tolist()],
                     dtype=object)
@@ -136,8 +140,8 @@ def write_matrix_market(m: DiagMatrix, path: str) -> None:
     """Coordinate file of the nonzero entries (stored zeros are not written)."""
     rows, cols = m.coordinates()
     nonzero = m.values != 0
-    coo = scipy.sparse.coo_matrix((m.values[nonzero], (rows[nonzero], cols[nonzero])),
-                                  shape=(m.dim, m.dim))
+    coo = scipy.sparse.coo_matrix((m.values[nonzero].astype(COMPLEX, copy=False),
+                                   (rows[nonzero], cols[nonzero])), shape=(m.dim, m.dim))
     text = io.BytesIO()
     scipy.io.mmwrite(text, coo)
     _atomic_write(path, text.getvalue())

@@ -10,17 +10,21 @@ matrix position (row, col) with
 All other modules inherit this indexing convention.
 
 Storage: ``offsets``, a strictly increasing tuple of ints (also kept as the
-int64 array ``offset_array``), and ``values``, one flat complex128 buffer
-holding the diagonals back to back in that order: diagonal i is
+int64 array ``offset_array``), and ``values``, one flat float64 or complex128
+buffer holding the diagonals back to back in that order: diagonal i is
 ``values[starts[i]:starts[i + 1]]``, ``starts`` being 0 and the running sum
 of the lengths.  Whole-matrix operations are a fixed number of numpy calls
-on the buffer.  ``diagonals`` holds ``Diagonal`` views into the buffer, built
-on first use and cached; the library never writes through them.
+on the buffer, and their results take numpy's promoted dtype: a real matrix
+stays real under real scaling, sums and products, and meets a complex one in
+complex128.  A float64 entry x stands for the complex x + 0j.  ``diagonals``
+holds ``Diagonal`` views into the buffer, built on first use and cached; the
+library never writes through them.
 
 Every construction checks 1 <= dim < 2**63, integer offsets strictly increasing
-inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and finite
-values, naming the failing diagonal.  ``DiagMatrix(dim, diagonals)`` first
-converts and length-checks each Diagonal's values, then packs them;
+inside (-N, N), a contiguous float64 or complex128 buffer of length
+sum(N - |d|) and finite values, naming the failing diagonal.
+``DiagMatrix(dim, diagonals)`` first converts each Diagonal's values to
+complex128 and length-checks them, then packs them;
 ``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is and
 rejects anything else.  ``from_coo`` turns entries into diagonals for the
 Pauli generator and the Matrix Market reader; ``from_dense`` gathers them
@@ -36,6 +40,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 COMPLEX = np.complex128
+DTYPES = (np.dtype(np.float64), np.dtype(COMPLEX))  # the buffer dtypes
 
 
 def diag_length(n: int, d: int) -> int:
@@ -112,13 +117,15 @@ class DiagMatrix:
             diag_length(n, d)
         self.starts = buffer_starts(n, offs)
         values, total = self.values, int(self.starts[-1])
-        if not (type(values) is np.ndarray and values.dtype == COMPLEX
+        if not (type(values) is np.ndarray and values.dtype in DTYPES
                 and values.shape == (total,) and values.flags.c_contiguous):
             raise ShapeError(f"{len(offs)} diagonals of a dim-{n} matrix need a contiguous "
-                             f"complex128 buffer of {total} values, got {values!r:.60}")
+                             f"float64 or complex128 buffer of {total} values, "
+                             f"got {values!r:.60}")
         finite = np.isfinite(values.view(np.float64))  # faster than on complex128
         if not finite.all():
-            i = np.searchsorted(self.starts, np.argmin(finite) // 2, side="right") - 1
+            entry = np.argmin(finite) // (values.itemsize // 8)  # float64s per entry
+            i = np.searchsorted(self.starts, entry, side="right") - 1
             raise DomainError(f"diagonal {self.offsets[i]} contains non-finite values")
         self._views = None
 
@@ -183,7 +190,9 @@ def _combine(a: DiagMatrix, b: DiagMatrix) -> tuple[np.ndarray, np.ndarray]:
     both = np.sort(np.concatenate((a.offset_array, b.offset_array)))
     offsets = both[np.diff(both, prepend=-a.dim) > 0]
     starts = buffer_starts(a.dim, offsets)
-    values = np.full(starts[-1], complex(-0.0, -0.0))  # -0.0 + x is x bit for bit
+    dtype = np.result_type(a.values, b.values)
+    # -0.0 in every float64 of the buffer, as -0.0 + x is x bit for bit
+    values = np.full(starts[-1] * (dtype.itemsize // 8), -0.0).view(dtype)
     for m in (a, b):
         # each maximal run of m's diagonals that stays contiguous in the union
         shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
@@ -207,8 +216,8 @@ def _coordinates(offsets: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
             _entry_index(starts, np.maximum(0, offsets)))
 
 
-def identity(n: int) -> DiagMatrix:
-    return DiagMatrix.packed(n, (0,), np.ones(n, dtype=COMPLEX))
+def identity(n: int, dtype=COMPLEX) -> DiagMatrix:
+    return DiagMatrix.packed(n, (0,), np.ones(n, dtype=dtype))
 
 
 def from_coo(n: int, rows, cols, values) -> DiagMatrix:

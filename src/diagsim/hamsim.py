@@ -13,6 +13,20 @@ trajectory reflects genuine structure.
 
 When no fixed term count is given, K is the smallest k whose one-norm
 remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
+
+A real H (every imaginary part zero, as all three generators give) runs the
+chain in float64.  With Q = t Re(H), T_k = (-i)^k P_k for the real
+P_k = P_{k-1} Q / k, so T_k has one nonzero component, the real one for even
+k and the imaginary one for odd k: R_k = +-P_k.  The chain computes
+R_k = R_{k-1} Q_k / k, where Q_k is -Q for odd k and Q for even k, and _term
+writes R_k into the complex128 term that U adds.  U, the records and the
+modeled figures keep every bit the complex chain T_k = T_{k-1} (-i t H) / k
+gives them.  In that chain each product of one-component entries is one
+real product, equal to the real chain's up to an exact negation.  The
+kernel's accumulator starts at +0.0, so every term's other component is
++0.0, and the scaling by 1/k leaves both as _term writes them.  The grid,
+plan and memory models read offsets only.  A complex H keeps the complex
+chain.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import numpy as np
 
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
-from .diagmat import DiagMatrix, drop_below, identity, one_norm
+from .diagmat import COMPLEX, DiagMatrix, drop_below, identity, one_norm
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -107,15 +121,22 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     """
     grid = grid or GridSetup()
     n = h.dim
-    m = h.scaled(-1j * cfg.t)
-    k_max = cfg.terms if cfg.terms is not None else term_count_for(one_norm(m), cfg.eps)
+    real = not h.values.imag.any()
+    if real:  # the factors Q_k into even and odd k (module docstring)
+        q = DiagMatrix.packed(n, h.offset_array, h.values.real * cfg.t)
+        factors = (q, q.scaled(-1.0))
+    else:
+        factors = (h.scaled(-1j * cfg.t),) * 2
+    k_max = (cfg.terms if cfg.terms is not None
+             else term_count_for(one_norm(factors[0]), cfg.eps))
     if cache is None and cfg.use_simulator:
         cache = SetAssocCache(grid.cache)
 
     u = identity(n)
-    t_k = identity(n)
+    t_k = identity(n, factors[0].values.dtype)
     records: list[IterationRecord] = []
     for k in range(1, k_max + 1):
+        m = factors[k % 2]
         if cfg.use_simulator:
             product, stage, counters, mem = simulate_product(
                 t_k, m, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
@@ -128,7 +149,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
         if t_k.nnzd:
             t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
-        u = u.add(t_k)
+        u = u.add(_term(t_k, k) if real else t_k)
         records.append(IterationRecord(
             k=k, nnzd=t_k.nnzd, nnze=int(np.count_nonzero(mag)),
             storage_scalars=t_k.storage_scalars,
@@ -138,6 +159,15 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         if not t_k.nnzd:
             break  # exact nilpotency: every later term is zero too
     return u, records
+
+
+def _term(r: DiagMatrix, k: int) -> DiagMatrix:
+    """T_k in complex128 from R_k, its real part for even k and imaginary part
+    for odd k: the other part is +0.0, and an odd term's part is +0.0 + R_k,
+    as the complex chain's 1/k scaling computes it."""
+    values = np.zeros(r.storage_scalars, COMPLEX)
+    np.add(0.0 if k % 2 else -0.0, r.values, out=values.view(np.float64)[k % 2::2])
+    return DiagMatrix.packed(r.dim, r.offset_array, values)
 
 
 def simulate_product(a: DiagMatrix, b: DiagMatrix, grid: GridSetup,

@@ -33,6 +33,12 @@ complex product may round differently by the shape of numpy's call.
 (Descending dB is ascending dA for a fixed dA + dB, and A's blocks are
 visited in ascending order.)
 
+Dtype: a block keeps its operand's buffer dtype, and the accumulator, so
+the product, takes ``np.result_type`` of the two operands.  Two float64
+operands multiply in real arithmetic on half the bytes of complex128; a
+float64 operand meeting a complex128 one is promoted entry by entry to
+x + 0j, so the product has the bits of its complex128 twins' product.
+
 Memory: operands are read from their flat value buffers (see ``diagmat``):
 a block of A is one buffer slice scattered into its layout, and a diagonal
 of B is a slice view.  The accumulator holds one length-N row per output
@@ -76,7 +82,7 @@ def _window(offsets: np.ndarray, n: int) -> np.ndarray:
 def _layout(m: DiagMatrix, lo: int, hi: int) -> np.ndarray:
     """Diagonals lo..hi-1 of m as the rows of a zero-padded (hi - lo, n) array."""
     mask = _window(m.offset_array[lo:hi], m.dim)
-    out = np.zeros(mask.shape, dtype=COMPLEX)
+    out = np.zeros(mask.shape, dtype=m.values.dtype)
     out[mask] = m.values[m.starts[lo]:m.starts[hi]]
     return out
 
@@ -91,14 +97,15 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     if a.dim != b.dim:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     n = a.dim
+    dtype = np.result_type(a.values, b.values)
     if not a.nnzd or not b.nnzd:
-        return DiagMatrix(n, ())
+        return DiagMatrix.packed(n, (), np.empty(0, dtype))
     sums = a.offset_array[:, None] + b.offset_array[None, :]
     out_offsets = np.unique(sums)
     out_offsets = out_offsets[np.abs(out_offsets) < n]
     slot = np.searchsorted(out_offsets, sums)
     slot[np.abs(sums) >= n] = len(out_offsets)  # the scratch row
-    acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
+    acc = np.zeros((len(out_offsets) + 1, n), dtype=dtype)
     b_starts = b.starts.tolist()
     for i0 in range(0, a.nnzd, BLOCK):
         block = _layout(a, i0, min(i0 + BLOCK, a.nnzd))

@@ -40,6 +40,12 @@ def diag_matrix(n, diags: dict[int, np.ndarray]) -> DiagMatrix:
     return DiagMatrix(n, tuple(Diagonal(d, diags[d]) for d in sorted(diags)))
 
 
+def float64_copy(m: DiagMatrix) -> DiagMatrix:
+    """m's real parts in a float64 buffer: the matrix whose complex128 twin,
+    each x as x + 0j, is m when m is real."""
+    return DiagMatrix.packed(m.dim, m.offsets, m.values.real.copy())
+
+
 def same_bits(got: DiagMatrix, want: DiagMatrix) -> bool:
     """Same dim, offsets and value bits (so -0.0 differs from 0.0)."""
     return (got.dim, got.offsets) == (want.dim, want.offsets) and \

@@ -50,6 +50,24 @@ def test_explicit_flag_beats_config(tmp_path):
     assert _expm_terms(tmp_path, "t=0.01\n", "--functional-only", "--t", "1") == 37
 
 
+def test_config_leaves_later_runs_on_built_in_defaults(tmp_path, monkeypatch):
+    assert _expm_terms(tmp_path, "t=0.01\niters=3\n", "--functional-only") == 3
+    # the next run in the process has no config: t=1 and eps decide, as built in
+    out = tmp_path / "plain.json"
+    argv = ["expm", "--model", "heisenberg", "--qubits", "4", "--functional-only",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["taylor_terms"] == 37
+    # runs without a config share one parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: builds.append(1) or real())
+    cli._shared_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    assert len(builds) == 1
+
+
 def test_config_on_off_flags(tmp_path):
     assert _expm_terms(tmp_path, "t=0.01\nfunctional_only=true\n") == 5
     for bad in ("functional_only=yes\n", "no_such_key=1\n"):
@@ -104,6 +122,12 @@ def test_qubits_without_model_exits_2_with_one_line(tmp_path, capsys):
      "--cuts", "5,3"],
     ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
      "--interleave", "0"],
+    # cuts outside [1, dim - 1], checked against H before the series runs
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--cuts", "100"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--functional-only", "--iters", "2",
+     "--cuts", "0,4"],
+    ["expm", "--model", "tfim", "--qubits", "3", "--iters", "2", "--cuts", "8"],
 ])
 def test_count_out_of_range_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

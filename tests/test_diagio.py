@@ -296,3 +296,15 @@ def test_read_diaq_damaged_file(fuzz_path, n, seed, cut, flips):
     for pos, xor in flips:
         blob[pos % len(blob)] ^= xor
     _read_damaged(fuzz_path, bytes(blob if cut is None else blob[:cut % len(blob)]))
+
+
+@pytest.mark.parametrize("fmt", ["diaq", "json", "mtx"])
+def test_float64_matrix_is_written_as_its_complex128_twin(tmp_path, fmt):
+    values = np.array([1.5, -0.0, 0.0, -2.25, 1e-300, 0.1, 3.0])
+    real = DiagMatrix.packed(4, (-1, 0), values)
+    twin = DiagMatrix.packed(4, (-1, 0), values.astype(complex))  # each x as x + 0j
+    save_matrix(real, str(tmp_path / f"real.{fmt}"), fmt)
+    save_matrix(twin, str(tmp_path / f"twin.{fmt}"), fmt)
+    written = (tmp_path / f"real.{fmt}").read_bytes()
+    assert written == (tmp_path / f"twin.{fmt}").read_bytes()
+    assert load_matrix(str(tmp_path / f"real.{fmt}"), fmt).values.dtype == complex

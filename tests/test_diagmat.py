@@ -7,8 +7,8 @@ from diagsim import (DiagMatrix, Diagonal, diag_length, drop_zero_diagonals,
 from diagsim.diagmat import from_coo
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import (add_oracle, diag_matrix, drop_zero_oracle, rand_matrix, same_bits,
-                      scaled_oracle)
+from conftest import (add_oracle, diag_matrix, drop_zero_oracle, float64_copy, rand_matrix,
+                      same_bits, scaled_oracle)
 
 
 class TestDiagLength:
@@ -279,6 +279,27 @@ def test_packed_ops_match_dense_and_per_diagonal_oracles(pair, factor, eps):
     assert same_bits(dropped, drop_zero_oracle(a, eps))
 
 
+@settings(max_examples=200, deadline=None)
+@given(packed_pairs(), st.sampled_from([0.0, 0.5]))
+def test_float64_buffers_follow_numpy_promotion(pair, eps):
+    n, a_diags, b_diags = pair
+    # complex128 matrices of real values, and their float64 copies
+    ta, tb = (diag_matrix(n, {d: v.real for d, v in diags.items()})
+              for diags in (a_diags, b_diags))
+    a, b = float64_copy(ta), float64_copy(tb)
+    assert a.nnze == ta.nnze and one_norm(a) == one_norm(ta)
+    # real with real stays float64 and holds the twin's real part bit for bit
+    for got, twin in ((a.add(b), ta.add(tb)), (a.scaled(-2.5), ta.scaled(-2.5)),
+                      (drop_zero_diagonals(a, eps), drop_zero_diagonals(ta, eps))):
+        assert got.values.dtype == np.float64 and got.offsets == twin.offsets
+        assert got.values.tobytes() == twin.values.real.tobytes()
+    # meeting complex128, an entry becomes its twin's x + 0j
+    c = diag_matrix(n, b_diags)
+    assert same_bits(a.add(c), ta.add(c)) and same_bits(c.add(a), c.add(ta))
+    assert same_bits(a.scaled(-0.5j), ta.scaled(-0.5j))
+    assert np.array_equal(to_dense(a), to_dense(ta))
+
+
 class TestPackedConstruction:
     def test_packed_checks_the_buffer(self):
         values = np.ones(5, dtype=complex)
@@ -301,6 +322,18 @@ class TestPackedConstruction:
         values[4] = np.inf
         with pytest.raises(DomainError, match="diagonal 1 "):
             DiagMatrix.packed(3, (0, 1), values)
+
+    @pytest.mark.parametrize("entry, named", [(0, 0), (2, 0), (3, 1), (4, 1)])
+    def test_float64_buffer_names_the_non_finite_diagonal(self, entry, named):
+        values = np.ones(5)  # diagonal 0 holds entries 0-2, diagonal 1 entries 3-4
+        values[entry] = np.nan
+        with pytest.raises(DomainError, match=f"diagonal {named} "):
+            DiagMatrix.packed(3, (0, 1), values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.int32, bool])
+    def test_other_buffer_dtypes_rejected(self, dtype):
+        with pytest.raises(ShapeError, match="float64 or complex128"):
+            DiagMatrix.packed(3, (0, 1), np.ones(5, dtype=dtype))
 
     @pytest.mark.parametrize("offsets, bad", [((0.7,), "0.7"), ((0, 1.0), "1.0"),
                                               (np.array([0.5]), "0.5"), ((True,), "True")])

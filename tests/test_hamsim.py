@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, to_dense
+from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import VerificationError
-from diagsim.hamsim import CANCEL_EPS, GridSetup, TaylorConfig, simulate_product, taylor_expm
+from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from diagsim.memory import SetAssocCache
 
-from conftest import add_oracle, drop_zero_oracle, scaled_oracle
+from conftest import same_bits
+from taylor_oracle import complex_chain
 
 
 def dense_taylor_oracle(h: np.ndarray, t: float, terms: int) -> np.ndarray:
@@ -29,27 +32,11 @@ def test_functional_series_matches_dense_series(model):
     assert np.linalg.norm(to_dense(u) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def per_diagonal_taylor(h, t: float, terms: int):
-    """The functional chain of taylor_expm on the per-diagonal oracles of
-    scaled, add and drop_zero_diagonals."""
-    m = scaled_oracle(h, -1j * t)
-    u = t_k = identity(h.dim)
-    for k in range(1, terms + 1):
-        t_k = scaled_oracle(diag_matmul(t_k, m), 1.0 / k)
-        if t_k.nnzd:
-            peak = max(np.abs(d.values).max() for d in t_k.diagonals)
-            t_k = drop_zero_oracle(t_k, CANCEL_EPS * peak)
-        u = add_oracle(u, t_k)
-        if not t_k.nnzd:
-            break
-    return u
-
-
 @pytest.mark.parametrize("model", ["heisenberg", "tfim"])
 def test_functional_series_is_bit_identical_to_per_diagonal_chain(model):
     h = gen_benchmark(model, 6)
     u, records = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
-    want = per_diagonal_taylor(h, 0.5, len(records))
+    want, _ = complex_chain(h, 0.5, terms=len(records))
     assert u.offsets == want.offsets
     assert u.values.tobytes() == want.values.tobytes()
 
@@ -102,3 +89,74 @@ def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
     grid = GridSetup(rows=8, cols=8)
     with pytest.raises(VerificationError, match=r"no job touches: \[0\]"):
         simulate_product(h, h, grid, SetAssocCache(grid.cache))
+
+
+# the couplings' signs, t's sign and a short chain all reach U's signed zeros:
+# forming (-i)^k P_k by a complex multiply gives -0.0 where the complex chain
+# gives +0.0 in the zero component of a chain's last terms (terms 2, 3, 7 here)
+REAL_CASES = [("heisenberg", 4, {}), ("heisenberg", 6, {"jx": 0.8, "jy": 0.8, "jz": -1.3}),
+              ("heisenberg", 8, {}), ("tfim", 5, {}), ("tfim", 6, {"g": -0.7}), ("tfim", 8, {}),
+              ("maxcut", 4, {}), ("maxcut", 8, {"seed": 3})]
+
+
+@pytest.mark.parametrize("t, terms", [(0.5, None), (-0.3, None), (1.5, 2), (0.5, 3), (-0.8, 7)])
+@pytest.mark.parametrize("model, qubits, couplings", REAL_CASES,
+                         ids=[f"{m}-{q}-{i}" for i, (m, q, _) in enumerate(REAL_CASES)])
+def test_real_chain_u_is_bit_identical_to_complex_chain(model, qubits, couplings, t, terms):
+    h = gen_benchmark(model, qubits, **couplings)
+    eps = None if terms else 1e-8
+    want, nnzd = complex_chain(h, t, terms, eps)
+    for use_simulator in (False, True):
+        cfg = TaylorConfig(t=t, terms=terms, eps=eps, use_simulator=use_simulator)
+        u, records = taylor_expm(h, cfg, GridSetup(rows=16, cols=16))
+        assert [r.nnzd for r in records] == nnzd
+        assert same_bits(u, want)
+
+
+def _product_dtypes(monkeypatch) -> list:
+    """The buffer dtypes of every product hamsim takes from diag_matmul, as it runs."""
+    seen, real = [], hamsim.diag_matmul
+
+    def spy(a, b):
+        seen.append((a.values.dtype, b.values.dtype))
+        return real(a, b)
+
+    monkeypatch.setattr(hamsim, "diag_matmul", spy)
+    return seen
+
+
+@pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])
+def test_real_hamiltonian_multiplies_in_float64(monkeypatch, use_simulator):
+    seen = _product_dtypes(monkeypatch)
+    cfg = TaylorConfig(t=0.5, terms=6, use_simulator=use_simulator)
+    u, _ = taylor_expm(gen_benchmark("tfim", 4), cfg, GridSetup(rows=4, cols=4))
+    assert seen == [(np.float64, np.float64)] * 6
+    assert u.values.dtype == COMPLEX
+
+
+@pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])
+def test_complex_hamiltonian_keeps_the_complex_chain(monkeypatch, use_simulator):
+    # X (x) Y has one Y factor, so imaginary entries; Z (x) I adds a real diagonal
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    dense = np.kron(x, y) + 0.5 * np.kron(z, np.eye(2))
+    rows, cols = np.nonzero(dense)
+    h = from_coo(4, rows, cols, dense[rows, cols])
+    seen = _product_dtypes(monkeypatch)
+    cfg = TaylorConfig(t=0.7, eps=1e-12, use_simulator=use_simulator)
+    u, _ = taylor_expm(h, cfg, GridSetup(rows=2, cols=2))
+    assert seen and all(pair == (COMPLEX, COMPLEX) for pair in seen)
+    assert np.linalg.norm(to_dense(u) - scipy.linalg.expm(-0.7j * dense), 2) <= 1e-11
+    assert same_bits(u, complex_chain(h, 0.7, eps=1e-12)[0])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_term_is_the_complex_chain_scaling_of_a_product(k):
+    # the kernel's products hold no -0.0; a subnormal may still scale to -0.0
+    rng = np.random.default_rng(k)
+    product = np.concatenate([rng.standard_normal(20), np.zeros(3),
+                              5e-324 * rng.integers(-3, 4, 20)]) + 0.0
+    complex_product = np.zeros(len(product), COMPLEX)
+    complex_product.view(np.float64)[k % 2::2] = product  # its one nonzero component
+    r = DiagMatrix.packed(len(product), (0,), product * (1.0 / k))
+    got = hamsim._term(r, k).values
+    assert got.tobytes() == (complex_product * (1.0 / k)).tobytes()

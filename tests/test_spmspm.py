@@ -6,7 +6,8 @@ from diagsim import (DiagMatrix, Diagonal, dense_matmul_oracle, diag_matmul, fro
                      identity, multiply_count, spmspm, to_dense)
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import minkowski, overlap_range, pair_loop_matmul, pair_products, rand_matrix
+from conftest import (float64_copy, minkowski, overlap_range, pair_loop_matmul, pair_products,
+                      rand_matrix)
 
 
 class TestMinkowski:
@@ -162,6 +163,22 @@ class TestKernelAgainstOracles:
         assert got.offsets == tuple(want)
         for diag in got.diagonals:
             assert diag.values.tobytes() == want[diag.offset].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs(real=True), st.sampled_from([1, 3, spmspm.BLOCK]))
+    def test_float64_operands_follow_numpy_promotion(self, pair, block):
+        twin_a, twin_b = pair  # complex128 buffers of real values
+        a, b = float64_copy(twin_a), float64_copy(twin_b)
+        saved, spmspm.BLOCK = spmspm.BLOCK, block
+        try:
+            got, twin = diag_matmul(a, b), diag_matmul(twin_a, twin_b)
+            mixed = [diag_matmul(a, twin_b), diag_matmul(twin_a, b)]
+        finally:
+            spmspm.BLOCK = saved
+        assert got.values.dtype == np.float64 and got.offsets == twin.offsets
+        assert got.values.tobytes() == twin.values.real.tobytes()
+        for c in mixed:
+            assert c.offsets == twin.offsets and c.values.tobytes() == twin.values.tobytes()
 
     @pytest.mark.parametrize("n, offs_a, offs_b", [
         (1, [0], [0]),
