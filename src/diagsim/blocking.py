@@ -13,11 +13,13 @@ Two orthogonal strategies compose:
 Job order is B-group-major: all A-groups run against one B-group before the
 next B-group starts, which maximizes reuse of cached A lines.
 
-No value enters a plan: a group is one int64 bounds array, a row (offset,
-first row, last row) per segment in ascending offset order, which
-dataflow.run_job's feed layout relies on.  job_product and merge_outputs
-compute a plan's values job by job from the operands: the tests' per-job
-reference, which no modeled figure reads.
+No value enters a plan: make_plan(n, a_offsets, b_offsets, ...) takes the dim
+and the operands' ascending offsets, not the matrices, so a product held in
+any form plans alike (hamsim's dense Taylor term included).  A group is one
+int64 bounds array, a row (offset, first row, last row) per segment in
+ascending offset order, which dataflow.run_job's feed layout relies on.
+job_product and merge_outputs compute a plan's values job by job from the
+operands: the tests' per-job reference, which no modeled figure reads.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ class BlockPlan:
     jobs: tuple[Job, ...]
 
 
-def segment_bounds(m: DiagMatrix, lo, hi) -> np.ndarray:
-    """Bounds array of m's diagonals cut to rows lo..hi-1, where lo and hi are
-    integers or hold one per diagonal.  A diagonal left with no row is dropped."""
-    d = m.offset_array
-    first = np.maximum(np.maximum(0, -d), lo)
-    last = np.minimum(m.dim - 1 - np.maximum(0, d), hi - 1)
-    return np.stack((d, first, last), axis=1)[first <= last]
+def segment_bounds(n: int, offsets: np.ndarray, lo, hi) -> np.ndarray:
+    """Bounds array of the diagonals at int64 offsets of a dim-n matrix cut to
+    rows lo..hi-1, where lo and hi are integers or hold one per diagonal.  A
+    diagonal left with no row is dropped."""
+    first = np.maximum(np.maximum(0, -offsets), lo)
+    last = np.minimum(n - 1 - np.maximum(0, offsets), hi - 1)
+    return np.stack((offsets, first, last), axis=1)[first <= last]
 
 
 def segment_values(m: DiagMatrix, offset: int, first: int, last: int) -> np.ndarray:
@@ -95,22 +97,21 @@ def default_cuts(n: int) -> list[int]:
     return list(range(AUTO_CUT_WINDOW, n, AUTO_CUT_WINDOW))
 
 
-def make_plan(a: DiagMatrix, b: DiagMatrix, grid_rows: int, grid_cols: int,
+def make_plan(n: int, a_offsets, b_offsets, grid_rows: int, grid_cols: int,
               cuts=None, a_group_size: int | None = None,
               b_group_size: int | None = None) -> BlockPlan:
-    """Compose row/col and diagonal blocking into a deterministic job list."""
-    if a.dim != b.dim:
-        raise PlanError(f"dim mismatch: {a.dim} vs {b.dim}")
+    """Compose row/col and diagonal blocking of the product of two dim-n
+    matrices, given by their ascending offsets, into a deterministic job list."""
     a_gs, b_gs = group_sizes(grid_rows, grid_cols, a_group_size, b_group_size)
-    n = a.dim
+    a_offs, b_offs = (np.asarray(o, dtype=np.int64) for o in (a_offsets, b_offsets))
     cuts = check_cuts(default_cuts(n) if cuts is None else cuts, n)
     edges = [0, *cuts, n]
     jobs = []
     a_count = b_count = 0  # group ids run on across windows
     for w, (lo, hi) in enumerate(zip(edges, edges[1:])):
         # columns lo..hi-1 of A's diagonal d are its rows lo-d..hi-1-d
-        a_rows = segment_bounds(a, lo - a.offset_array, hi - a.offset_array)
-        b_rows = segment_bounds(b, lo, hi)
+        a_rows = segment_bounds(n, a_offs, lo - a_offs, hi - a_offs)
+        b_rows = segment_bounds(n, b_offs, lo, hi)
         ga = [BlockGroup(a_count + g, a_rows[i: i + a_gs])
               for g, i in enumerate(range(0, len(a_rows), a_gs))]
         gb = [BlockGroup(b_count + g, b_rows[i: i + b_gs])

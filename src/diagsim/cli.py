@@ -19,7 +19,7 @@ import numpy as np
 from . import diagio
 from .blocking import check_cuts
 from .dataflow import FeedConfig, StageCycles, add_counters
-from .diagmat import DiagMatrix, drop_zero_diagonals, to_dense
+from .diagmat import DiagMatrix, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, VerificationError)
 from .hamiltonians import MODELS, gen_benchmark
@@ -163,7 +163,9 @@ def cmd_simulate(args) -> int:
     if trace_fh:
         trace = lambda evt: trace_fh.write(json.dumps(evt) + "\n")
     try:
-        product, stage, counters, mem = simulate_product(a, b, grid, cache, trace=trace)
+        product = diag_matmul(a, b)
+        stage, counters, mem = simulate_product(a.dim, a.offsets, b.offsets, product.offsets,
+                                                grid, cache, trace=trace)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -200,7 +202,7 @@ def cmd_expm(args) -> int:
     # results; the outer power is the same product kernel, run functionally
     u = segment_u
     for _ in range(1, args.segments):
-        u = drop_zero_diagonals(diag_matmul(u, segment_u), 0.0)
+        u = diag_matmul(u, segment_u)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
     stage = sum((r.stage_cycles for r in records), StageCycles(0, 0, 0, 0))

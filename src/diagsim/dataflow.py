@@ -36,7 +36,8 @@ C columns, A-column lengths La and B-row lengths Lb:
   * dynamic preload = R + C - 1, the cycle after the far corner first holds
     both operands.
 
-The product's values come from the functional kernel (spmspm.diag_matmul);
+The product's values come from the caller (spmspm.diag_matmul, or hamsim's
+dense Taylor product);
 blocking.job_product is the per-job value reference.  A per-cycle stepper of
 the same grid lives with the tests as the oracle these closed forms are held
 to.

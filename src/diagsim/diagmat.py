@@ -234,13 +234,15 @@ def from_coo(n: int, rows, cols, values) -> DiagMatrix:
     return drop_zero_diagonals(DiagMatrix.packed(n, offsets, buf), 0.0)
 
 
-def from_dense(rows) -> DiagMatrix:
-    """Compress a dense square grid; only diagonals with a nonzero survive."""
-    grid = np.asarray(rows, dtype=COMPLEX)
+def from_dense(rows, dtype=COMPLEX) -> DiagMatrix:
+    """Compress a dense square grid into a buffer of dtype (float64 or
+    complex128); only diagonals with a nonzero survive."""
+    grid = np.asarray(rows, dtype=dtype)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ShapeError(f"square input required, got shape {grid.shape}")
     n, (rows, cols) = grid.shape[0], np.nonzero(grid)
     offsets = np.unique(cols - rows)
+    del rows, cols  # before the gather's own indices
     return DiagMatrix.packed(n, offsets, grid[_coordinates(offsets, buffer_starts(n, offsets))])
 
 

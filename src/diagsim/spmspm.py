@@ -31,7 +31,9 @@ the order of a loop over (dA, dB) pairs in ascending dA then dB, so results
 are bit-reproducible and, for real operands, bit-identical to that loop; a
 complex product may round differently by the shape of numpy's call.
 (Descending dB is ascending dA for a fixed dA + dB, and A's blocks are
-visited in ascending order.)
+visited in ascending order.)  Ascending dA is ascending inner index, from an
+accumulator at +0.0: the order hamsim's dense Taylor product keeps, which is
+why that product is bit-identical to this one (hamsim module docstring).
 
 Dtype: a block keeps its operand's buffer dtype, and the accumulator, so
 the product, takes ``np.result_type`` of the two operands.  Two float64

@@ -79,7 +79,7 @@ def rand_hermitian(rng, n, k=None):
 
 def whole_segments(m):
     """Bounds array of every stored diagonal, whole: a one-job grid's operand."""
-    return segment_bounds(m, 0, m.dim)
+    return segment_bounds(m.dim, m.offset_array, 0, m.dim)
 
 
 def pair_products(a, b):

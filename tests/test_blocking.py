@@ -50,7 +50,7 @@ def test_plan_matches_per_diagonal_oracle(case):
     n, a_offs, b_offs, cuts, rows, cols, a_gs, b_gs = case
     a = rand_matrix(np.random.default_rng(n), n, offsets=sorted(a_offs))
     b = rand_matrix(np.random.default_rng(n + 1), n, offsets=sorted(b_offs))
-    plan = make_plan(a, b, grid_rows=rows, grid_cols=cols, cuts=cuts,
+    plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=rows, grid_cols=cols, cuts=cuts,
                      a_group_size=a_gs, b_group_size=b_gs)
     got = [(j.window, j.a_group.group_id, j.b_group.group_id,
             j.a_group.bounds.tolist(), j.b_group.bounds.tolist()) for j in plan.jobs]
@@ -66,7 +66,7 @@ class TestPartitionRowcol:
         rng = np.random.default_rng(79)
         a = rand_matrix(rng, 5, offsets=[-1, 0, 1])
         b = rand_matrix(rng, 5, offsets=[-1, 0, 1])
-        plan = make_plan(a, b, grid_rows=64, grid_cols=64, cuts=[3])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=64, grid_cols=64, cuts=[3])
         assert sorted({j.window for j in plan.jobs}) == [0, 1]
         # windows of width 3 and 2 bound the segment lengths
         for window, width in ((0, 3), (1, 2)):
@@ -77,7 +77,7 @@ class TestPartitionRowcol:
         rng = np.random.default_rng(83)
         a = rand_matrix(rng, 6)
         b = rand_matrix(rng, 6)
-        plan = make_plan(a, b, grid_rows=64, grid_cols=64, cuts=[])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=64, grid_cols=64, cuts=[])
         assert len(plan.jobs) == 1
         bounds = plan.jobs[0].a_group.bounds
         assert bounds[:, 0].tolist() == list(a.offsets)
@@ -89,7 +89,7 @@ class TestPartitionRowcol:
         rng = np.random.default_rng(88)
         a = rand_matrix(rng, 5, offsets=[-1, 4])
         b = rand_matrix(rng, 5, offsets=[-4, 2])
-        plan = make_plan(a, b, grid_rows=4, grid_cols=4, cuts=[3])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=4, grid_cols=4, cuts=[3])
         assert window_bounds(plan, 0, "a_group").tolist() == [[-1, 1, 3]]
         assert window_bounds(plan, 0, "b_group").tolist() == [[2, 0, 2]]
         assert window_bounds(plan, 1, "a_group").tolist() == [[-1, 4, 4], [4, 0, 0]]
@@ -100,7 +100,7 @@ class TestPartitionRowcol:
         a = rand_matrix(rng, 6)
         for cuts in ([3, 2], [0], [6]):
             with pytest.raises(PlanError):
-                make_plan(a, a, grid_rows=4, grid_cols=4, cuts=cuts)
+                make_plan(a.dim, a.offsets, a.offsets, grid_rows=4, grid_cols=4, cuts=cuts)
 
     def test_reassembly_matches_unblocked(self):
         rng = np.random.default_rng(97)
@@ -110,7 +110,7 @@ class TestPartitionRowcol:
             b = rand_matrix(rng, n)
             n_cuts = int(rng.integers(1, 4))
             cuts = sorted(rng.choice(np.arange(1, n), size=n_cuts, replace=False).tolist())
-            plan = make_plan(a, b, grid_rows=64, grid_cols=64, cuts=cuts)
+            plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=64, grid_cols=64, cuts=cuts)
             got = to_dense(blocked_product(a, b, plan))
             want = to_dense(diag_matmul(a, b))
             scale = max(np.linalg.norm(want), 1e-300)
@@ -125,7 +125,7 @@ class TestPartitionDiagonals:
         m = DiagMatrix.packed(1024, offsets, np.ones(int((1024 - np.abs(offsets)).sum()),
                                                      dtype=complex))
         assert m.nnzd == 783
-        plan = make_plan(m, m, grid_rows=64, grid_cols=64)
+        plan = make_plan(m.dim, m.offsets, m.offsets, grid_rows=64, grid_cols=64)
         groups = {j.a_group.group_id: j.a_group.bounds for j in plan.jobs}
         assert len(groups) == 13
         assert max(len(g) for g in groups.values()) == 64
@@ -134,7 +134,7 @@ class TestPartitionDiagonals:
     def test_single_group_when_size_covers(self):
         rng = np.random.default_rng(101)
         m = rand_matrix(rng, 12, k=5)
-        plan = make_plan(m, m, grid_rows=8, grid_cols=8, b_group_size=8)
+        plan = make_plan(m.dim, m.offsets, m.offsets, grid_rows=8, grid_cols=8, b_group_size=8)
         assert {j.b_group.group_id for j in plan.jobs} == {0}
 
     def test_bad_group_size(self):
@@ -142,7 +142,7 @@ class TestPartitionDiagonals:
         a = rand_matrix(rng, 8, k=2)
         for sizes in ({"a_group_size": 0}, {"b_group_size": 0}, {"a_group_size": -1}):
             with pytest.raises(PlanError):
-                make_plan(a, a, grid_rows=2, grid_cols=2, **sizes)
+                make_plan(a.dim, a.offsets, a.offsets, grid_rows=2, grid_cols=2, **sizes)
 
 
 class TestMakePlan:
@@ -150,7 +150,7 @@ class TestMakePlan:
         rng = np.random.default_rng(103)
         a = rand_matrix(rng, 8, k=4)
         b = rand_matrix(rng, 8, k=4)
-        plan = make_plan(a, b, grid_rows=2, grid_cols=2)
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=2, grid_cols=2)
         pairs = [(j.a_group.group_id, j.b_group.group_id) for j in plan.jobs]
         assert pairs == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -158,7 +158,7 @@ class TestMakePlan:
         rng = np.random.default_rng(107)
         a = rand_matrix(rng, 8, k=2)
         b = rand_matrix(rng, 8, k=2)
-        plan = make_plan(a, b, grid_rows=4, grid_cols=4)
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=4, grid_cols=4)
         assert len(plan.jobs) == 1
 
     def test_job_permutations_merge_identically(self):
@@ -166,7 +166,7 @@ class TestMakePlan:
         n = 24
         a = rand_matrix(rng, n, k=6)
         b = rand_matrix(rng, n, k=5)
-        plan = make_plan(a, b, grid_rows=2, grid_cols=2, cuts=[11])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=2, grid_cols=2, cuts=[11])
         want = to_dense(diag_matmul(a, b))
         scale = max(np.linalg.norm(want), 1e-300)
         for _ in range(4):
@@ -184,7 +184,7 @@ class TestMakePlan:
             b = rand_matrix(rng, n)
             rows = int(rng.integers(1, 5))
             cols = int(rng.integers(1, 5))
-            plan = make_plan(a, b, grid_rows=rows, grid_cols=cols)
+            plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=rows, grid_cols=cols)
             for job in plan.jobs:
                 assert len(job.a_group.bounds) <= cols
                 assert len(job.b_group.bounds) <= rows
@@ -193,7 +193,7 @@ class TestMakePlan:
         rng = np.random.default_rng(127)
         a = rand_matrix(rng, 32, k=6)
         b = rand_matrix(rng, 32, k=6)
-        plan = make_plan(a, b, grid_rows=3, grid_cols=3, cuts=[10, 20])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=3, grid_cols=3, cuts=[10, 20])
         for job in plan.jobs:
             for d, first, last in job.a_group.bounds.tolist():
                 cols = range(first + d, last + d + 1)
@@ -209,7 +209,7 @@ class TestMakePlan:
         n = 16
         a = rand_matrix(rng, n, k=4)
         b = rand_matrix(rng, n, k=4)
-        plan = make_plan(a, b, grid_rows=16, grid_cols=16, cuts=[8])
+        plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=16, grid_cols=16, cuts=[8])
         window = {j.window: j for j in plan.jobs}
         cross, multiplies = job_product(a, b, window[0].a_group.bounds,
                                         window[1].b_group.bounds)
@@ -220,7 +220,7 @@ class TestMakePlan:
         rng = np.random.default_rng(137)
         a = rand_matrix(rng, 8, k=2)
         with pytest.raises(PlanError):
-            make_plan(a, a, grid_rows=2, grid_cols=2, a_group_size=4)
+            make_plan(a.dim, a.offsets, a.offsets, grid_rows=2, grid_cols=2, a_group_size=4)
 
     def test_default_cuts(self):
         assert default_cuts(4096) == []

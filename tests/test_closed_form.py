@@ -5,7 +5,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from diagsim import gen_benchmark
+from diagsim import diag_matmul, gen_benchmark
 from diagsim.blocking import job_product, make_plan
 from diagsim.cli import main
 from diagsim.dataflow import FeedConfig, run_job
@@ -30,7 +30,7 @@ def products(draw):
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 2 else []
     a_gs = draw(st.integers(1, 4))
     b_gs = draw(st.integers(1, 4))
-    plan = make_plan(a, b, grid_rows=4, grid_cols=4, cuts=cuts,
+    plan = make_plan(a.dim, a.offsets, b.offsets, grid_rows=4, grid_cols=4, cuts=cuts,
                      a_group_size=a_gs, b_group_size=b_gs)
     feed = FeedConfig(draw(st.sampled_from(ORDERS)), draw(st.sampled_from(ORDERS)))
     return a, b, plan, feed
@@ -66,11 +66,12 @@ def test_trace_is_one_closed_form_line_per_job(tmp_path):
     no modeled figure."""
     h = gen_benchmark("tfim", 5)
     grid = GridSetup(rows=4, cols=4, cuts=(16,))
-    plan = make_plan(h, h, grid.rows, grid.cols, cuts=grid.cuts)
+    plan = make_plan(h.dim, h.offsets, h.offsets, grid.rows, grid.cols, cuts=grid.cuts)
     events = []
-    traced = simulate_product(h, h, grid, SetAssocCache(grid.cache), trace=events.append)
-    untraced = simulate_product(h, h, grid, SetAssocCache(grid.cache))
-    assert traced[1:] == untraced[1:]
+    square = (h.dim, h.offsets, h.offsets, diag_matmul(h, h).offsets, grid)
+    traced = simulate_product(*square, SetAssocCache(grid.cache), trace=events.append)
+    untraced = simulate_product(*square, SetAssocCache(grid.cache))
+    assert traced == untraced
     assert [e["job"] for e in events] == list(range(len(plan.jobs)))
     for event, job in zip(events, plan.jobs):
         assert (event["window"], event["a_group"], event["b_group"]) == (
@@ -78,9 +79,9 @@ def test_trace_is_one_closed_form_line_per_job(tmp_path):
         result = run_job(job.a_group.bounds, job.b_group.bounds, grid.feed)
         assert event["counters"] == result.counters and event["offsets"] == result.offsets
         assert event["cycles"]["total"] == result.stage.total
-    assert sum(e["cycles"]["total"] for e in events) == untraced[1].total
+    assert sum(e["cycles"]["total"] for e in events) == untraced[0].total
     assert sum(e["mem"]["hits"] + e["mem"]["misses"] for e in events) == (
-        untraced[3].accesses)
+        untraced[2].accesses)
 
     path = tmp_path / "h.diaq"
     save_matrix(h, str(path))

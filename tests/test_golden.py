@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from diagsim import gen_benchmark
+from diagsim import diag_matmul, gen_benchmark
 from diagsim.cli import main
 from diagsim.hamsim import GridSetup, simulate_product
 from diagsim.memory import SetAssocCache
@@ -30,7 +30,8 @@ def test_simulate_product_tfim6_cut_grid():
     h = gen_benchmark("tfim", 6)
     grid = GridSetup(rows=8, cols=8, cuts=(24, 40))
     cache = SetAssocCache(grid.cache)
-    _, stage, counters, mem = simulate_product(h, h, grid, cache)
+    stage, counters, mem = simulate_product(h.dim, h.offsets, h.offsets,
+                                            diag_matmul(h, h).offsets, grid, cache)
     report = build_report("tfim-6", grid.rows, grid.cols, stage, counters, mem)
     assert figures(report) == {
         "cycles": {"preload": 136, "compute": 141, "popout": 115, "total": 392},

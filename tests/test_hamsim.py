@@ -4,7 +4,7 @@ import scipy.linalg
 
 from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, to_dense
 from diagsim.diagmat import COMPLEX, from_coo
-from diagsim.errors import VerificationError
+from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from diagsim.memory import SetAssocCache
 
@@ -88,7 +88,8 @@ def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
     monkeypatch.setattr(hamsim, "run_job", forgetful)
     grid = GridSetup(rows=8, cols=8)
     with pytest.raises(VerificationError, match=r"no job touches: \[0\]"):
-        simulate_product(h, h, grid, SetAssocCache(grid.cache))
+        simulate_product(h.dim, h.offsets, h.offsets, diag_matmul(h, h).offsets, grid,
+                         SetAssocCache(grid.cache))
 
 
 # the couplings' signs, t's sign and a short chain all reach U's signed zeros:
@@ -102,26 +103,53 @@ REAL_CASES = [("heisenberg", 4, {}), ("heisenberg", 6, {"jx": 0.8, "jy": 0.8, "j
 @pytest.mark.parametrize("t, terms", [(0.5, None), (-0.3, None), (1.5, 2), (0.5, 3), (-0.8, 7)])
 @pytest.mark.parametrize("model, qubits, couplings", REAL_CASES,
                          ids=[f"{m}-{q}-{i}" for i, (m, q, _) in enumerate(REAL_CASES)])
-def test_real_chain_u_is_bit_identical_to_complex_chain(model, qubits, couplings, t, terms):
+def test_real_chain_u_is_bit_identical_to_complex_chain(monkeypatch, model, qubits, couplings,
+                                                        t, terms):
     h = gen_benchmark(model, qubits, **couplings)
     eps = None if terms else 1e-8
-    want, nnzd = complex_chain(h, t, terms, eps)
+    grid = GridSetup(rows=16, cols=16)
+    want, fields = complex_chain(h, t, terms, eps, grid)
+    dense = _dense_calls(monkeypatch)
     for use_simulator in (False, True):
         cfg = TaylorConfig(t=t, terms=terms, eps=eps, use_simulator=use_simulator)
-        u, records = taylor_expm(h, cfg, GridSetup(rows=16, cols=16))
-        assert [r.nnzd for r in records] == nnzd
+        u, records = taylor_expm(h, cfg, grid)
+        assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == [f[:3] for f in fields]
         assert same_bits(u, want)
+    # the simulated leg charged every product as the packed chain plans it
+    assert [(r.stage_cycles, r.mem) for r in records] == [f[3:] for f in fields]
+    if model == "maxcut":
+        assert not dense  # a diagonal H keeps a diagonal term
+    elif qubits == 8 and terms in (None, 7):
+        assert dense  # the benchmark's inputs cross the switch
+
+
+def _dense_calls(monkeypatch) -> list:
+    """The R^T shape of every dense product hamsim takes, as it runs."""
+    calls, real = [], hamsim._dense_product
+
+    def spy(q_t, r_t):
+        calls.append(r_t.shape)
+        return real(q_t, r_t)
+
+    monkeypatch.setattr(hamsim, "_dense_product", spy)
+    return calls
 
 
 def _product_dtypes(monkeypatch) -> list:
-    """The buffer dtypes of every product hamsim takes from diag_matmul, as it runs."""
-    seen, real = [], hamsim.diag_matmul
+    """The operand dtypes of every product hamsim takes, as it runs: the packed
+    buffers of each diag_matmul, and Q_k^T and R^T of each dense product."""
+    seen, packed, dense = [], hamsim.diag_matmul, hamsim._dense_product
 
-    def spy(a, b):
+    def packed_spy(a, b):
         seen.append((a.values.dtype, b.values.dtype))
-        return real(a, b)
+        return packed(a, b)
 
-    monkeypatch.setattr(hamsim, "diag_matmul", spy)
+    def dense_spy(q_t, r_t):
+        seen.append((q_t.dtype, r_t.dtype))
+        return dense(q_t, r_t)
+
+    monkeypatch.setattr(hamsim, "diag_matmul", packed_spy)
+    monkeypatch.setattr(hamsim, "_dense_product", dense_spy)
     return seen
 
 
@@ -160,3 +188,67 @@ def test_term_is_the_complex_chain_scaling_of_a_product(k):
     r = DiagMatrix.packed(len(product), (0,), product * (1.0 / k))
     got = hamsim._term(r, k).values
     assert got.tobytes() == (complex_product * (1.0 / k)).tobytes()
+
+
+def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(monkeypatch):
+    # entries near 1e-108 fill the band at once, and T_3's product holds
+    # subnormals that the 1/3 scaling takes to zero (to -0.0 where negative)
+    base = np.array([[1.0, -2.0, 0.5, 3.0], [-2.0, -1.0, 1.5, -0.5],
+                     [0.5, 1.5, 2.0, -1.0], [3.0, -0.5, -1.0, 0.25]])
+    rows, cols = np.nonzero(base)
+    h = from_coo(4, rows, cols, base[rows, cols] * 1e-108)
+    kinds, packed, dense = [], hamsim.diag_matmul, hamsim._dense_product
+    monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: kinds.append("packed") or packed(a, b))
+    monkeypatch.setattr(hamsim, "_dense_product",
+                        lambda q_t, r_t: kinds.append("dense") or dense(q_t, r_t))
+    u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6, use_simulator=False))
+    want, fields = complex_chain(h, 1.0, terms=6)
+    assert kinds == ["packed", "dense", "dense", "packed", "packed"]  # k = 3 runs twice
+    assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == fields
+    assert same_bits(u, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("signs", ["positive", "mixed"])
+@pytest.mark.parametrize("use_simulator", [False, True])
+def test_overflow_after_the_switch_raises_as_the_packed_chain_does(monkeypatch, signs,
+                                                                   use_simulator):
+    # the band fills at k = 1; T_4's product overflows (to -inf, or with NaN
+    # where signs mix), and the packed chain's product check names diagonal -3
+    base = np.arange(1.0, 17.0).reshape(4, 4)
+    if signs == "mixed":
+        base[::2, 1::2] *= -1
+    rows, cols = np.nonzero(base)
+    h = from_coo(4, rows, cols, base[rows, cols])
+    dense = _dense_calls(monkeypatch)
+    with pytest.raises(DomainError, match=r"^diagonal -3 contains non-finite values$"):
+        taylor_expm(h, TaylorConfig(t=1e100, terms=6, use_simulator=use_simulator))
+    assert len(dense) == 3  # k = 2, 3 and the overflowing k = 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("use_simulator", [False, True])
+def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simulator):
+    # rows 0 and 5 of H couple at 1.7e308 to a block that squares to -1, so
+    # every product stays finite while U's entries in those rows sum, like
+    # sinh(1), past the float64 range at k = 3
+    g = np.zeros((6, 6))
+    g[1:5, 1:5] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    g[0, 1:5] = g[5, 1:5] = 1.7e308
+    rows, cols = np.nonzero(g)
+    h = from_coo(6, rows, cols, g[rows, cols])
+    dense = _dense_calls(monkeypatch)
+    with pytest.raises(DomainError, match=r"^diagonal -4 contains non-finite values$"):
+        taylor_expm(h, TaylorConfig(t=1.0, terms=6, use_simulator=use_simulator))
+    assert len(dense) == 2  # k = 2 and 3, as the packed chain stops at k = 3
+
+
+def test_a_narrow_term_never_turns_dense(monkeypatch):
+    # maxcut's H is diagonal, so every term is; dense, U alone would take 512 MB
+    def refuse(*args):
+        raise AssertionError("a diagonal term turned dense")
+
+    monkeypatch.setattr(hamsim, "_DenseChain", refuse)
+    h = gen_benchmark("maxcut", 12)
+    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=12, use_simulator=False))
+    assert len(records) == 12 and all(r.nnzd == 1 for r in records)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagsim import (DiagMatrix, Diagonal, dense_matmul_oracle, diag_matmul, from_dense,
-                     identity, multiply_count, spmspm, to_dense)
+                     hamsim, identity, multiply_count, spmspm, to_dense)
 from diagsim.errors import DomainError, ShapeError
 
 from conftest import (float64_copy, minkowski, overlap_range, pair_loop_matmul, pair_products,
@@ -179,6 +179,26 @@ class TestKernelAgainstOracles:
         assert got.values.tobytes() == twin.values.real.tobytes()
         for c in mixed:
             assert c.offsets == twin.offsets and c.values.tobytes() == twin.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs(real=True), st.integers(0, 2**32 - 1))
+    def test_dense_product_matches_pair_loop_bit_for_bit(self, pair, seed):
+        # hamsim's dense Taylor product adds each entry's terms from +0.0 in
+        # ascending inner index, as the pair loop does, whatever the values:
+        # stored zeros, negatives, subnormals and products that underflow
+        rng = np.random.default_rng(seed)
+        a, b = (float64_copy(m) for m in pair)
+        for m in (a, b):
+            kind = rng.integers(0, 4, len(m.values))
+            m.values[kind == 1] = 0.0
+            m.values[kind == 2] = 5e-324 * rng.integers(-3, 4, np.count_nonzero(kind == 2))
+            m.values[kind == 3] *= 1e-160
+        got = hamsim._dense_product(hamsim._csr_t(b), to_dense(a).real.T).T
+        want = np.zeros((a.dim, a.dim))
+        for d, values in pair_loop_matmul(a, b).items():
+            rows = np.arange(max(0, -d), a.dim - max(0, d))
+            want[rows, rows + d] = values.real
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, offs_a, offs_b", [
         (1, [0], [0]),
