@@ -18,8 +18,8 @@ and the operands' ascending offsets, not the matrices, so a product held in
 any form plans alike (hamsim's dense Taylor term included).  A group is one
 int64 bounds array, a row (offset, first row, last row) per segment in
 ascending offset order, which dataflow.run_job's feed layout relies on.
-job_product and merge_outputs compute a plan's values job by job from the
-operands: the tests' per-job reference, which no modeled figure reads.
+No program path computes a plan's values job by job; the per-job value
+reference lives with the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix, buffer_starts, diag_length, drop_zero_diagonals
+from .diagmat import DiagMatrix, buffer_starts, drop_zero_diagonals
 from .errors import PlanError
 
 AUTO_CUT_WINDOW = 4096
@@ -59,12 +59,6 @@ def segment_bounds(n: int, offsets: np.ndarray, lo, hi) -> np.ndarray:
     first = np.maximum(np.maximum(0, -offsets), lo)
     last = np.minimum(n - 1 - np.maximum(0, offsets), hi - 1)
     return np.stack((offsets, first, last), axis=1)[first <= last]
-
-
-def segment_values(m: DiagMatrix, offset: int, first: int, last: int) -> np.ndarray:
-    """The values on rows first..last of m's diagonal at offset (a view)."""
-    row0 = max(0, -offset)
-    return m.diagonal(offset).values[first - row0: last + 1 - row0]
 
 
 def check_cuts(cuts, n: int | None = None) -> list[int]:
@@ -121,42 +115,12 @@ def make_plan(n: int, a_offsets, b_offsets, grid_rows: int, grid_cols: int,
     return BlockPlan(tuple(jobs))
 
 
-# -- functional reference for job outputs --------------------------------------
-
-
-def job_product(a: DiagMatrix, b: DiagMatrix, a_bounds: np.ndarray,
-                b_bounds: np.ndarray) -> tuple[dict[int, np.ndarray], int]:
-    """Exact product of a job's segments, read from a and b, by output offset.
-
-    A row r of A's segment meets B's segment where row r + dA is one of its
-    rows; both segments lie in bounds, so that intersection is the overlap
-    range cut to the segments.  dataflow.run_job counts the same multiply
-    set in closed form, and a cycle-stepped grid must fire it one-to-one.
-    Returns the products summed by output offset, and the multiply count.
-    """
-    out: dict[int, np.ndarray] = {}
-    multiplies = 0
-    b_rows = b_bounds.tolist()
-    for da, a_lo, a_hi in a_bounds.tolist():
-        for db, b_lo, b_hi in b_rows:
-            r_lo = max(a_lo, b_lo - da)
-            r_hi = min(a_hi, b_hi - da)
-            if r_hi < r_lo:
-                continue
-            multiplies += r_hi - r_lo + 1
-            dc = da + db
-            vec = out.get(dc)
-            if vec is None:
-                vec = np.zeros(diag_length(a.dim, dc), dtype=COMPLEX)
-                out[dc] = vec
-            c0 = max(0, -dc)
-            vec[r_lo - c0: r_hi + 1 - c0] += (segment_values(a, da, r_lo, r_hi)
-                                              * segment_values(b, db, r_lo + da, r_hi + da))
-    return out, multiplies
-
-
 def merge_outputs(n: int, banks) -> DiagMatrix:
-    """Sum per-offset partial vectors across jobs in schedule order, in one buffer."""
+    """Sum per-offset partial vectors across jobs in schedule order, in one buffer.
+
+    No program path calls it; it stays because the benchmark's tracer wraps it
+    by name.
+    """
     offsets = sorted(set().union(*banks))
     starts = buffer_starts(n, offsets).tolist()
     slices = {d: slice(lo, hi) for d, lo, hi in zip(offsets, starts, starts[1:])}
@@ -165,4 +129,4 @@ def merge_outputs(n: int, banks) -> DiagMatrix:
     for bank in banks:
         for dc, vec in bank.items():
             values[slices[dc]] += vec
-    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, values), 0.0)
+    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, values))

@@ -229,7 +229,7 @@ def cmd_report(args) -> int:
         raise DomainError(f"{args.input}: unsupported report schema {schema!r}")
     try:
         text = report_to_csv(report)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"{args.input}: malformed report: {type(exc).__name__} {exc}") from exc
     diagio._atomic_write(args.csv, text.encode())
     print(f"wrote {args.csv}")
@@ -333,11 +333,12 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """Make the config file's values the subcommands' defaults.
 
     argparse then types them like command-line values, and explicit flags
-    still win.  Unknown keys and malformed files are usage errors.
+    still win.  Unknown keys and malformed or unreadable files (not UTF-8
+    included) are usage errors.
     """
     try:
         values = _load_config(path)
-    except (OSError, DomainError) as exc:
+    except (OSError, UnicodeDecodeError, DomainError) as exc:
         parser.error(f"config {path}: {exc}")
     known = set()
     for sub in parser._subparsers._group_actions[0].choices.values():

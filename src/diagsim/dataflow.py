@@ -37,10 +37,10 @@ C columns, A-column lengths La and B-row lengths Lb:
     both operands.
 
 The product's values come from the caller (spmspm.diag_matmul, or hamsim's
-dense Taylor product);
-blocking.job_product is the per-job value reference.  A per-cycle stepper of
-the same grid lives with the tests as the oracle these closed forms are held
-to.
+dense Taylor product); no job computes values.  The per-job value reference
+and a per-cycle stepper of the same grid live with the tests as the oracles
+these closed forms are held to.  blocking.merge_outputs, the sum of per-job
+partial outputs, stays in the program only for the benchmark's tracer.
 """
 
 from __future__ import annotations

@@ -68,8 +68,8 @@ def _reading(path: str):
 
 def write_diaq(m: DiagMatrix, path: str) -> None:
     chunks = [MAGIC, struct.pack("<QQ", m.dim, m.nnzd)]
-    for diag in m.diagonals:
-        chunks += [struct.pack("<q", diag.offset), diag.values.astype("<c16").tobytes()]
+    for d, vec in m.offset_views():
+        chunks += [struct.pack("<q", d), vec.astype("<c16").tobytes()]
     _atomic_write(path, b"".join(chunks))
 
 
@@ -101,8 +101,8 @@ def read_diaq(path: str) -> DiagMatrix:
 
 
 def write_diaq_json(m: DiagMatrix, path: str) -> None:
-    diags = ",".join(f'{{"offset":{d.offset},"values":[{_json_pairs(d.values)}]}}'
-                     for d in m.diagonals)
+    diags = ",".join(f'{{"offset":{d},"values":[{_json_pairs(vec)}]}}'
+                     for d, vec in m.offset_views())
     _atomic_write(path, f'{{"n":{m.dim},"diags":[{diags}]}}\n'.encode())
 
 

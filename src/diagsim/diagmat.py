@@ -16,9 +16,15 @@ buffer holding the diagonals back to back in that order: diagonal i is
 of the lengths.  Whole-matrix operations are a fixed number of numpy calls
 on the buffer, and their results take numpy's promoted dtype: a real matrix
 stays real under real scaling, sums and products, and meets a complex one in
-complex128.  A float64 entry x stands for the complex x + 0j.  ``diagonals``
-holds ``Diagonal`` views into the buffer, built on first use and cached; the
-library never writes through them.
+complex128.  A float64 entry x stands for the complex x + 0j.
+
+The program reads the packed buffer only; the diaq writers walk it diagonal
+by diagonal through ``offset_views()``, (offset, view) pairs.  One
+per-diagonal record surface remains, because the benchmark (``perfbench/``)
+builds and compares matrices through it: the ``Diagonal`` record, the list
+constructor ``DiagMatrix(dim, diagonals)``, and ``diagonals``, the same views
+as ``Diagonal``s, built on first use and cached, which the library never
+writes through.
 
 Every construction checks 1 <= dim < 2**63, integer offsets strictly increasing
 inside (-N, N), a contiguous float64 or complex128 buffer of length
@@ -72,10 +78,6 @@ class Diagonal:
 
     offset: int
     values: np.ndarray
-
-    def row_start(self) -> int:
-        """Matrix row of values[0]."""
-        return max(0, -self.offset)
 
 
 class DiagMatrix:
@@ -135,10 +137,13 @@ class DiagMatrix:
     def diagonals(self) -> tuple[Diagonal, ...]:
         """The stored diagonals as views into the buffer (built once, cached)."""
         if self._views is None:
-            bounds = self.starts.tolist()
-            self._views = tuple(Diagonal(d, self.values[lo:hi])
-                                for d, lo, hi in zip(self.offsets, bounds, bounds[1:]))
+            self._views = tuple(Diagonal(d, vec) for d, vec in self.offset_views())
         return self._views
+
+    def offset_views(self) -> list[tuple[int, np.ndarray]]:
+        """(offset, view of its values) of each stored diagonal, in offset order."""
+        bounds = self.starts.tolist()
+        return [(d, self.values[lo:hi]) for d, lo, hi in zip(self.offsets, bounds, bounds[1:])]
 
     @property
     def nnzd(self) -> int:
@@ -155,21 +160,6 @@ class DiagMatrix:
         """Count of entries that are actually nonzero."""
         return int(np.count_nonzero(self.values))
 
-    def diagonal(self, offset: int) -> Diagonal | None:
-        if offset not in self.offsets:
-            return None
-        i = self.offsets.index(offset)
-        return Diagonal(offset, self.values[self.starts[i]:self.starts[i + 1]])
-
-    def get(self, i: int, j: int) -> complex:
-        """Entry (i, j) without densifying."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise DomainError(f"index ({i}, {j}) out of range for dim {self.dim}")
-        diag = self.diagonal(j - i)
-        if diag is None:
-            return 0j
-        return complex(diag.values[i - diag.row_start()])
-
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols): the matrix position of every buffer entry."""
         return _coordinates(self.offset_array, self.starts)
@@ -180,7 +170,7 @@ class DiagMatrix:
     def add(self, other: "DiagMatrix") -> "DiagMatrix":
         """Diagonal-wise sum; exact-zero result diagonals are dropped."""
         offsets, values = _combine(self, other)
-        return drop_zero_diagonals(DiagMatrix.packed(self.dim, offsets, values), 0.0)
+        return drop_zero_diagonals(DiagMatrix.packed(self.dim, offsets, values))
 
 
 def _combine(a: DiagMatrix, b: DiagMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +221,7 @@ def from_coo(n: int, rows, cols, values) -> DiagMatrix:
     starts = buffer_starts(n, offsets)
     buf = np.zeros(starts[-1], dtype=COMPLEX)
     buf[starts[slot] + np.minimum(rows, cols)] = values
-    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, buf), 0.0)
+    return drop_zero_diagonals(DiagMatrix.packed(n, offsets, buf))
 
 
 def from_dense(rows, dtype=COMPLEX) -> DiagMatrix:
@@ -253,13 +243,11 @@ def to_dense(m: DiagMatrix) -> np.ndarray:
     return grid
 
 
-def drop_zero_diagonals(m: DiagMatrix, eps: float = 0.0) -> DiagMatrix:
-    """Remove diagonals whose largest magnitude entry is <= eps."""
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
+def drop_zero_diagonals(m: DiagMatrix) -> DiagMatrix:
+    """Remove the diagonals whose entries are all zero."""
     if not m.nnzd:
         return m
-    return drop_below(m, np.abs(m.values), eps)[0]
+    return drop_below(m, np.abs(m.values), 0.0)[0]
 
 
 def drop_below(m: DiagMatrix, mag: np.ndarray, eps: float) -> tuple[DiagMatrix, np.ndarray]:

@@ -97,30 +97,25 @@ def tfim_chain(n: int, g: float = 1.0) -> list[PauliTerm]:
     return terms
 
 
-def maxcut_ising(n: int, edges: list[tuple[int, int]] | None = None,
-                 weights: list[float] | None = None,
-                 seed: int | None = None) -> list[PauliTerm]:
-    """Cut-size cost operator sum w_ij (I - Z_i Z_j) / 2; purely diagonal.
+def maxcut_ising(n: int, seed: int | None = None) -> list[PauliTerm]:
+    """Cut-size cost operator sum over edges of (I - Z_i Z_j) / 2; purely diagonal.
 
     Default graph is the 1D ring; pass a seed to draw a random graph instead.
     """
     if n < 2:
         raise DomainError(f"maxcut needs at least 2 qubits, got {n}")
-    if edges is None:
-        if seed is None:
-            edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-        else:
-            rng = np.random.default_rng(seed)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.5]
-            if not edges:
-                edges = [(0, 1)]
-    if weights is None:
-        weights = [1.0] * len(edges)
+    if seed is None:
+        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    else:
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        if not edges:
+            edges = [(0, 1)]
     terms = []
-    for (i, j), w in zip(edges, weights):
-        terms.append(term(0.5 * w, n))
-        terms.append(term(-0.5 * w, n, **{f"q{i}": "Z", f"q{j}": "Z"}))
+    for i, j in edges:
+        terms.append(term(0.5, n))
+        terms.append(term(-0.5, n, **{f"q{i}": "Z", f"q{j}": "Z"}))
     return terms
 
 

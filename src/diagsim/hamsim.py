@@ -55,6 +55,7 @@ a product and scipy's copy of R^T 16) where the term alone held at least
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,10 @@ class TaylorConfig:
     def __post_init__(self):
         if (self.terms is None) == (self.eps is None):
             raise DomainError("exactly one of terms / eps must be given")
-        if self.eps is not None and self.eps <= 0:
-            raise DomainError("eps must be positive")
+        if not math.isfinite(self.t):
+            raise DomainError(f"t must be finite, got {self.t}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise DomainError(f"eps must lie in (0, inf), got {self.eps}")
         if self.terms is not None and not (0 <= self.terms <= TERM_CAP):
             raise DomainError(f"terms must lie in [0, {TERM_CAP}]")
 
@@ -118,10 +121,6 @@ class IterationRecord:
     stage_cycles: StageCycles
     mem: MemStats
     counters: dict
-
-    @property
-    def hit_rate(self) -> float:
-        return self.mem.hit_rate
 
 
 def term_count_for(norm: float, eps: float) -> int:
@@ -325,30 +324,3 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
             f"plan coverage check failed: the jobs perform {multiplies} of the product's "
             f"{want} multiplies; output diagonals no job touches: {missed}")
     return stage, counters, cache.stats.delta(mem_before)
-
-
-def records_to_json(records: list[IterationRecord]) -> list[dict]:
-    return [
-        {
-            "k": r.k,
-            "nnzd": r.nnzd,
-            "nnze": r.nnze,
-            "storage_scalars": r.storage_scalars,
-            "savings": r.savings,
-            "cycles": {
-                "preload": r.stage_cycles.preload,
-                "compute": r.stage_cycles.compute,
-                "popout": r.stage_cycles.popout,
-                "total": r.stage_cycles.total,
-            },
-            "mem": {
-                "hits": r.mem.hits,
-                "misses": r.mem.misses,
-                "dram_reads": r.mem.dram_reads,
-                "dram_writes": r.mem.dram_writes,
-                "stall_cycles": r.mem.stall_cycles,
-            },
-            "hit_rate": r.hit_rate,
-        }
-        for r in records
-    ]

@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .hamsim import IterationRecord, records_to_json
+from .hamsim import IterationRecord
 from .memory import MemStats
 
 DPE_MILLIWATTS = 4.3877
@@ -88,6 +88,34 @@ def build_report(workload: str, grid_rows: int, grid_cols: int, stage,
         "energy_pj": energy(counters, mem, model),
         "iterations": records_to_json(records) if records else [],
     }
+
+
+def records_to_json(records: list[IterationRecord]) -> list[dict]:
+    """The report's one entry per series iteration."""
+    return [
+        {
+            "k": r.k,
+            "nnzd": r.nnzd,
+            "nnze": r.nnze,
+            "storage_scalars": r.storage_scalars,
+            "savings": r.savings,
+            "cycles": {
+                "preload": r.stage_cycles.preload,
+                "compute": r.stage_cycles.compute,
+                "popout": r.stage_cycles.popout,
+                "total": r.stage_cycles.total,
+            },
+            "mem": {
+                "hits": r.mem.hits,
+                "misses": r.mem.misses,
+                "dram_reads": r.mem.dram_reads,
+                "dram_writes": r.mem.dram_writes,
+                "stall_cycles": r.mem.stall_cycles,
+            },
+            "hit_rate": r.mem.hit_rate,
+        }
+        for r in records
+    ]
 
 
 def report_to_json(report: dict) -> str:

@@ -1,4 +1,5 @@
-"""The blocking planner as it was written diagonal by diagonal: the tests' oracle.
+"""The blocking planner as it was written diagonal by diagonal, and the
+per-job value reference: the tests' oracles.
 
 blocking.make_plan cuts all of an operand's diagonals to a window at once,
 from the offset array.  This version clips one diagonal at a time through
@@ -6,9 +7,17 @@ the index range of its values, sorts each window's segments by (offset,
 first row) and chunks them into groups, as the planner did while every
 segment was a Python object carrying a view of its values.  Both must give
 the same jobs in the same order: window, group ids and bounds rows.
+
+job_product computes one job's values from the operands and its bounds;
+merged over a plan's jobs with blocking.merge_outputs, it must give the
+product, and it must fire the multiplies that dataflow.run_job counts.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from diagsim.diagmat import COMPLEX, diag_length
 
 
 def window_segments(m, lo: int, hi: int, by_col: bool) -> list[tuple[int, int, int]]:
@@ -16,7 +25,7 @@ def window_segments(m, lo: int, hi: int, by_col: bool) -> list[tuple[int, int, i
     (by_col) or rows lo..hi-1; a diagonal left with no row is dropped."""
     segs = []
     for diag in m.diagonals:
-        r0 = diag.row_start()
+        r0 = max(0, -diag.offset)
         if by_col:
             j0 = r0 + diag.offset
             k_lo = max(j0, lo) - j0
@@ -50,3 +59,40 @@ def plan_jobs(a, b, cuts, a_group_size: int, b_group_size: int) -> list[tuple]:
                              [list(s) for s in a_segs], [list(s) for s in b_segs]))
         a_count, b_count = a_count + len(ga), b_count + len(gb)
     return jobs
+
+
+def segment_values(m, offset: int, first: int, last: int) -> np.ndarray:
+    """The values on rows first..last of m's diagonal at offset (a view)."""
+    lo = int(m.starts[m.offsets.index(offset)]) - max(0, -offset)
+    return m.values[lo + first: lo + last + 1]
+
+
+def job_product(a, b, a_bounds: np.ndarray,
+                b_bounds: np.ndarray) -> tuple[dict[int, np.ndarray], int]:
+    """Exact product of a job's segments, read from a and b, by output offset.
+
+    A row r of A's segment meets B's segment where row r + dA is one of its
+    rows; both segments lie in bounds, so that intersection is the overlap
+    range cut to the segments.  dataflow.run_job counts the same multiply
+    set in closed form, and a cycle-stepped grid must fire it one-to-one.
+    Returns the products summed by output offset, and the multiply count.
+    """
+    out: dict[int, np.ndarray] = {}
+    multiplies = 0
+    b_rows = b_bounds.tolist()
+    for da, a_lo, a_hi in a_bounds.tolist():
+        for db, b_lo, b_hi in b_rows:
+            r_lo = max(a_lo, b_lo - da)
+            r_hi = min(a_hi, b_hi - da)
+            if r_hi < r_lo:
+                continue
+            multiplies += r_hi - r_lo + 1
+            dc = da + db
+            vec = out.get(dc)
+            if vec is None:
+                vec = np.zeros(diag_length(a.dim, dc), dtype=COMPLEX)
+                out[dc] = vec
+            c0 = max(0, -dc)
+            vec[r_lo - c0: r_hi + 1 - c0] += (segment_values(a, da, r_lo, r_hi)
+                                              * segment_values(b, db, r_lo + da, r_hi + da))
+    return out, multiplies

@@ -63,4 +63,4 @@ def pauli_oracle(terms, n: int):
                 sel = pattern == pat
                 d = int(pat - (pat ^ xmask))  # col - row is constant per pattern
                 scatter(acc, d, rows[sel], vals[sel], dim)
-    return drop_zero_diagonals(diag_matrix(dim, acc), 0.0)
+    return drop_zero_diagonals(diag_matrix(dim, acc))

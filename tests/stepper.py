@@ -6,10 +6,10 @@ streams enter one cycle apart, every cell matches transiting A and B
 operands by index, and end markers drain through the far corner.  A job is
 two operand matrices and two bounds arrays, as dataflow.run_job takes them;
 each stream reads its values from its matrix by its bounds row, as
-blocking.job_product does.  The stepper fires every partial product with its
-value, so it checks the closed-form stage cycles, counters and touched output
-offsets, and blocking.job_product's per-job values, against an independent
-model.
+blocking_oracle.job_product does.  The stepper fires every partial product
+with its value, so it checks the closed-form stage cycles, counters and
+touched output offsets, and job_product's per-job values, against an
+independent model.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from diagsim.blocking import segment_values
 from diagsim.dataflow import FeedConfig, StageCycles, longest_diagonal, predict_cycles
 from diagsim.diagmat import COMPLEX, diag_length
 from diagsim.errors import GridCapacityError
+
+from blocking_oracle import segment_values
 
 
 class SimulatorError(RuntimeError):

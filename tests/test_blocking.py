@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagsim import DiagMatrix, diag_matmul, to_dense
-from diagsim.blocking import default_cuts, job_product, make_plan, merge_outputs
+from diagsim.blocking import default_cuts, make_plan, merge_outputs
 from diagsim.errors import PlanError
 
-from blocking_oracle import plan_jobs
+from blocking_oracle import job_product, plan_jobs
 from conftest import rand_matrix
 
 

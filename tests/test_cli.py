@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -74,6 +75,32 @@ def test_config_on_off_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             _expm_terms(tmp_path, bad)
         assert exc.value.code == cli.USAGE_EXIT
+
+
+@pytest.mark.parametrize("content", [None, b"t=0.01\n# \xff\xfe\n"], ids=["missing", "not-utf8"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "expm", "--model", "tfim", "--qubits", "3"])
+    assert exc.value.code == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: config {cfg}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--functional-only"]], ids=["simulated", "functional"])
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),
+                                         ("--t", "inf"), ("--t", "nan")])
+def test_non_finite_t_or_eps_exits_2_with_one_line(tmp_path, capsys, flag, value, mode):
+    out = tmp_path / "r.json"
+    argv = ["expm", "--model", "tfim", "--qubits", "3", flag, value, "--out", str(out), *mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning reaches the user either
+        assert cli.main(argv) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("interleave", ["0", "-3"])

@@ -6,13 +6,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from diagsim import diag_matmul, gen_benchmark
-from diagsim.blocking import job_product, make_plan
+from diagsim.blocking import make_plan
 from diagsim.cli import main
 from diagsim.dataflow import FeedConfig, run_job
 from diagsim.diagio import save_matrix
 from diagsim.hamsim import GridSetup, simulate_product
 from diagsim.memory import SetAssocCache
 
+from blocking_oracle import job_product
 from conftest import rand_matrix
 from stepper import step_job
 

@@ -32,13 +32,12 @@ class TestPauliToDiagMatrix:
     def test_single_z(self):
         m = pauli_to_diagmatrix([PauliTerm(1.0, ("Z",))], 1)
         assert m.offsets == (0,)
-        assert np.array_equal(m.diagonal(0).values, [1, -1])
+        assert np.array_equal(m.values, [1, -1])
 
     def test_single_x(self):
         m = pauli_to_diagmatrix([PauliTerm(1.0, ("X",))], 1)
         assert m.offsets == (-1, 1)
-        assert np.array_equal(m.diagonal(-1).values, [1])
-        assert np.array_equal(m.diagonal(1).values, [1])
+        assert np.array_equal(m.values, [1, 1])
 
     def test_x_on_qubit_k_offsets(self):
         for n in range(1, 7):
@@ -154,7 +153,8 @@ class TestChainModels:
 
     def test_maxcut_counts_cut_edges(self):
         m = gen_benchmark("maxcut", 3)
-        vals = m.diagonal(0).values
+        assert m.offsets == (0,)
+        vals = m.values
         # ring of 3: any non-uniform assignment cuts exactly 2 edges
         assert vals[0] == 0 and vals[7] == 0
         assert all(v == 2 for v in vals[1:7])
@@ -163,13 +163,13 @@ class TestChainModels:
         m1 = gen_benchmark("maxcut", 6, seed=5)
         m2 = gen_benchmark("maxcut", 6, seed=5)
         assert m1.offsets == m2.offsets == (0,)
-        assert np.array_equal(m1.diagonal(0).values, m2.diagonal(0).values)
+        assert np.array_equal(m1.values, m2.values)
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
             gen_benchmark("ising-3d", 4)
 
-    def test_maxcut_weighted_edges(self):
-        m = maxcut_ising(2, edges=[(0, 1)], weights=[2.5])
-        dm = pauli_to_diagmatrix(m, 2)
-        assert np.allclose(dm.diagonal(0).values, [0, 2.5, 2.5, 0])
+    def test_maxcut_two_qubits_cut_their_one_edge(self):
+        dm = pauli_to_diagmatrix(maxcut_ising(2), 2)
+        assert dm.offsets == (0,)
+        assert np.array_equal(dm.values, [0, 1, 1, 0])

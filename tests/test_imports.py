@@ -1,5 +1,6 @@
-"""Every name a module imports is used by that module, and every private
-module-level function or class of the package is named by the package.
+"""Every name a module imports is used by that module, every private
+module-level function or class of the package is named by the package, and
+every public one is named by the package or the benchmark.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must appear as a name
@@ -8,6 +9,13 @@ somewhere in the module, in a quoted annotation, or in ``__all__``.
 class defined at the top of a ``src/diagsim`` module with a leading
 underscore must appear as a name or attribute in some ``src/diagsim``
 module other than as its own definition; tests and the benchmark do not count.
+A public top-level function or class, or a public method, must appear as a
+name, an attribute or a string in ``src/diagsim`` or in the benchmark outside
+its tests; a string counts when it is a name or a dotted name, as ``__all__``
+entries and the tracer's span targets are.  Tests do not count.  Names are
+matched bare, not by their owner, so a test-only method whose name some other
+object's attribute shares (a ``get`` beside ``dict.get`` calls) passes
+unseen: the guard finds test-only names, it does not prove there are none.
 """
 
 import ast
@@ -17,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "diagsim").rglob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = SRC + sorted((ROOT / "tests").rglob("*.py"))
 
 
@@ -69,16 +78,52 @@ def test_guard_sees_unused_and_honours_exports():
     assert unused_imports(source) == ["np", "os"]
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _named(tree) -> set[str]:
+    """Names, attributes, and each part of a string that is a (dotted) name."""
+    named = _names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                named |= set(parts)
+    return named
+
+
 def unnamed_private_definitions(sources: dict[str, str]) -> list[str]:
     """module:name of each private top-level function or class no module names."""
     defined, named = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [f"{module}:{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    if isinstance(node, DEFINITIONS)
                     and node.name.startswith("_") and not node.name.endswith("__")]
         named |= _names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(d for d in defined if d.partition(":")[2] not in named)
+
+
+def unnamed_public_definitions(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:name of each public top-level function or class of sources, and
+    module:Class.method of each public method, that neither sources nor
+    readers name."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if not node.name.startswith("_"):
+                defined.append((f"{module}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}:{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, DEFINITIONS)
+                            and not item.name.startswith("_")]
+        named |= _named(tree)
+    for source in readers.values():
+        named |= _named(ast.parse(source))
+    return sorted(label for label, name in defined if name not in named)
 
 
 def test_no_unnamed_private_definitions():
@@ -95,3 +140,43 @@ def test_guard_sees_unnamed_private_definitions():
                      "def public(): return _used\n"),
                "b": "import a\nx = a._named_by_b\n"}
     assert unnamed_private_definitions(sources) == ["a:_Gone", "a:_dead"]
+
+
+def test_no_unnamed_public_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for p in BENCH}
+    assert unnamed_public_definitions(sources, readers) == []
+
+
+def test_guard_sees_unnamed_public_definitions():
+    sources = {"a": ("def used(): pass\n"
+                     "def dead(): pass\n"
+                     "class Gone:\n"
+                     "    def method(self): pass\n"
+                     "    def _private(self): pass\n"
+                     "class Kept:\n"
+                     "    def spanned(self): pass\n"
+                     "    @property\n"
+                     "    def read(self): pass\n"
+                     "class _Hidden:\n"
+                     "    def step(self): pass\n"
+                     "def bench_only(): pass\n"
+                     "def exported(): pass\n"
+                     "def caller(k): return used() + k.read + _Hidden\n"
+                     "__all__ = ['exported']\n"),
+               "b": "import a\nx = a.caller\n"}
+    readers = {"bench": "SPANS = [('a', 'Kept.spanned'), ('a', 'bench_only')]\n"}
+    assert unnamed_public_definitions(sources, readers) == [
+        "a:Gone", "a:Gone.method", "a:_Hidden.step", "a:dead"]
+    # tests are not readers: a name only a test reaches is flagged
+    assert "a:bench_only" in unnamed_public_definitions(sources, {})
+
+
+def test_public_guard_cannot_see_a_method_whose_name_another_object_uses():
+    # known blind spot: names are matched bare, so counters.get(...) names a
+    # test-only Matrix.get as well
+    sources = {"a": ("class Matrix:\n"
+                     "    def get(self, i): pass\n"
+                     "def total(counters): return counters.get('x') + Matrix\n"),
+               "b": "import a\nx = a.total\n"}
+    assert unnamed_public_definitions(sources, {}) == []

@@ -95,7 +95,9 @@ def test_unsupported_schema_exits_2_with_one_line(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", [{"schema": 1}, {**small_report(), "grid": [2, 2]},
-                                 {**small_report(), "iterations": [1]}])
+                                 {**small_report(), "iterations": [1]},
+                                 {**small_report(), "iterations": [
+                                     {**small_report()["iterations"][0], "savings": "x"}]}])
 def test_malformed_schema_1_report_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(doc))
