@@ -192,12 +192,11 @@ def cmd_expm(args) -> int:
         workload = f"expm:{args.h_file}"
     if args.iters is None and args.eps is None:
         args.eps = 1e-8
-    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters,
-                       eps=args.eps, use_simulator=not args.functional_only)
+    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters, eps=args.eps)
     grid = _grid_setup(args)
     check_cuts(grid.cuts, h.dim)  # before the series, which plans only with the simulator
     cache = SetAssocCache(grid.cache)
-    segment_u, records = taylor_expm(h, cfg, grid, cache)
+    segment_u, records = taylor_expm(h, cfg, None if args.functional_only else grid, cache)
     # the segmented form repeats the short-time expansion and multiplies the
     # results; the outer power is the same product kernel, run functionally
     u = segment_u
@@ -371,7 +370,8 @@ def main(argv=None) -> int:
         _apply_config(parser, args.config)
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # DiagMatrix names non-finite values
+            return args.func(args)
     except (ShapeError, DomainError, PlanError, GridCapacityError,
             ConvergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

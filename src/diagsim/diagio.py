@@ -23,8 +23,8 @@ Matrix Market coordinate files never densify: duplicate entries are summed,
 then ``diagmat.from_coo`` puts each on the diagonal at offset col - row and
 drops a diagonal whose sums are all zero, as ``from_dense`` drops it.  Memory
 is O(nnz + stored diagonal entries).  Only ``array`` (dense) files go through
-``from_dense``.  The writer writes the nonzero entries only, so a stored zero
-(or -0.0) on a kept diagonal reads back as +0.0.
+``from_dense``.  The writer walks the diagonals, writing their nonzero entries
+only, so a stored zero (or -0.0) on a kept diagonal reads back as +0.0.
 
 Every reader reports a malformed file (short header, a diagonal running past
 the end, a missing key, a value that is not a numeric [re, im] pair, a
@@ -137,11 +137,12 @@ def read_diaq_json(path: str) -> DiagMatrix:
 
 
 def write_matrix_market(m: DiagMatrix, path: str) -> None:
-    """Coordinate file of the nonzero entries (stored zeros are not written)."""
-    rows, cols = m.coordinates()
-    nonzero = m.values != 0
-    coo = scipy.sparse.coo_matrix((m.values[nonzero].astype(COMPLEX, copy=False),
-                                   (rows[nonzero], cols[nonzero])), shape=(m.dim, m.dim))
+    """Coordinate file of the nonzero entries, by diagonal then row (zeros are not written)."""
+    parts = [(d, np.flatnonzero(vec), vec) for d, vec in m.offset_views()]
+    rows = np.concatenate([np.empty(0, np.int64)] + [at + max(0, -d) for d, at, _ in parts])
+    cols = np.concatenate([np.empty(0, np.int64)] + [at + max(0, d) for d, at, _ in parts])
+    values = np.concatenate([np.empty(0, COMPLEX)] + [vec[at] for _, at, vec in parts])
+    coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(m.dim, m.dim))
     text = io.BytesIO()
     scipy.io.mmwrite(text, coo)
     _atomic_write(path, text.getvalue())

@@ -13,13 +13,14 @@ Storage: ``offsets``, a strictly increasing tuple of ints (also kept as the
 int64 array ``offset_array``), and ``values``, one flat float64 or complex128
 buffer holding the diagonals back to back in that order: diagonal i is
 ``values[starts[i]:starts[i + 1]]``, ``starts`` being 0 and the running sum
-of the lengths.  Whole-matrix operations are a fixed number of numpy calls
-on the buffer, and their results take numpy's promoted dtype: a real matrix
-stays real under real scaling, sums and products, and meets a complex one in
+of the lengths.  Operations on the buffer alone are a fixed number of numpy
+calls, and their results take numpy's promoted dtype: a real matrix stays
+real under real scaling, sums and products, and meets a complex one in
 complex128.  A float64 entry x stands for the complex x + 0j.
 
-The program reads the packed buffer only; the diaq writers walk it diagonal
-by diagonal through ``offset_views()``, (offset, view) pairs.  One
+Everything else walks the diagonals through ``offset_views()``, (offset,
+view) pairs of the buffer, and ``diagonal_view(grid, d)``, diagonal d of a
+grid: no conversion builds an index array over the entries.  One
 per-diagonal record surface remains, because the benchmark (``perfbench/``)
 builds and compares matrices through it: the ``Diagonal`` record, the list
 constructor ``DiagMatrix(dim, diagonals)``, and ``diagonals``, the same views
@@ -33,8 +34,8 @@ sum(N - |d|) and finite values, naming the failing diagonal.
 complex128 and length-checks them, then packs them;
 ``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is and
 rejects anything else.  ``from_coo`` turns entries into diagonals for the
-Pauli generator and the Matrix Market reader; ``from_dense`` gathers them
-from a grid, keeping the grid's signed zeros.
+Pauli generator and the Matrix Market reader; ``from_dense`` keeps each
+diagonal of a grid that holds a nonzero, signed zeros included.
 """
 
 from __future__ import annotations
@@ -160,10 +161,6 @@ class DiagMatrix:
         """Count of entries that are actually nonzero."""
         return int(np.count_nonzero(self.values))
 
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): the matrix position of every buffer entry."""
-        return _coordinates(self.offset_array, self.starts)
-
     def scaled(self, factor: complex) -> "DiagMatrix":
         return DiagMatrix.packed(self.dim, self.offset_array, self.values * factor)
 
@@ -194,16 +191,12 @@ def _combine(a: DiagMatrix, b: DiagMatrix) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values
 
 
-def _entry_index(starts: np.ndarray, block_starts: np.ndarray) -> np.ndarray:
-    """block_starts[i] plus the position within diagonal i, for every entry of the
-    buffer whose diagonals start at starts."""
-    return np.arange(starts[-1]) + np.repeat(block_starts - starts[:-1], np.diff(starts))
-
-
-def _coordinates(offsets: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of every entry of the buffer laid out by offsets and starts."""
-    return (_entry_index(starts, np.maximum(0, -offsets)),
-            _entry_index(starts, np.maximum(0, offsets)))
+def diagonal_view(grid: np.ndarray, d: int) -> np.ndarray:
+    """Diagonal d of a square grid, strided or not, as a view that is writable
+    when grid is: entry r is grid[r + max(0, -d), r + max(0, d)]."""
+    view = grid.diagonal(d)
+    view.flags.writeable = grid.flags.writeable
+    return view
 
 
 def identity(n: int, dtype=COMPLEX) -> DiagMatrix:
@@ -230,16 +223,17 @@ def from_dense(rows, dtype=COMPLEX) -> DiagMatrix:
     grid = np.asarray(rows, dtype=dtype)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ShapeError(f"square input required, got shape {grid.shape}")
-    n, (rows, cols) = grid.shape[0], np.nonzero(grid)
-    offsets = np.unique(cols - rows)
-    del rows, cols  # before the gather's own indices
-    return DiagMatrix.packed(n, offsets, grid[_coordinates(offsets, buffer_starts(n, offsets))])
+    n = grid.shape[0]
+    offsets = [d for d in range(1 - n, n) if diagonal_view(grid, d).any()]
+    return DiagMatrix.packed(n, offsets, np.concatenate(
+        [np.empty(0, grid.dtype), *(diagonal_view(grid, d) for d in offsets)]))
 
 
 def to_dense(m: DiagMatrix) -> np.ndarray:
     """Expand to a dense grid; exact inverse of from_dense."""
     grid = np.zeros((m.dim, m.dim), dtype=COMPLEX)
-    grid[m.coordinates()] = m.values
+    for d, vec in m.offset_views():
+        diagonal_view(grid, d)[:] = vec
     return grid
 
 
@@ -262,4 +256,7 @@ def drop_below(m: DiagMatrix, mag: np.ndarray, eps: float) -> tuple[DiagMatrix, 
 
 def one_norm(m: DiagMatrix) -> float:
     """Max absolute column sum, accumulated diagonal by diagonal in offset order."""
-    return float(np.bincount(m.coordinates()[1], weights=np.abs(m.values), minlength=m.dim).max())
+    sums = np.zeros(m.dim)
+    for d, vec in m.offset_views():
+        sums[max(0, d):m.dim + min(0, d)] += np.abs(vec)  # the columns diagonal d crosses
+    return float(sums.max())

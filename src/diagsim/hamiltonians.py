@@ -104,6 +104,8 @@ def maxcut_ising(n: int, seed: int | None = None) -> list[PauliTerm]:
     """
     if n < 2:
         raise DomainError(f"maxcut needs at least 2 qubits, got {n}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"maxcut seed must be non-negative, got {seed}")
     if seed is None:
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
     else:

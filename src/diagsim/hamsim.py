@@ -1,7 +1,7 @@
 """Truncated-series matrix exponentiation driven through the grid stack.
 
 exp(-i t H) is approximated by K+1 series terms; each iteration performs one
-chained product T_k = T_{k-1} (-i t H) / k.  With the simulator on, each
+chained product T_k = T_{k-1} (-i t H) / k.  Given a GridSetup, each
 product is also planned from its operands' offsets into grid jobs, counted by
 the closed-form grid model and charged to the memory model
 (simulate_product); the chain computes the values either way.  The
@@ -40,7 +40,7 @@ always does.  Without -0.0, an entry U does not store may read +0.0
 nothing, and U += T_k is one real add.  The floor's per-diagonal maxima, the
 product's offsets (R_k's, as no nonzero scaled to zero) and the drops go
 through one strided sheared view of R_k's band buffer, in which each diagonal
-is a column; U is a plain n x n array that from_dense gathers.
+is a column; U is a plain n x n array, filled and gathered diagonal by diagonal.
 
 Per product the dense chain wins from an eighth to a quarter of n^2
 (heisenberg and tfim at 6-10 qubits) and whole chains take the same time
@@ -49,8 +49,8 @@ never fills its band never switches, so a narrow chain allocates no O(n^2).
 After the switch the chain holds 48 n^2 bytes (R_k's band buffer 16, U 16,
 a product and scipy's copy of R^T 16) where the term alone held at least
 4 n^2; the packed chain's accumulator and sums reach about as much
-(tracemalloc peak at t = 0.5, packed -> switching: heisenberg-10 79.7 ->
-71.5 MiB, tfim-10 80.9 -> 85.5 MiB).
+(tracemalloc peak at t = 0.5, packed -> switching: heisenberg-10 78.8 ->
+58.3 MiB, tfim-10 80.9 -> 66.3 MiB; the switch adds 32.5 MiB, the exit 18).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ import scipy.sparse
 
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
-from .diagmat import COMPLEX, DiagMatrix, drop_below, from_dense, identity, one_norm
+from .diagmat import (COMPLEX, DiagMatrix, diagonal_view, drop_below, from_dense, identity,
+                      one_norm)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -80,7 +81,6 @@ class TaylorConfig:
     t: float = 1.0
     terms: int | None = None
     eps: float | None = None
-    use_simulator: bool = True
 
     def __post_init__(self):
         if (self.terms is None) == (self.eps is None):
@@ -139,11 +139,10 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
                 ) -> tuple[DiagMatrix, list[IterationRecord]]:
     """Approximate exp(-i t H); returns (U, per-iteration records).
 
-    With use_simulator every product is also planned from its operands'
-    offsets, run through the blocked grid model and the cache, and its plan
-    checked to cover it (simulate_product).  U is the same either way.
+    Given a grid, every product is also planned from its operands' offsets,
+    run through the blocked grid model and cache (a fresh one if none is given),
+    and its plan checked to cover it (simulate_product).  U is the same either way.
     """
-    grid = grid or GridSetup()
     n = h.dim
     real = not h.values.imag.any()
     if real:  # the factors Q_k into even and odd k (module docstring)
@@ -153,7 +152,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         factors = (h.scaled(-1j * cfg.t),) * 2
     k_max = (cfg.terms if cfg.terms is not None
              else term_count_for(one_norm(factors[0]), cfg.eps))
-    if cache is None and cfg.use_simulator:
+    if cache is None and grid is not None:
         cache = SetAssocCache(grid.cache)
 
     u = identity(n)
@@ -178,7 +177,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
                 t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
             u = u.add(_term(t_k, k) if real else t_k)
             live, nnze = t_k.offset_array, int(np.count_nonzero(mag))
-        if cfg.use_simulator:
+        if grid is not None:
             stage, counters, mem = simulate_product(
                 n, offsets, m.offsets, made, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
         else:
@@ -216,9 +215,12 @@ def _negative_zero(values: np.ndarray) -> bool:
 
 
 def _csr_t(m: DiagMatrix):
-    """m^T in CSR, each row's column indices ascending."""
-    rows, cols = m.coordinates()
-    m_t = scipy.sparse.csr_array((m.values, (cols, rows)), shape=(m.dim, m.dim))
+    """m^T in CSR, each row's column indices ascending; explicit zeros may go."""
+    if not m.nnzd:
+        return scipy.sparse.csr_array((m.dim, m.dim), dtype=m.values.dtype)
+    m_t = scipy.sparse.diags_array([vec for _, vec in m.offset_views()],
+                                   offsets=[-d for d in m.offsets], shape=(m.dim, m.dim),
+                                   dtype=m.values.dtype).tocsr()
     m_t.sort_indices()
     return m_t
 
@@ -237,13 +239,6 @@ def _sheared(buf: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(buf, (n, 2 * n - 1), (2 * n * step, step))
 
 
-def _transpose_into(grid: np.ndarray, m: DiagMatrix) -> np.ndarray:
-    """grid, an n x n array of zeros, holding m^T."""
-    rows, cols = m.coordinates()
-    grid[cols, rows] = m.values
-    return grid
-
-
 class _DenseChain:
     """R_k (float64) in a band buffer and U (complex128) in an n x n array, both
     transposed: R^T in n rows of pitch 2n - 1, each after n - 1 pads, then n - 1
@@ -251,10 +246,12 @@ class _DenseChain:
 
     def __init__(self, r: DiagMatrix, u: DiagMatrix, factors):
         n = self.n = r.dim
-        self.u_t = _transpose_into(np.zeros((n, n), COMPLEX), u)
+        self.u_t = np.zeros((n, n), COMPLEX)
         self.r_buf = np.zeros(n * (2 * n - 1) + n - 1)
         self.r_t = self.r_buf[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
-        _transpose_into(self.r_t, r)
+        for grid, m in ((self.u_t, u), (self.r_t, r)):
+            for d, vec in m.offset_views():
+                diagonal_view(grid.T, d)[:] = vec
         self.q_t = [_csr_t(f) for f in factors]
 
     def step(self, k: int):

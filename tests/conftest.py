@@ -1,11 +1,16 @@
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
+from hypothesis import strategies as st
 
-from diagsim import DiagMatrix, Diagonal
+from diagsim import COMPLEX, DiagMatrix, Diagonal
 from diagsim.blocking import segment_bounds
+from diagsim.diagmat import buffer_starts
 
 
 def minkowski(da: set[int] | list[int] | tuple[int, ...], db) -> tuple[int, ...]:
@@ -145,6 +150,76 @@ def diaq_json_oracle(m) -> bytes:
         ],
     }
     return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+
+
+# The grid conversions as they were written before they walked the diagonals,
+# through the matrix position of every buffer entry: their bit-for-bit oracles
+
+
+def entry_coordinates(offsets: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every entry of the buffer laid out by offsets and starts."""
+    def index(block_starts):  # block_starts[i] plus the position within diagonal i
+        return np.arange(starts[-1]) + np.repeat(block_starts - starts[:-1], np.diff(starts))
+
+    return index(np.maximum(0, -offsets)), index(np.maximum(0, offsets))
+
+
+def coordinates(m) -> tuple[np.ndarray, np.ndarray]:
+    return entry_coordinates(m.offset_array, m.starts)
+
+
+def to_dense_oracle(m) -> np.ndarray:
+    grid = np.zeros((m.dim, m.dim), dtype=COMPLEX)
+    grid[coordinates(m)] = m.values
+    return grid
+
+
+def from_dense_oracle(grid: np.ndarray, dtype=COMPLEX) -> DiagMatrix:
+    grid = np.asarray(grid, dtype=dtype)
+    n, (rows, cols) = grid.shape[0], np.nonzero(grid)
+    offsets = np.unique(cols - rows)
+    return DiagMatrix.packed(n, offsets, grid[entry_coordinates(offsets, buffer_starts(n, offsets))])
+
+
+def one_norm_oracle(m) -> float:
+    return float(np.bincount(coordinates(m)[1], weights=np.abs(m.values), minlength=m.dim).max())
+
+
+def csr_t_oracle(m):
+    """m^T in CSR with every stored entry kept, each row's column indices ascending."""
+    rows, cols = coordinates(m)
+    m_t = scipy.sparse.csr_array((m.values, (cols, rows)), shape=(m.dim, m.dim))
+    m_t.sort_indices()
+    return m_t
+
+
+def matrix_market_oracle(m) -> bytes:
+    rows, cols = coordinates(m)
+    nonzero = m.values != 0
+    coo = scipy.sparse.coo_matrix((m.values[nonzero].astype(COMPLEX, copy=False),
+                                   (rows[nonzero], cols[nonzero])), shape=(m.dim, m.dim))
+    text = io.BytesIO()
+    scipy.io.mmwrite(text, coo)
+    return text.getvalue()
+
+
+# float64 parts a conversion must carry bit for bit: signed zeros, subnormals
+# and values at both ends of the range
+EDGE_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300, 1.0, -2.5])
+
+
+@st.composite
+def edge_matrices(draw) -> DiagMatrix:
+    """A float64 or complex128 matrix of dim 1..12, with no diagonals up to all
+    2n - 1, whose parts mix EDGE_PARTS with random normals."""
+    n = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float64, COMPLEX]))
+    offsets = sorted(draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=2 * n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(buffer_starts(n, offsets)[-1]) * (2 if dtype is COMPLEX else 1)
+    parts = np.where(rng.random(count) < 0.5, rng.choice(EDGE_PARTS, count),
+                     rng.standard_normal(count))
+    return DiagMatrix.packed(n, offsets, parts.view(dtype))
 
 
 @pytest.fixture

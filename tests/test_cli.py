@@ -3,6 +3,7 @@ import json
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from diagsim import DiagMatrix, cli, gen_benchmark, hamsim
@@ -100,6 +101,31 @@ def test_non_finite_t_or_eps_exits_2_with_one_line(tmp_path, capsys, flag, value
         assert cli.main(argv) == cli.DATA_EXIT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:]} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--functional-only"]], ids=["simulated", "functional"])
+@pytest.mark.parametrize("t", ["1e308", "1e200"])
+def test_overflowing_t_exits_2_with_one_line(tmp_path, capsys, t, mode):
+    # 1e308 overflows t H itself, 1e200 the chain's first products; either way
+    # DiagMatrix names the non-finite diagonal and numpy stays quiet
+    out = tmp_path / "r.json"
+    argv = ["expm", "--model", "tfim", "--qubits", "3", "--t", t, "--iters", "3",
+            "--out", str(out), *mode]
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == cli.DATA_EXIT
+    assert np.geterr() == before  # library calls keep numpy's defaults
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagonal ") and err.count("\n") == 1
+    assert err.endswith(" contains non-finite values\n") and not out.exists()
+
+
+def test_negative_maxcut_seed_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "m.diaq"
+    assert cli.main(["gen", "maxcut", "3", "--seed", "-1", "--out", str(out)]) == cli.DATA_EXIT
+    assert capsys.readouterr().err == "error: maxcut seed must be non-negative, got -1\n"
     assert not out.exists()
 
 

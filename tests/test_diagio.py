@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.io
@@ -11,7 +14,8 @@ from diagsim.diagio import (MAGIC, load_matrix, read_diaq, read_diaq_json,
                             write_diaq, write_diaq_json, write_matrix_market)
 from diagsim.errors import DomainError, ShapeError
 
-from conftest import diag_matrix, diaq_json_oracle, rand_matrix
+from conftest import (diag_matrix, diaq_json_oracle, edge_matrices, matrix_market_oracle,
+                      rand_matrix)
 
 
 def matrices_equal(a: DiagMatrix, b: DiagMatrix) -> bool:
@@ -146,6 +150,17 @@ def test_matrix_market_writes_only_nonzero_entries(tmp_path):
         2: upper,
     })
     assert matrices_equal(read_matrix_market(path), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_matrices())
+def test_matrix_market_writer_matches_the_coordinate_oracle(m):
+    # same bytes, entries by diagonal then row, as the coordinate-based writer
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mtx")
+        write_matrix_market(m, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == matrix_market_oracle(m)
 
 
 @pytest.mark.parametrize("seed", range(5))

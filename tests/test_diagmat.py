@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagsim import (DiagMatrix, Diagonal, diag_length, drop_zero_diagonals,
-                     from_dense, identity, one_norm, to_dense)
-from diagsim.diagmat import drop_below, from_coo
+from diagsim import (COMPLEX, DiagMatrix, Diagonal, diag_length, drop_zero_diagonals,
+                     from_dense, gen_benchmark, identity, one_norm, to_dense)
+from diagsim.diagmat import diagonal_view, drop_below, from_coo
 from diagsim.errors import DomainError, ShapeError
+from diagsim.hamsim import TaylorConfig, taylor_expm
 
-from conftest import (add_oracle, diag_matrix, drop_zero_oracle, float64_copy, rand_matrix,
-                      same_bits, scaled_oracle)
+from conftest import (add_oracle, diag_matrix, drop_zero_oracle, edge_matrices, float64_copy,
+                      from_dense_oracle, one_norm_oracle, rand_matrix, same_bits, scaled_oracle,
+                      to_dense_oracle)
 
 
 class TestDiagLength:
@@ -323,3 +327,65 @@ class TestPackedConstruction:
     def test_dim_outside_int64_lengths_rejected(self, dim):
         with pytest.raises(DomainError):
             DiagMatrix(dim, ())
+
+
+# -- grid conversions, one diagonal at a time, against the coordinate oracles --
+
+
+LAYOUTS = ["contiguous", "transposed", "band", "band-transposed"]
+
+
+def in_layout(dense: np.ndarray, layout: str) -> np.ndarray:
+    """A writable copy of the square grid dense, laid out in memory as named:
+    C order, F order, or the dense Taylor chain's band view (n rows of pitch
+    2n - 1 in a larger buffer) and its transpose."""
+    n = dense.shape[0]
+    if layout == "contiguous":
+        grid = np.zeros((n, n), dense.dtype)
+    elif layout == "transposed":
+        grid = np.zeros((n, n), dense.dtype).T
+    else:
+        buf = np.zeros(n * (2 * n - 1) + n - 1, dense.dtype)
+        grid = buf[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
+        grid = grid.T if layout == "band-transposed" else grid
+    grid[...] = dense
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_matrices(), st.sampled_from(LAYOUTS))
+def test_grid_conversions_match_the_coordinate_oracles(m, layout):
+    dense = to_dense_oracle(m)
+    assert to_dense(m).tobytes() == dense.tobytes()
+    assert one_norm(m).hex() == one_norm_oracle(m).hex()
+    dtype = m.values.dtype
+    grid = in_layout(dense if dtype == COMPLEX else dense.real, layout)
+    got = from_dense(grid, dtype)
+    assert got.values.dtype == dtype and same_bits(got, from_dense_oracle(grid, dtype))
+    # writes through the views land where the oracle puts each entry
+    written = in_layout(np.zeros_like(grid), layout)
+    for d, vec in m.offset_views():
+        diagonal_view(written, d)[:] = vec
+    assert written.tobytes() == grid.tobytes()
+
+
+def test_diagonal_view_of_a_read_only_grid_stays_read_only():
+    grid = np.arange(9.0).reshape(3, 3)
+    grid.flags.writeable = False
+    assert not diagonal_view(grid, 1).flags.writeable
+    assert same_bits(from_dense(grid, np.float64), from_dense_oracle(grid, np.float64))
+
+
+def test_from_dense_of_a_wide_u_holds_little_beyond_its_output():
+    # the coordinate gather held int64 row and column indices of every entry
+    # besides the output: about twice its bytes
+    u, _ = taylor_expm(gen_benchmark("heisenberg", 8), TaylorConfig(t=0.5, eps=1e-8))
+    grid = to_dense(u)
+    tracemalloc.start()
+    try:
+        got = from_dense(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(got, from_dense_oracle(grid))
+    assert got.nnzd > 300 and peak < 1.5 * got.values.nbytes

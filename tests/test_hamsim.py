@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, to_dense
 from diagsim.diagmat import COMPLEX, from_coo
@@ -8,7 +9,7 @@ from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from diagsim.memory import SetAssocCache
 
-from conftest import same_bits
+from conftest import csr_t_oracle, edge_matrices, same_bits
 from taylor_oracle import complex_chain
 
 
@@ -26,7 +27,7 @@ def dense_taylor_oracle(h: np.ndarray, t: float, terms: int) -> np.ndarray:
 @pytest.mark.parametrize("model", ["heisenberg", "tfim"])
 def test_functional_series_matches_dense_series(model):
     h = gen_benchmark(model, 4)
-    u, records = taylor_expm(h, TaylorConfig(t=0.7, terms=12, use_simulator=False))
+    u, records = taylor_expm(h, TaylorConfig(t=0.7, terms=12))
     assert len(records) == 12
     want = dense_taylor_oracle(to_dense(h), 0.7, 12)
     assert np.linalg.norm(to_dense(u) - want) <= 1e-12 * np.linalg.norm(want)
@@ -35,7 +36,7 @@ def test_functional_series_matches_dense_series(model):
 @pytest.mark.parametrize("model", ["heisenberg", "tfim"])
 def test_functional_series_is_bit_identical_to_per_diagonal_chain(model):
     h = gen_benchmark(model, 6)
-    u, records = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
+    u, records = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8))
     want, _ = complex_chain(h, 0.5, terms=len(records))
     assert u.offsets == want.offsets
     assert u.values.tobytes() == want.values.tobytes()
@@ -49,7 +50,7 @@ def test_functional_chain_builds_no_diagonal_views(monkeypatch):
         raise AssertionError("built a per-diagonal view")
 
     monkeypatch.setattr(diagmat, "Diagonal", refuse)
-    u, _ = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
+    u, _ = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8))
     diag_matmul(u, h)
     diag_matmul(h, u)
 
@@ -60,7 +61,7 @@ def test_simulated_series_is_bit_identical_to_functional(model, qubits):
     h = gen_benchmark(model, qubits)
     grid = GridSetup(rows=4, cols=4)
     u_sim, sim = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8), grid)
-    u_fun, fun = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8, use_simulator=False))
+    u_fun, fun = taylor_expm(h, TaylorConfig(t=0.5, eps=1e-8))
     assert u_sim.offsets == u_fun.offsets
     assert u_sim.values.tobytes() == u_fun.values.tobytes()
     assert [(r.nnzd, r.nnze) for r in sim] == [(r.nnzd, r.nnze) for r in fun]
@@ -69,7 +70,7 @@ def test_simulated_series_is_bit_identical_to_functional(model, qubits):
 
 def test_iteration_nnze_counts_nonzero_entries():
     h = gen_benchmark("heisenberg", 4)
-    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=4, use_simulator=False))
+    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=4))
     t_k = identity(h.dim)
     m = h.scaled(-0.5j)
     for k, record in enumerate(records, start=1):
@@ -111,8 +112,8 @@ def test_real_chain_u_is_bit_identical_to_complex_chain(monkeypatch, model, qubi
     want, fields = complex_chain(h, t, terms, eps, grid)
     dense = _dense_calls(monkeypatch)
     for use_simulator in (False, True):
-        cfg = TaylorConfig(t=t, terms=terms, eps=eps, use_simulator=use_simulator)
-        u, records = taylor_expm(h, cfg, grid)
+        cfg = TaylorConfig(t=t, terms=terms, eps=eps)
+        u, records = taylor_expm(h, cfg, grid if use_simulator else None)
         assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == [f[:3] for f in fields]
         assert same_bits(u, want)
     # the simulated leg charged every product as the packed chain plans it
@@ -156,8 +157,8 @@ def _product_dtypes(monkeypatch) -> list:
 @pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])
 def test_real_hamiltonian_multiplies_in_float64(monkeypatch, use_simulator):
     seen = _product_dtypes(monkeypatch)
-    cfg = TaylorConfig(t=0.5, terms=6, use_simulator=use_simulator)
-    u, _ = taylor_expm(gen_benchmark("tfim", 4), cfg, GridSetup(rows=4, cols=4))
+    grid = GridSetup(rows=4, cols=4) if use_simulator else None
+    u, _ = taylor_expm(gen_benchmark("tfim", 4), TaylorConfig(t=0.5, terms=6), grid)
     assert seen == [(np.float64, np.float64)] * 6
     assert u.values.dtype == COMPLEX
 
@@ -170,8 +171,8 @@ def test_complex_hamiltonian_keeps_the_complex_chain(monkeypatch, use_simulator)
     rows, cols = np.nonzero(dense)
     h = from_coo(4, rows, cols, dense[rows, cols])
     seen = _product_dtypes(monkeypatch)
-    cfg = TaylorConfig(t=0.7, eps=1e-12, use_simulator=use_simulator)
-    u, _ = taylor_expm(h, cfg, GridSetup(rows=2, cols=2))
+    grid = GridSetup(rows=2, cols=2) if use_simulator else None
+    u, _ = taylor_expm(h, TaylorConfig(t=0.7, eps=1e-12), grid)
     assert seen and all(pair == (COMPLEX, COMPLEX) for pair in seen)
     assert np.linalg.norm(to_dense(u) - scipy.linalg.expm(-0.7j * dense), 2) <= 1e-11
     assert same_bits(u, complex_chain(h, 0.7, eps=1e-12)[0])
@@ -201,7 +202,7 @@ def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(mo
     monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: kinds.append("packed") or packed(a, b))
     monkeypatch.setattr(hamsim, "_dense_product",
                         lambda q_t, r_t: kinds.append("dense") or dense(q_t, r_t))
-    u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6, use_simulator=False))
+    u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6))
     want, fields = complex_chain(h, 1.0, terms=6)
     assert kinds == ["packed", "dense", "dense", "packed", "packed"]  # k = 3 runs twice
     assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == fields
@@ -222,7 +223,7 @@ def test_overflow_after_the_switch_raises_as_the_packed_chain_does(monkeypatch, 
     h = from_coo(4, rows, cols, base[rows, cols])
     dense = _dense_calls(monkeypatch)
     with pytest.raises(DomainError, match=r"^diagonal -3 contains non-finite values$"):
-        taylor_expm(h, TaylorConfig(t=1e100, terms=6, use_simulator=use_simulator))
+        taylor_expm(h, TaylorConfig(t=1e100, terms=6), GridSetup() if use_simulator else None)
     assert len(dense) == 3  # k = 2, 3 and the overflowing k = 4
 
 
@@ -239,8 +240,22 @@ def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simul
     h = from_coo(6, rows, cols, g[rows, cols])
     dense = _dense_calls(monkeypatch)
     with pytest.raises(DomainError, match=r"^diagonal -4 contains non-finite values$"):
-        taylor_expm(h, TaylorConfig(t=1.0, terms=6, use_simulator=use_simulator))
+        taylor_expm(h, TaylorConfig(t=1.0, terms=6), GridSetup() if use_simulator else None)
     assert len(dense) == 2  # k = 2 and 3, as the packed chain stops at k = 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_matrices())
+def test_csr_transpose_matches_the_coordinate_oracle(m):
+    # built from the diagonals, Q^T may lose explicit zeros, which add nothing
+    # to a dense product's sums (test_dense_product_matches_pair_loop_bit_for_bit)
+    got, want = hamsim._csr_t(m), csr_t_oracle(m)
+    assert got.shape == want.shape and got.dtype == m.values.dtype and got.has_sorted_indices
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_a_narrow_term_never_turns_dense(monkeypatch):
@@ -250,5 +265,5 @@ def test_a_narrow_term_never_turns_dense(monkeypatch):
 
     monkeypatch.setattr(hamsim, "_DenseChain", refuse)
     h = gen_benchmark("maxcut", 12)
-    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=12, use_simulator=False))
+    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=12))
     assert len(records) == 12 and all(r.nnzd == 1 for r in records)
