@@ -142,9 +142,12 @@ def cmd_matmul(args) -> int:
             raise DomainError(f"--check densifies; dim {a.dim} exceeds {CHECK_DIM_CAP}")
         ref = dense_matmul_oracle(to_dense(a), to_dense(b))
         got = to_dense(c)
-        scale = max(float(np.linalg.norm(ref)), 1e-300)
-        err = float(np.linalg.norm(got - ref)) / scale
-        if err > 1e-12:
+        # scaled by the largest magnitude so the norms cannot overflow; a NaN
+        # error (a non-finite entry) fails
+        peak = max(np.abs(ref).max(initial=0.0), np.abs(got).max(initial=0.0)) or 1.0
+        ref, got = ref / peak, got / peak
+        err = float(np.linalg.norm(got - ref)) / max(float(np.linalg.norm(ref)), 1e-300)
+        if not err <= 1e-12:
             print(f"oracle check FAILED: relative error {err:.3e}", file=sys.stderr)
             return VERIFY_EXIT
         print(f"oracle check passed: relative error {err:.3e}")

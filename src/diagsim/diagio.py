@@ -120,20 +120,27 @@ def _json_pairs(values: np.ndarray) -> str:
 
 
 def read_diaq_json(path: str) -> DiagMatrix:
+    """The parser hands each diagonal's object to _pairs_array as it closes,
+    so one diagonal's pairs at a time are Python floats."""
     with open(path) as fh, _reading(path):
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=_pairs_array)
         n = operator.index(doc["n"])
         diags = sorted(((operator.index(d["offset"]), d["values"]) for d in doc["diags"]),
                        key=lambda diag: diag[0])
-        values, pos = np.empty(sum(len(pairs) for _, pairs in diags), dtype=COMPLEX), 0
         for d, pairs in diags:
-            pairs = np.array(pairs)
             if pairs.dtype.kind not in "biuf" or pairs.shape != (diag_length(n, d), 2):
                 raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} "
                                  f"[re, im] number pairs, got shape {pairs.shape}")
-            values[pos:pos + len(pairs)] = pairs.astype(np.float64).view(COMPLEX).ravel()
-            pos += len(pairs)
-        return DiagMatrix.packed(n, [d for d, _ in diags], values)
+        values = np.concatenate([np.empty((0, 2))] + [pairs for _, pairs in diags],
+                                dtype=np.float64)
+        return DiagMatrix.packed(n, [d for d, _ in diags], values.view(COMPLEX).ravel())
+
+
+def _pairs_array(obj: dict) -> dict:
+    """A JSON object with its "values" member as an array, if it has one."""
+    if "values" in obj:
+        obj["values"] = np.array(obj["values"])
+    return obj
 
 
 def write_matrix_market(m: DiagMatrix, path: str) -> None:

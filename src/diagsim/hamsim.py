@@ -10,6 +10,16 @@ k! at the end) so the chain stays finite for deep truncations, and
 cancellation debris below a relative floor is dropped so the diagonal-count
 trajectory reflects genuine structure.
 
+A product's plan, its jobs' grid figures and its multiply count depend on
+nothing but n, the operands' offsets and the GridSetup, so a chain counts
+each distinct product once: simulate_product keeps them in a dict that
+lives in one taylor_expm call.  Q and -Q share offsets and a term's offsets
+stop changing once its band fills, so the expm-sim benchmark's chain
+(heisenberg-6, t = 1, 55 products) has 10 distinct products and runs 41
+grid jobs in place of 311.  Every product is still charged to the cache,
+whose state differs from product to product, and checked against its own
+offsets; no figure carries over from one call to the next.
+
 When no fixed term count is given, K is the smallest k whose one-norm
 remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
 
@@ -154,6 +164,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
              else term_count_for(one_norm(factors[0]), cfg.eps))
     if cache is None and grid is not None:
         cache = SetAssocCache(grid.cache)
+    counted: dict = {}  # this chain's distinct products (simulate_product)
 
     u = identity(n)
     t_k = identity(n, factors[0].values.dtype)
@@ -176,10 +187,11 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             if t_k.nnzd:
                 t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
             u = u.add(_term(t_k, k) if real else t_k)
-            live, nnze = t_k.offset_array, int(np.count_nonzero(mag))
+            live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
         if grid is not None:
             stage, counters, mem = simulate_product(
-                n, offsets, m.offsets, made, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
+                n, offsets, m.offsets, made, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"),
+                counted=counted)
         else:
             stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
         offsets, scalars = live, n * len(live) - int(np.abs(live).sum())
@@ -261,9 +273,9 @@ class _DenseChain:
         packed chain raises DomainError) or the scaling takes a nonzero to
         zero; DomainError, as the packed chain's sum raises it, if U is not."""
         product = _dense_product(self.q_t[k % 2], self.r_t)
-        nonzero = np.count_nonzero(product)
+        nonzero = np.count_nonzero(product != 0)  # a mask counts faster than floats
         product *= 1.0 / k
-        if np.count_nonzero(product) < nonzero or not np.isfinite(product).all():
+        if np.count_nonzero(product != 0) < nonzero or not np.isfinite(product).all():
             return None
         np.copyto(self.r_t, product)
         sheared = _sheared(self.r_buf, self.n)
@@ -283,7 +295,7 @@ class _DenseChain:
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,
                      cache: SetAssocCache, tags: tuple[str, str, str] = ("A", "B", "C"),
-                     trace=None):
+                     trace=None, counted: dict | None = None):
     """One product of two dim-n matrices, given by their ascending offsets,
     through plan -> grid jobs -> cache; returns (summed stage cycles, summed
     counters, memory stats delta).
@@ -292,21 +304,20 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
     diagonals.  The plan must cover it, or VerificationError: the jobs'
     multiplies sum to the product's count, and some job touches each of those
     diagonals.  trace, when given, receives one dict per job in schedule
-    order: its plan position and closed-form figures.
+    order: its plan position and closed-form figures.  counted, when given,
+    keeps each distinct product's plan and grid figures (_count_product) for
+    the next product with the same key; every product is still charged to
+    the cache and checked against its own offsets.
     """
     a_tag, b_tag, c_tag = tags
-    plan = make_plan(n, a_offsets, b_offsets, grid.rows, grid.cols, cuts=grid.cuts,
-                     a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
+    counted = {} if counted is None else counted
+    key = (n, np.asarray(a_offsets, np.int64).tobytes(),
+           np.asarray(b_offsets, np.int64).tobytes(), grid)
+    if key not in counted:
+        counted[key] = _count_product(n, a_offsets, b_offsets, grid)
+    jobs, results, stage, counters, touched, want = counted[key]
     mem_before = cache.stats.snapshot()
-    stage = StageCycles(0, 0, 0, 0)
-    counters: dict[str, int] = {}
-    touched: set[int] = set()
-    for index, job in enumerate(plan.jobs):
-        result = run_job(job.a_group.bounds, job.b_group.bounds, grid.feed,
-                         max_rows=grid.rows, max_cols=grid.cols, interleave=grid.interleave)
-        stage += result.stage
-        add_counters(counters, result.counters)
-        touched.update(result.offsets)
+    for index, (job, result) in enumerate(zip(jobs, results)):
         mem = charge_job(cache, job, a_tag, b_tag, c_tag, result.offsets)
         if trace is not None:
             trace({"job": index, "window": job.window, "a_group": job.a_group.group_id,
@@ -314,10 +325,28 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
                    "longest": list(result.longest), "cycles": dict(vars(result.stage)),
                    "counters": dict(result.counters), "mem": vars(mem), "offsets": result.offsets})
     flush_product(cache, c_tag)
-    multiplies, want = counters.get("multiplies", 0), multiply_count(a_offsets, b_offsets, n)
+    multiplies = counters.get("multiplies", 0)
     missed = sorted(set(product_offsets) - touched)
     if multiplies != want or missed:
         raise VerificationError(
             f"plan coverage check failed: the jobs perform {multiplies} of the product's "
             f"{want} multiplies; output diagonals no job touches: {missed}")
-    return stage, counters, cache.stats.delta(mem_before)
+    return stage, dict(counters), cache.stats.delta(mem_before)
+
+
+def _count_product(n: int, a_offsets, b_offsets, grid: GridSetup):
+    """The jobs of one product's plan, each job's RunResult, their summed stage
+    cycles and counters, the output offsets they touch and the product's
+    multiply count: a pure function of n, the operands' offsets and grid."""
+    plan = make_plan(n, a_offsets, b_offsets, grid.rows, grid.cols, cuts=grid.cuts,
+                     a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
+    results = [run_job(job.a_group.bounds, job.b_group.bounds, grid.feed, max_rows=grid.rows,
+                       max_cols=grid.cols, interleave=grid.interleave) for job in plan.jobs]
+    stage = StageCycles(0, 0, 0, 0)
+    counters: dict[str, int] = {}
+    touched: set[int] = set()
+    for result in results:
+        stage += result.stage
+        add_counters(counters, result.counters)
+        touched.update(result.offsets)
+    return plan.jobs, results, stage, counters, touched, multiply_count(a_offsets, b_offsets, n)

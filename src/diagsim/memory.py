@@ -12,11 +12,23 @@ back for merging and therefore counts as a miss.
 Per job the model charges one read per operand group line and one write per
 touched output-diagonal partial line; operand reuse inside the grid is free
 by construction (operands are forwarded cell to cell, never re-fetched).
+
+A job's lines are distinct (A, B, then one C line per output offset), so it
+is charged set by set in closed form (SetAssocCache.charge_set): only the
+first `ways` lines of a set can hit, and run through access().  LRU keeps the
+`ways` most recent distinct lines of a set (the inclusion property of Mattson
+et al., IBM Systems Journal 9(2), 1970), so the set then holds exactly those
+lines, and each later line of the job finds the set without it: it misses,
+or allocates as a fresh partial, and evicts the line `ways` accesses before it
+in that set.  C lines are only ever written and A and B lines only read, so a
+line is dirty exactly when it is a C line.  The counts, the write-backs and
+the set's final contents (its last `ways` lines) follow without stepping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -87,7 +99,7 @@ class SetAssocCache:
     def __init__(self, config: CacheConfig = CacheConfig()):
         self.config = config
         self._sets: list[dict[LineId, bool]] = [{} for _ in range(config.sets)]
-        self._ever_seen: set[LineId] = set()
+        self._ever_seen: set[tuple] = set()  # every line accessed: LineIds, or equal plain tuples
         self.stats = MemStats()
 
     def access(self, line: LineId, rw: str = "read") -> int:
@@ -119,6 +131,40 @@ class SetAssocCache:
         stats.stall_cycles += latency
         return latency
 
+    def charge_set(self, reads: list[LineId], c_tag: str, offsets: list[int]) -> None:
+        """Read the lines reads, then write the C lines of c_tag at offsets,
+        all distinct and of one set: the state and stats of access() on each
+        in that order, stepped for the set's first `ways` lines and counted
+        past them (module docstring)."""
+        cfg, stats, seen = self.config, self.stats, self._ever_seen
+        stepped = max(cfg.ways - len(reads), 0)  # C lines within the first `ways`
+        for line in reads[:cfg.ways]:
+            self.access(line, "read")
+        for dc in offsets[:stepped]:
+            self.access(LineId("C", c_tag, dc), "write")
+        late_reads, late = reads[cfg.ways:], offsets[stepped:]
+        late_count = len(late_reads) + len(late)
+        if not late_count:
+            return
+        new_reads = sum(line not in seen for line in late_reads)
+        seen.update(late_reads)
+        count = len(seen)
+        seen.update(zip(repeat("C"), repeat(c_tag), late))
+        fresh = len(seen) - count  # fresh partials allocate as hits
+        misses = late_count - fresh
+        dirty = max(late_count - len(reads), 0)  # C lines among the late_count evicted
+        stats.hits += fresh
+        stats.misses += misses
+        stats.compulsory_misses += new_reads
+        stats.dram_reads += misses
+        stats.dram_writes += dirty
+        stats.stall_cycles += (fresh * cfg.hit_cycles + dirty * cfg.dram_cycles
+                               + misses * (cfg.miss_penalty_cycles + cfg.dram_cycles))
+        last = reads + [LineId("C", c_tag, dc) for dc in offsets[-cfg.ways:]]
+        ways = self._sets[(reads[0].group_id if reads else offsets[0]) % cfg.sets]
+        ways.clear()
+        ways.update((line, line.kind == "C") for line in last[-cfg.ways:])
+
     def flush(self, keep=None) -> int:
         """Write back and drop dirty lines (all, or those failing keep)."""
         written = 0
@@ -139,13 +185,20 @@ def charge_job(cache: SetAssocCache, job, a_tag: str, b_tag: str, c_tag: str,
     """Memory traffic of one grid job; returns the stats delta.
 
     Reads the two operand group lines at job start and writes one partial
-    line per touched output diagonal at job end.
+    line per touched output diagonal at job end, each set's lines in that
+    order through SetAssocCache.charge_set.
     """
     before = cache.stats.snapshot()
-    cache.access(LineId("A", a_tag, job.a_group.group_id), "read")
-    cache.access(LineId("B", b_tag, job.b_group.group_id), "read")
+    sets = cache.config.sets
+    reads: list[list[LineId]] = [[] for _ in range(sets)]
+    writes: list[list[int]] = [[] for _ in range(sets)]
+    for line in (LineId("A", a_tag, job.a_group.group_id),
+                 LineId("B", b_tag, job.b_group.group_id)):
+        reads[line.group_id % sets].append(line)
     for dc in sorted(output_offsets):
-        cache.access(LineId("C", c_tag, dc), "write")
+        writes[dc % sets].append(dc)
+    for set_reads, set_writes in zip(reads, writes):
+        cache.charge_set(set_reads, c_tag, set_writes)
     return cache.stats.delta(before)
 
 

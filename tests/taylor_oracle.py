@@ -24,8 +24,9 @@ def complex_chain(h, t: float, terms: int | None = None, eps: float | None = Non
                   grid=None):
     """(U, per term (nnzd, nnze, storage_scalars)) of the series of
     exp(-i t H), K fixed by terms or chosen from eps as taylor_expm chooses it.
-    Given a grid, each term's tuple also holds its product's stage cycles and
-    MemStats, charged to one cache across the chain."""
+    Given a grid, each term's tuple also holds its product's stage cycles,
+    counters and MemStats, charged to one cache across the chain, each
+    product planned and run on its own."""
     m = scaled_oracle(h, -1j * t)
     k_max = terms if terms is not None else term_count_for(one_norm(m), eps)
     cache = grid and SetAssocCache(grid.cache)
@@ -35,9 +36,8 @@ def complex_chain(h, t: float, terms: int | None = None, eps: float | None = Non
         product = diag_matmul(t_k, m)
         modeled = ()
         if grid:
-            stage, _, mem = simulate_product(h.dim, t_k.offsets, m.offsets, product.offsets,
-                                             grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
-            modeled = (stage, mem)
+            modeled = simulate_product(h.dim, t_k.offsets, m.offsets, product.offsets,
+                                       grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
         t_k = scaled_oracle(product, 1.0 / k)
         if t_k.nnzd:
             peak = max(np.abs(d.values).max() for d in t_k.diagonals)

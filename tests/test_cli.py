@@ -29,6 +29,28 @@ def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r2.json").exists()  # no report from an uncovered plan
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-150])
+def test_matmul_check_passes_at_any_scale(tmp_path, capsys, scale):
+    # at 1e100 the product's entries near 1e200 overflow an unscaled norm
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("heisenberg", 4).scaled(scale), path)
+    assert cli.main(["matmul", path, path, "--check", "--out", str(tmp_path / "p.diaq")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("oracle check passed: relative error ") and "nan" not in out
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_matmul_check_fails_closed_on_a_wrong_product(tmp_path, monkeypatch, capsys, scale):
+    path, out = str(tmp_path / "h.diaq"), tmp_path / "p.diaq"
+    save_matrix(gen_benchmark("heisenberg", 4).scaled(scale), path)
+    real = cli.diag_matmul
+    monkeypatch.setattr(cli, "diag_matmul", lambda a, b: real(a, b).scaled(1 + 1e-9))
+    assert cli.main(["matmul", path, path, "--check", "--out", str(out)]) == cli.VERIFY_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("oracle check FAILED: relative error 1.0") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _expm_terms(tmp_path, config, *flags):
     """Taylor terms of a functional heisenberg-4 expm run under a config file."""
     cfg = tmp_path / "run.cfg"

@@ -7,7 +7,7 @@ from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, ide
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
-from diagsim.memory import SetAssocCache
+from diagsim.memory import CacheConfig, SetAssocCache
 
 from conftest import csr_t_oracle, edge_matrices, same_bits
 from taylor_oracle import complex_chain
@@ -93,6 +93,35 @@ def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
                          SetAssocCache(grid.cache))
 
 
+def test_each_chain_counts_its_own_distinct_products(monkeypatch):
+    # Q and -Q share offsets and the band fills, so a chain repeats products;
+    # no plan or grid figure outlives the taylor_expm call that counted it
+    h, cfg = gen_benchmark("heisenberg", 4), TaylorConfig(t=1.0, eps=1e-8)
+    calls = {"run_job": 0, "charge_job": 0}
+    for name in calls:
+        real = getattr(hamsim, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hamsim, name, counting)
+    grids = [GridSetup(rows=4, cols=4), GridSetup(rows=4, cols=4),
+             GridSetup(rows=2, cols=8, cache=CacheConfig(sets=1, ways=3)), GridSetup(rows=4, cols=4)]
+    runs = []
+    for grid in grids:
+        before = dict(calls)
+        _, records = taylor_expm(h, cfg, grid)
+        runs.append((calls["run_job"] - before["run_job"],
+                     calls["charge_job"] - before["charge_job"], records))
+    assert runs[0][:2] == runs[1][:2] == runs[3][:2]
+    assert runs[0][0] < runs[0][1]  # fewer grid jobs run than charged
+    for grid, (_, _, records) in zip(grids, runs):
+        _, fields = complex_chain(h, 1.0, eps=1e-8, grid=grid)
+        assert [(r.stage_cycles, r.counters, r.mem) for r in records] == [f[3:] for f in fields]
+    assert runs[2][2] != runs[0][2] == runs[3][2]
+
+
 # the couplings' signs, t's sign and a short chain all reach U's signed zeros:
 # forming (-i)^k P_k by a complex multiply gives -0.0 where the complex chain
 # gives +0.0 in the zero component of a chain's last terms (terms 2, 3, 7 here)
@@ -117,7 +146,7 @@ def test_real_chain_u_is_bit_identical_to_complex_chain(monkeypatch, model, qubi
         assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == [f[:3] for f in fields]
         assert same_bits(u, want)
     # the simulated leg charged every product as the packed chain plans it
-    assert [(r.stage_cycles, r.mem) for r in records] == [f[3:] for f in fields]
+    assert [(r.stage_cycles, r.counters, r.mem) for r in records] == [f[3:] for f in fields]
     if model == "maxcut":
         assert not dense  # a diagonal H keeps a diagonal term
     elif qubits == 8 and terms in (None, 7):

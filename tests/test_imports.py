@@ -16,6 +16,9 @@ entries and the tracer's span targets are.  Tests do not count.  Names are
 matched bare, not by their owner, so a test-only method whose name some other
 object's attribute shares (a ``get`` beside ``dict.get`` calls) passes
 unseen: the guard finds test-only names, it does not prove there are none.
+Only ``cli._shared_parser`` may be memoized with ``functools.cache`` or
+``lru_cache``: a cache that outlives a call carries results across runs in
+one process, as the benchmark's passes are.
 """
 
 import ast
@@ -180,3 +183,53 @@ def test_public_guard_cannot_see_a_method_whose_name_another_object_uses():
                      "def total(counters): return counters.get('x') + Matrix\n"),
                "b": "import a\nx = a.total\n"}
     assert unnamed_public_definitions(sources, {}) == []
+
+
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def _memoizer(node) -> bool:
+    """Whether node is functools.cache or functools.lru_cache, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(node, ast.Attribute) and node.attr in MEMOIZERS
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def memoized(sources: dict[str, str]) -> list[str]:
+    """module:function of each function functools memoizes, and module:line of
+    each other use of a functools memoizer, its import by name included."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _memoizer(dec):
+                        found.append(f"{module}:{node.name}")
+                        decorators |= {id(n) for n in ast.walk(dec)}
+        for node in ast.walk(tree):
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                        and any(a.name in MEMOIZERS for a in node.names))
+            if imported or (_memoizer(node) and id(node) not in decorators):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(set(found))
+
+
+def test_only_the_shared_parser_is_memoized():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    assert memoized(sources) == ["src/diagsim/cli.py:_shared_parser"]
+
+
+def test_guard_sees_memoizers():
+    sources = {"a": ("import functools\n"
+                     "from functools import lru_cache as lc, reduce\n"
+                     "@functools.cache\n"
+                     "def parser(): pass\n"
+                     "class K:\n"
+                     "    @functools.lru_cache(maxsize=8)\n"
+                     "    def plan(self): pass\n"
+                     "run = functools.lru_cache(None)(len)\n"
+                     "cache = {}\n"
+                     "def f(cache): return cache\n")}
+    assert memoized(sources) == ["a:2", "a:8", "a:parser", "a:plan"]

@@ -1,8 +1,12 @@
-"""The set-associative LRU cache model, access by access."""
+"""The set-associative LRU cache model, access by access, and the counted
+per-job charge against a per-access oracle."""
+
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diagsim.memory import CacheConfig, LineId, SetAssocCache
+from diagsim.memory import CacheConfig, LineId, SetAssocCache, charge_job, flush_product
 
 CFG = CacheConfig(sets=1, ways=2, hit_cycles=1, miss_penalty_cycles=5, dram_cycles=50)
 MISS = CFG.miss_penalty_cycles + CFG.dram_cycles
@@ -99,3 +103,52 @@ def test_sets_are_chosen_by_group_id():
 def test_empty_geometry_rejected(field):
     with pytest.raises(ValueError):
         CacheConfig(**{field: 0})
+
+
+def charge_job_oracle(cache: SetAssocCache, job, a_tag: str, b_tag: str, c_tag: str,
+                      output_offsets):
+    """charge_job access by access: read A, read B, write each output partial
+    in ascending offset."""
+    before = cache.stats.snapshot()
+    cache.access(LineId("A", a_tag, job.a_group.group_id), "read")
+    cache.access(LineId("B", b_tag, job.b_group.group_id), "read")
+    for dc in sorted(output_offsets):
+        cache.access(LineId("C", c_tag, dc), "write")
+    return cache.stats.delta(before)
+
+
+def _job(a: int, b: int):
+    return SimpleNamespace(a_group=SimpleNamespace(group_id=a),
+                           b_group=SimpleNamespace(group_id=b))
+
+
+def _state(cache: SetAssocCache):
+    """Each set's lines with their dirty bits in LRU order, the lines ever seen, the stats."""
+    assert all(type(line) is LineId for ways in cache._sets for line in ways)
+    return [list(ways.items()) for ways in cache._sets], cache._ever_seen, cache.stats
+
+
+# (A group, B group, output offsets) per job, jobs per product, products per chain
+JOBS = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                 st.frozensets(st.integers(-7, 7), max_size=12))
+CHAINS = st.lists(st.lists(JOBS, max_size=6), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=st.integers(1, 4), ways=st.integers(1, 4), chain=CHAINS)
+@example(sets=2, ways=1, chain=[[(0, 2, frozenset({-2, 0, 1, 4})), (2, 0, frozenset({0, 2}))]])
+@example(sets=1, ways=1, chain=[[(1, 1, frozenset()), (1, 1, frozenset({3}))]] * 2)
+def test_counted_charge_matches_the_per_access_oracle(sets, ways, chain):
+    # chained products, as taylor_expm charges them: T{k} is written, then read as A
+    config = CacheConfig(sets=sets, ways=ways, hit_cycles=1, miss_penalty_cycles=5,
+                         dram_cycles=50)
+    counted, oracle = SetAssocCache(config), SetAssocCache(config)
+    for k, jobs in enumerate(chain):
+        tags = (f"T{k}", "M", f"T{k + 1}")
+        for a, b, offsets in jobs:
+            job = _job(a, b)
+            assert (charge_job(counted, job, *tags, offsets)
+                    == charge_job_oracle(oracle, job, *tags, offsets))
+            assert _state(counted) == _state(oracle)
+        assert flush_product(counted, tags[2]) == flush_product(oracle, tags[2])
+        assert _state(counted) == _state(oracle)
