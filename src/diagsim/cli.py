@@ -161,17 +161,13 @@ def cmd_simulate(args) -> int:
     b = diagio.load_matrix(args.b)
     grid = _grid_setup(args)
     cache = SetAssocCache(grid.cache)
-    trace_fh = open(args.trace, "w") if args.trace else None
-    trace = None
-    if trace_fh:
-        trace = lambda evt: trace_fh.write(json.dumps(evt) + "\n")
-    try:
-        product = diag_matmul(a, b)
-        stage, counters, mem = simulate_product(a.dim, a.offsets, b.offsets, product.offsets,
-                                                grid, cache, trace=trace)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+    events: list[dict] = []
+    trace = events.append if args.trace else None
+    product = diag_matmul(a, b)
+    stage, counters, mem = simulate_product(a.dim, a.offsets, b.offsets, product.offsets,
+                                            grid, cache, trace=trace)
+    if args.trace:
+        diagio._atomic_write(args.trace, "".join(json.dumps(e) + "\n" for e in events).encode())
     if args.product_out:
         diagio.save_matrix(product, args.product_out)
     report = build_report(f"simulate:{args.a}x{args.b}", grid.rows, grid.cols,
@@ -224,7 +220,7 @@ def cmd_expm(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh, diagio._reading(args.input):
         report = json.load(fh)
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != 1:
@@ -376,7 +372,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):  # DiagMatrix names non-finite values
             return args.func(args)
     except (ShapeError, DomainError, PlanError, GridCapacityError,
-            ConvergenceError, OSError, json.JSONDecodeError) as exc:
+            ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except VerificationError as exc:

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from diagsim import COMPLEX, DiagMatrix, Diagonal
 from diagsim.blocking import segment_bounds
 from diagsim.diagmat import buffer_starts
+
+# no per-example deadline (timings vary with the host), and a failure prints
+# the blob that replays it with @reproduce_failure
+settings.register_profile("diagsim", deadline=None, print_blob=True)
+settings.load_profile("diagsim")
 
 
 def minkowski(da: set[int] | list[int] | tuple[int, ...], db) -> tuple[int, ...]:

@@ -41,7 +41,7 @@ def plan_cases(draw):
     return n, draw(offsets), draw(offsets), cuts, rows, cols, a_gs, b_gs
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(plan_cases())
 @example((5, [4], [-4], [3], 1, 1, None, None))  # both diagonals miss window 0
 def test_plan_matches_per_diagonal_oracle(case):

@@ -29,6 +29,21 @@ def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r2.json").exists()  # no report from an uncovered plan
 
 
+@pytest.mark.parametrize("existing", [None, b"an earlier trace\n"], ids=["absent", "existing"])
+def test_failed_simulate_leaves_the_trace_path_as_it_was(tmp_path, capsys, existing):
+    path, trace = str(tmp_path / "h.diaq"), tmp_path / "t.jsonl"
+    save_matrix(gen_benchmark("tfim", 3), path)
+    if existing is not None:
+        trace.write_bytes(existing)
+    # interleaving applies to single-diagonal jobs only: the product fails
+    argv = ["simulate", path, path, "--interleave", "2", "--trace", str(trace)]
+    assert cli.main(argv) == cli.DATA_EXIT
+    assert capsys.readouterr().err.count("\n") == 1
+    assert (trace.read_bytes() if trace.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["h.diaq"] + (["t.jsonl"] if existing is not None else []))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-150])
 def test_matmul_check_passes_at_any_scale(tmp_path, capsys, scale):
     # at 1e100 the product's entries near 1e200 overflow an unscaled norm

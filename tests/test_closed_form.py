@@ -37,7 +37,7 @@ def products(draw):
     return a, b, plan, feed
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(products(), st.data())
 def test_closed_form_matches_stepper(product, data):
     a, b, plan, feed = product

@@ -152,7 +152,7 @@ def test_matrix_market_writes_only_nonzero_entries(tmp_path):
     assert matrices_equal(read_matrix_market(path), want)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(edge_matrices())
 def test_matrix_market_writer_matches_the_coordinate_oracle(m):
     # same bytes, entries by diagonal then row, as the coordinate-based writer
@@ -296,13 +296,13 @@ def _read_damaged(path: str, blob: bytes) -> None:
         pass
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.booleans(), st.binary(max_size=200))
 def test_read_diaq_arbitrary_bytes(fuzz_path, magic, tail):
     _read_damaged(fuzz_path, (MAGIC if magic else b"") + tail)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.none() | st.integers(0, 10**4),
        st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 255)), max_size=4))
 def test_read_diaq_damaged_file(fuzz_path, n, seed, cut, flips):

@@ -223,7 +223,7 @@ def packed_pairs(draw):
     return n, a, b
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(packed_pairs(), st.sampled_from([2.5, -0.5j, 1 / 3, -1.0, 0.0]),
        st.sampled_from([0.0, 0.5, 1.5]))
 def test_packed_ops_match_dense_and_per_diagonal_oracles(pair, factor, eps):
@@ -253,7 +253,7 @@ def test_packed_ops_match_dense_and_per_diagonal_oracles(pair, factor, eps):
     assert same_bits(drop_zero_diagonals(a), drop_zero_oracle(a))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(packed_pairs(), st.sampled_from([0.0, 0.5]))
 def test_float64_buffers_follow_numpy_promotion(pair, eps):
     n, a_diags, b_diags = pair
@@ -352,7 +352,7 @@ def in_layout(dense: np.ndarray, layout: str) -> np.ndarray:
     return grid
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(edge_matrices(), st.sampled_from(LAYOUTS))
 def test_grid_conversions_match_the_coordinate_oracles(m, layout):
     dense = to_dense_oracle(m)

@@ -2,7 +2,8 @@
 
 The values were recorded from the per-cycle grid stepper; the closed-form job
 model must reproduce them exactly (energy and hit rate are ratios of the same
-integer counts, so they are pinned to rounding).
+integer counts, so they are pinned to rounding; the cache and DRAM counts and
+stall cycles are pinned exactly).
 """
 
 import json
@@ -26,6 +27,12 @@ def figures(report):
     }
 
 
+def memory_figures(report):
+    keys = ("cache_hits", "cache_misses", "dram_reads", "dram_writes")
+    return {**{key: report["events"][key] for key in keys},
+            "mem_stall_cycles": report["mem_stall_cycles"]}
+
+
 def test_simulate_product_tfim6_cut_grid():
     h = gen_benchmark("tfim", 6)
     grid = GridSetup(rows=8, cols=8, cuts=(24, 40))
@@ -43,6 +50,8 @@ def test_simulate_product_tfim6_cut_grid():
     assert counters["dyn_preload"] == 136
     assert report["hit_rate"] == pytest.approx(0.1832797427652733, rel=1e-15)
     assert report["energy_pj"] == pytest.approx(674123.1791428572, rel=1e-12)
+    assert memory_figures(report) == {"cache_hits": 57, "cache_misses": 254, "dram_reads": 254,
+                                      "dram_writes": 285, "mem_stall_cycles": 28277}
 
 
 def test_simulated_expm_heisenberg4_fixed_terms(tmp_path):
@@ -62,3 +71,13 @@ def test_simulated_expm_heisenberg4_fixed_terms(tmp_path):
     assert [it["cycles"]["total"] for it in report["iterations"]] == [23, 29, 57, 59, 83, 83]
     assert report["hit_rate"] == pytest.approx(0.6304347826086957, rel=1e-15)
     assert report["energy_pj"] == pytest.approx(326450.94857142854, rel=1e-12)
+    assert memory_figures(report) == {"cache_hits": 116, "cache_misses": 68, "dram_reads": 68,
+                                      "dram_writes": 160, "mem_stall_cycles": 11856}
+    assert [it["mem"] for it in report["iterations"]] == [
+        {"hits": 7, "misses": 2, "dram_reads": 2, "dram_writes": 7, "stall_cycles": 467},
+        {"hits": 15, "misses": 2, "dram_reads": 2, "dram_writes": 15, "stall_cycles": 875},
+        {"hits": 21, "misses": 12, "dram_reads": 12, "dram_writes": 29, "stall_cycles": 2131},
+        {"hits": 23, "misses": 12, "dram_reads": 12, "dram_writes": 31, "stall_cycles": 2233},
+        {"hits": 25, "misses": 20, "dram_reads": 20, "dram_writes": 39, "stall_cycles": 3075},
+        {"hits": 25, "misses": 20, "dram_reads": 20, "dram_writes": 39, "stall_cycles": 3075},
+    ]

@@ -273,7 +273,7 @@ def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simul
     assert len(dense) == 2  # k = 2 and 3, as the packed chain stops at k = 3
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(edge_matrices())
 def test_csr_transpose_matches_the_coordinate_oracle(m):
     # built from the diagonals, Q^T may lose explicit zeros, which add nothing

@@ -97,11 +97,17 @@ def test_unsupported_schema_exits_2_with_one_line(tmp_path, capsys, doc):
 @pytest.mark.parametrize("doc", [{"schema": 1}, {**small_report(), "grid": [2, 2]},
                                  {**small_report(), "iterations": [1]},
                                  {**small_report(), "iterations": [
-                                     {**small_report()["iterations"][0], "savings": "x"}]}])
+                                     {**small_report()["iterations"][0], "savings": "x"}]},
+                                 # files that are no JSON document: bytes written as they are
+                                 pytest.param(b'{"schema": 1, "workload": "\xff"}',
+                                              id="not-utf-8"),
+                                 pytest.param(b"garbage", id="not-json"),
+                                 pytest.param(b"", id="empty")])
 def test_malformed_schema_1_report_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     assert cli.main(["report", str(path), "--csv", str(tmp_path / "r.csv")]) == cli.DATA_EXIT
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: malformed report") and err.count("\n") == 1
+    reason = "" if isinstance(doc, bytes) else "malformed report"
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()

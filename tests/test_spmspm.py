@@ -134,7 +134,7 @@ def operand_pairs(draw, real=False):
 
 
 class TestKernelAgainstOracles:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(operand_pairs(), st.sampled_from([1, 3, spmspm.BLOCK]))
     def test_random_operands(self, pair, block):
         # small blocks split A into several layout passes
@@ -144,7 +144,7 @@ class TestKernelAgainstOracles:
         finally:
             spmspm.BLOCK = saved
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(operand_pairs(real=True), st.sampled_from([1, 3, spmspm.BLOCK]))
     def test_real_operands_match_pair_loop_bit_for_bit(self, pair, block):
         # a real product rounds the same in any array shape, so only the
@@ -159,7 +159,7 @@ class TestKernelAgainstOracles:
         for diag in got.diagonals:
             assert diag.values.tobytes() == want[diag.offset].tobytes()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(operand_pairs(real=True), st.sampled_from([1, 3, spmspm.BLOCK]))
     def test_float64_operands_follow_numpy_promotion(self, pair, block):
         twin_a, twin_b = pair  # complex128 buffers of real values
@@ -175,7 +175,7 @@ class TestKernelAgainstOracles:
         for c in mixed:
             assert c.offsets == twin.offsets and c.values.tobytes() == twin.values.tobytes()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(operand_pairs(real=True), st.integers(0, 2**32 - 1))
     def test_dense_product_matches_pair_loop_bit_for_bit(self, pair, seed):
         # hamsim's dense Taylor product adds each entry's terms from +0.0 in
@@ -233,7 +233,7 @@ class TestWorkCount:
             assert count == padded
             assert count <= n * a.nnzd * b.nnzd
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.integers(-(n - 1), n - 1), max_size=8, unique=True),
