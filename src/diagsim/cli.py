@@ -78,10 +78,10 @@ def _load_config(path: str) -> dict:
 
 
 def _matrix_summary(m: DiagMatrix) -> str:
-    dense = float(m.dim) ** 2
-    sparsity = 1.0 - m.nnze / dense
+    nnze = m.nnze  # a full count_nonzero over the packed buffer
+    sparsity = 1.0 - nnze / float(m.dim) ** 2
     dsparsity = 1.0 - m.nnzd / (2.0 * m.dim - 1.0)
-    return (f"dim={m.dim} nnzd={m.nnzd} nnze={m.nnze} "
+    return (f"dim={m.dim} nnzd={m.nnzd} nnze={nnze} "
             f"storage_scalars={m.storage_scalars} "
             f"sparsity={sparsity:.4%} dsparsity={dsparsity:.4%}")
 

@@ -109,12 +109,18 @@ def write_diaq_json(m: DiagMatrix, path: str) -> None:
 def _json_pairs(values: np.ndarray) -> str:
     """values as json.dumps writes [[re, im], ...], without the outer brackets.
 
-    Pairs are compared as raw bytes, so -0.0 and 0.0 stay distinct.
+    Pairs are grouped by their raw bits, so -0.0 and 0.0 stay distinct: a
+    stable lexsort on the two uint64 words, then one text per run of equal
+    pairs, indexed back into the original order.
     """
-    distinct, inverse = np.unique(values.astype(COMPLEX, copy=False).view("V16"),
-                                  return_inverse=True)
-    text = np.array(["[%r,%r]" % (re, im)
-                     for re, im in distinct.view(np.float64).reshape(-1, 2).tolist()],
+    bits = values.astype(COMPLEX, copy=False).view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ordered = bits[order]
+    starts = np.ones(len(order), bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    text = np.array(["[%r,%r]" % (re, im) for re, im in ordered[starts].view(np.float64).tolist()],
                     dtype=object)
     return ",".join(text[inverse])
 

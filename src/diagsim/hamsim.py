@@ -16,9 +16,13 @@ each distinct product once: simulate_product keeps them in a dict that
 lives in one taylor_expm call.  Q and -Q share offsets and a term's offsets
 stop changing once its band fills, so the expm-sim benchmark's chain
 (heisenberg-6, t = 1, 55 products) has 10 distinct products and runs 41
-grid jobs in place of 311.  Every product is still charged to the cache,
-whose state differs from product to product, and checked against its own
-offsets; no figure carries over from one call to the next.
+grid jobs in place of 311.  Each product is charged to the cache in one
+memory.charge_job call, with its jobs' line pattern (A group, B group and
+output offsets per job, kept with the plan).  The cache replays a product
+whose pattern, entry state up to the tags and charged lines it has met
+before, and steps any other, so that chain steps 10 products and replays
+the other 45.  Every product is checked against its own offsets; no figure
+and no replay carries over from one call to the next.
 
 When no fixed term count is given, K is the smallest k whose one-norm
 remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
@@ -305,9 +309,10 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
     multiplies sum to the product's count, and some job touches each of those
     diagonals.  trace, when given, receives one dict per job in schedule
     order: its plan position and closed-form figures.  counted, when given,
-    keeps each distinct product's plan and grid figures (_count_product) for
-    the next product with the same key; every product is still charged to
-    the cache and checked against its own offsets.
+    keeps each distinct product's plan, grid figures and job-line pattern
+    (_count_product) for the next product with the same key; every product
+    is still charged to the cache, in one charge_job call, and checked
+    against its own offsets.
     """
     a_tag, b_tag, c_tag = tags
     counted = {} if counted is None else counted
@@ -315,15 +320,16 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
            np.asarray(b_offsets, np.int64).tobytes(), grid)
     if key not in counted:
         counted[key] = _count_product(n, a_offsets, b_offsets, grid)
-    jobs, results, stage, counters, touched, want = counted[key]
+    jobs, results, stage, counters, touched, want, pattern = counted[key]
     mem_before = cache.stats.snapshot()
-    for index, (job, result) in enumerate(zip(jobs, results)):
-        mem = charge_job(cache, job, a_tag, b_tag, c_tag, result.offsets)
-        if trace is not None:
+    deltas = charge_job(cache, pattern, a_tag, b_tag, c_tag)
+    if trace is not None:
+        for index, (job, result, mem) in enumerate(zip(jobs, results, deltas)):
             trace({"job": index, "window": job.window, "a_group": job.a_group.group_id,
                    "b_group": job.b_group.group_id, "rows": result.rows, "cols": result.cols,
                    "longest": list(result.longest), "cycles": dict(vars(result.stage)),
-                   "counters": dict(result.counters), "mem": vars(mem), "offsets": result.offsets})
+                   "counters": dict(result.counters), "mem": dict(vars(mem)),
+                   "offsets": result.offsets})
     flush_product(cache, c_tag)
     multiplies = counters.get("multiplies", 0)
     missed = sorted(set(product_offsets) - touched)
@@ -336,8 +342,9 @@ def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSe
 
 def _count_product(n: int, a_offsets, b_offsets, grid: GridSetup):
     """The jobs of one product's plan, each job's RunResult, their summed stage
-    cycles and counters, the output offsets they touch and the product's
-    multiply count: a pure function of n, the operands' offsets and grid."""
+    cycles and counters, the output offsets they touch, the product's
+    multiply count and the jobs' line pattern for charge_job: a pure
+    function of n, the operands' offsets and grid."""
     plan = make_plan(n, a_offsets, b_offsets, grid.rows, grid.cols, cuts=grid.cuts,
                      a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
     results = [run_job(job.a_group.bounds, job.b_group.bounds, grid.feed, max_rows=grid.rows,
@@ -349,4 +356,7 @@ def _count_product(n: int, a_offsets, b_offsets, grid: GridSetup):
         stage += result.stage
         add_counters(counters, result.counters)
         touched.update(result.offsets)
-    return plan.jobs, results, stage, counters, touched, multiply_count(a_offsets, b_offsets, n)
+    pattern = tuple((job.a_group.group_id, job.b_group.group_id, tuple(result.offsets))
+                    for job, result in zip(plan.jobs, results))
+    return (plan.jobs, results, stage, counters, touched,
+            multiply_count(a_offsets, b_offsets, n), pattern)

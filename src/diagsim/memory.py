@@ -1,34 +1,28 @@
 """Two-level memory timing model: set-associative LRU cache over diagonal
 block groups, backed by fixed-latency DRAM.
 
-Lines are group-granular with no byte capacity: a line holds one scheduled
-diagonal block group (or one output-diagonal partial), whatever its size.
-Hits cost 1 cycle; misses add the LRU penalty plus one DRAM access.  Output
-partials are write-allocated without a fetch on their first write of an
-epoch, become dirty, and are written back to DRAM when evicted or when the
-owning product finishes; a later write to an evicted partial must fetch it
-back for merging and therefore counts as a miss.
-
-Per job the model charges one read per operand group line and one write per
-touched output-diagonal partial line; operand reuse inside the grid is free
-by construction (operands are forwarded cell to cell, never re-fetched).
+A line holds one diagonal block group or one output-diagonal partial, with
+no byte capacity.  Hits cost 1 cycle; misses add the LRU penalty plus one
+DRAM access.  A job reads one line per operand group (operands are then
+forwarded, never re-fetched) and writes one partial per output diagonal it
+touches: allocated without a fetch on its first write of an epoch, written
+back when evicted or its product ends, and a miss if written once evicted.
 
 A line is a plain (kind, tag, id) tuple: kind 'A' | 'B' | 'C', a matrix tag
 (epoch identity, which keeps the lines of chained products distinct) and the
 group id or output offset, which picks the set (id mod sets).  A and B lines
-are only ever read and C lines only written, and each product's C lines are
-flushed before the next product is charged.  So a line is written, and dirty
-while the cache holds it, exactly when its kind is 'C', and no set keeps
-dirty bits.
+are only read and C lines only written, and each product's C lines are
+flushed before the next, so a line is dirty exactly when it is a C line.
 
-A job's lines are distinct (A, B, then one C line per output offset), so
-charge_job steps only the first `ways` lines of each set; only they can hit.
-LRU keeps the `ways` most recent distinct lines of a set (the inclusion
-property of Mattson et al., IBM Systems Journal 9(2), 1970), so the set then
-holds exactly those lines, and each later line of the job finds the set
-without it: it misses, or allocates as a fresh partial, and evicts the line
-`ways` accesses before it in that set.  The counts, the write-backs and the
-set's final contents (its last `ways` lines) follow without stepping.
+charge_job takes a whole product, whose jobs touch only its own lines: those
+with the product's tag for their kind.  Any other line only ages, keeping
+its order in its set until evicted, with a write-back exactly when it is a C
+line: its place and C-ness matter, not its tag or id.  Own lines matter also
+by whether they were charged before (no compulsory miss, no fresh partial).
+So the per-job deltas and the exit state are a function of the key: the
+jobs, the entry state with own lines as (kind, id) and other lines as
+placeholders (is a C line, place), and the own lines charged before.  A
+cache steps each key once and replays it when a chain repeats the product.
 """
 
 from __future__ import annotations
@@ -70,18 +64,15 @@ class MemStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def delta(self, earlier: "MemStats") -> "MemStats":
-        return MemStats(
-            self.hits - earlier.hits,
-            self.misses - earlier.misses,
-            self.compulsory_misses - earlier.compulsory_misses,
-            self.dram_reads - earlier.dram_reads,
-            self.dram_writes - earlier.dram_writes,
-            self.stall_cycles - earlier.stall_cycles,
-        )
+        return MemStats(*(a - b for a, b in zip(vars(self).values(), vars(earlier).values())))
 
     def snapshot(self) -> "MemStats":
-        return MemStats(self.hits, self.misses, self.compulsory_misses,
-                        self.dram_reads, self.dram_writes, self.stall_cycles)
+        return MemStats(**vars(self))
+
+    def __iadd__(self, other: "MemStats") -> "MemStats":
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+        return self
 
 
 class SetAssocCache:
@@ -90,66 +81,95 @@ class SetAssocCache:
     def __init__(self, config: CacheConfig = CacheConfig()):
         self.config = config
         self._sets: list[list[tuple]] = [[] for _ in range(config.sets)]
-        self._ever_seen: set[tuple] = set()  # every line charged
+        self._ever_seen: dict[tuple, set] = {}  # (kind, tag) -> ids of the lines charged
+        self._memo: dict = {}  # charge_job: jobs -> (own ids per kind, {key: result})
         self.stats = MemStats()
 
 
-def charge_job(cache: SetAssocCache, job, a_tag: str, b_tag: str, c_tag: str,
-               output_offsets) -> MemStats:
-    """Memory traffic of one grid job; returns the stats delta.
+def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
+               c_tag: str) -> list[MemStats]:
+    """Memory traffic of one product's jobs, each (A group, B group, ascending
+    output offsets) in schedule order; returns each job's stats delta, which
+    the memo keeps and hands to every replay: read them, never change them."""
+    tags = {"A": a_tag, "B": b_tag, "C": c_tag}
+    if (memo := cache._memo.get(jobs)) is None:  # hashing jobs costs a pass over them
+        memo = cache._memo[jobs] = {"A": frozenset(a for a, _, _ in jobs),
+                                    "B": frozenset(b for _, b, _ in jobs),
+                                    "C": frozenset().union(*(offsets for *_, offsets in jobs))}, {}
+    own, results = memo
+    seen = {kind: cache._ever_seen.setdefault((kind, tag), set()) for kind, tag in tags.items()}
+    others = [line for held in cache._sets for line in held if line[1] != tags[line[0]]]
+    place = {line: (line[0] == "C", i) for i, line in enumerate(others)}
+    def renamed():  # own lines as (kind, id), any other line as its placeholder
+        return tuple(tuple(place.get(line) or line[::2] for line in held) for held in cache._sets)
+    key = renamed(), tuple(own[kind] & seen[kind] for kind in tags)
+    if key not in results:
+        before = cache.stats.snapshot()
+        deltas = _step_jobs(cache, jobs, tags, seen)
+        results[key] = deltas, cache.stats.delta(before), renamed()
+        return deltas
+    deltas, total, after = results[key]
+    cache.stats += total
+    cache._sets = [[(p[0], tags[p[0]], p[1]) if p[0] in tags else others[p[1]] for p in held]
+                   for held in after]
+    for kind, ids in own.items():
+        seen[kind] |= ids
+    return deltas
 
-    Reads the two operand group lines at job start and writes one partial
-    line per touched output diagonal, in ascending offset, at job end: each
-    set's lines in that order, the first `ways` stepped and the rest counted
-    (module docstring).
-    """
-    cfg, stats, seen = cache.config, cache.stats, cache._ever_seen
-    before = stats.snapshot()
-    sets, ways = cfg.sets, cfg.ways
-    lines: list[list[tuple]] = [[] for _ in range(sets)]
-    for line in (("A", a_tag, job.a_group.group_id), ("B", b_tag, job.b_group.group_id)):
-        lines[line[2] % sets].append(line)
-    reads = [len(set_lines) for set_lines in lines]
-    for dc in sorted(output_offsets):
-        lines[dc % sets].append(("C", c_tag, dc))
-    for held, set_lines, set_reads in zip(cache._sets, lines, reads):
-        for line in set_lines[:ways]:
-            latency = cfg.hit_cycles
-            if line in held:
-                held.remove(line)
-                stats.hits += 1
-            else:
-                if line[0] == "C" and line not in seen:  # a fresh partial: no fetch
-                    stats.hits += 1
+
+def _step_jobs(cache: SetAssocCache, jobs: tuple, tags: dict, seen: dict) -> list[MemStats]:
+    """charge_job job by job; seen maps each kind to the ids charged under
+    the product's tag.  Reads are stepped, and so are the C lines among a
+    set's first `ways`; only they can hit.  LRU keeps the `ways` most recent
+    distinct lines of a set (Mattson et al., IBM Systems Journal 9(2), 1970)
+    and a job's lines are distinct, so each later C line misses, or allocates
+    as a fresh partial, and evicts the line `ways` accesses before it: the
+    counts, write-backs and the set's last `ways` lines follow in closed form."""
+    cfg, sets, ways, c_tag = cache.config, cache.config.sets, cache.config.ways, tags["C"]
+    deltas = []
+    for a_group, b_group, offsets in jobs:
+        job = MemStats()
+        reads, writes = [[] for _ in range(sets)], [[] for _ in range(sets)]
+        for line in (("A", tags["A"], a_group), ("B", tags["B"], b_group)):
+            reads[line[2] % sets].append(line)
+        for dc in offsets:
+            writes[dc % sets].append(dc)
+        for held, set_reads, set_writes in zip(cache._sets, reads, writes):
+            stepped = max(ways - len(set_reads), 0)  # C lines among the first `ways`
+            for line in set_reads + [("C", c_tag, dc) for dc in set_writes[:stepped]]:
+                kind, _, i = line
+                latency = cfg.hit_cycles
+                if line in held:
+                    held.remove(line)
+                    job.hits += 1
                 else:
-                    stats.misses += 1
-                    stats.compulsory_misses += line not in seen
-                    stats.dram_reads += 1
-                    latency = cfg.miss_penalty_cycles + cfg.dram_cycles
-                seen.add(line)
-                if len(held) == ways and held.pop(0)[0] == "C":  # evicts a dirty line
-                    stats.dram_writes += 1
-                    latency += cfg.dram_cycles
-            held.append(line)
-            stats.stall_cycles += latency
-        late = set_lines[ways:]
-        if not late:
-            continue
-        new_reads = sum(line not in seen for line in set_lines[ways:set_reads])
-        count = len(seen)
-        seen.update(late)
-        fresh = len(seen) - count - new_reads  # fresh partials allocate as hits
-        misses = len(late) - fresh
-        dirty = max(len(late) - set_reads, 0)  # C lines among the len(late) evicted
-        stats.hits += fresh
-        stats.misses += misses
-        stats.compulsory_misses += new_reads
-        stats.dram_reads += misses
-        stats.dram_writes += dirty
-        stats.stall_cycles += (fresh * cfg.hit_cycles + dirty * cfg.dram_cycles
-                               + misses * (cfg.miss_penalty_cycles + cfg.dram_cycles))
-        held[:] = set_lines[-ways:]
-    return stats.delta(before)
+                    if kind == "C" and i not in seen["C"]:  # a fresh partial: no fetch
+                        job.hits += 1
+                    else:
+                        job.misses += 1
+                        job.compulsory_misses += i not in seen[kind]
+                        job.dram_reads += 1
+                        latency = cfg.miss_penalty_cycles + cfg.dram_cycles
+                    seen[kind].add(i)
+                    if len(held) == ways and held.pop(0)[0] == "C":  # evicts a dirty line
+                        job.dram_writes += 1
+                        latency += cfg.dram_cycles
+                held.append(line)
+                job.stall_cycles += latency
+            late = set_writes[stepped:]
+            if not late:
+                continue
+            count = len(seen["C"])
+            seen["C"].update(late)
+            fresh = len(seen["C"]) - count  # fresh partials allocate as hits
+            misses, dirty = len(late) - fresh, max(len(set_writes) - ways, 0)  # C lines evicted
+            job += MemStats(fresh, misses, 0, misses, dirty,
+                            fresh * cfg.hit_cycles + dirty * cfg.dram_cycles
+                            + misses * (cfg.miss_penalty_cycles + cfg.dram_cycles))
+            held[:] = (set_reads + [("C", c_tag, dc) for dc in set_writes[-ways:]])[-ways:]
+        cache.stats += job
+        deltas.append(job)
+    return deltas
 
 
 def flush_product(cache: SetAssocCache, c_tag: str) -> int:

@@ -1,12 +1,13 @@
 """The LRU cache access by access, with read/write and per-line dirty bits:
 the tests' oracle of memory.charge_job and memory.flush_product.
 
-memory.charge_job steps only a set's first `ways` lines of a job and counts
-the rest, with no dirty bits, since a line is dirty exactly when it is a C
-line.  This version steps every access, marks a line dirty when it is
-written, and flushes through a general keep predicate, as the model did
-before it was counted.  Lines are the same (kind, tag, id) tuples, so the
-two caches' sets, seen-lines and stats compare directly.
+memory.charge_job replays a product it has met up to a renaming of the tags,
+steps only a set's first `ways` lines of a job and counts the rest, with no
+dirty bits, since a line is dirty exactly when it is a C line.  This version
+charges every job of every product, steps every access, marks a line dirty
+when it is written, and flushes through a general keep predicate, as the
+model did before it was counted.  Lines are the same (kind, tag, id) tuples,
+so the two caches' sets, seen-lines and stats compare directly.
 """
 
 from __future__ import annotations
@@ -68,16 +69,23 @@ class PerAccessCache:
         return written
 
 
-def charge_job_oracle(cache: PerAccessCache, job, a_tag: str, b_tag: str, c_tag: str,
-                      output_offsets) -> MemStats:
-    """charge_job access by access: read A, read B, write each output partial
-    in ascending offset."""
+def charge_job_oracle(cache: PerAccessCache, job: tuple, a_tag: str, b_tag: str,
+                      c_tag: str) -> MemStats:
+    """One job, (A group, B group, output offsets), access by access: read A,
+    read B, write each output partial in ascending offset."""
+    a_group, b_group, output_offsets = job
     before = cache.stats.snapshot()
-    cache.access(("A", a_tag, job.a_group.group_id), "read")
-    cache.access(("B", b_tag, job.b_group.group_id), "read")
+    cache.access(("A", a_tag, a_group), "read")
+    cache.access(("B", b_tag, b_group), "read")
     for dc in sorted(output_offsets):
         cache.access(("C", c_tag, dc), "write")
     return cache.stats.delta(before)
+
+
+def charge_product_oracle(cache: PerAccessCache, jobs, a_tag: str, b_tag: str,
+                          c_tag: str) -> list[MemStats]:
+    """memory.charge_job with no memo: each job of the product in turn."""
+    return [charge_job_oracle(cache, job, a_tag, b_tag, c_tag) for job in jobs]
 
 
 def flush_product_oracle(cache: PerAccessCache, c_tag: str) -> int:

@@ -7,7 +7,8 @@ T_k = T_{k-1} (-i t H) / k in complex128 whatever H is, on the per-diagonal
 oracles of scaled, add and drop_zero_diagonals, so the two must agree bit for
 bit, signed zeros included.  Given a grid, it also plans every product from
 its own offsets, as the simulator did while every product was packed, and
-charges it access by access to the per-access cache of memory_oracle.
+charges every job of it access by access to the per-access cache of
+memory_oracle, with no memo.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from diagsim import diag_matmul, hamsim, identity, one_norm
 from diagsim.hamsim import CANCEL_EPS, simulate_product, term_count_for
 
 from conftest import add_oracle, drop_zero_oracle, scaled_oracle
-from memory_oracle import PerAccessCache, charge_job_oracle, flush_product_oracle
+from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
 
 
 def complex_chain(h, t: float, terms: int | None = None, eps: float | None = None,
@@ -39,7 +40,7 @@ def complex_chain(h, t: float, terms: int | None = None, eps: float | None = Non
         product = diag_matmul(t_k, m)
         modeled = ()
         if grid:
-            with mock.patch.object(hamsim, "charge_job", charge_job_oracle), \
+            with mock.patch.object(hamsim, "charge_job", charge_product_oracle), \
                     mock.patch.object(hamsim, "flush_product", flush_product_oracle):
                 modeled = simulate_product(h.dim, t_k.offsets, m.offsets, product.offsets,
                                            grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))

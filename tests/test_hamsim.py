@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from diagsim import DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, to_dense
+from diagsim import (DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory,
+                     to_dense)
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
@@ -93,33 +94,54 @@ def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
                          SetAssocCache(grid.cache))
 
 
-def test_each_chain_counts_its_own_distinct_products(monkeypatch):
-    # Q and -Q share offsets and the band fills, so a chain repeats products;
-    # no plan or grid figure outlives the taylor_expm call that counted it
-    h, cfg = gen_benchmark("heisenberg", 4), TaylorConfig(t=1.0, eps=1e-8)
-    calls = {"run_job": 0, "charge_job": 0}
-    for name in calls:
-        real = getattr(hamsim, name)
+def _count_calls(monkeypatch, targets) -> dict:
+    """Count the calls to each (module, name), through a wrapper set on the module."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        real = getattr(module, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(hamsim, name, counting)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_chain_counts_its_own_distinct_products(monkeypatch):
+    # Q and -Q share offsets and the band fills, so a chain repeats products;
+    # no plan, grid figure or charged product outlives the taylor_expm call
+    # that counted it
+    h, cfg = gen_benchmark("heisenberg", 4), TaylorConfig(t=1.0, eps=1e-8)
+    calls = _count_calls(monkeypatch, [(hamsim, "run_job"), (hamsim, "charge_job"),
+                                       (memory, "_step_jobs")])
     grids = [GridSetup(rows=4, cols=4), GridSetup(rows=4, cols=4),
              GridSetup(rows=2, cols=8, cache=CacheConfig(sets=1, ways=3)), GridSetup(rows=4, cols=4)]
     runs = []
     for grid in grids:
         before = dict(calls)
         _, records = taylor_expm(h, cfg, grid)
-        runs.append((calls["run_job"] - before["run_job"],
-                     calls["charge_job"] - before["charge_job"], records))
-    assert runs[0][:2] == runs[1][:2] == runs[3][:2]
-    assert runs[0][0] < runs[0][1]  # fewer grid jobs run than charged
-    for grid, (_, _, records) in zip(grids, runs):
+        runs.append(tuple(calls[name] - before[name] for name in calls) + (records,))
+    assert runs[0][:3] == runs[1][:3] == runs[3][:3]
+    assert runs[0][2] < runs[0][1]  # fewer products stepped than charged
+    for grid, (*_, records) in zip(grids, runs):
         _, fields = complex_chain(h, 1.0, eps=1e-8, grid=grid)
         assert [(r.stage_cycles, r.counters, r.mem) for r in records] == [f[3:] for f in fields]
-    assert runs[2][2] != runs[0][2] == runs[3][2]
+    assert runs[2][-1] != runs[0][-1] == runs[3][-1]
+
+
+def test_a_chain_starts_its_charge_memo_cold(monkeypatch):
+    # two chains in one process on one grid step the same products: the
+    # memo of charged products lives in the chain's cache, never longer
+    h, cfg, grid = gen_benchmark("heisenberg", 6), TaylorConfig(t=1.0, eps=1e-8), GridSetup()
+    calls = _count_calls(monkeypatch, [(hamsim, "charge_job"), (memory, "_step_jobs")])
+    runs = []
+    for _ in range(2):
+        before = dict(calls)
+        taylor_expm(h, cfg, grid)
+        runs.append(tuple(calls[name] - before[name] for name in calls))
+    assert runs[0] == runs[1]
+    assert 0 < runs[0][1] < runs[0][0]
 
 
 # the couplings' signs, t's sign and a short chain all reach U's signed zeros:

@@ -1,14 +1,12 @@
-"""The per-access LRU oracle, access by access, and memory.charge_job and
-flush_product against it."""
-
-from types import SimpleNamespace
+"""The per-access LRU oracle, access by access, and memory.charge_job, which
+charges a whole product, and flush_product against it."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagsim.memory import CacheConfig, SetAssocCache, charge_job, flush_product
 
-from memory_oracle import PerAccessCache, charge_job_oracle, flush_product_oracle
+from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
 
 CFG = CacheConfig(sets=1, ways=2, hit_cycles=1, miss_penalty_cycles=5, dram_cycles=50)
 MISS = CFG.miss_penalty_cycles + CFG.dram_cycles
@@ -107,54 +105,65 @@ def test_empty_geometry_rejected(field):
         CacheConfig(**{field: 0})
 
 
-def _job(a: int, b: int):
-    return SimpleNamespace(a_group=SimpleNamespace(group_id=a),
-                           b_group=SimpleNamespace(group_id=b))
-
-
 def _state(cache):
     """Each set's lines in LRU order with their dirty bits, the lines ever seen,
     the stats.  A counted cache keeps no dirty bits: its C lines are dirty."""
     sets = [list(held.items()) if isinstance(held, dict)
             else [(line, line[0] == "C") for line in held] for held in cache._sets]
     assert all(type(line) is tuple for held in sets for line, _ in held)
-    assert all(type(line) is tuple for line in cache._ever_seen)
-    return sets, cache._ever_seen, cache.stats
+    seen = cache._ever_seen
+    if isinstance(seen, dict):  # a counted cache keeps each (kind, tag)'s ids
+        seen = {(kind, tag, i) for (kind, tag), ids in seen.items() for i in ids}
+    assert all(type(line) is tuple for line in seen)
+    return sets, seen, cache.stats
 
 
-# (A group, B group, output offsets) per job, jobs per product, products per chain
+# (A group, B group, ascending output offsets) per job, jobs per product; a
+# chain draws its products from up to three patterns, so patterns recur
 JOBS = st.tuples(st.integers(0, 5), st.integers(0, 5),
-                 st.frozensets(st.integers(-7, 7), max_size=12))
-CHAINS = st.lists(st.lists(JOBS, max_size=6), min_size=1, max_size=5)
+                 st.frozensets(st.integers(-7, 7), max_size=12).map(sorted).map(tuple))
+PRODUCTS = st.lists(JOBS, max_size=6).map(tuple)
+CHAINS = st.lists(PRODUCTS, min_size=1, max_size=3).flatmap(
+    lambda patterns: st.lists(st.sampled_from(patterns), min_size=1, max_size=8))
+
+
+def _chain(*jobs_per_product):
+    return [tuple((a, b, tuple(sorted(offsets))) for a, b, offsets in jobs)
+            for jobs in jobs_per_product]
 
 
 @settings(max_examples=300)
-@given(sets=st.integers(1, 4), ways=st.integers(1, 4), chain=CHAINS)
-@example(sets=2, ways=1, chain=[[(0, 2, frozenset({-2, 0, 1, 4})), (2, 0, frozenset({0, 2}))]])
-@example(sets=1, ways=1, chain=[[(1, 1, frozenset()), (1, 1, frozenset({3}))]] * 2)
+@given(sets=st.integers(1, 4), ways=st.integers(1, 4), warm=PRODUCTS, chain=CHAINS)
+@example(sets=2, ways=1, warm=(), chain=_chain([(0, 2, {-2, 0, 1, 4}), (2, 0, {0, 2})]))
+@example(sets=1, ways=1, warm=(), chain=_chain([(1, 1, ()), (1, 1, {3})]) * 2)
 # A1 evicts C0, dirty, within a set's first `ways` lines
-@example(sets=1, ways=2, chain=[[(0, 1, frozenset({0})), (2, 3, frozenset())]])
+@example(sets=1, ways=2, warm=(), chain=_chain([(0, 1, {0}), (2, 3, ())]))
 # a fresh partial within the first `ways` lines, then past them
-@example(sets=1, ways=4, chain=[[(0, 0, frozenset({5})), (0, 0, frozenset({1, 2, 3, 4}))]])
+@example(sets=1, ways=4, warm=(), chain=_chain([(0, 0, {5}), (0, 0, {1, 2, 3, 4})]))
 # C0 is written, evicted, and written again: fetched back past the first
 # `ways` lines, then within them
-@example(sets=1, ways=2, chain=[[(0, 1, frozenset({0})), (2, 3, frozenset({0}))]])
-@example(sets=1, ways=3, chain=[[(0, 1, frozenset({0})), (2, 3, frozenset({1})),
-                                 (4, 5, frozenset({0}))]])
+@example(sets=1, ways=2, warm=(), chain=_chain([(0, 1, {0}), (2, 3, {0})]))
+@example(sets=1, ways=3, warm=(), chain=_chain([(0, 1, {0}), (2, 3, {1}), (4, 5, {0})]))
 # A and B in one set: B past the first line at ways=1, and no C line in the set
-@example(sets=2, ways=1, chain=[[(0, 2, frozenset({1, 3})), (2, 0, frozenset())]] * 2)
-@example(sets=2, ways=2, chain=[[(0, 2, frozenset({1})), (4, 4, frozenset({-1, 3}))]])
-def test_counted_charge_matches_the_per_access_oracle(sets, ways, chain):
-    # chained products, as taylor_expm charges them: T{k} is written, then read as A
+@example(sets=2, ways=1, warm=(), chain=_chain([(0, 2, {1, 3}), (2, 0, ())]) * 2)
+@example(sets=2, ways=2, warm=(), chain=_chain([(0, 2, {1}), (4, 4, {-1, 3})]))
+# the last product replays the one before it while a dirty C line of another
+# tag holds set 1 and another product's A line ages out of set 0
+@example(sets=2, ways=2, warm=((0, 0, (1,)),), chain=_chain([(0, 0, {2})]) * 4)
+@example(sets=1, ways=4, warm=((0, 0, (1,)),), chain=_chain([(0, 0, {2})]) * 4)
+def test_counted_charge_matches_the_per_access_oracle(sets, ways, warm, chain):
+    # chained products, as taylor_expm charges them: T{k} is written, then read
+    # as A.  The warm-up leaves lines the first product does not own: B lines
+    # of another tag, dirty C lines of another tag and A lines tagged with its
+    # C tag, which the second product reads
     config = CacheConfig(sets=sets, ways=ways, hit_cycles=1, miss_penalty_cycles=5,
                          dram_cycles=50)
     counted, oracle = SetAssocCache(config), PerAccessCache(config)
-    for k, jobs in enumerate(chain):
-        tags = (f"T{k}", "M", f"T{k + 1}")
-        for a, b, offsets in jobs:
-            job = _job(a, b)
-            assert (charge_job(counted, job, *tags, offsets)
-                    == charge_job_oracle(oracle, job, *tags, offsets))
-            assert _state(counted) == _state(oracle)
-        assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
+    for k, jobs in enumerate([warm, *chain]):
+        tags = ("T1", "V", "W") if k == 0 else (f"T{k - 1}", "M", f"T{k}")
+        assert (charge_job(counted, jobs, *tags)
+                == charge_product_oracle(oracle, jobs, *tags))
         assert _state(counted) == _state(oracle)
+        if k:
+            assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
+            assert _state(counted) == _state(oracle)

@@ -1,19 +1,21 @@
 """The benchmark still loads against the program and finds every name it uses.
 
-perfbench/tracer.py patches diagsim functions by module and attribute name
-and reads run_job's result; perfbench/workloads.py imports diagsim names and
+perfbench/tracer.py patches diagsim functions by module and attribute name,
+reads run_job's result and takes the cache's stats delta around the memory
+model's calls; perfbench/workloads.py imports diagsim names and
 passes CLI flags.  Their own tests are not part of this suite, so this loads
 both files read-only and checks them against the current code.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
 
-from diagsim import cli, gen_benchmark
+from diagsim import cli, gen_benchmark, hamsim, memory
 from diagsim.dataflow import run_job
 
 from conftest import whole_segments
@@ -62,3 +64,42 @@ def test_workloads_load_and_their_commands_parse(tmp_path):
         workloads.make_inputs(name, 1, str(workdir))
         for command in workloads.build(name, 1, str(workdir)).commands:
             parser.parse_args(command.argv)  # an unknown flag exits 1
+
+
+def test_the_traced_memory_spans_see_every_charge(tmp_path, monkeypatch):
+    # the tracer counts the memory model as the cache's stats delta around
+    # charge_job and flush_product, so every charge, a replayed product's
+    # included, must happen inside one of them
+    tracer = load("tracer")
+    counts = SimpleNamespace(counts=defaultdict(float))
+    deltas, caches, stepped = [], [], []
+    for name in ("charge_job", "flush_product"):
+        real = getattr(hamsim, name)
+
+        def traced(*args, _real=real, **kwargs):
+            pre = tracer._cache_snapshot(args, kwargs)
+            result = _real(*args, **kwargs)
+            tracer._count_memory(counts, args, kwargs, result, pre)
+            deltas.append(args[0].stats.delta(pre))
+            caches.append(args[0])
+            return result
+
+        monkeypatch.setattr(hamsim, name, traced)
+    real_step = memory._step_jobs
+    monkeypatch.setattr(memory, "_step_jobs", lambda *args: stepped.append(1) or real_step(*args))
+    out = tmp_path / "r.json"
+    assert cli.main(["expm", "--model", "heisenberg", "--qubits", "6", "--t", "1",
+                     "--grid-rows", "16", "--grid-cols", "16", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    (cache,) = {id(cache): cache for cache in caches}.values()
+    summed = {key: sum(vars(delta)[key] for delta in deltas) for key in vars(cache.stats)}
+    assert summed == vars(cache.stats)
+    events = report["events"]
+    assert (summed["hits"], summed["misses"], summed["dram_reads"], summed["dram_writes"],
+            summed["stall_cycles"]) == (events["cache_hits"], events["cache_misses"],
+                                        events["dram_reads"], events["dram_writes"],
+                                        report["mem_stall_cycles"])
+    assert counts.counts["memory.hits"] == events["cache_hits"]
+    assert counts.counts["memory.accesses"] == events["cache_hits"] + events["cache_misses"]
+    assert counts.counts["memory.stall_cycles"] == report["mem_stall_cycles"]
+    assert 0 < len(stepped) < report["taylor_terms"]  # some products were replayed
