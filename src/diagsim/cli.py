@@ -5,6 +5,10 @@ Exit codes: 0 ok, 1 usage error, 2 data or file error, 3 verification failure.
 An optional key=value config file (``--config``, before the subcommand)
 supplies flag defaults, typed like the flags themselves (on/off flags take
 true or false); explicit flags win.  Unknown keys are usage errors.
+An explicit flag also drops the config values of the flags it excludes:
+--iters or --eps, --h-file or --model with --qubits.  Every built-in default
+is the library's: GridSetup's, CacheConfig's and FeedConfig's fields,
+TaylorConfig.t, hamsim.DEFAULT_EPS and the couplings MODELS lists.
 """
 
 from __future__ import annotations
@@ -23,16 +27,21 @@ from .diagmat import DiagMatrix, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, VerificationError)
 from .hamiltonians import MODELS, gen_benchmark
-from .hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
-from .memory import CacheConfig, SetAssocCache
-from .report import (EnergyModel, build_report, iterations_to_csv, report_to_csv,
-                     report_to_json)
+from .hamsim import DEFAULT_EPS, GridSetup, TaylorConfig, simulate_product, taylor_expm
+from .memory import CacheConfig, MemStats, SetAssocCache
+from .report import build_report, iterations_to_csv, report_to_csv, report_to_json
 from .spmspm import dense_matmul_oracle, diag_matmul
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 VERIFY_EXIT = 3
 CHECK_DIM_CAP = 1024
+
+# expm flags by dest -> the flags each excludes; all default to None
+_EXCLUDES = {"iters": ("eps",), "eps": ("iters",), "h_file": ("model", "qubits"),
+             "model": ("h_file",), "qubits": ("h_file",)}
+# each model's coupling parameters (gen's flags) -> type
+_COUPLINGS = {key: kind for _, takes in MODELS.values() for key, kind in takes.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,16 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _parse_feed(text: str) -> FeedConfig:
-    orders = {"a": "ascending", "b": "descending"}
-    names = {"asc": "ascending", "ascending": "ascending",
-             "desc": "descending", "descending": "descending"}
-    for part in filter(None, text.split(",")):
-        side, _, order = part.partition("=")
-        if side.strip() not in orders or order.strip() not in names:
+def _parse_feed(text: str | None) -> FeedConfig:
+    """FeedConfig with the orders text gives its sides; FeedConfig checks them."""
+    orders = {}
+    for part in filter(None, (text or "").split(",")):
+        side, _, order = (tok.strip() for tok in part.partition("="))
+        if side not in ("a", "b"):
             raise DomainError(f"bad feed spec {text!r}; expected like a=asc,b=desc")
-        orders[side.strip()] = names[order.strip()]
-    return FeedConfig(a_order=orders["a"], b_order=orders["b"])
+        orders[f"{side}_order"] = {"asc": "ascending", "desc": "descending"}.get(order, order)
+    return FeedConfig(**orders)
 
 
 def _parse_cuts(text: str | None):
@@ -61,6 +69,19 @@ def _parse_cuts(text: str | None):
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise DomainError(f"bad --cuts {text!r}; expected comma-separated integers") from None
+
+
+# grid and cache flags by dest -> the GridSetup or CacheConfig field each sets.
+# An integer flag takes its field's default; --feed and --cuts are parsed by
+# _grid_setup, so that a bad value is a data error, and map None to theirs.
+_GRID_FLAGS = {
+    GridSetup: {"grid_rows": "rows", "grid_cols": "cols", "feed": "feed", "cuts": "cuts",
+                "a_group_size": "a_group_size", "b_group_size": "b_group_size",
+                "interleave": "interleave"},
+    CacheConfig: {"cache_sets": "sets", "cache_ways": "ways", "cache_hit": "hit_cycles",
+                  "cache_miss_penalty": "miss_penalty_cycles", "dram_cycles": "dram_cycles"},
+}
+_TEXT_FLAGS = {"feed": _parse_feed, "cuts": _parse_cuts}
 
 
 def _load_config(path: str) -> dict:
@@ -87,17 +108,11 @@ def _matrix_summary(m: DiagMatrix) -> str:
 
 
 def _grid_setup(args) -> GridSetup:
-    return GridSetup(
-        rows=args.grid_rows, cols=args.grid_cols,
-        feed=_parse_feed(args.feed),
-        cache=CacheConfig(sets=args.cache_sets, ways=args.cache_ways,
-                          hit_cycles=args.cache_hit,
-                          miss_penalty_cycles=args.cache_miss_penalty,
-                          dram_cycles=args.dram_cycles),
-        cuts=_parse_cuts(args.cuts),
-        a_group_size=args.a_group_size, b_group_size=args.b_group_size,
-        interleave=args.interleave,
-    )
+    fields = {owner: {name: getattr(args, dest) for dest, name in flags.items()}
+              for owner, flags in _GRID_FLAGS.items()}
+    for dest, parse in _TEXT_FLAGS.items():  # each sets the GridSetup field of its name
+        fields[GridSetup][dest] = parse(getattr(args, dest))
+    return GridSetup(cache=CacheConfig(**fields[CacheConfig]), **fields[GridSetup])
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -112,8 +127,7 @@ def _write_report(report: dict, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    params = {key: getattr(args, key) for key in ("g", "jx", "jy", "jz", "seed")
-              if getattr(args, key) is not None}
+    params = {key: getattr(args, key) for key in _COUPLINGS if getattr(args, key) is not None}
     # an unknown model is left for gen_benchmark to name
     _, takes = MODELS.get(args.model.lower(), (None, params))
     stray = sorted(params.keys() - set(takes))
@@ -171,7 +185,7 @@ def cmd_simulate(args) -> int:
     if args.product_out:
         diagio.save_matrix(product, args.product_out)
     report = build_report(f"simulate:{args.a}x{args.b}", grid.rows, grid.cols,
-                          stage, counters, mem, model=EnergyModel())
+                          stage, counters, mem)
     _write_report(report, args.out)
     if args.out:
         print(f"plan coverage check ok; report written to {args.out}")
@@ -189,13 +203,11 @@ def cmd_expm(args) -> int:
     else:
         h = diagio.load_matrix(args.h_file)
         workload = f"expm:{args.h_file}"
-    if args.iters is None and args.eps is None:
-        args.eps = 1e-8
-    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters, eps=args.eps)
+    eps = DEFAULT_EPS if args.iters is None and args.eps is None else args.eps
+    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters, eps=eps)
     grid = _grid_setup(args)
     check_cuts(grid.cuts, h.dim)  # before the series, which plans only with the simulator
-    cache = SetAssocCache(grid.cache)
-    segment_u, records = taylor_expm(h, cfg, None if args.functional_only else grid, cache)
+    segment_u, records = taylor_expm(h, cfg, None if args.functional_only else grid)
     # the segmented form repeats the short-time expansion and multiplies the
     # results; the outer power is the same product kernel, run functionally
     u = segment_u
@@ -203,12 +215,12 @@ def cmd_expm(args) -> int:
         u = diag_matmul(u, segment_u)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
-    stage = sum((r.stage_cycles for r in records), StageCycles(0, 0, 0, 0))
-    counters: dict[str, int] = {}
+    stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
     for r in records:
+        stage += r.stage_cycles
         add_counters(counters, r.counters)
-    report = build_report(workload, grid.rows, grid.cols, stage,
-                          counters, cache.stats, records, model=EnergyModel())
+        mem += r.mem
+    report = build_report(workload, grid.rows, grid.cols, stage, counters, mem, records)
     report["segments"] = args.segments
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)
@@ -238,21 +250,13 @@ def cmd_report(args) -> int:
 
 
 def _add_grid_flags(sub):
-    sub.add_argument("--grid-rows", type=int, default=32)
-    sub.add_argument("--grid-cols", type=int, default=32)
-    sub.add_argument("--feed", default="a=asc,b=desc",
-                     help="feed orders, e.g. a=asc,b=desc")
-    sub.add_argument("--cuts", default=None,
-                     help="comma-separated row/col cut indices")
-    sub.add_argument("--a-group-size", type=int, default=None)
-    sub.add_argument("--b-group-size", type=int, default=None)
-    sub.add_argument("--interleave", type=int, default=1,
-                     help="pipelined column count for single-diagonal operands")
-    sub.add_argument("--cache-sets", type=int, default=2)
-    sub.add_argument("--cache-ways", type=int, default=2)
-    sub.add_argument("--cache-hit", type=int, default=1)
-    sub.add_argument("--cache-miss-penalty", type=int, default=5)
-    sub.add_argument("--dram-cycles", type=int, default=50)
+    helps = {"feed": "feed orders, e.g. a=desc,b=asc; asc and desc abbreviate",
+             "cuts": "comma-separated row/col cut indices",
+             "interleave": "pipelined column count for single-diagonal operands"}
+    for owner, flags in _GRID_FLAGS.items():
+        for dest, name in flags.items():
+            typed = {} if dest in _TEXT_FLAGS else {"type": int, "default": getattr(owner(), name)}
+            sub.add_argument(f"--{dest.replace('_', '-')}", help=helps.get(dest), **typed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,12 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("qubits", type=int)
     gen.add_argument("--out", required=True)
     gen.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
-    gen.add_argument("--g", type=float, default=None, help="tfim transverse field, default 1.0")
-    gen.add_argument("--jx", type=float, default=None, help="heisenberg coupling, default 1.0")
-    gen.add_argument("--jy", type=float, default=None, help="heisenberg coupling, default 1.0")
-    gen.add_argument("--jz", type=float, default=None, help="heisenberg coupling, default 1.0")
-    gen.add_argument("--seed", type=int, default=None,
-                     help="random graph seed for the cut-cost model")
+    for key, kind in _COUPLINGS.items():
+        takers = " / ".join(model for model, (_, takes) in MODELS.items() if key in takes)
+        gen.add_argument(f"--{key}", type=kind, help=f"{takers} coupling (the model's default)")
     gen.set_defaults(func=cmd_gen)
 
     conv = sub.add_parser("convert", help="convert between matrix file formats")
@@ -306,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--h-file", default=None)
     ex.add_argument("--model", default=None)
     ex.add_argument("--qubits", type=int, default=None)
-    ex.add_argument("--t", type=float, default=1.0)
+    ex.add_argument("--t", type=float, default=TaylorConfig.t)
     ex.add_argument("--iters", type=int, default=None, help="fixed term count")
     ex.add_argument("--eps", type=float, default=None,
-                    help="series remainder threshold (default 1e-8)")
+                    help=f"series remainder threshold (default {DEFAULT_EPS:g})")
     ex.add_argument("--segments", type=int, default=1,
                     help="split t into this many repeated expansions")
     ex.add_argument("--functional-only", action="store_true",
@@ -327,17 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+def _apply_config(parser: argparse.ArgumentParser, path: str, given) -> None:
     """Make the config file's values the subcommands' defaults.
 
     argparse then types them like command-line values, and explicit flags
-    still win.  Unknown keys and malformed or unreadable files (not UTF-8
-    included) are usage errors.
+    still win, dropping the config values of the flags they exclude
+    (_EXCLUDES; given is the run parsed without the config).  Unknown keys
+    and malformed or unreadable files (not UTF-8 included) are usage errors.
     """
     try:
         values = _load_config(path)
     except (OSError, UnicodeDecodeError, DomainError) as exc:
         parser.error(f"config {path}: {exc}")
+    for key, excluded in _EXCLUDES.items():
+        if getattr(given, key, None) is not None:
+            values = {k: val for k, val in values.items() if k not in excluded}
     known = set()
     for sub in parser._subparsers._group_actions[0].choices.values():
         actions = {a.dest: a for a in sub._actions if a.dest != "help"}
@@ -366,7 +371,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     if args.config:
         parser = build_parser()
-        _apply_config(parser, args.config)
+        _apply_config(parser, args.config, args)
         args = parser.parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # DiagMatrix names non-finite values

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridCapacityError
+from .errors import DomainError, GridCapacityError
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class FeedConfig:
     def __post_init__(self):
         for order in (self.a_order, self.b_order):
             if order not in ("ascending", "descending"):
-                raise ValueError(f"feed order must be ascending|descending, got {order!r}")
+                raise DomainError(f"feed order must be ascending or descending, got {order!r}")
 
 
 @dataclass(frozen=True)

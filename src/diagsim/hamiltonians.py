@@ -10,7 +10,7 @@ diagonals, giving the compact diagonal form without densifying.
 The chain generators build open-boundary 1D chains; coupling constants and
 field strengths are exposed as parameters rather than hard-coded to any
 published instance.  MODELS names each generator and the coupling parameters
-it takes.
+it takes, with their types; the CLI's ``gen`` flags come from it.
 """
 
 from __future__ import annotations
@@ -121,12 +121,11 @@ def maxcut_ising(n: int, seed: int | None = None) -> list[PauliTerm]:
     return terms
 
 
-# model name -> (term builder, the coupling parameters it takes)
+# model name -> (term builder, each coupling parameter it takes and its type)
 MODELS = {
-    "heisenberg": (heisenberg_chain, ("jx", "jy", "jz")),
-    "tfim": (tfim_chain, ("g",)),
-    "maxcut": (maxcut_ising, ("seed",)),
-    "maxcut-ising": (maxcut_ising, ("seed",)),
+    "heisenberg": (heisenberg_chain, {"jx": float, "jy": float, "jz": float}),
+    "tfim": (tfim_chain, {"g": float}),
+    "maxcut": (maxcut_ising, {"seed": int}),
 }
 
 

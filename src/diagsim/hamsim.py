@@ -84,6 +84,7 @@ from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_prod
 from .spmspm import diag_matmul, multiply_count
 
 TERM_CAP = 64
+DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
 DENSE_FILL = 0.5  # share of n^2 a real term stores when the chain turns dense
 
@@ -149,13 +150,13 @@ def term_count_for(norm: float, eps: float) -> int:
 
 
 def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
-                cache: SetAssocCache | None = None,
                 ) -> tuple[DiagMatrix, list[IterationRecord]]:
     """Approximate exp(-i t H); returns (U, per-iteration records).
 
     Given a grid, every product is also planned from its operands' offsets,
-    run through the blocked grid model and cache (a fresh one if none is given),
-    and its plan checked to cover it (simulate_product).  U is the same either way.
+    run through the blocked grid model and a fresh cache of grid.cache, and
+    its plan checked to cover it (simulate_product); each record's mem is its
+    product's share of that cache's stats.  U is the same either way.
     """
     n = h.dim
     real = not h.values.imag.any()
@@ -166,8 +167,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         factors = (h.scaled(-1j * cfg.t),) * 2
     k_max = (cfg.terms if cfg.terms is not None
              else term_count_for(one_norm(factors[0]), cfg.eps))
-    if cache is None and grid is not None:
-        cache = SetAssocCache(grid.cache)
+    cache = SetAssocCache(grid.cache) if grid is not None else None
     counted: dict = {}  # this chain's distinct products (simulate_product)
 
     u = identity(n)

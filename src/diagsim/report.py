@@ -66,12 +66,7 @@ def build_report(workload: str, grid_rows: int, grid_cols: int, stage,
         "schema": 1,
         "workload": workload,
         "grid": {"rows": grid_rows, "cols": grid_cols},
-        "cycles": {
-            "preload": stage.preload,
-            "compute": stage.compute,
-            "popout": stage.popout,
-            "total": stage.total,
-        },
+        "cycles": _cycles(stage),
         "events": {
             "multiplies": counters.get("multiplies", 0),
             "fifo_rw": counters.get("fifo_reads", 0) + counters.get("fifo_writes", 0),
@@ -90,6 +85,11 @@ def build_report(workload: str, grid_rows: int, grid_cols: int, stage,
     }
 
 
+def _cycles(stage) -> dict:
+    """The 4-key cycles object of the report and of each iteration."""
+    return dict(vars(stage))
+
+
 def records_to_json(records: list[IterationRecord]) -> list[dict]:
     """The report's one entry per series iteration."""
     return [
@@ -99,12 +99,7 @@ def records_to_json(records: list[IterationRecord]) -> list[dict]:
             "nnze": r.nnze,
             "storage_scalars": r.storage_scalars,
             "savings": r.savings,
-            "cycles": {
-                "preload": r.stage_cycles.preload,
-                "compute": r.stage_cycles.compute,
-                "popout": r.stage_cycles.popout,
-                "total": r.stage_cycles.total,
-            },
+            "cycles": _cycles(r.stage_cycles),
             "mem": {
                 "hits": r.mem.hits,
                 "misses": r.mem.misses,
@@ -132,12 +127,9 @@ def report_to_csv(report: dict) -> str:
                     "mem_stall_cycles", "serialized_total_cycles", "hit_rate",
                     "energy_pj"):
         writer.writerow([section, report[section]])
-    for key, val in sorted(report["grid"].items()):
-        writer.writerow([f"grid.{key}", val])
-    for key, val in sorted(report["cycles"].items()):
-        writer.writerow([f"cycles.{key}", val])
-    for key, val in sorted(report["events"].items()):
-        writer.writerow([f"events.{key}", val])
+    for section in ("grid", "cycles", "events"):
+        for key, val in sorted(report[section].items()):
+            writer.writerow([f"{section}.{key}", val])
     if report["iterations"]:
         writer.writerow([])
         buf.write(iterations_to_csv(report["iterations"]))

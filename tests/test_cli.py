@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from diagsim import DiagMatrix, cli, gen_benchmark, hamsim
+from diagsim.dataflow import FeedConfig
 from diagsim.diagio import save_matrix
 
 
@@ -87,6 +88,132 @@ def test_config_fills_flag_without_default(tmp_path):
 
 def test_explicit_flag_beats_config(tmp_path):
     assert _expm_terms(tmp_path, "t=0.01\n", "--functional-only", "--t", "1") == 37
+
+
+def test_explicit_iters_beats_config_eps(tmp_path):
+    assert _expm_terms(tmp_path, "eps=1e-6\n", "--functional-only", "--iters", "3") == 3
+
+
+def test_explicit_eps_beats_config_iters(tmp_path):
+    want = _expm_terms(tmp_path, "", "--functional-only", "--eps", "1e-6")
+    assert want != 3
+    assert _expm_terms(tmp_path, "iters=3\n", "--functional-only", "--eps", "1e-6") == want
+
+
+def _expm_workload(tmp_path, config, *flags):
+    """The workload a functional expm run under a config file reports."""
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "report.json"
+    argv = ["--config", str(tmp_path / "run.cfg"), "expm", "--iters", "2",
+            "--functional-only", "--out", str(out), *flags]
+    assert cli.main(argv) == 0
+    return json.loads(out.read_text())["workload"]
+
+
+def test_explicit_h_file_beats_config_model(tmp_path):
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("heisenberg", 3), path)
+    workload = _expm_workload(tmp_path, "model=tfim\nqubits=3\n", "--h-file", path)
+    assert workload == f"expm:{path}"
+
+
+def test_explicit_model_beats_config_h_file(tmp_path):
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("heisenberg", 3), path)
+    workload = _expm_workload(tmp_path, f"h_file={path}\n", "--model", "tfim", "--qubits", "3")
+    assert workload == "tfim-3"
+
+
+def _grid(*argv):
+    return cli._grid_setup(cli.build_parser().parse_args(["simulate", "a", "b", *argv]))
+
+
+@pytest.mark.parametrize("short, long", [("a=asc,b=desc", "a=ascending,b=descending"),
+                                         ("a=desc,b=asc", "a=descending,b=ascending"),
+                                         ("b=asc", "b=ascending")])
+def test_feed_abbreviations_give_the_same_feed(short, long):
+    assert _grid("--feed", short).feed == _grid("--feed", long).feed
+    assert _grid("--feed", "a=asc,b=desc").feed == _grid().feed == FeedConfig()
+
+
+def test_feed_flag_changes_the_simulated_cycles(tmp_path):
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("heisenberg", 4), path)
+    reports = []
+    for feed in ([], ["--feed", "a=desc,b=asc"]):
+        out = tmp_path / "r.json"
+        argv = ["simulate", path, path, "--grid-rows", "4", "--grid-cols", "4", "--out", str(out)]
+        assert cli.main(argv + feed) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["cycles"] != reports[1]["cycles"]
+    assert reports[0]["events"]["multiplies"] == reports[1]["events"]["multiplies"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("feed", ["c=asc", "a=up", "b", "a=asc,b=ascend"])
+def test_bad_feed_exits_2_with_one_line(tmp_path, capsys, via, feed):
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("tfim", 3), path)
+    out = tmp_path / "r.json"
+    argv = ["simulate", path, path, "--out", str(out)]
+    if via == "flag":
+        argv += ["--feed", feed]
+    else:
+        (tmp_path / "run.cfg").write_text(f"feed={feed}\n")
+        argv = ["--config", str(tmp_path / "run.cfg"), *argv]
+    assert cli.main(argv) == cli.DATA_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _settings(obj, prefix="") -> dict:
+    """Each field of a settings dataclass by dotted name, nested ones expanded."""
+    leaves = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(_settings(value, f"{prefix}{field.name}."))
+        else:
+            leaves[prefix + field.name] = value
+    return leaves
+
+
+def _trial_values(action) -> list[list[str]]:
+    """Command-line values to try for a flag: one that differs from an integer
+    flag's default, or text that some text flag accepts."""
+    if action.nargs == 0:
+        return [[]]
+    if action.type is int:
+        return [[str((action.default or 1) + 1)]]
+    if action.type is float:
+        return [["0.5"]]
+    return [["a=desc,b=asc"], ["3"]]
+
+
+@pytest.mark.parametrize("command, positional", [("simulate", ["a", "b"]), ("expm", [])])
+def test_every_grid_setting_has_exactly_one_flag_with_its_default(command, positional):
+    parser = cli.build_parser()
+    default = _settings(hamsim.GridSetup())
+    assert _settings(cli._grid_setup(parser.parse_args([command, *positional]))) == default
+    setters = {name: [] for name in default}
+    sub = parser._subparsers._group_actions[0].choices[command]
+    for action in sub._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        for values in _trial_values(action):
+            args = parser.parse_args([command, *positional, action.option_strings[0], *values])
+            try:
+                changed = [name for name, value in _settings(cli._grid_setup(args)).items()
+                           if value != default[name]]
+            except ValueError:  # text this flag does not accept
+                continue
+            for name in changed:
+                setters[name].append(action.option_strings[0])
+            if action.type is int and changed:
+                (name,) = changed
+                assert action.default == default[name], action.option_strings[0]
+    assert {name: len(set(flags)) for name, flags in setters.items()} == dict.fromkeys(default, 1)
 
 
 def test_config_leaves_later_runs_on_built_in_defaults(tmp_path, monkeypatch):

@@ -146,7 +146,7 @@ class TestChainModels:
         assert np.allclose(to_dense(m), kron_oracle(tfim_chain(3, g=0.7), 3))
 
     def test_maxcut_is_single_diagonal(self):
-        m = gen_benchmark("maxcut-ising", 10)
+        m = gen_benchmark("maxcut", 10)
         assert m.dim == 1024
         assert m.offsets == (0,)
         assert m.storage_scalars == 1024
