@@ -4,7 +4,7 @@ Subcommands: gen, convert, matmul, simulate, expm, report.
 Exit codes: 0 ok, 1 usage error, 2 data or file error, 3 verification failure.
 An optional key=value config file (``--config``, before the subcommand)
 supplies flag defaults, typed like the flags themselves (on/off flags take
-true or false); explicit flags win.  Unknown keys are usage errors.
+true or false); explicit flags win; a key the subcommand lacks is a usage error.
 An explicit flag also drops the config values of the flags it excludes:
 --iters or --eps, --h-file or --model with --qubits.  Every built-in default
 is the library's: GridSetup's, CacheConfig's and FeedConfig's fields,
@@ -329,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, path: str, given) -> None:
-    """Make the config file's values the subcommands' defaults.
+    """Make the config file's values the chosen subcommand's defaults.
 
     argparse then types them like command-line values, and explicit flags
     still win, dropping the config values of the flags they exclude
-    (_EXCLUDES; given is the run parsed without the config).  Unknown keys
-    and malformed or unreadable files (not UTF-8 included) are usage errors.
+    (_EXCLUDES; given is the run parsed without the config).  Keys the
+    subcommand lacks and malformed or unreadable files are usage errors.
     """
     try:
         values = _load_config(path)
@@ -343,21 +343,17 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, given) -> None:
     for key, excluded in _EXCLUDES.items():
         if getattr(given, key, None) is not None:
             values = {k: val for k, val in values.items() if k not in excluded}
-    known = set()
-    for sub in parser._subparsers._group_actions[0].choices.values():
-        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
-        known |= actions.keys()
-        defaults = {}
-        for key in values.keys() & actions.keys():
-            val = values[key]
-            if actions[key].nargs == 0:  # on/off flags
-                if val not in ("true", "false"):
-                    parser.error(f"config key {key} must be true or false, got {val!r}")
-                val = val == "true"
-            defaults[key] = val
-        sub.set_defaults(**defaults)
-    if values.keys() - known:
-        parser.error(f"unknown config keys: {sorted(values.keys() - known)}")
+    sub = parser._subparsers._group_actions[0].choices[given.command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    if values.keys() - actions.keys():
+        parser.error(f"config keys {sorted(values.keys() - actions.keys())} "
+                     f"are not flags of {given.command}")
+    for key, val in values.items():
+        if actions[key].nargs == 0:  # on/off flags
+            if val not in ("true", "false"):
+                parser.error(f"config key {key} must be true or false, got {val!r}")
+            values[key] = val == "true"
+    sub.set_defaults(**values)
 
 
 @functools.cache

@@ -69,7 +69,7 @@ def _reading(path: str):
 def write_diaq(m: DiagMatrix, path: str) -> None:
     chunks = [MAGIC, struct.pack("<QQ", m.dim, m.nnzd)]
     for d, vec in m.offset_views():
-        chunks += [struct.pack("<q", d), vec.astype("<c16").tobytes()]
+        chunks += [struct.pack("<q", d), vec.astype("<c16", copy=False)]  # join takes buffers
     _atomic_write(path, b"".join(chunks))
 
 

@@ -46,25 +46,26 @@ A product is then Q_k^T R^T with Q_k^T in CSR, its column indices ascending:
 each entry starts at +0.0 and adds its terms in ascending inner index, as
 diag_matmul does (spmspm).  Its extra terms each have a zero factor, and
 x + -0.0 = x, so the bits are the same and no product holds -0.0.  Only the
-1/k scaling can then make a -0.0, by taking a negative entry to zero.  A
-step where a nonzero scales to zero, or whose product is not finite, goes
-back to the packed chain, which keeps that -0.0 or raises DomainError as it
-always does.  Without -0.0, an entry U does not store may read +0.0
+1/k scaling can then make a -0.0, by taking a nonzero to zero, which raises
+the underflow flag; a step that raises it, or whose product is not finite,
+goes back to the packed chain, which keeps that -0.0 or raises DomainError
+as it always does.  Without -0.0, an entry U does not store may read +0.0
 (-0.0 + x = +0.0 + x unless x is -0.0), T_k's +0.0 other part changes
-nothing, and U += T_k is one real add.  The floor's per-diagonal maxima, the
-product's offsets (R_k's, as no nonzero scaled to zero) and the drops go
-through one strided sheared view of R_k's band buffer, in which each diagonal
-is a column; U is a plain n x n array, filled and gathered diagonal by diagonal.
+nothing, and U += T_k is one real add into a plane of U, which turns
+non-finite only by overflow, raising that flag.  So a step is the product
+(of the contiguous R^T) and five passes over n^2: scaling, |R_k| into a band
+whose sheared view holds each diagonal as a column, its column maxima (the
+floor, the offsets, NaN or inf for a non-finite product), the add and the
+nonzero count.  U and R go in, and U out, through masks on padded diagonals.
 
 Per product the dense chain wins from an eighth to a quarter of n^2
 (heisenberg and tfim at 6-10 qubits) and whole chains take the same time
 switching anywhere from 0.1 to 0.75, so DENSE_FILL is 0.5.  A term that
 never fills its band never switches, so a narrow chain allocates no O(n^2).
-After the switch the chain holds 48 n^2 bytes (R_k's band buffer 16, U 16,
-a product and scipy's copy of R^T 16) where the term alone held at least
-4 n^2; the packed chain's accumulator and sums reach about as much
-(tracemalloc peak at t = 0.5, packed -> switching: heisenberg-10 78.8 ->
-58.3 MiB, tfim-10 80.9 -> 66.3 MiB; the switch adds 32.5 MiB, the exit 18).
+After a step the chain holds 40 n^2 bytes (the band 16, U 16, R_k 8) and a
+product adds 8, where the term alone held at least 4 n^2; the packed chain's
+accumulator and sums reach about as much (tracemalloc peak at t = 0.5,
+packed -> switching: heisenberg-10 78.8 -> 48.6 MiB, tfim-10 80.9 -> 60.8).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ import scipy.sparse
 
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
-from .diagmat import (COMPLEX, DiagMatrix, diagonal_view, drop_below, from_dense, identity,
-                      one_norm)
+from .diagmat import (COMPLEX, DiagMatrix, diagonal_view, drop_below, drop_zero_diagonals,
+                      from_dense, identity, one_norm)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -182,7 +183,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             made, live, nnze = stepped
         else:
             if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
-                t_k, u = from_dense(dense.r_t.T, np.float64), from_dense(dense.u_t.T)
+                t_k, u = from_dense(dense.r_t.T, np.float64), dense.take_u()
                 dense = None
             product = diag_matmul(t_k, m)
             made = product.offsets
@@ -208,10 +209,10 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             break  # exact nilpotency: every later term is zero too
         if (real and not dense and k < k_max and scalars >= DENSE_FILL * n * n
                 and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
+            product = mag = None  # no packed buffer outlives the switch
             dense, t_k, u = _DenseChain(t_k, u, factors), None, None
-    if dense:  # R's buffer goes before U is gathered
-        u_t, dense = dense.u_t, None
-        u = from_dense(u_t.T)
+    if dense:
+        u, dense = dense.take_u(), None
     return u, records
 
 
@@ -247,54 +248,84 @@ def _dense_product(q_t, r_t: np.ndarray) -> np.ndarray:
     return q_t @ r_t
 
 
-def _sheared(buf: np.ndarray, n: int) -> np.ndarray:
-    """The (n, 2n - 1) sheared view of a band buffer (_DenseChain): entry
-    (j, n - 1 - d) is diagonal d's entry in matrix column j, or a pad entry
-    where the diagonal has none.  No two entries share memory."""
-    step = buf.strides[0]
-    return np.lib.stride_tricks.as_strided(buf, (n, 2 * n - 1), (2 * n * step, step))
+def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero n x n float64 grid, n - 1 pads at either end, and a (2n - 1, n)
+    view whose row n - 1 + d holds diagonal d of the grid's transpose in the
+    grid rows of its entries, and elsewhere a pad or another entry."""
+    buf = np.zeros(n * n + 2 * n - 2)
+    return (buf[n - 1:n - 1 + n * n].reshape(n, n),
+            np.lib.stride_tricks.as_strided(buf, (2 * n - 1, n), (8, 8 * (n + 1)))[::-1])
 
 
 class _DenseChain:
-    """R_k (float64) in a band buffer and U (complex128) in an n x n array, both
-    transposed: R^T in n rows of pitch 2n - 1, each after n - 1 pads, then n - 1
-    more pads (_sheared); +0.0 wherever a matrix stores nothing, never -0.0."""
+    """R_k^T and U^T's real and imaginary planes as n x n float64 grids, and
+    from the first step a band: n rows of pitch 2n - 1, each after n - 1 pads,
+    then n - 1 more, whose (n, 2n - 1) sheared view holds diagonal d of the
+    transposed window (each row's last n) in column n - 1 - d, pads elsewhere.
+    +0.0 where a matrix stores nothing, never -0.0."""
 
     def __init__(self, r: DiagMatrix, u: DiagMatrix, factors):
         n = self.n = r.dim
-        self.u_t = np.zeros((n, n), COMPLEX)
-        self.r_buf = np.zeros(n * (2 * n - 1) + n - 1)
-        self.r_t = self.r_buf[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
-        for grid, m in ((self.u_t, u), (self.r_t, r)):
-            for d, vec in m.offset_views():
-                diagonal_view(grid.T, d)[:] = vec
+        self.offsets, self.window = np.arange(1 - n, n), None
+        self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
+        self.u, self.u_diagonals = map(list, zip(_padded(n), _padded(n)))
+        rows, inside = self._inside(u.offset_array)
+        for diagonals, part in zip(self.u_diagonals, (u.values.real, u.values.imag)):
+            diagonals[rows][inside] = part
+        self.r_t, diagonals = _padded(n)
+        rows, inside = self._inside(r.offset_array)
+        diagonals[rows][inside] = r.values
         self.q_t = [_csr_t(f) for f in factors]
 
+    def _inside(self, offsets: np.ndarray) -> tuple[slice, np.ndarray]:
+        """The rows of min(offsets, 0)..max(offsets, 0) in _padded's view, and a
+        mask of these offsets' entries there, in a packed buffer's order."""
+        n, lo, hi = self.n, offsets.min(initial=0), offsets.max(initial=0)
+        d, j = np.arange(lo, hi + 1)[:, None], np.arange(n)
+        return slice(n - 1 + lo, n + hi), (j >= d) & (j < n + d) & np.isin(d, offsets)
+
+    def take_u(self) -> DiagMatrix:
+        """U with each diagonal that holds a nonzero (from_dense's); spends the chain."""
+        self.r_t = self.window = self.sheared = None  # R_k and the band go first
+        rows, inside = self._inside(self.offsets[self.stored])
+        values = np.empty(np.count_nonzero(inside), COMPLEX)
+        values.real = self.u_diagonals[0][rows][inside]
+        values.imag = self.u_diagonals[1][rows][inside]
+        return drop_zero_diagonals(DiagMatrix.packed(self.n, self.offsets[self.stored], values))
+
     def step(self, k: int):
-        """R_k from R_{k-1}, the floor and U += T_k; returns the product's
-        nonzero offsets, R_k's offsets and its nonzero count.  None, with
-        R_{k-1} and U left as they were, if the product is not finite (the
-        packed chain raises DomainError) or the scaling takes a nonzero to
-        zero; DomainError, as the packed chain's sum raises it, if U is not."""
+        """R_k from R_{k-1}, the floor and U += T_k; returns the product's nonzero
+        offsets, R_k's offsets and its nonzero count.  None, with R_{k-1} and U
+        as they were, if the product is not finite (the packed chain raises) or
+        its scaling underflows; DomainError, as the packed sum raises it, if U is not."""
+        n = self.n
+        if self.window is None:  # once the packed chain's buffers are gone
+            band = np.zeros(n * (2 * n - 1) + n - 1)
+            self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
+            self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
         product = _dense_product(self.q_t[k % 2], self.r_t)
-        nonzero = np.count_nonzero(product != 0)  # a mask counts faster than floats
-        product *= 1.0 / k
-        if np.count_nonzero(product != 0) < nonzero or not np.isfinite(product).all():
+        try:
+            with np.errstate(under="raise"):
+                product *= 1.0 / k
+        except FloatingPointError:
             return None
-        np.copyto(self.r_t, product)
-        sheared = _sheared(self.r_buf, self.n)
-        peak = np.maximum(sheared.max(axis=0), -sheared.min(axis=0))  # of each diagonal
-        live = peak > CANCEL_EPS * peak.max()
-        dropped = ~live & (peak > 0)
-        if dropped.any():
-            nonzero -= np.count_nonzero(sheared[:, dropped])
-            sheared[:, dropped] = 0.0
-        u_part = self.u_t.view(np.float64)[:, k % 2::2]
-        u_part += self.r_t
-        if not np.isfinite(u_part).all():
-            from_dense(self.u_t.T)  # raises the DomainError of the packed chain's sum
-        offsets = np.arange(1 - self.n, self.n)  # of the sheared view's columns, reversed
-        return offsets[(peak > 0)[::-1]].tolist(), offsets[live[::-1]], int(nonzero)
+        np.abs(product, out=self.window)
+        peak = self.sheared.max(axis=0)[::-1]  # by offset; NaN or inf if an entry is
+        top = peak.max()
+        if not np.isfinite(top):
+            return None
+        self.r_t = product
+        live, made = peak > CANCEL_EPS * top, peak > 0
+        for d in self.offsets[made & ~live].tolist():
+            diagonal_view(product.T, d)[:] = 0.0
+        self.stored |= live
+        try:
+            with np.errstate(over="raise"):  # finite U + R_k is finite unless it overflows
+                self.u[k % 2] += product
+        except FloatingPointError:
+            self.take_u()  # raises the DomainError of the packed chain's sum
+        return (self.offsets[made].tolist(), self.offsets[live],
+                int(np.count_nonzero(product != 0)))
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

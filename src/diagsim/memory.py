@@ -22,7 +22,8 @@ by whether they were charged before (no compulsory miss, no fresh partial).
 So the per-job deltas and the exit state are a function of the key: the
 jobs, the entry state with own lines as (kind, id) and other lines as
 placeholders (is a C line, place), and the own lines charged before.  A
-cache steps each key once and replays it when a chain repeats the product.
+cache steps each key once and replays it when a chain repeats the product,
+as the same jobs object (hamsim._count_product): the memo holds it by id.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SetAssocCache:
         self.config = config
         self._sets: list[list[tuple]] = [[] for _ in range(config.sets)]
         self._ever_seen: dict[tuple, set] = {}  # (kind, tag) -> ids of the lines charged
-        self._memo: dict = {}  # charge_job: jobs -> (own ids per kind, {key: result})
+        self._memo: dict = {}  # charge_job: id(jobs) -> (own ids per kind, {key: result}, jobs)
         self.stats = MemStats()
 
 
@@ -92,11 +93,11 @@ def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
     output offsets) in schedule order; returns each job's stats delta, which
     the memo keeps and hands to every replay: read them, never change them."""
     tags = {"A": a_tag, "B": b_tag, "C": c_tag}
-    if (memo := cache._memo.get(jobs)) is None:  # hashing jobs costs a pass over them
-        memo = cache._memo[jobs] = {"A": frozenset(a for a, _, _ in jobs),
-                                    "B": frozenset(b for _, b, _ in jobs),
-                                    "C": frozenset().union(*(offsets for *_, offsets in jobs))}, {}
-    own, results = memo
+    if (memo := cache._memo.get(id(jobs))) is None:  # a hash would cost a pass over jobs
+        memo = cache._memo[id(jobs)] = {"A": frozenset(a for a, _, _ in jobs),
+                                        "B": frozenset(b for _, b, _ in jobs),
+                                        "C": frozenset().union(*(o for *_, o in jobs))}, {}, jobs
+    own, results, _ = memo
     seen = {kind: cache._ever_seen.setdefault((kind, tag), set()) for kind, tag in tags.items()}
     others = [line for held in cache._sets for line in held if line[1] != tags[line[0]]]
     place = {line: (line[0] == "C", i) for i, line in enumerate(others)}

@@ -242,6 +242,29 @@ def test_config_on_off_flags(tmp_path):
         assert exc.value.code == cli.USAGE_EXIT
 
 
+@pytest.mark.parametrize("command, config", [
+    (["simulate", "A", "A"], "t=0.5\niters=3\n"),
+    (["expm", "--model", "tfim", "--qubits", "3", "--functional-only"],
+     "check=true\nproduct_out=p.diaq\n"),
+    (["matmul", "A", "A"], "eps=1e-6\ntrace=t.jsonl\n"),
+])
+def test_config_key_the_subcommand_lacks_is_a_usage_error(tmp_path, capsys, command, config):
+    # each key is some other subcommand's flag, and used to be dropped unread
+    path = str(tmp_path / "h.diaq")
+    save_matrix(gen_benchmark("tfim", 3), path)
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "out.json"
+    argv = ["--config", str(tmp_path / "run.cfg"),
+            *[path if arg == "A" else arg for arg in command], "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.USAGE_EXIT
+    last = capsys.readouterr().err.splitlines()[-1]
+    keys = sorted(line.split("=")[0] for line in config.split())
+    assert last == f"error: config keys {keys} are not flags of {command[0]}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [None, b"t=0.01\n# \xff\xfe\n"], ids=["missing", "not-utf8"])
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "run.cfg"

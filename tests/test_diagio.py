@@ -54,6 +54,16 @@ def test_binary_layout(tmp_path):
     assert np.frombuffer(blob[29:], dtype="<f8").tolist() == [3.0, 4.0]
 
 
+def test_binary_writes_a_real_buffer_as_its_complex_twin(tmp_path):
+    twin = rand_matrix(np.random.default_rng(5), 9, k=5, real=True)
+    real = DiagMatrix.packed(twin.dim, twin.offsets, np.ascontiguousarray(twin.values.real))
+    paths = [str(tmp_path / name) for name in ("real.diaq", "twin.diaq")]
+    for m, path in zip((real, twin), paths):
+        write_diaq(m, path)
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert matrices_equal(read_diaq(paths[0]), twin)
+
+
 def test_binary_round_trip_keeps_signed_zeros(tmp_path):
     m = diag_matrix(3, {
         0: from_parts([-0.0, 2.0, 0.0], [-1.0, -0.0, 0.0]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -293,6 +295,51 @@ def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simul
     with pytest.raises(DomainError, match=r"^diagonal -4 contains non-finite values$"):
         taylor_expm(h, TaylorConfig(t=1.0, terms=6), GridSetup() if use_simulator else None)
     assert len(dense) == 2  # k = 2 and 3, as the packed chain stops at k = 3
+
+
+@pytest.mark.parametrize("use_simulator", [False, True])
+def test_cancellation_floor_drops_diagonals_after_the_switch(monkeypatch, use_simulator):
+    # a band of width 5 fills half of n^2 at k = 1; couplings near 1e-20 at
+    # offset +-12 put diagonals 11..15 into T_2's product (and 7..10 under
+    # real ones) far below the floor of 1e-14 times its largest entry
+    n = 16
+    i, j = np.indices((n, n))
+    g = np.where(abs(i - j) <= 5, np.cos(i + 2 * j) / (1.0 + abs(i - j)), 0.0)
+    g = g + g.T
+    g[abs(i - j) == 12] = 1e-20 * (1 + (i + j) % 3)[abs(i - j) == 12]
+    rows, cols = np.nonzero(g)
+    h = from_coo(n, rows, cols, g[rows, cols])
+    grid = GridSetup(rows=4, cols=4)
+    want, fields = complex_chain(h, 0.7, eps=1e-12, grid=grid)
+    dense = _dense_calls(monkeypatch)
+    u, records = taylor_expm(h, TaylorConfig(t=0.7, eps=1e-12), grid if use_simulator else None)
+    assert len(dense) == len(records) - 1  # every step after k = 1 is dense
+    assert [r.nnzd for r in records[:3]] == [11, 21, 31]
+    assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == [f[:3] for f in fields]
+    if use_simulator:
+        assert [(r.stage_cycles, r.counters, r.mem) for r in records] == [f[3:] for f in fields]
+    assert same_bits(u, want)
+
+
+# tracemalloc peaks of these chains as this test measures them, and as it
+# measured them while the dense chain held U as one complex128 array and R_k
+# in its band, and scipy copied R^T for each product; they spread by about
+# 2 kB from run to run, and one more 256 x 256 float64 buffer is 512 kB
+PEAKS = {"heisenberg": (3_356_000, 3_869_000), "tfim": (3_549_000, 4_270_500)}
+
+
+@pytest.mark.parametrize("model", PEAKS)
+def test_dense_chain_peak_memory_does_not_grow(model):
+    h, cfg = gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8)
+    taylor_expm(h, cfg)  # lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        taylor_expm(h, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    now, before = PEAKS[model]
+    assert peak <= min(now + 32_000, before)
 
 
 @settings(max_examples=200)
