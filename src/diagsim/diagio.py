@@ -12,9 +12,13 @@ DiaQ JSON layout (one line without spaces, then a newline):
 
 with the diagonals in ascending offset and every float written as Python's
 ``repr`` writes it, as ``json.dumps`` does; ``repr`` reads back to the same
-double, so both formats round-trip bit-exactly, signed zeros included.  The
-writer formats each distinct (re, im) pair of a diagonal once, since
-Hamiltonian diagonals hold few distinct values.
+double, so both formats round-trip bit-exactly, signed zeros included.
+A Hamiltonian's diagonals hold few distinct pairs: the writer formats each
+once, and the reader parses each distinct pair text of a compact ``"values"``
+array once if its first KiB is at most half distinct texts, each two
+``_NUMBER`` tokens (those whose ``float()`` is json's value).  json reads the
+rest (mostly distinct pairs, which it parses as fast, and any text with a
+backslash), so values and errors are json's.
 
 Every format holds complex128 values; a float64-buffered matrix is written
 as its complex128 twin, each x as x + 0j, byte for byte.
@@ -38,9 +42,12 @@ import io
 import json
 import operator
 import os
+import re
 import struct
 import tempfile
+from collections.abc import Iterable
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 import scipy.io
@@ -101,52 +108,95 @@ def read_diaq(path: str) -> DiagMatrix:
 
 
 def write_diaq_json(m: DiagMatrix, path: str) -> None:
-    diags = ",".join(f'{{"offset":{d},"values":[{_json_pairs(vec)}]}}'
-                     for d, vec in m.offset_views())
-    _atomic_write(path, f'{{"n":{m.dim},"diags":[{diags}]}}\n'.encode())
+    diags = (b',{"offset":%d,"values":[%s]}'[not i:] % (d, _json_pairs(vec))  # no first comma
+             for i, (d, vec) in enumerate(m.offset_views()))  # each written as it is made
+    _atomic_write(path, chain([b'{"n":%d,"diags":[' % m.dim], diags, [b"]}\n"]))
 
 
-def _json_pairs(values: np.ndarray) -> str:
-    """values as json.dumps writes [[re, im], ...], without the outer brackets.
-
-    Pairs are grouped by their raw bits, so -0.0 and 0.0 stay distinct: a
-    stable lexsort on the two uint64 words, then one text per run of equal
-    pairs, indexed back into the original order.
-    """
-    bits = values.astype(COMPLEX, copy=False).view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ordered = bits[order]
-    starts = np.ones(len(order), bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+def _json_pairs(values: np.ndarray) -> bytes:
+    """values as json.dumps writes [[re, im], ...], without the outer brackets:
+    one text per run of equal raw bits (so -0.0 and 0.0 stay distinct) in a
+    stable lexsort on the two uint64 words, indexed back into place."""
+    pairs = values.astype(COMPLEX, copy=False)
+    order = np.lexsort(pairs.view(np.uint64).reshape(-1, 2).T[::-1])  # real bits first
+    real, imag = pairs[order].view(np.uint64).reshape(-1, 2).T
+    starts = np.r_[True, (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])]
     inverse = np.empty(len(order), np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    text = np.array(["[%r,%r]" % (re, im) for re, im in ordered[starts].view(np.float64).tolist()],
-                    dtype=object)
-    return ",".join(text[inverse])
+    text = np.array([b"[%r,%r]" % (z.real, z.imag) for z in pairs[order[starts]].tolist()], object)
+    return b",".join(text[inverse].tolist())
 
 
 def read_diaq_json(path: str) -> DiagMatrix:
-    """The parser hands each diagonal's object to _pairs_array as it closes,
-    so one diagonal's pairs at a time are Python floats."""
     with open(path) as fh, _reading(path):
-        doc = json.load(fh, object_hook=_pairs_array)
-        n = operator.index(doc["n"])
-        diags = sorted(((operator.index(d["offset"]), d["values"]) for d in doc["diags"]),
+        doc = _parse(fh)
+        n = _integer(doc["n"])
+        diags = sorted(((_integer(d["offset"]), d["values"]) for d in doc["diags"]),
                        key=lambda diag: diag[0])
         for d, pairs in diags:
-            if pairs.dtype.kind not in "biuf" or pairs.shape != (diag_length(n, d), 2):
+            if pairs.dtype.kind not in "iuf" or pairs.shape != (diag_length(n, d), 2):
                 raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} "
                                  f"[re, im] number pairs, got shape {pairs.shape}")
-        values = np.concatenate([np.empty((0, 2))] + [pairs for _, pairs in diags],
-                                dtype=np.float64)
-        return DiagMatrix.packed(n, [d for d, _ in diags], values.view(COMPLEX).ravel())
+        offsets = [d for d, _ in diags]
+        values = np.concatenate([np.empty((0, 2))] + [v for _, v in diags], dtype=np.float64)
+        del doc, diags  # so the checks of DiagMatrix.packed peak over one copy of the values
+        return DiagMatrix.packed(n, offsets, values.view(COMPLEX).ravel())
 
 
-def _pairs_array(obj: dict) -> dict:
+_NUMBER = r"(?:0|-?[1-9][0-9]{0,17}|-?(?:0|[1-9][0-9]*)(?=[.eE])(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+_PAIR = re.compile(f"{_NUMBER},{_NUMBER}")  # not -0 (json's int 0), no int of 19 digits
+
+
+def _parse(fh):
+    """json.load(fh, object_hook=_pairs_array), certified arrays aside."""
+    text, cut, skeleton, last = fh.read(), {}, [], 0
+    keys = [at.end() for at in re.finditer('"values":', text)] if "\\" not in text else []
+    for start, stop in zip(keys, keys[1:] + [len(text)]):  # no backslash: no string holds "\0"
+        head = text[start + 2:start + 1026].split("]]")[0].split("],[")
+        if (not text.startswith("[[", start) or 2 * len(set(head)) > len(head)
+                or (end := text.find("]]", start, stop)) < 0):
+            continue  # not compact, mostly distinct (json parses those as fast), or unclosed
+        pairs = text[start + 2:end].split("],[")
+        ids = dict.fromkeys(pairs)
+        if not all(map(_PAIR.fullmatch, ids)):
+            continue  # left to json, which judges what is not two numbers
+        table = np.array([float(t) for pair in ids for t in pair.split(",")]).view(COMPLEX)
+        ids = dict(zip(ids, range(len(ids))))
+        skeleton += [text[last:start], json.dumps(f"\0{len(cut)}")]  # a placeholder for
+        cut[f"\0{len(cut)}"] = table, np.fromiter(map(ids.__getitem__, pairs),  # table[ids]
+                                                  np.min_scalar_type(len(ids)), len(pairs))
+        last = end + 2
+    skeleton.append(text[last:])
+    del text  # then join the pieces: json parses the skeleton alone
+    skeleton = "".join(skeleton)
+    bools = "true" in skeleton or "false" in skeleton  # a certified array holds numbers only
+
+    def hook(obj: dict) -> dict:
+        if type(values := obj.get("values")) is str and values in cut:
+            obj["values"] = np.take(*cut.pop(values)).view(np.float64).reshape(-1, 2)
+            return obj
+        return _pairs_array(obj, bools)
+
+    try:
+        return json.loads(skeleton, object_hook=hook)
+    except json.JSONDecodeError:  # its position counts in the skeleton: take json's own
+        fh.seek(0)
+        return json.load(fh, object_hook=hook)
+
+
+def _pairs_array(obj: dict, bools: bool) -> dict:
     """A JSON object with its "values" member as an array, if it has one."""
-    if "values" in obj:
+    if "values" in obj:  # numpy would take true and false for 1 and 0
+        if bools and any(type(x) is bool for x in np.array(obj["values"], dtype=object).flat):
+            raise ShapeError('"values" holds true or false, not numbers')
         obj["values"] = np.array(obj["values"])
     return obj
+
+
+def _integer(value) -> int:
+    if type(value) is bool:  # operator.index takes true and false for 1 and 0
+        raise ShapeError(f"{str(value).lower()} is not an integer")
+    return operator.index(value)
 
 
 def write_matrix_market(m: DiagMatrix, path: str) -> None:
@@ -198,15 +248,15 @@ def save_matrix(m: DiagMatrix, path: str, fmt: str | None = None) -> None:
     writer(m, path)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write-to-temp then rename; partial files are never left behind."""
+def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write-to-temp, chunk by chunk if data comes in chunks, then rename; no partial file."""
     try:
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file asked for, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

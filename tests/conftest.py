@@ -1,5 +1,6 @@
 import io
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,9 +9,10 @@ import scipy.io
 import scipy.sparse
 from hypothesis import settings, strategies as st
 
-from diagsim import COMPLEX, DiagMatrix, Diagonal
+from diagsim import COMPLEX, DiagMatrix, Diagonal, diagio
 from diagsim.blocking import segment_bounds
-from diagsim.diagmat import buffer_starts
+from diagsim.diagmat import buffer_starts, diag_length
+from diagsim.errors import ShapeError
 
 # no per-example deadline (timings vary with the host), and a failure prints
 # the blob that replays it with @reproduce_failure
@@ -155,6 +157,35 @@ def diaq_json_oracle(m) -> bytes:
         ],
     }
     return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+
+
+def read_diaq_json_oracle(path: str) -> DiagMatrix:
+    """DiaQ JSON read by json alone, every number a Python object: the reader's
+    oracle.  Like the reader, it takes true and false for no numbers."""
+    def pairs_array(obj: dict) -> dict:
+        if "values" in obj:
+            if any(type(x) is bool for x in np.array(obj["values"], dtype=object).flat):
+                raise ShapeError('"values" holds true or false, not numbers')
+            obj["values"] = np.array(obj["values"])
+        return obj
+
+    def integer(value) -> int:
+        if type(value) is bool:
+            raise ShapeError(f"{str(value).lower()} is not an integer")
+        return operator.index(value)
+
+    with open(path) as fh, diagio._reading(path):
+        doc = json.load(fh, object_hook=pairs_array)
+        n = integer(doc["n"])
+        diags = sorted(((integer(d["offset"]), d["values"]) for d in doc["diags"]),
+                       key=lambda diag: diag[0])
+        for d, pairs in diags:
+            if pairs.dtype.kind not in "iuf" or pairs.shape != (diag_length(n, d), 2):
+                raise ShapeError(f"diagonal {d} of dim-{n} matrix needs {diag_length(n, d)} "
+                                 f"[re, im] number pairs, got shape {pairs.shape}")
+        values = np.concatenate([np.empty((0, 2))] + [pairs for _, pairs in diags],
+                                dtype=np.float64)
+        return DiagMatrix.packed(n, [d for d, _ in diags], values.view(COMPLEX).ravel())
 
 
 # The grid conversions as they were written before they walked the diagonals,

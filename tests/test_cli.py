@@ -411,6 +411,9 @@ MALFORMED = {
     "float-offset.json": b'{"n": 3, "diags": [{"offset": 1.7, "values": [[1, 0], [2, 0]]}]}',
     "float-dim.json": b'{"n": 3.9, "diags": []}',
     "short-diagonal.json": b'{"n": 3, "diags": [{"offset": 0, "values": [[1, 0]]}]}',
+    "bool-dim.json": b'{"n": true, "diags": [{"offset": 0, "values": [[1, 0]]}]}',
+    "bool-offset.json": b'{"n": 1, "diags": [{"offset": false, "values": [[1, 0]]}]}',
+    "bool-values.json": b'{"n": 2, "diags": [{"offset": 0, "values": [[true, false], [1, 0]]}]}',
     "binary.json": b"\xff\xfe\x00garbage",
     "garbage.mtx": b"not a Matrix Market file\n",
 }

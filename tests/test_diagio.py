@@ -1,5 +1,9 @@
+import json
 import os
+import re
 import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -7,15 +11,17 @@ import scipy.io
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from diagsim import DiagMatrix, from_dense, to_dense
+from diagsim import COMPLEX, DiagMatrix, from_dense, gen_benchmark, to_dense
 from diagsim import diagio
 from diagsim.diagio import (MAGIC, load_matrix, read_diaq, read_diaq_json,
                             read_matrix_market, save_matrix, sniff_format,
                             write_diaq, write_diaq_json, write_matrix_market)
+from diagsim.diagmat import buffer_starts
 from diagsim.errors import DomainError, ShapeError
+from diagsim.spmspm import diag_matmul
 
-from conftest import (diag_matrix, diaq_json_oracle, edge_matrices, matrix_market_oracle,
-                      rand_matrix)
+from conftest import (EDGE_PARTS, diag_matrix, diaq_json_oracle, edge_matrices,
+                      matrix_market_oracle, rand_matrix, read_diaq_json_oracle, same_bits)
 
 
 def matrices_equal(a: DiagMatrix, b: DiagMatrix) -> bool:
@@ -132,6 +138,185 @@ def test_json_reader_sorts_diagonals(tmp_path):
     m = read_diaq_json(str(path))
     assert m.offsets == (-2, 1)
     assert m.diagonals[1].values.tobytes() == from_parts([1.0, 3.0], [2.0, -0.0]).tobytes()
+
+
+@settings(max_examples=200)
+@given(edge_matrices())
+def test_json_writer_and_reader_match_the_oracles_bit_for_bit(m):
+    twin = DiagMatrix.packed(m.dim, m.offsets, m.values.astype(COMPLEX))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        write_diaq_json(m, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == diaq_json_oracle(m)
+        assert same_bits(read_diaq_json(path), twin)
+
+
+def _refuse_json_values(monkeypatch):
+    """Make any "values" array that json parses into Python objects fail the read."""
+    def refuse(obj, bools):
+        assert "values" not in obj, "json parsed a canonical values array"
+        return obj
+
+    monkeypatch.setattr(diagio, "_pairs_array", refuse)
+
+
+@pytest.mark.parametrize("model", ["heisenberg", "tfim", "maxcut"])
+def test_hamiltonian_json_values_are_not_parsed_by_json(tmp_path, monkeypatch, model):
+    m = gen_benchmark(model, 6)
+    path = str(tmp_path / f"{model}.json")
+    write_diaq_json(m, path)
+    _refuse_json_values(monkeypatch)
+    assert matrices_equal(read_diaq_json(path), m)
+
+
+def test_json_number_tokens_read_as_json_reads_them(tmp_path, monkeypatch):
+    path = tmp_path / "tokens.json"
+    path.write_text('{"n":12,"diags":[{"offset":0,"values":[[1E5,-0e0],[7,2.5E-1]%s]}]}'
+                    % (",[0,-0.0]" * 10))
+    want = from_parts([1e5, 7.0] + [0.0] * 10, [-0.0, 0.25] + [-0.0] * 10)
+    _refuse_json_values(monkeypatch)
+    assert read_diaq_json(str(path)).values.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def json_fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("json-fuzz") / "f.json")
+
+
+# tokens json reads as ints, as floats (NaN and Infinity non-finite) or as no
+# number, or refuses; and "values" members that are no list of number pairs
+MUTANT_TOKENS = ["-0", "-0.0", "0e0", "1234567890123456789", "-98765432109876543210", "1E5",
+                 "2.5e-3", ".5", "01", "+1", "1.", "NaN", "Infinity", "-Infinity", "true",
+                 "false", "null", '"1"']
+MUTANT_VALUES = ["[[1,0,0]]", "[[1]]", "[]", "[[]]", '[["1","0"]]', '"0"', "[1,0]",
+                 "[[1,0],[2]]", "[[[1,0]]]", "[[1,0]"]
+# members a placeholder for a certified array could be taken for
+LOOKALIKES = ["0", "1", "2", '"\\u00000"', '"\\u00001"']
+NUMBER = re.compile(r"-?[0-9][0-9.eE+-]*")
+
+
+@st.composite
+def palette_matrices(draw) -> DiagMatrix:
+    """Dim 1..40 and up to 6 diagonals whose values, as a Hamiltonian's, come
+    from a few pairs: parts of EDGE_PARTS and random normals."""
+    n = draw(st.integers(1, 40))
+    offsets = sorted(draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.where(rng.random(8) < 0.5, rng.choice(EDGE_PARTS, 8), rng.standard_normal(8))
+    picks = rng.integers(0, draw(st.integers(1, 3)), int(buffer_starts(n, offsets)[-1]))
+    return DiagMatrix.packed(n, offsets, palette.view(COMPLEX)[picks])
+
+
+@st.composite
+def diaq_json_texts(draw) -> str:
+    """Writer output, possibly re-dumped with indents, spaces or shuffled keys,
+    then possibly with number tokens or whole "values" members swapped out."""
+    text = diaq_json_oracle(draw(palette_matrices())).decode()
+    layout = draw(st.sampled_from(["canonical", "shuffled", "indent", "spaces"]))
+    if layout != "canonical":
+        doc = json.loads(text)
+        if layout == "shuffled":
+            draw(st.randoms()).shuffle(doc["diags"])
+            doc = {"diags": [dict(reversed(d.items())) for d in doc["diags"]], "n": doc["n"]}
+        text = json.dumps(doc, indent=1 if layout == "indent" else None,
+                          separators=(",", ":") if layout == "shuffled" else None)
+    swap = draw(st.sampled_from(["nothing", "tokens", "values"]))
+    if swap == "tokens":
+        spans, pool = [m.span() for m in NUMBER.finditer(text)], st.sampled_from(MUTANT_TOKENS)
+    else:  # a "values" member starts at its first "[" and, if compact, ends at its "]]"
+        spans = [(at.end(), text.find("]]", at.end()) + 2)
+                 for at in re.finditer('"values":', text) if text.startswith("[[", at.end())]
+        pool = st.sampled_from(MUTANT_VALUES) | st.sampled_from(LOOKALIKES)
+    if swap != "nothing" and spans:
+        swaps = draw(st.lists(st.tuples(st.integers(0, len(spans) - 1), pool),
+                              min_size=1, max_size=3))
+        for i, new in sorted(dict(swaps).items(), reverse=True):
+            text = text[:spans[i][0]] + new + text[spans[i][1]:]
+    return text
+
+
+def _read_outcome(reader, path: str):
+    """(dim, offsets, value bytes) of the matrix read, or (error type, message)."""
+    try:
+        m = reader(path)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+    return m.dim, m.offsets, m.values.tobytes()
+
+
+@pytest.mark.parametrize("token", MUTANT_TOKENS)
+def test_json_reader_matches_the_json_only_oracle_on_each_token(tmp_path, token):
+    # in arrays the reader would certify if the token were a plain float
+    path = str(tmp_path / "token.json")
+    with open(path, "w") as fh:
+        fh.write('{"n":9,"diags":[{"offset":0,"values":[[1.5,%s]%s]},{"offset":1,"values":[%s]}]}'
+                 % (token, ",[0.5,-0.0]" * 8, ",".join(["[0.5,-0.0]"] * 8)))
+    assert _read_outcome(read_diaq_json, path) == _read_outcome(read_diaq_json_oracle, path)
+
+
+@pytest.mark.parametrize("member", LOOKALIKES)
+def test_json_values_member_next_to_a_certified_array(tmp_path, member):
+    # things json reads as values a placeholder of the array could be, before and after it
+    path = str(tmp_path / "member.json")
+    with open(path, "w") as fh:
+        fh.write('{"n":9,"diags":[{"offset":-1,"values":%s},{"offset":0,"values":[%s]},'
+                 '{"offset":1,"values":%s}]}' % (member, ",".join(["[0.5,-0.0]"] * 9), member))
+    assert _read_outcome(read_diaq_json, path) == _read_outcome(read_diaq_json_oracle, path)
+
+
+class _ScanCount(str):
+    """A text that counts the characters its find calls pass over."""
+
+    def find(self, sub, start=0, end=None):
+        at = super().find(sub, start, end)
+        self.scanned += (at if at >= 0 else len(self) if end is None else end) - start
+        return at
+
+
+def test_json_scan_stays_within_each_values_member():
+    # a compact "values" array closed by " ]" is followed by other arrays' "]]":
+    # the search for its end must stop at the next member, or k arrays cost k passes
+    loose = ",".join(["[0.5,0]"] * 40)
+    text = _ScanCount('{"n":9,"diags":[%s,{"offset":0,"values":[%s]}]}' % (
+        ",".join('{"offset":%d,"values":[%s ]}' % (d, loose) for d in range(1, 200)), loose))
+    text.scanned = 0
+    doc = diagio._parse(types.SimpleNamespace(read=lambda: text))
+    assert [d["values"].shape for d in doc["diags"]] == [(40, 2)] * 200
+    assert text.scanned <= 2 * len(text)
+
+
+@settings(max_examples=1500)
+@given(diaq_json_texts())
+def test_json_reader_matches_the_json_only_oracle(json_fuzz_path, text):
+    with open(json_fuzz_path, "w") as fh:
+        fh.write(text)
+    assert _read_outcome(read_diaq_json, json_fuzz_path) == \
+        _read_outcome(read_diaq_json_oracle, json_fuzz_path)
+
+
+# tracemalloc peak over file bytes of the json-only reader (3.408-3.412) and of
+# the writer that formatted the whole document as str, then encoded it
+# (3.000-3.007), on heisenberg-11's square (3,112,690 bytes)
+PARENT_READ_PEAK_RATIO = 3.40
+PARENT_WRITE_PEAK_RATIO = 3.00
+
+
+def test_json_reader_and_writer_peak_memory(tmp_path):
+    h = gen_benchmark("heisenberg", 11)
+    m = diag_matmul(h, h)
+    path = str(tmp_path / "h2.json")
+    peaks = []
+    for call in (lambda: write_diaq_json(m, path), lambda: read_diaq_json(path)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert peaks[0] <= PARENT_WRITE_PEAK_RATIO * size
+    assert peaks[1] <= PARENT_READ_PEAK_RATIO * size
 
 
 def test_matrix_market_round_trip(tmp_path, sample):
