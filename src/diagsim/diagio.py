@@ -13,12 +13,19 @@ DiaQ JSON layout (one line without spaces, then a newline):
 with the diagonals in ascending offset and every float written as Python's
 ``repr`` writes it, as ``json.dumps`` does; ``repr`` reads back to the same
 double, so both formats round-trip bit-exactly, signed zeros included.
-A Hamiltonian's diagonals hold few distinct pairs: the writer formats each
-once, and the reader parses each distinct pair text of a compact ``"values"``
-array once if its first KiB is at most half distinct texts, each two
-``_NUMBER`` tokens (those whose ``float()`` is json's value).  json reads the
-rest (mostly distinct pairs, which it parses as fast, and any text with a
-backslash), so values and errors are json's.
+A Hamiltonian's diagonals hold long runs of few distinct pairs: the writer
+splits the diagonals starting in each JSON_BATCH-entry window into runs of
+equal raw bits and formats each distinct pair once, and the reader parses
+each distinct pair text of a compact ``"values"`` array once if its first KiB
+is at most half distinct texts, each two ``_NUMBER`` tokens (those whose
+``float()`` is json's value).  json reads the rest (mostly distinct pairs,
+which it parses as fast, and any text with a backslash), so values and errors
+are json's.
+
+The binary reader reads each diagonal into its slice of the matrix's one
+value buffer, sized from the file (a pipe is read whole first), so no header
+makes it allocate more than the file holds.  Writers pass their pieces to
+``os.writev`` uncopied, into a temporary file renamed over the target.
 
 Every format holds complex128 values; a float64-buffered matrix is written
 as its complex128 twin, each x as x + 0j, byte for byte.
@@ -43,6 +50,7 @@ import json
 import operator
 import os
 import re
+import stat
 import struct
 import tempfile
 from collections.abc import Iterable
@@ -58,6 +66,8 @@ from .errors import DomainError, ShapeError
 
 MAGIC = b"DIAQ1"
 HEADER = len(MAGIC) + 16
+JSON_BATCH = 2**14  # the JSON writer takes the diagonals starting in each such window
+IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)  # buffers per os.writev; -1 is no fixed limit
 
 
 @contextmanager
@@ -74,57 +84,75 @@ def _reading(path: str):
 
 
 def write_diaq(m: DiagMatrix, path: str) -> None:
-    chunks = [MAGIC, struct.pack("<QQ", m.dim, m.nnzd)]
-    for d, vec in m.offset_views():
-        chunks += [struct.pack("<q", d), vec.astype("<c16", copy=False)]  # join takes buffers
-    _atomic_write(path, b"".join(chunks))
+    data = memoryview(m.values.astype("<c16", copy=False)).cast("B")  # real: complex twin
+    bounds = (16 * m.starts).tolist()
+    chunks = [MAGIC + struct.pack("<QQ", m.dim, m.nnzd)]
+    for d, lo, hi in zip(m.offsets, bounds, bounds[1:]):
+        chunks += [struct.pack("<q", d), data[lo:hi]]
+    _atomic_write(path, [chunks])
 
 
 def read_diaq(path: str) -> DiagMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with _reading(path):
-        if blob[:len(MAGIC)] != MAGIC:
+    with open(path, "rb") as fh, _reading(path):
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh = io.BytesIO(fh.read())  # a pipe tells its size only once read
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        head = fh.read(HEADER)
+        if head[:len(MAGIC)] != MAGIC:
             raise ShapeError("bad magic, not a DiaQ binary file")
-        if len(blob) < HEADER:
-            raise ShapeError(f"{len(blob)} bytes, shorter than the {HEADER}-byte header")
-        n, count = struct.unpack_from("<QQ", blob, len(MAGIC))
-        pos = HEADER
-        offsets, parts = [], []
+        if len(head) < HEADER:
+            raise ShapeError(f"{len(head)} bytes, shorter than the {HEADER}-byte header")
+        n, count = struct.unpack_from("<QQ", head, len(MAGIC))
+        values = np.empty(max(size - HEADER - 8 * count, 0) // 16, COMPLEX)  # a valid file's
+        pos, filled, offsets = HEADER, 0, []
         for i in range(count):
-            if pos + 8 > len(blob):
+            if pos + 8 > size:
                 raise ShapeError(f"file ends before diagonal {i} of {count}")
-            (offset,) = struct.unpack_from("<q", blob, pos)
+            (offset,) = struct.unpack("<q", fh.read(8))
             length = diag_length(n, offset)
-            pos += 8
-            if pos + 16 * length > len(blob):
+            pos += 8 + 16 * length
+            fits = filled + length <= len(values)  # else more values than the header allows
+            if pos > size or fits and fh.readinto(values[filled:filled + length]) < 16 * length:
                 raise ShapeError(f"diagonal {offset} runs past the end of the file")
+            if not fits:  # read on to the error a later check gives
+                fh.seek(16 * length, io.SEEK_CUR)
             offsets.append(offset)
-            parts.append(np.frombuffer(blob, "<c16", count=length, offset=pos))
-            pos += 16 * length
-        if pos != len(blob):
-            raise ShapeError(f"{len(blob) - pos} trailing bytes")
-        return DiagMatrix.packed(n, offsets, np.concatenate([np.empty(0, COMPLEX), *parts]))
+            filled += length
+        if pos != size:
+            raise ShapeError(f"{size - pos} trailing bytes")
+        return DiagMatrix.packed(n, offsets, values)
 
 
 def write_diaq_json(m: DiagMatrix, path: str) -> None:
-    diags = (b',{"offset":%d,"values":[%s]}'[not i:] % (d, _json_pairs(vec))  # no first comma
-             for i, (d, vec) in enumerate(m.offset_views()))  # each written as it is made
-    _atomic_write(path, chain([b'{"n":%d,"diags":[' % m.dim], diags, [b"]}\n"]))
+    first = np.flatnonzero(np.diff(m.starts[:-1] // JSON_BATCH, prepend=-1)).tolist()
+    batches = (_json_diagonals(m, i, j) for i, j in zip(first, first[1:] + [m.nnzd]))
+    _atomic_write(path, chain([[b'{"n":%d,"diags":[' % m.dim]], batches, [[b"]}\n"]]))
 
 
-def _json_pairs(values: np.ndarray) -> bytes:
-    """values as json.dumps writes [[re, im], ...], without the outer brackets:
-    one text per run of equal raw bits (so -0.0 and 0.0 stay distinct) in a
-    stable lexsort on the two uint64 words, indexed back into place."""
-    pairs = values.astype(COMPLEX, copy=False)
-    order = np.lexsort(pairs.view(np.uint64).reshape(-1, 2).T[::-1])  # real bits first
-    real, imag = pairs[order].view(np.uint64).reshape(-1, 2).T
-    starts = np.r_[True, (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])]
-    inverse = np.empty(len(order), np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    text = np.array([b"[%r,%r]" % (z.real, z.imag) for z in pairs[order[starts]].tolist()], object)
-    return b",".join(text[inverse].tolist())
+def _json_diagonals(m: DiagMatrix, i: int, j: int) -> list:
+    """Diagonals i to j - 1 as json.dumps writes them: one text per distinct
+    value, told by raw bits (so -0.0 and 0.0 stay distinct), once per run."""
+    lo, hi = int(m.starts[i]), int(m.starts[j])
+    pairs = m.values[lo:hi].astype(COMPLEX, copy=False)
+    real, imag = pairs.view(np.uint64).reshape(-1, 2).T
+    breaks = np.empty(hi - lo, bool)
+    breaks[0], breaks[1:] = True, (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])
+    breaks[m.starts[i:j] - lo] = True  # no run crosses a diagonal start
+    at = np.flatnonzero(breaks)
+    order = np.lexsort((imag[at], real[at]))  # real bits first
+    real, imag = real[at[order]], imag[at[order]]
+    new = np.r_[True, (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])]
+    ids = (np.cumsum(new) - 1)[np.argsort(order)]  # of each run's value, in place
+    runs = np.array([b"[%r,%r]," % (z.real, z.imag) for z in pairs[at[order[new]]].tolist()],
+                    object)[ids].tolist()  # each distinct value formatted once
+    lengths = np.diff(at, append=hi - lo).tolist()
+    cuts = np.searchsorted(at, m.starts[i:j + 1] - lo).tolist()
+    chunks = []
+    for k, d, r0, r1 in zip(range(i, j), m.offsets[i:j], cuts, cuts[1:]):
+        text = memoryview(b"".join(map(operator.mul, runs[r0:r1], lengths[r0:r1])))[:-1]
+        chunks += [b',{"offset":%d,"values":['[not k:] % d, text, b"]}"]  # no first comma
+    return chunks
 
 
 def read_diaq_json(path: str) -> DiagMatrix:
@@ -248,17 +276,33 @@ def save_matrix(m: DiagMatrix, path: str, fmt: str | None = None) -> None:
     writer(m, path)
 
 
-def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
-    """Write-to-temp, chunk by chunk if data comes in chunks, then rename; no partial file."""
+def _atomic_write(path: str, data: bytes | Iterable[list]) -> None:
+    """Write data, or each group of buffers through os.writev, to a temp file, then
+    rename; no partial file."""
     try:
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the file asked for, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
+        with os.fdopen(fd, "wb", buffering=0):  # closes fd
+            for group in [[data]] if isinstance(data, bytes) else data:
+                _writev(fd, group)
+                del group  # written: not held while the next group is made
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _writev(fd: int, buffers: list) -> None:
+    """All of buffers (each len() bytes long), IOV_MAX at a time, resuming after a
+    partial write with the rest of the buffer it cut."""
+    i = 0
+    while i < len(buffers):
+        sent = os.writev(fd, buffers[i:i + IOV_MAX])
+        while i < len(buffers) and sent >= len(buffers[i]):
+            sent -= len(buffers[i])
+            i += 1
+        if sent:
+            buffers[i] = memoryview(buffers[i])[sent:]

@@ -1,6 +1,7 @@
 import io
 import json
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,34 @@ def read_diaq_json_oracle(path: str) -> DiagMatrix:
         values = np.concatenate([np.empty((0, 2))] + [pairs for _, pairs in diags],
                                 dtype=np.float64)
         return DiagMatrix.packed(n, [d for d, _ in diags], values.view(COMPLEX).ravel())
+
+
+def read_diaq_oracle(path: str) -> DiagMatrix:
+    """DiaQ binary read whole into one bytes object, then walked diagonal by
+    diagonal: the binary reader's oracle, error messages included."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with diagio._reading(path):
+        if blob[:5] != b"DIAQ1":
+            raise ShapeError("bad magic, not a DiaQ binary file")
+        if len(blob) < 21:
+            raise ShapeError(f"{len(blob)} bytes, shorter than the 21-byte header")
+        n, count = struct.unpack_from("<QQ", blob, 5)
+        pos, offsets, parts = 21, [], []
+        for i in range(count):
+            if pos + 8 > len(blob):
+                raise ShapeError(f"file ends before diagonal {i} of {count}")
+            (offset,) = struct.unpack_from("<q", blob, pos)
+            length = diag_length(n, offset)
+            pos += 8
+            if pos + 16 * length > len(blob):
+                raise ShapeError(f"diagonal {offset} runs past the end of the file")
+            offsets.append(offset)
+            parts.append(np.frombuffer(blob, "<c16", count=length, offset=pos))
+            pos += 16 * length
+        if pos != len(blob):
+            raise ShapeError(f"{len(blob) - pos} trailing bytes")
+        return DiagMatrix.packed(n, offsets, np.concatenate([np.empty(0, COMPLEX), *parts]))
 
 
 # The grid conversions as they were written before they walked the diagonals,

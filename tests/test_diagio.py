@@ -1,9 +1,12 @@
 import json
 import os
 import re
+import struct
 import tempfile
+import threading
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from diagsim.diagio import (MAGIC, load_matrix, read_diaq, read_diaq_json,
                             write_diaq, write_diaq_json, write_matrix_market)
 from diagsim.diagmat import buffer_starts
 from diagsim.errors import DomainError, ShapeError
+from diagsim.hamsim import TaylorConfig, taylor_expm
 from diagsim.spmspm import diag_matmul
 
 from conftest import (EDGE_PARTS, diag_matrix, diaq_json_oracle, edge_matrices,
-                      matrix_market_oracle, rand_matrix, read_diaq_json_oracle, same_bits)
+                      matrix_market_oracle, rand_matrix, read_diaq_json_oracle,
+                      read_diaq_oracle, same_bits)
 
 
 def matrices_equal(a: DiagMatrix, b: DiagMatrix) -> bool:
@@ -150,6 +155,45 @@ def test_json_writer_and_reader_match_the_oracles_bit_for_bit(m):
         with open(path, "rb") as fh:
             assert fh.read() == diaq_json_oracle(m)
         assert same_bits(read_diaq_json(path), twin)
+
+
+@st.composite
+def run_matrices(draw) -> DiagMatrix:
+    """A float64 or complex128 matrix of dim 1..40 with up to 6 diagonals whose
+    buffer is runs over an alphabet of 2-4 values, parts drawn from +-0.0 and a
+    few numbers (so x + 0j and x - 0j): runs cross diagonal starts."""
+    n = draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.float64, COMPLEX]))
+    offsets = sorted(draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = 2 if dtype is COMPLEX else 1
+    alphabet = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300], (draw(st.integers(2, 4)), width))
+    total = int(buffer_starts(n, offsets)[-1])
+    picks = np.repeat(rng.integers(0, len(alphabet), total), rng.geometric(0.2, total))[:total]
+    return DiagMatrix.packed(n, offsets, alphabet[picks].view(dtype).ravel())
+
+
+@settings(max_examples=300)
+@given(run_matrices(), st.sampled_from([1, 3, 16, diagio.JSON_BATCH]))
+def test_json_writer_matches_the_oracle_on_runs(json_fuzz_path, m, batch):
+    # batches of a few entries cut the buffer between and inside runs
+    with mock.patch.object(diagio, "JSON_BATCH", batch):
+        write_diaq_json(m, json_fuzz_path)
+    with open(json_fuzz_path, "rb") as fh:
+        assert fh.read() == diaq_json_oracle(m)
+
+
+def test_json_writer_on_diagonals_longer_than_a_batch(tmp_path):
+    n = diagio.JSON_BATCH + 300
+    rng = np.random.default_rng(11)
+    offsets = (-n + 1, -5, 0, 2)
+    total = int(buffer_starts(n, offsets)[-1])
+    alphabet = from_parts([0.5, -0.0, 0.5, 0.0], [0.0, 0.0, -0.0, 1e-300])
+    picks = np.repeat(rng.integers(0, 4, total), rng.geometric(0.01, total))[:total]
+    m = DiagMatrix.packed(n, offsets, alphabet[picks])
+    path = str(tmp_path / "long.json")
+    write_diaq_json(m, path)
+    assert open(path, "rb").read() == diaq_json_oracle(m)
 
 
 def _refuse_json_values(monkeypatch):
@@ -302,21 +346,52 @@ PARENT_READ_PEAK_RATIO = 3.40
 PARENT_WRITE_PEAK_RATIO = 3.00
 
 
-def test_json_reader_and_writer_peak_memory(tmp_path):
+def _peak(call) -> int:
+    """tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def h11_square():
     h = gen_benchmark("heisenberg", 11)
-    m = diag_matmul(h, h)
+    return diag_matmul(h, h)
+
+
+def test_json_reader_and_writer_peak_memory(tmp_path, h11_square):
     path = str(tmp_path / "h2.json")
-    peaks = []
-    for call in (lambda: write_diaq_json(m, path), lambda: read_diaq_json(path)):
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    write_peak = _peak(lambda: write_diaq_json(h11_square, path))
+    read_peak = _peak(lambda: read_diaq_json(path))
     size = os.path.getsize(path)
-    assert peaks[0] <= PARENT_WRITE_PEAK_RATIO * size
-    assert peaks[1] <= PARENT_READ_PEAK_RATIO * size
+    assert write_peak <= PARENT_WRITE_PEAK_RATIO * size
+    assert read_peak <= PARENT_READ_PEAK_RATIO * size
+
+
+def test_json_writer_peak_memory_stays_within_a_batch(tmp_path, h11_square):
+    # formatting the whole buffer at once peaks at 0.92 x the file on h11_square
+    # and 4.19 x on U, one text per distinct value; batches of JSON_BATCH
+    # entries at about 0.24 x and 1.0 x
+    u, _ = taylor_expm(gen_benchmark("tfim", 8), TaylorConfig(t=0.5, eps=1e-8))
+    for name, m, bound in (("h2", h11_square, 0.5), ("u", u, 1.5)):
+        path = str(tmp_path / f"{name}.json")
+        peak = _peak(lambda: write_diaq_json(m, path))
+        assert peak <= bound * os.path.getsize(path), name
+
+
+def test_binary_reader_and_writer_peak_memory(tmp_path, h11_square):
+    # tracemalloc peak over file bytes on h11_square (4,957,293 bytes): 2.13 for
+    # the reader that read the whole file, then concatenated the diagonals, and
+    # 1.01 for the writer that joined the whole file before writing it
+    path = str(tmp_path / "h2.diaq")
+    write_peak = _peak(lambda: write_diaq(h11_square, path))
+    read_peak = _peak(lambda: read_diaq(path))
+    size = os.path.getsize(path)
+    assert write_peak <= 0.1 * size  # the diagonals go to os.writev as they are
+    assert read_peak <= 1.2 * size  # one value buffer and its finiteness check
 
 
 def test_matrix_market_round_trip(tmp_path, sample):
@@ -482,13 +557,90 @@ def fuzz_path(tmp_path_factory):
 
 
 def _read_damaged(path: str, blob: bytes) -> None:
-    """read_diaq gives a DiagMatrix, a ShapeError or a DomainError, nothing else."""
+    """read_diaq gives a DiagMatrix, a ShapeError or a DomainError, nothing else,
+    and the same as the oracle that reads the whole blob, message for message."""
     with open(path, "wb") as fh:
         fh.write(blob)
+    outcome = _read_outcome(read_diaq, path)
+    assert outcome[0] in (ShapeError, DomainError) or isinstance(outcome[0], int)
+    assert outcome == _read_outcome(read_diaq_oracle, path)
+
+
+def _diaq_blob(n: int, count: int, diags: list, tail: bytes = b"") -> bytes:
+    """A DiaQ binary file of these (offset, values) diagonals, under a header
+    that claims dim n and count diagonals, then tail."""
+    parts = [MAGIC, struct.pack("<QQ", n, count)]
+    for d, values in diags:
+        parts += [struct.pack("<q", d), np.asarray(values, "<c16").tobytes()]
+    return b"".join(parts) + tail
+
+
+@pytest.mark.parametrize("blob, error, message", [
+    (_diaq_blob(2, 2, [(0, [1, 2])]), ShapeError, "file ends before diagonal 1 of 2"),
+    # the header claims more diagonals than the values leave room for
+    (_diaq_blob(2, 3, [(0, [1, 2]), (1, [3])]), ShapeError, "file ends before diagonal 2 of 3"),
+    (_diaq_blob(2, 1, [(0, [1, 2])])[:-1], ShapeError,
+     "diagonal 0 runs past the end of the file"),
+    (_diaq_blob(2, 3, [(0, [1, 2]), (1, [3])])[:-8], ShapeError,
+     "diagonal 1 runs past the end of the file"),
+    (_diaq_blob(2, 1, [(0, [1, 2])], b"xyz"), ShapeError, "3 trailing bytes"),
+    (_diaq_blob(2, 1, [(5, [])]), DomainError, "offset 5 out of range for dim 2"),
+    (_diaq_blob(2, 2, [(1, [1]), (0, [2, 3])]), DomainError,
+     "diagonal offsets must be strictly increasing"),
+    (MAGIC + b"\0" * 7, ShapeError, "12 bytes, shorter than the 21-byte header"),
+])
+def test_read_diaq_messages(tmp_path, blob, error, message):
+    path = str(tmp_path / "bad.diaq")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    with pytest.raises(error) as info:
+        read_diaq(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert _read_outcome(read_diaq, path) == _read_outcome(read_diaq_oracle, path)
+
+
+@pytest.mark.parametrize("blob", [
+    _diaq_blob(2**62, 2**40, []),  # the 21-byte header alone
+    _diaq_blob(2**24, 1, [(0, np.ones(64))]),  # values for 64 of 2**24 entries
+])
+def test_read_diaq_lying_header_allocates_within_the_file(tmp_path, blob):
+    path = str(tmp_path / "liar.diaq")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+    def read():
+        with pytest.raises((ShapeError, DomainError), match=re.escape(path)):
+            read_diaq(path)
+
+    # the file object's read buffer and the error aside
+    assert _peak(read) <= len(blob) + 64 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("cut", [0, 5])
+def test_read_diaq_from_a_pipe(tmp_path, cut):
+    # a pipe has no size to take from the file system: the reader reads it first
+    regular, pipe = str(tmp_path / "m.diaq"), str(tmp_path / "pipe.diaq")
+    write_diaq(gen_benchmark("heisenberg", 8), regular)  # more than a pipe buffer holds
+    with open(regular, "rb") as fh:
+        blob = fh.read()
+    with open(regular, "wb") as fh:
+        fh.write(blob[:len(blob) - cut])
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(blob[:len(blob) - cut])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
     try:
-        assert isinstance(read_diaq(path), DiagMatrix)
-    except (ShapeError, DomainError):
-        pass
+        got = _read_outcome(read_diaq, pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = _read_outcome(read_diaq, regular)
+    assert got == (want if not cut else (want[0], want[1].replace(regular, pipe)))
 
 
 @settings(max_examples=300)
@@ -519,3 +671,63 @@ def test_float64_matrix_is_written_as_its_complex128_twin(tmp_path, fmt):
     written = (tmp_path / f"real.{fmt}").read_bytes()
     assert written == (tmp_path / f"twin.{fmt}").read_bytes()
     assert load_matrix(str(tmp_path / f"real.{fmt}"), fmt).values.dtype == complex
+
+
+# -- atomic writes --------------------------------------------------------------
+
+
+def test_writers_resume_after_partial_writes(tmp_path, monkeypatch):
+    # os.writev may write less than it is given, and takes at most IOV_MAX buffers
+    m = gen_benchmark("heisenberg", 6)
+    for fmt in ("diaq", "json"):
+        save_matrix(m, str(tmp_path / f"want.{fmt}"), fmt)
+    calls = []
+
+    def writev(fd, buffers):
+        assert len(buffers) <= 3
+        calls.append(len(buffers))
+        return os.write(fd, b"".join(buffers)[:7])
+
+    monkeypatch.setattr(diagio, "IOV_MAX", 3)
+    monkeypatch.setattr(os, "writev", writev)
+    for fmt in ("diaq", "json"):
+        save_matrix(m, str(tmp_path / f"got.{fmt}"), fmt)
+    monkeypatch.undo()
+    for fmt in ("diaq", "json"):
+        assert (tmp_path / f"got.{fmt}").read_bytes() == (tmp_path / f"want.{fmt}").read_bytes()
+    assert len(calls) > 1000 and max(calls) == 3
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no per-process fd listing")
+@pytest.mark.parametrize("fmt, fail", [("diaq", "writev"), ("json", "writev"),
+                                       ("json", "format")])
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, fmt, fail):
+    m = gen_benchmark("heisenberg", 8)
+    path = tmp_path / f"m.{fmt}"
+    path.write_bytes(b"old bytes")
+    if fail == "writev":  # the first call writes one buffer, the next finds the disk full
+        real, calls = os.writev, []
+
+        def writev(fd, buffers):
+            if calls:
+                raise OSError(28, "No space left on device")
+            calls.append(fd)
+            return real(fd, buffers[:1])
+
+        monkeypatch.setattr(os, "writev", writev)
+    else:  # the second batch of diagonals fails to format
+        real_diagonals = diagio._json_diagonals
+
+        def diagonals(m, i, j):
+            if i:
+                raise RuntimeError("formatting failed")
+            return real_diagonals(m, i, j)
+
+        monkeypatch.setattr(diagio, "JSON_BATCH", 256)
+        monkeypatch.setattr(diagio, "_json_diagonals", diagonals)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError if fail == "writev" else RuntimeError):
+        save_matrix(m, str(path), fmt)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == [path.name]
