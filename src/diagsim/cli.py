@@ -9,6 +9,7 @@ An explicit flag also drops the config values of the flags it excludes:
 --iters or --eps, --h-file or --model with --qubits.  Every built-in default
 is the library's: GridSetup's, CacheConfig's and FeedConfig's fields,
 TaylorConfig.t, hamsim.DEFAULT_EPS and the couplings MODELS lists.
+cmd_expm parses, calls hamsim.expm (the series, segments and totals) and writes.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import numpy as np
 
 from . import diagio
 from .blocking import check_cuts
-from .dataflow import FeedConfig, StageCycles, add_counters
+from .dataflow import FeedConfig
 from .diagmat import DiagMatrix, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, VerificationError)
 from .hamiltonians import MODELS, gen_benchmark
-from .hamsim import DEFAULT_EPS, GridSetup, TaylorConfig, simulate_product, taylor_expm
-from .memory import CacheConfig, MemStats, SetAssocCache
+from .hamsim import DEFAULT_EPS, GridSetup, TaylorConfig, expm, simulate_product
+from .memory import CacheConfig, SetAssocCache
 from .report import build_report, iterations_to_csv, report_to_csv, report_to_json
 from .spmspm import dense_matmul_oracle, diag_matmul
 
@@ -195,8 +196,6 @@ def cmd_simulate(args) -> int:
 def cmd_expm(args) -> int:
     if bool(args.h_file) == bool(args.model) or bool(args.model) != (args.qubits is not None):
         raise DomainError("give exactly one of --h-file or --model with --qubits")
-    if args.segments < 1:
-        raise DomainError(f"--segments must be at least 1, got {args.segments}")
     if args.model:
         h = gen_benchmark(args.model, args.qubits)
         workload = f"{args.model}-{args.qubits}"
@@ -204,23 +203,13 @@ def cmd_expm(args) -> int:
         h = diagio.load_matrix(args.h_file)
         workload = f"expm:{args.h_file}"
     eps = DEFAULT_EPS if args.iters is None and args.eps is None else args.eps
-    cfg = TaylorConfig(t=args.t / args.segments, terms=args.iters, eps=eps)
+    cfg = TaylorConfig(t=args.t, terms=args.iters, eps=eps)
     grid = _grid_setup(args)
     check_cuts(grid.cuts, h.dim)  # before the series, which plans only with the simulator
-    segment_u, records = taylor_expm(h, cfg, None if args.functional_only else grid)
-    # the segmented form repeats the short-time expansion and multiplies the
-    # results; the outer power is the same product kernel, run functionally
-    u = segment_u
-    for _ in range(1, args.segments):
-        u = diag_matmul(u, segment_u)
+    u, records, *totals = expm(h, cfg, None if args.functional_only else grid, args.segments)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
-    stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
-    for r in records:
-        stage += r.stage_cycles
-        add_counters(counters, r.counters)
-        mem += r.mem
-    report = build_report(workload, grid.rows, grid.cols, stage, counters, mem, records)
+    report = build_report(workload, grid.rows, grid.cols, *totals, records)
     report["segments"] = args.segments
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)

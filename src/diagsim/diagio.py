@@ -284,7 +284,10 @@ def _atomic_write(path: str, data: bytes | Iterable[list]) -> None:
     except OSError as exc:  # name the file asked for, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
+        umask = os.umask(0o077)  # only read by setting; a file made meanwhile gets 0o077
+        os.umask(umask)
         with os.fdopen(fd, "wb", buffering=0):  # closes fd
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 would outlive the rename
             for group in [[data]] if isinstance(data, bytes) else data:
                 _writev(fd, group)
                 del group  # written: not held while the next group is made

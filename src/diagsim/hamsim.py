@@ -10,6 +10,10 @@ k! at the end) so the chain stays finite for deep truncations, and
 cancellation debris below a relative floor is dropped so the diagonal-count
 trajectory reflects genuine structure.
 
+expm is the series driver: one chain at t / segments, its U raised to the
+segments-th power by diag_matmul, functionally and uncharged, and the chain's
+records summed into the run's stage cycles, counters and mem.
+
 A product's plan, its jobs' grid figures and its multiply count depend on
 nothing but n, the operands' offsets and the GridSetup, so a chain counts
 each distinct product once: simulate_product keeps them in a dict that
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse
@@ -214,6 +219,26 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     if dense:
         u, dense = dense.take_u(), None
     return u, records
+
+
+def expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None, segments: int = 1):
+    """exp(-i cfg.t H) as U^segments, U one taylor_expm chain at cfg.t / segments;
+    returns (U^segments, U's records, their summed stage cycles, counters and mem)."""
+    if segments < 1:
+        raise DomainError(f"--segments must be at least 1, got {segments}")
+    u, records = taylor_expm(h, TaylorConfig(cfg.t / segments, cfg.terms, cfg.eps), grid)
+    stage, counters = _fold((r.stage_cycles, r.counters) for r in records)
+    mem = reduce(MemStats.__iadd__, (r.mem for r in records), MemStats())
+    return reduce(diag_matmul, [u] * segments), records, stage, counters, mem
+
+
+def _fold(parts) -> tuple[StageCycles, dict]:
+    """The summed stage cycles and counters (add_counters) of (stage, counters) pairs."""
+    stage, counters = StageCycles(0, 0, 0, 0), {}
+    for part, part_counters in parts:
+        stage += part
+        add_counters(counters, part_counters)
+    return stage, counters
 
 
 def _term(r: DiagMatrix, k: int) -> DiagMatrix:
@@ -380,13 +405,8 @@ def _count_product(n: int, a_offsets, b_offsets, grid: GridSetup):
                      a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
     results = [run_job(job.a_group.bounds, job.b_group.bounds, grid.feed, max_rows=grid.rows,
                        max_cols=grid.cols, interleave=grid.interleave) for job in plan.jobs]
-    stage = StageCycles(0, 0, 0, 0)
-    counters: dict[str, int] = {}
-    touched: set[int] = set()
-    for result in results:
-        stage += result.stage
-        add_counters(counters, result.counters)
-        touched.update(result.offsets)
+    stage, counters = _fold((result.stage, result.counters) for result in results)
+    touched = {d for result in results for d in result.offsets}
     pattern = tuple((job.a_group.group_id, job.b_group.group_id, tuple(result.offsets))
                     for job, result in zip(plan.jobs, results))
     return (plan.jobs, results, stage, counters, touched,

@@ -44,24 +44,19 @@ class EnergyModel:
             raise ValueError("per-event energies must be nonnegative")
 
 
-def energy(counters: dict, mem: MemStats | None = None,
-           model: EnergyModel = EnergyModel()) -> float:
+def energy(counters: dict, mem: MemStats, model: EnergyModel = EnergyModel()) -> float:
     """Linear combination of event counters, in picojoules."""
-    pj = (model.dpe_active_cycle * counters.get("active_dpe_cycles", 0)
-          + model.multiply * counters.get("multiplies", 0)
-          + model.fifo_rw * (counters.get("fifo_reads", 0) + counters.get("fifo_writes", 0)))
-    if mem is not None:
-        pj += model.cache_access * (mem.hits + mem.misses)
-        pj += model.dram_access * (mem.dram_reads + mem.dram_writes)
-    return pj
+    return (model.dpe_active_cycle * counters.get("active_dpe_cycles", 0)
+            + model.multiply * counters.get("multiplies", 0)
+            + model.fifo_rw * (counters.get("fifo_reads", 0) + counters.get("fifo_writes", 0))
+            + model.cache_access * (mem.hits + mem.misses)
+            + model.dram_access * (mem.dram_reads + mem.dram_writes))
 
 
 def build_report(workload: str, grid_rows: int, grid_cols: int, stage,
-                 counters: dict, mem: MemStats | None = None,
-                 records: list[IterationRecord] | None = None,
+                 counters: dict, mem: MemStats, records: list[IterationRecord] | None = None,
                  model: EnergyModel = EnergyModel()) -> dict:
     """Assemble the versioned report document."""
-    mem = mem or MemStats()
     return {
         "schema": 1,
         "workload": workload,

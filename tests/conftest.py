@@ -7,13 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 from hypothesis import settings, strategies as st
 
-from diagsim import COMPLEX, DiagMatrix, Diagonal, diagio
+from diagsim import COMPLEX, DiagMatrix, Diagonal, diag_matmul, diagio, to_dense
 from diagsim.blocking import segment_bounds
 from diagsim.diagmat import buffer_starts, diag_length
 from diagsim.errors import ShapeError
+from diagsim.hamsim import DEFAULT_EPS
 
 # no per-example deadline (timings vary with the host), and a failure prints
 # the blob that replays it with @reproduce_failure
@@ -63,6 +65,24 @@ def same_bits(got: DiagMatrix, want: DiagMatrix) -> bool:
     """Same dim, offsets and value bits (so -0.0 differs from 0.0)."""
     return (got.dim, got.offsets) == (want.dim, want.offsets) and \
         got.values.tobytes() == want.values.tobytes()
+
+
+# (model, qubits) of the segmented-series tests
+SEGMENT_CASES = [("heisenberg", 4), ("heisenberg", 6), ("tfim", 5), ("tfim", 6)]
+
+
+def check_segmented_u(u: DiagMatrix, step: DiagMatrix, h: DiagMatrix, t: float,
+                      segments: int) -> None:
+    """u is step times itself segments - 1 times, left to right, by diag_matmul,
+    bit for bit, and lies within segments times one chain's bound of exp(-i t H):
+    2 eps + 1e-12 per chain, as the benchmark's expm_bound allows, and the
+    errors of a product of near-unitary factors add."""
+    power = step
+    for _ in range(segments - 1):
+        power = diag_matmul(power, step)
+    assert same_bits(u, power)
+    err = np.linalg.norm(to_dense(u) - scipy.linalg.expm(-1j * t * to_dense(h)), 2)
+    assert err <= segments * (2 * DEFAULT_EPS + 1e-12)
 
 
 def rand_matrix(rng, n, offsets=None, k=None, real=False):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import struct
 import warnings
 
@@ -8,7 +10,10 @@ import pytest
 
 from diagsim import DiagMatrix, cli, gen_benchmark, hamsim
 from diagsim.dataflow import FeedConfig
-from diagsim.diagio import save_matrix
+from diagsim.diagio import load_matrix, save_matrix
+from diagsim.hamsim import DEFAULT_EPS, TaylorConfig, taylor_expm
+
+from conftest import SEGMENT_CASES, check_segmented_u
 
 
 def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -446,3 +451,53 @@ def test_output_in_missing_directory_exits_2_with_one_line(tmp_path, capsys, nam
     err = capsys.readouterr().err
     assert str(out) in err and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--functional-only"]], ids=["simulated", "functional"])
+@pytest.mark.parametrize("segments", [2, 3])
+@pytest.mark.parametrize("model, qubits", SEGMENT_CASES)
+def test_segments_give_the_power_of_one_short_chain(tmp_path, model, qubits, segments, mode):
+    t = 1.5
+
+    def run(name, t, segments):
+        out, u_out = tmp_path / f"{name}.json", tmp_path / f"{name}.diaq"
+        assert cli.main(["expm", "--model", model, "--qubits", str(qubits), "--t", repr(t),
+                         "--segments", str(segments), "--out", str(out), "--u-out", str(u_out),
+                         *mode]) == 0
+        return load_matrix(str(u_out)), json.loads(out.read_text())
+
+    u, report = run("whole", t, segments)
+    step, _ = run("step", t / segments, 1)
+    h = gen_benchmark(model, qubits)
+    check_segmented_u(u, step, h, t, segments)
+    _, chain = taylor_expm(h, TaylorConfig(t=t / segments, eps=DEFAULT_EPS))
+    iterations = report["iterations"]
+    assert report["segments"] == segments
+    assert report["taylor_terms"] == len(iterations) == len(chain)
+    # the outer power is uncharged: the totals are the one chain's
+    for key, total in report["cycles"].items():
+        assert total == sum(it["cycles"][key] for it in iterations)
+    mem = {key: sum(it["mem"][key] for it in iterations) for key in iterations[0]["mem"]}
+    events = report["events"]
+    assert (events["cache_hits"], events["cache_misses"], events["dram_reads"],
+            events["dram_writes"], report["mem_stall_cycles"]) == (
+        mem["hits"], mem["misses"], mem["dram_reads"], mem["dram_writes"], mem["stall_cycles"])
+    assert (events["multiplies"] > 0) == (not mode)
+
+
+def test_outputs_take_the_mode_the_umask_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            out = tmp_path / f"{umask:03o}"
+            out.mkdir()
+            h = str(out / "h.diaq")
+            assert cli.main(["gen", "tfim", "3", "--out", h]) == 0
+            assert cli.main(["expm", "--h-file", h, "--functional-only", "--out",
+                             str(out / "r.json"), "--u-out", str(out / "u.diaq"),
+                             "--csv", str(out / "r.csv")]) == 0
+            modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+            assert modes == dict.fromkeys(["h.diaq", "r.json", "u.diaq", "r.csv"], mode)
+    finally:
+        os.umask(old)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 
 from diagsim import (DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory,
                      to_dense)
+from diagsim.dataflow import StageCycles
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
-from diagsim.memory import CacheConfig, SetAssocCache
+from diagsim.memory import CacheConfig, MemStats, SetAssocCache
 
-from conftest import csr_t_oracle, edge_matrices, same_bits
+from conftest import SEGMENT_CASES, check_segmented_u, csr_t_oracle, edge_matrices, same_bits
 from taylor_oracle import complex_chain
 
 
@@ -214,6 +215,32 @@ def test_real_hamiltonian_multiplies_in_float64(monkeypatch, use_simulator):
     u, _ = taylor_expm(gen_benchmark("tfim", 4), TaylorConfig(t=0.5, terms=6), grid)
     assert seen == [(np.float64, np.float64)] * 6
     assert u.values.dtype == COMPLEX
+
+
+@pytest.mark.parametrize("simulated", [True, False], ids=["simulated", "functional"])
+@pytest.mark.parametrize("segments", [2, 3])
+@pytest.mark.parametrize("model, qubits", SEGMENT_CASES)
+def test_expm_is_the_power_of_one_short_chain(model, qubits, segments, simulated):
+    h, t, grid = gen_benchmark(model, qubits), 1.5, GridSetup() if simulated else None
+    u, records, stage, counters, mem = hamsim.expm(
+        h, TaylorConfig(t=t, eps=hamsim.DEFAULT_EPS), grid, segments)
+    step, chain = taylor_expm(h, TaylorConfig(t=t / segments, eps=hamsim.DEFAULT_EPS), grid)
+    check_segmented_u(u, step, h, t, segments)
+    assert records == chain
+    # the outer power is uncharged: the totals are the one chain's
+    assert stage == StageCycles(*(sum(vars(r.stage_cycles)[key] for r in records)
+                                  for key in vars(stage)))
+    assert mem == MemStats(*(sum(vars(r.mem)[key] for r in records) for key in vars(mem)))
+    keys = {key for r in records for key in r.counters}
+    assert counters == {key: (max if key == "active_dpes" else sum)(
+        r.counters.get(key, 0) for r in records) for key in keys}
+    assert (counters.get("multiplies", 0) > 0) == simulated
+
+
+@pytest.mark.parametrize("segments", [0, -4])
+def test_expm_rejects_fewer_than_one_segment(segments):
+    with pytest.raises(DomainError, match=f"^--segments must be at least 1, got {segments}$"):
+        hamsim.expm(gen_benchmark("tfim", 3), TaylorConfig(terms=2), segments=segments)
 
 
 @pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])

@@ -103,3 +103,24 @@ def test_the_traced_memory_spans_see_every_charge(tmp_path, monkeypatch):
     assert counts.counts["memory.accesses"] == events["cache_hits"] + events["cache_misses"]
     assert counts.counts["memory.stall_cycles"] == report["mem_stall_cycles"]
     assert 0 < len(stepped) < report["taylor_terms"]  # some products were replayed
+
+
+def test_the_traced_series_names_see_one_chain_and_the_outer_power(tmp_path, monkeypatch):
+    # tracer.py counts hamsim.terms from taylor_expm's result and times the
+    # products as spmspm.diag_matmul, so the series driver must call both
+    # through hamsim's names: one chain, then segments - 1 outer products
+    calls = []
+    chain, product = hamsim.taylor_expm, hamsim.diag_matmul
+
+    def counted_chain(*args, **kwargs):
+        calls.append("chain")
+        result = chain(*args, **kwargs)
+        calls.append("end")
+        return result
+
+    monkeypatch.setattr(hamsim, "taylor_expm", counted_chain)
+    monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: calls.append("product") or product(a, b))
+    assert cli.main(["expm", "--model", "tfim", "--qubits", "4", "--functional-only",
+                     "--segments", "3", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls.count("chain") == 1
+    assert calls[calls.index("end") + 1:] == ["product"] * 2
