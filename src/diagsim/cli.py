@@ -262,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     for key, kind in _COUPLINGS.items():
         takers = " / ".join(model for model, (_, takes) in MODELS.items() if key in takes)
         gen.add_argument(f"--{key}", type=kind, help=f"{takers} coupling (the model's default)")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(handler="cmd_gen")
 
     conv = sub.add_parser("convert", help="convert between matrix file formats")
     conv.add_argument("input")
     conv.add_argument("output")
     conv.add_argument("--in-format", choices=["diaq", "json", "mtx"], default=None)
     conv.add_argument("--out-format", choices=["diaq", "json", "mtx"], default=None)
-    conv.set_defaults(func=cmd_convert)
+    conv.set_defaults(handler="cmd_convert")
 
     mm = sub.add_parser("matmul", help="functional diagonal-space product")
     mm.add_argument("a")
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     mm.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
     mm.add_argument("--check", action="store_true",
                     help="verify against the dense oracle")
-    mm.set_defaults(func=cmd_matmul)
+    mm.set_defaults(handler="cmd_matmul")
 
     simc = sub.add_parser("simulate", help="cycle-level run of one product")
     simc.add_argument("a")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "group ids, grid shape, longest diagonal, stage cycles, "
                            "counters, memory delta and touched output offsets")
     _add_grid_flags(simc)
-    simc.set_defaults(func=cmd_simulate)
+    simc.set_defaults(handler="cmd_simulate")
 
     ex = sub.add_parser("expm", help="truncated-series exponential through the stack")
     ex.add_argument("--h-file", default=None)
@@ -308,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--csv", default=None, help="iteration records CSV path")
     ex.add_argument("--u-out", default=None, help="write the resulting operator")
     _add_grid_flags(ex)
-    ex.set_defaults(func=cmd_expm)
+    ex.set_defaults(handler="cmd_expm")
 
     rep = sub.add_parser("report", help="re-render a report JSON as CSV")
     rep.add_argument("input")
     rep.add_argument("--csv", required=True)
-    rep.set_defaults(func=cmd_report)
+    rep.set_defaults(handler="cmd_report")
     return parser
 
 
@@ -360,7 +360,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # DiagMatrix names non-finite values
-            return args.func(args)
+            # by name at call time, so that a cmd_* wrapped after the shared
+            # parser was built still runs as wrapped
+            return globals()[args.handler](args)
     except (ShapeError, DomainError, PlanError, GridCapacityError,
             ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

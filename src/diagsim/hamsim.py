@@ -57,19 +57,40 @@ as it always does.  Without -0.0, an entry U does not store may read +0.0
 (-0.0 + x = +0.0 + x unless x is -0.0), T_k's +0.0 other part changes
 nothing, and U += T_k is one real add into a plane of U, which turns
 non-finite only by overflow, raising that flag.  So a step is the product
-(of the contiguous R^T) and five passes over n^2: scaling, |R_k| into a band
-whose sheared view holds each diagonal as a column, its column maxima (the
-floor, the offsets, NaN or inf for a non-finite product), the add and the
-nonzero count.  U and R go in, and U out, through masks on padded diagonals.
+(of the contiguous R^T, into a zeroed grid the chain reuses) and five passes
+over n^2: scaling, |R_k| into a band whose sheared view holds each diagonal
+as a column, its column maxima (the floor, the offsets, NaN or inf for a
+non-finite product), the add and the nonzero count, whose mask takes the
+spent grid of R_{k-1}.  U and R go in, and U comes out, one diagonal at a
+time.
 
-Per product the dense chain wins from an eighth to a quarter of n^2
-(heisenberg and tfim at 6-10 qubits) and whole chains take the same time
-switching anywhere from 0.1 to 0.75, so DENSE_FILL is 0.5.  A term that
-never fills its band never switches, so a narrow chain allocates no O(n^2).
-After a step the chain holds 40 n^2 bytes (the band 16, U 16, R_k 8) and a
-product adds 8, where the term alone held at least 4 n^2; the packed chain's
-accumulator and sums reach about as much (tracemalloc peak at t = 0.5,
-packed -> switching: heisenberg-10 78.8 -> 48.6 MiB, tfim-10 80.9 -> 60.8).
+DENSE_FILL is 0.1, from whole chains (eps 1e-8) switching at each share of
+n^2 or never: median ms (of 9 runs at 6-8 qubits, 5 at 10, 2 at 12, the
+shares taking turns) / tracemalloc peak in MiB.
+
+    chain, t                 0.02        0.05         0.1         0.2         0.5       never
+    heisenberg-6, 0.5     2.2/0.3     2.2/0.3     2.2/0.3     2.6/0.3     3.1/0.3    19.3/0.4
+    tfim-6, 0.5           2.4/0.3     2.3/0.3     2.3/0.3     2.7/0.3     2.9/0.3    20.3/0.5
+    heisenberg-8, 0.5    15.6/3.2    16.5/3.2    16.5/3.2    16.9/3.2    18.6/3.2     210/4.9
+    tfim-8, 0.5          15.9/3.2    15.5/3.2    17.4/3.2    17.4/3.2    19.7/3.4     202/5.2
+    heisenberg-10, 0.5   422/48.6    421/48.6    430/48.6    480/48.6    485/48.6   5878/78.8
+    tfim-10, 0.5         453/48.8    447/48.8    452/48.8    467/48.8    552/60.8   5721/80.9
+    heisenberg-12, 0.25  7873/770    7827/770    7945/770    8486/770    9469/784
+    tfim-12, 0.25        7069/772    7032/772    6923/772    7187/772    8189/772
+
+From 0.02 to 0.1 the chains lie within 2% of each other at 10 and 12 qubits,
+where most of them switch after the same k, and 0.5 is slower at every size.
+At 8 qubits 0.05 beats 0.1 by 7-9% in alternating in-process pairs
+(heisenberg-8 and tfim-8 switch one step sooner), but it would switch a
+diagonal term of 4 qubits, 1/16 of n^2.  A term that never fills the share
+never switches, so a narrow chain allocates no O(n^2): maxcut's term is
+diagonal, 1/n of n^2.  From the switch the chain holds 48 n^2 bytes (the
+band 16, U 16, R_k and the grid its product goes into 8 each), where the
+term alone held at least 0.8 n^2; the packed chain's accumulator and sums
+reach more (the never column).  The trade: a chain whose term stalls
+between 0.1 and 0.5 of n^2 now holds those 48 n^2 where its packed term and
+U held under 12 n^2; the terms of heisenberg and tfim pass that range in two
+or three steps, and maxcut's never reaches it.
 """
 
 from __future__ import annotations
@@ -80,11 +101,12 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
-from .diagmat import (COMPLEX, DiagMatrix, diagonal_view, drop_below, drop_zero_diagonals,
-                      from_dense, identity, one_norm)
+from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, diagonal_view, drop_below,
+                      drop_zero_diagonals, from_dense, identity, one_norm)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -92,7 +114,7 @@ from .spmspm import diag_matmul, multiply_count
 TERM_CAP = 64
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
-DENSE_FILL = 0.5  # share of n^2 a real term stores when the chain turns dense
+DENSE_FILL = 0.1  # share of n^2 a real term stores when the chain turns dense
 
 
 @dataclass(frozen=True)
@@ -191,7 +213,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
                 t_k, u = from_dense(dense.r_t.T, np.float64), dense.take_u()
                 dense = None
             product = diag_matmul(t_k, m)
-            made = product.offsets
+            made = product.offset_array
             t_k = product.scaled(1.0 / k)
             mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
             if t_k.nnzd:
@@ -200,7 +222,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
         if grid is not None:
             stage, counters, mem = simulate_product(
-                n, offsets, m.offsets, made, grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"),
+                n, offsets, m.offsets, made.tolist(), grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"),
                 counted=counted)
         else:
             stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
@@ -215,7 +237,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         if (real and not dense and k < k_max and scalars >= DENSE_FILL * n * n
                 and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
             product = mag = None  # no packed buffer outlives the switch
-            dense, t_k, u = _DenseChain(t_k, u, factors), None, None
+            dense, t_k, u = _DenseChain(t_k, u, factors[0]), None, None
     if dense:
         u, dense = dense.take_u(), None
     return u, records
@@ -267,56 +289,60 @@ def _csr_t(m: DiagMatrix):
     return m_t
 
 
-def _dense_product(q_t, r_t: np.ndarray) -> np.ndarray:
-    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t): each entry starts at +0.0
-    and adds its terms in ascending inner index, the order of spmspm."""
-    return q_t @ r_t
+def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t) into out: each entry starts
+    at +0.0 and adds its terms in ascending inner index, the order of spmspm.
+    It is scipy's kernel for q_t @ r_t, on a grid the chain reuses (_grid)."""
+    out.fill(0.0)
+    n = len(out)
+    csr_matvecs(n, n, n, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1), out.reshape(-1))
+    return out
 
 
-def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A zero n x n float64 grid, n - 1 pads at either end, and a (2n - 1, n)
-    view whose row n - 1 + d holds diagonal d of the grid's transpose in the
-    grid rows of its entries, and elsewhere a pad or another entry."""
-    buf = np.zeros(n * n + 2 * n - 2)
-    return (buf[n - 1:n - 1 + n * n].reshape(n, n),
-            np.lib.stride_tricks.as_strided(buf, (2 * n - 1, n), (8, 8 * (n + 1)))[::-1])
+def _grid(n: int, at: int) -> np.ndarray:
+    """A zero n x n float64 grid whose first entry lies at byte at of a 4 KiB
+    page.  A product whose entries lie a few bytes after its operand's, modulo
+    4 KiB, takes three times as long (false store-to-load dependencies), so
+    the chain's two R grids lie half a page apart."""
+    buf = np.zeros(n * n + 512)
+    skip = (at - buf.ctypes.data) % 4096 // 8
+    return buf[skip:skip + n * n].reshape(n, n)
 
 
 class _DenseChain:
-    """R_k^T and U^T's real and imaginary planes as n x n float64 grids, and
-    from the first step a band: n rows of pitch 2n - 1, each after n - 1 pads,
-    then n - 1 more, whose (n, 2n - 1) sheared view holds diagonal d of the
-    transposed window (each row's last n) in column n - 1 - d, pads elsewhere.
-    +0.0 where a matrix stores nothing, never -0.0."""
+    """R_k^T, the grid its product goes into (spare) and U^T's real and
+    imaginary planes as n x n float64 grids, and from the first step a band:
+    n rows of pitch 2n - 1, each after n - 1 pads, then n - 1 more, whose
+    (n, 2n - 1) sheared view holds diagonal d of the transposed window (each
+    row's last n) in column n - 1 - d, pads elsewhere.  +0.0 where a matrix
+    stores nothing, never -0.0.  Each matrix goes in, and U out, diagonal by
+    diagonal."""
 
-    def __init__(self, r: DiagMatrix, u: DiagMatrix, factors):
+    def __init__(self, r: DiagMatrix, u: DiagMatrix, q: DiagMatrix):
         n = self.n = r.dim
         self.offsets, self.window = np.arange(1 - n, n), None
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
-        self.u, self.u_diagonals = map(list, zip(_padded(n), _padded(n)))
-        rows, inside = self._inside(u.offset_array)
-        for diagonals, part in zip(self.u_diagonals, (u.values.real, u.values.imag)):
-            diagonals[rows][inside] = part
-        self.r_t, diagonals = _padded(n)
-        rows, inside = self._inside(r.offset_array)
-        diagonals[rows][inside] = r.values
-        self.q_t = [_csr_t(f) for f in factors]
-
-    def _inside(self, offsets: np.ndarray) -> tuple[slice, np.ndarray]:
-        """The rows of min(offsets, 0)..max(offsets, 0) in _padded's view, and a
-        mask of these offsets' entries there, in a packed buffer's order."""
-        n, lo, hi = self.n, offsets.min(initial=0), offsets.max(initial=0)
-        d, j = np.arange(lo, hi + 1)[:, None], np.arange(n)
-        return slice(n - 1 + lo, n + hi), (j >= d) & (j < n + d) & np.isin(d, offsets)
+        self.u = [np.zeros((n, n)), np.zeros((n, n))]
+        self.r_t, self.spare = _grid(n, 0), _grid(n, 2048)
+        for grid, m, part in ((self.u[0], u, u.values.real), (self.u[1], u, u.values.imag),
+                              (self.r_t, r, r.values)):
+            bounds = m.starts.tolist()
+            for d, lo, hi in zip(m.offsets, bounds, bounds[1:]):
+                diagonal_view(grid.T, d)[:] = part[lo:hi]
+        q_t = _csr_t(q)
+        self.q_t = (q_t, -q_t)  # Q_k^T for even and odd k
 
     def take_u(self) -> DiagMatrix:
         """U with each diagonal that holds a nonzero (from_dense's); spends the chain."""
-        self.r_t = self.window = self.sheared = None  # R_k and the band go first
-        rows, inside = self._inside(self.offsets[self.stored])
-        values = np.empty(np.count_nonzero(inside), COMPLEX)
-        values.real = self.u_diagonals[0][rows][inside]
-        values.imag = self.u_diagonals[1][rows][inside]
-        return drop_zero_diagonals(DiagMatrix.packed(self.n, self.offsets[self.stored], values))
+        self.r_t = self.spare = self.window = self.sheared = None  # R_k and the band go first
+        offsets = self.offsets[self.stored]
+        bounds = buffer_starts(self.n, offsets).tolist()
+        values = np.empty(bounds[-1], COMPLEX)
+        (re, re_t), (im, im_t) = (values.real, self.u[0].T), (values.imag, self.u[1].T)
+        for d, lo, hi in zip(offsets.tolist(), bounds, bounds[1:]):
+            re[lo:hi] = diagonal_view(re_t, d)
+            im[lo:hi] = diagonal_view(im_t, d)
+        return drop_zero_diagonals(DiagMatrix.packed(self.n, offsets, values))
 
     def step(self, k: int):
         """R_k from R_{k-1}, the floor and U += T_k; returns the product's nonzero
@@ -328,7 +354,7 @@ class _DenseChain:
             band = np.zeros(n * (2 * n - 1) + n - 1)
             self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
             self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
-        product = _dense_product(self.q_t[k % 2], self.r_t)
+        product = _dense_product(self.q_t[k % 2], self.r_t, self.spare)
         try:
             with np.errstate(under="raise"):
                 product *= 1.0 / k
@@ -339,7 +365,7 @@ class _DenseChain:
         top = peak.max()
         if not np.isfinite(top):
             return None
-        self.r_t = product
+        self.r_t, self.spare = product, self.r_t  # R_{k-1} is spent
         live, made = peak > CANCEL_EPS * top, peak > 0
         for d in self.offsets[made & ~live].tolist():
             diagonal_view(product.T, d)[:] = 0.0
@@ -349,8 +375,9 @@ class _DenseChain:
                 self.u[k % 2] += product
         except FloatingPointError:
             self.take_u()  # raises the DomainError of the packed chain's sum
-        return (self.offsets[made].tolist(), self.offsets[live],
-                int(np.count_nonzero(product != 0)))
+        nonzero = self.spare.reshape(-1).view(np.bool_)[:n * n]  # no new n^2 buffer
+        np.not_equal(product, 0.0, out=nonzero.reshape(n, n))
+        return self.offsets[made], self.offsets[live], int(np.count_nonzero(nonzero))
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

@@ -239,6 +239,17 @@ def test_config_leaves_later_runs_on_built_in_defaults(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_a_command_wrapped_after_the_parser_is_built_still_runs(tmp_path, monkeypatch):
+    # a profiler wraps cli.cmd_* by name, after an earlier run built the
+    # shared parser; main must call the wrapper, not the function it wrapped
+    assert cli.main(["gen", "tfim", "3", "--out", str(tmp_path / "h.diaq")]) == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_expm", lambda args: ran.append(args.command) or 0)
+    argv = ["expm", "--h-file", str(tmp_path / "h.diaq"), "--iters", "2", "--functional-only"]
+    assert cli.main(argv) == 0
+    assert ran == ["expm"]
+
+
 def test_config_on_off_flags(tmp_path):
     assert _expm_terms(tmp_path, "t=0.01\nfunctional_only=true\n") == 5
     for bad in ("functional_only=yes\n", "no_such_key=1\n"):

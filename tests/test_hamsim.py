@@ -178,13 +178,37 @@ def test_real_chain_u_is_bit_identical_to_complex_chain(monkeypatch, model, qubi
         assert dense  # the benchmark's inputs cross the switch
 
 
+@pytest.mark.parametrize("t, terms", [(0.5, None), (-0.3, None), (1.5, 2), (-0.8, 7)])
+@pytest.mark.parametrize("model, qubits, couplings", REAL_CASES,
+                         ids=[f"{m}-{q}-{i}" for i, (m, q, _) in enumerate(REAL_CASES)])
+def test_the_switch_point_changes_no_bit(monkeypatch, model, qubits, couplings, t, terms):
+    # dense from k = 1 (a diagonal term too), at the chosen share, at half of
+    # n^2, and never: U and every record field are the packed chain's
+    h = gen_benchmark(model, qubits, **couplings)
+    cfg = TaylorConfig(t=t, terms=terms, eps=None if terms else 1e-8)
+    fills = {"never": 2.0, "k=1": 1e-9, "chosen": hamsim.DENSE_FILL, "half": 0.5}
+    dense = _dense_calls(monkeypatch)
+    for grid in (None, GridSetup(rows=16, cols=16)):
+        runs, steps = {}, {}
+        for name, fill in fills.items():
+            monkeypatch.setattr(hamsim, "DENSE_FILL", fill)
+            before = len(dense)
+            runs[name] = taylor_expm(h, cfg, grid)
+            steps[name] = len(dense) - before
+        u, records = runs.pop("never")
+        assert steps["never"] == 0 < steps["k=1"]
+        for name, (got_u, got_records) in runs.items():
+            assert same_bits(got_u, u), name
+            assert got_records == records, name
+
+
 def _dense_calls(monkeypatch) -> list:
     """The R^T shape of every dense product hamsim takes, as it runs."""
     calls, real = [], hamsim._dense_product
 
-    def spy(q_t, r_t):
+    def spy(q_t, r_t, out):
         calls.append(r_t.shape)
-        return real(q_t, r_t)
+        return real(q_t, r_t, out)
 
     monkeypatch.setattr(hamsim, "_dense_product", spy)
     return calls
@@ -199,9 +223,9 @@ def _product_dtypes(monkeypatch) -> list:
         seen.append((a.values.dtype, b.values.dtype))
         return packed(a, b)
 
-    def dense_spy(q_t, r_t):
+    def dense_spy(q_t, r_t, out):
         seen.append((q_t.dtype, r_t.dtype))
-        return dense(q_t, r_t)
+        return dense(q_t, r_t, out)
 
     monkeypatch.setattr(hamsim, "diag_matmul", packed_spy)
     monkeypatch.setattr(hamsim, "_dense_product", dense_spy)
@@ -281,7 +305,7 @@ def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(mo
     kinds, packed, dense = [], hamsim.diag_matmul, hamsim._dense_product
     monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: kinds.append("packed") or packed(a, b))
     monkeypatch.setattr(hamsim, "_dense_product",
-                        lambda q_t, r_t: kinds.append("dense") or dense(q_t, r_t))
+                        lambda *args: kinds.append("dense") or dense(*args))
     u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6))
     want, fields = complex_chain(h, 1.0, terms=6)
     assert kinds == ["packed", "dense", "dense", "packed", "packed"]  # k = 3 runs twice
@@ -352,7 +376,7 @@ def test_cancellation_floor_drops_diagonals_after_the_switch(monkeypatch, use_si
 # measured them while the dense chain held U as one complex128 array and R_k
 # in its band, and scipy copied R^T for each product; they spread by about
 # 2 kB from run to run, and one more 256 x 256 float64 buffer is 512 kB
-PEAKS = {"heisenberg": (3_356_000, 3_869_000), "tfim": (3_549_000, 4_270_500)}
+PEAKS = {"heisenberg": (3_346_000, 3_869_000), "tfim": (3_395_500, 4_270_500)}
 
 
 @pytest.mark.parametrize("model", PEAKS)
