@@ -119,7 +119,7 @@ def _grid_setup(args) -> GridSetup:
 def _write_report(report: dict, out: str | None) -> None:
     text = report_to_json(report)
     if out:
-        diagio._atomic_write(out, text.encode())
+        diagio.atomic_write(out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
     stage, counters, mem = simulate_product(a.dim, a.offsets, b.offsets, product.offsets,
                                             grid, cache, trace=trace)
     if args.trace:
-        diagio._atomic_write(args.trace, "".join(json.dumps(e) + "\n" for e in events).encode())
+        diagio.atomic_write(args.trace, "".join(json.dumps(e) + "\n" for e in events).encode())
     if args.product_out:
         diagio.save_matrix(product, args.product_out)
     report = build_report(f"simulate:{args.a}x{args.b}", grid.rows, grid.cols,
@@ -214,14 +214,14 @@ def cmd_expm(args) -> int:
     report["taylor_terms"] = len(records)
     _write_report(report, args.out)
     if args.csv:
-        diagio._atomic_write(args.csv, iterations_to_csv(report["iterations"]).encode())
+        diagio.atomic_write(args.csv, iterations_to_csv(report["iterations"]).encode())
     if args.out:
         print(f"{workload}: {len(records)} terms; report written to {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as fh, diagio._reading(args.input):
+    with open(args.input, encoding="utf-8") as fh, diagio.reading(args.input):
         report = json.load(fh)
     schema = report.get("schema") if isinstance(report, dict) else None
     if schema != 1:
@@ -230,7 +230,7 @@ def cmd_report(args) -> int:
         text = report_to_csv(report)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"{args.input}: malformed report: {type(exc).__name__} {exc}") from exc
-    diagio._atomic_write(args.csv, text.encode())
+    diagio.atomic_write(args.csv, text.encode())
     print(f"wrote {args.csv}")
     return 0
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("model", help=" | ".join(MODELS))
     gen.add_argument("qubits", type=int)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
+    gen.add_argument("--format", choices=list(diagio.FORMATS), default=None)
     for key, kind in _COUPLINGS.items():
         takers = " / ".join(model for model, (_, takes) in MODELS.items() if key in takes)
         gen.add_argument(f"--{key}", type=kind, help=f"{takers} coupling (the model's default)")
@@ -267,15 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("convert", help="convert between matrix file formats")
     conv.add_argument("input")
     conv.add_argument("output")
-    conv.add_argument("--in-format", choices=["diaq", "json", "mtx"], default=None)
-    conv.add_argument("--out-format", choices=["diaq", "json", "mtx"], default=None)
+    conv.add_argument("--in-format", choices=list(diagio.FORMATS), default=None)
+    conv.add_argument("--out-format", choices=list(diagio.FORMATS), default=None)
     conv.set_defaults(handler="cmd_convert")
 
     mm = sub.add_parser("matmul", help="functional diagonal-space product")
     mm.add_argument("a")
     mm.add_argument("b")
     mm.add_argument("--out", required=True)
-    mm.add_argument("--format", choices=["diaq", "json", "mtx"], default=None)
+    mm.add_argument("--format", choices=list(diagio.FORMATS), default=None)
     mm.add_argument("--check", action="store_true",
                     help="verify against the dense oracle")
     mm.set_defaults(handler="cmd_matmul")

@@ -106,8 +106,6 @@ def predict_cycles(rows: int, cols: int, side: str, length: int, position: int) 
     of the longest diagonal; popout = R + C - 1 - p.  The stages telescope to
     the position-independent total R + C + L - 1.
     """
-    if rows == 0 or cols == 0 or length == 0:
-        return StageCycles(0, 0, 0, 0)
     preload = rows + cols - 1
     compute = length + position - rows - cols + 1
     popout = rows + cols - 1 - position
@@ -124,14 +122,6 @@ class RunResult(NamedTuple):
     rows: int
     cols: int
     longest: tuple[str, int, int]
-
-
-def _zero_counters() -> dict:
-    return {
-        "multiplies": 0, "fifo_reads": 0, "fifo_writes": 0,
-        "active_dpe_cycles": 0, "active_dpes": 0,
-        "dyn_preload": 0,
-    }
 
 
 def add_counters(total: dict, counters: dict) -> None:
@@ -155,15 +145,14 @@ def check_interleave(interleave: int) -> None:
 def run_job(a_bounds: np.ndarray, b_bounds: np.ndarray, feed: FeedConfig = FeedConfig(), *,
             max_rows: int | None = None, max_cols: int | None = None,
             interleave: int = 1) -> RunResult:
-    """Count one grid job of two bounds arrays in closed form (module docstring).
+    """Count one grid job of two bounds arrays, each of at least one row as
+    blocking.make_plan's groups are, in closed form (module docstring).
 
     interleave > 1 deals a single A segment round-robin over that many
     columns (the pipelined single-diagonal layout).  Raises
     GridCapacityError when the job does not fit the grid or the interleave
     does not apply.
     """
-    if not len(a_bounds) or not len(b_bounds):
-        return RunResult(StageCycles(0, 0, 0, 0), _zero_counters(), [], 0, 0, ("B", 0, 0))
     check_interleave(interleave)
     a_len = (a_bounds[:, 2] - a_bounds[:, 1] + 1).tolist()
     b_len = (b_bounds[:, 2] - b_bounds[:, 1] + 1).tolist()

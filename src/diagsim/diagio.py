@@ -71,7 +71,7 @@ IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)  # buffers per os.writev; -1 is no f
 
 
 @contextmanager
-def _reading(path: str):
+def reading(path: str):
     """Re-raise what a malformed file makes a reader raise as one error naming it."""
     try:
         yield
@@ -89,11 +89,11 @@ def write_diaq(m: DiagMatrix, path: str) -> None:
     chunks = [MAGIC + struct.pack("<QQ", m.dim, m.nnzd)]
     for d, lo, hi in zip(m.offsets, bounds, bounds[1:]):
         chunks += [struct.pack("<q", d), data[lo:hi]]
-    _atomic_write(path, [chunks])
+    atomic_write(path, [chunks])
 
 
 def read_diaq(path: str) -> DiagMatrix:
-    with open(path, "rb") as fh, _reading(path):
+    with open(path, "rb") as fh, reading(path):
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh = io.BytesIO(fh.read())  # a pipe tells its size only once read
         size = fh.seek(0, io.SEEK_END)
@@ -127,7 +127,7 @@ def read_diaq(path: str) -> DiagMatrix:
 def write_diaq_json(m: DiagMatrix, path: str) -> None:
     first = np.flatnonzero(np.diff(m.starts[:-1] // JSON_BATCH, prepend=-1)).tolist()
     batches = (_json_diagonals(m, i, j) for i, j in zip(first, first[1:] + [m.nnzd]))
-    _atomic_write(path, chain([[b'{"n":%d,"diags":[' % m.dim]], batches, [[b"]}\n"]]))
+    atomic_write(path, chain([[b'{"n":%d,"diags":[' % m.dim]], batches, [[b"]}\n"]]))
 
 
 def _json_diagonals(m: DiagMatrix, i: int, j: int) -> list:
@@ -156,7 +156,7 @@ def _json_diagonals(m: DiagMatrix, i: int, j: int) -> list:
 
 
 def read_diaq_json(path: str) -> DiagMatrix:
-    with open(path) as fh, _reading(path):
+    with open(path) as fh, reading(path):
         doc = _parse(fh)
         n = _integer(doc["n"])
         diags = sorted(((_integer(d["offset"]), d["values"]) for d in doc["diags"]),
@@ -236,11 +236,11 @@ def write_matrix_market(m: DiagMatrix, path: str) -> None:
     coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(m.dim, m.dim))
     text = io.BytesIO()
     scipy.io.mmwrite(text, coo)
-    _atomic_write(path, text.getvalue())
+    atomic_write(path, text.getvalue())
 
 
 def read_matrix_market(path: str) -> DiagMatrix:
-    with _reading(path):
+    with reading(path):
         mat = scipy.io.mmread(path)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"square matrix required, got {mat.shape}")
@@ -251,7 +251,7 @@ def read_matrix_market(path: str) -> DiagMatrix:
         return from_coo(coo.shape[0], coo.row, coo.col, coo.data)
 
 
-_FORMATS = {
+FORMATS = {  # name -> (reader, writer); the names are the CLI's format choices
     "diaq": (read_diaq, write_diaq),
     "json": (read_diaq_json, write_diaq_json),
     "mtx": (read_matrix_market, write_matrix_market),
@@ -267,16 +267,16 @@ def sniff_format(path: str) -> str:
 
 
 def load_matrix(path: str, fmt: str | None = None) -> DiagMatrix:
-    reader, _ = _FORMATS[fmt or sniff_format(path)]
+    reader, _ = FORMATS[fmt or sniff_format(path)]
     return reader(path)
 
 
 def save_matrix(m: DiagMatrix, path: str, fmt: str | None = None) -> None:
-    _, writer = _FORMATS[fmt or sniff_format(path)]
+    _, writer = FORMATS[fmt or sniff_format(path)]
     writer(m, path)
 
 
-def _atomic_write(path: str, data: bytes | Iterable[list]) -> None:
+def atomic_write(path: str, data: bytes | Iterable[list]) -> None:
     """Write data, or each group of buffers through os.writev, to a temp file, then
     rename; no partial file."""
     try:

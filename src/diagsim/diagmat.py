@@ -20,12 +20,13 @@ complex128.  A float64 entry x stands for the complex x + 0j.
 
 Everything else walks the diagonals through ``offset_views()``, (offset,
 view) pairs of the buffer, and ``diagonal_view(grid, d)``, diagonal d of a
-grid: no conversion builds an index array over the entries.  One
-per-diagonal record surface remains, because the benchmark (``perfbench/``)
-builds and compares matrices through it: the ``Diagonal`` record, the list
-constructor ``DiagMatrix(dim, diagonals)``, and ``diagonals``, the same views
-as ``Diagonal``s, built on first use and cached, which the library never
-writes through.
+grid: no conversion builds an index array over the entries.  ``add`` adds
+each run of diagonals that stays back to back in the union of the offsets at
+once, as a complex chain's U and term share most offsets.  One per-diagonal
+record surface remains, because the benchmark (``perfbench/``) builds and
+compares matrices through it: the ``Diagonal`` record, the list constructor
+``DiagMatrix(dim, diagonals)``, and ``diagonals``, the same views as
+``Diagonal``s, which the library never writes through.
 
 Every construction checks 1 <= dim < 2**63, integer offsets strictly increasing
 inside (-N, N), a contiguous float64 or complex128 buffer of length
@@ -84,7 +85,7 @@ class Diagonal:
 class DiagMatrix:
     """Square matrix as sorted offsets plus one flat value buffer; never mutated."""
 
-    __slots__ = ("dim", "offsets", "offset_array", "values", "starts", "_views")
+    __slots__ = ("dim", "offsets", "offset_array", "values", "starts")
 
     def __init__(self, dim: int, diagonals=()):
         """Convert and length-check each Diagonal, naming it, then pack them."""
@@ -130,16 +131,13 @@ class DiagMatrix:
             entry = np.argmin(finite) // (values.itemsize // 8)  # float64s per entry
             i = np.searchsorted(self.starts, entry, side="right") - 1
             raise DomainError(f"diagonal {self.offsets[i]} contains non-finite values")
-        self._views = None
 
     # -- queries -------------------------------------------------------------
 
     @property
     def diagonals(self) -> tuple[Diagonal, ...]:
-        """The stored diagonals as views into the buffer (built once, cached)."""
-        if self._views is None:
-            self._views = tuple(Diagonal(d, vec) for d, vec in self.offset_views())
-        return self._views
+        """The stored diagonals as views into the buffer."""
+        return tuple(Diagonal(d, vec) for d, vec in self.offset_views())
 
     def offset_views(self) -> list[tuple[int, np.ndarray]]:
         """(offset, view of its values) of each stored diagonal, in offset order."""
@@ -165,30 +163,25 @@ class DiagMatrix:
         return DiagMatrix.packed(self.dim, self.offset_array, self.values * factor)
 
     def add(self, other: "DiagMatrix") -> "DiagMatrix":
-        """Diagonal-wise sum; exact-zero result diagonals are dropped."""
-        offsets, values = _combine(self, other)
+        """Diagonal-wise sum on the sorted union of the offsets; exact-zero
+        result diagonals are dropped."""
+        if self.dim != other.dim:
+            raise ShapeError(f"dim mismatch: {self.dim} vs {other.dim}")
+        both = np.sort(np.concatenate((self.offset_array, other.offset_array)))
+        offsets = both[np.diff(both, prepend=-self.dim) > 0]
+        starts = buffer_starts(self.dim, offsets)
+        dtype = np.result_type(self.values, other.values)
+        # -0.0 in every float64 of the buffer, as -0.0 + x is x bit for bit
+        values = np.full(starts[-1] * (dtype.itemsize // 8), -0.0).view(dtype)
+        for m in (self, other):
+            # each maximal run of m's diagonals that stays contiguous in the union
+            shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
+            first = np.flatnonzero(np.diff(shift, prepend=-1))
+            lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
+            for i, j, to in zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist()):
+                seg = values[to:to + j - i]
+                np.add(seg, m.values[i:j], out=seg)
         return drop_zero_diagonals(DiagMatrix.packed(self.dim, offsets, values))
-
-
-def _combine(a: DiagMatrix, b: DiagMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of the offsets of a and b, and the buffer of a + b on it."""
-    if a.dim != b.dim:
-        raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
-    both = np.sort(np.concatenate((a.offset_array, b.offset_array)))
-    offsets = both[np.diff(both, prepend=-a.dim) > 0]
-    starts = buffer_starts(a.dim, offsets)
-    dtype = np.result_type(a.values, b.values)
-    # -0.0 in every float64 of the buffer, as -0.0 + x is x bit for bit
-    values = np.full(starts[-1] * (dtype.itemsize // 8), -0.0).view(dtype)
-    for m in (a, b):
-        # each maximal run of m's diagonals that stays contiguous in the union
-        shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
-        first = np.flatnonzero(np.diff(shift, prepend=-1))
-        lo, hi = m.starts[first], m.starts[np.append(first[1:], m.nnzd)]
-        for i, j, to in zip(lo.tolist(), hi.tolist(), (lo + shift[first]).tolist()):
-            seg = values[to:to + j - i]
-            np.add(seg, m.values[i:j], out=seg)
-    return offsets, values
 
 
 def diagonal_view(grid: np.ndarray, d: int) -> np.ndarray:

@@ -324,11 +324,10 @@ class _DenseChain:
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
         self.u = [np.zeros((n, n)), np.zeros((n, n))]
         self.r_t, self.spare = _grid(n, 0), _grid(n, 2048)
-        for grid, m, part in ((self.u[0], u, u.values.real), (self.u[1], u, u.values.imag),
-                              (self.r_t, r, r.values)):
-            bounds = m.starts.tolist()
-            for d, lo, hi in zip(m.offsets, bounds, bounds[1:]):
-                diagonal_view(grid.T, d)[:] = part[lo:hi]
+        for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
+                              (self.r_t, r, np.real)):
+            for d, vec in m.offset_views():
+                diagonal_view(grid.T, d)[:] = part(vec)
         q_t = _csr_t(q)
         self.q_t = (q_t, -q_t)  # Q_k^T for even and odd k
 

@@ -101,8 +101,6 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     n = a.dim
     dtype = np.result_type(a.values, b.values)
-    if not a.nnzd or not b.nnzd:
-        return DiagMatrix.packed(n, (), np.empty(0, dtype))
     sums = a.offset_array[:, None] + b.offset_array[None, :]
     out_offsets = np.unique(sums)
     out_offsets = out_offsets[np.abs(out_offsets) < n]

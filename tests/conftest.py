@@ -195,7 +195,7 @@ def read_diaq_json_oracle(path: str) -> DiagMatrix:
             raise ShapeError(f"{str(value).lower()} is not an integer")
         return operator.index(value)
 
-    with open(path) as fh, diagio._reading(path):
+    with open(path) as fh, diagio.reading(path):
         doc = json.load(fh, object_hook=pairs_array)
         n = integer(doc["n"])
         diags = sorted(((integer(d["offset"]), d["values"]) for d in doc["diags"]),
@@ -214,7 +214,7 @@ def read_diaq_oracle(path: str) -> DiagMatrix:
     diagonal: the binary reader's oracle, error messages included."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    with diagio._reading(path):
+    with diagio.reading(path):
         if blob[:5] != b"DIAQ1":
             raise ShapeError("bad magic, not a DiaQ binary file")
         if len(blob) < 21:

@@ -57,6 +57,9 @@ def test_plan_matches_per_diagonal_oracle(case):
     assert got == plan_jobs(a, b, cuts, a_gs or cols, b_gs or rows)
     for job in plan.jobs:
         assert job.a_group.bounds.dtype == job.b_group.bounds.dtype == np.int64
+        # no empty group, no empty segment: dataflow.run_job relies on both
+        for bounds in (job.a_group.bounds, job.b_group.bounds):
+            assert len(bounds) >= 1 and (bounds[:, 1] <= bounds[:, 2]).all()
 
 
 class TestPartitionRowcol:

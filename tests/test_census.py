@@ -1,0 +1,110 @@
+"""Byte census: every output of a fixed set of CLI commands hashes as recorded.
+
+The commands cover gen, convert, matmul --check, simulate (the default grid,
+and an 8 x 8 grid with --trace and --product-out), expm and report --csv.
+expm runs heisenberg, tfim and maxcut at 4-6 qubits, functional and
+simulated, at t = 0.5 and t = -0.3, with --iters, --segments 2, --csv and
+--u-out in both DiaQ formats, plus one complex H (heisenberg-6 with a Y term
+on qubit 0), whose chain stays packed.  Each command's stdout and every file
+left in the run's directory is hashed with sha256, except Matrix Market
+files, whose text is scipy's.  The commands run in a fresh directory with
+relative names, so no output holds a path of the run.
+
+census_sha256.json holds the hashes.  A change that means to change an
+output rewrites it, from the tests directory:
+
+    PYTHONPATH=../src python test_census.py > census_sha256.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from diagsim import cli, diagio
+from diagsim.hamiltonians import heisenberg_chain, pauli_to_diagmatrix, term
+
+RECORD = Path(__file__).resolve().parent / "census_sha256.json"
+
+COMMANDS = [
+    "gen heisenberg 6 --out h6.diaq",
+    "gen tfim 5 --out t5.json",
+    "gen maxcut 6 --out m6.mtx",
+    "gen heisenberg 4 --out h4.json --jx 0.7 --jy 0.7 --jz -0.4",
+    "convert h6.diaq h6.json",
+    "convert t5.json t5.diaq",
+    "convert m6.mtx m6.diaq",
+    "convert h6.diaq h6.mtx",
+    "convert h6.mtx h6-mtx.diaq",
+    "convert h4.json h4.bin --out-format diaq",
+    "matmul h6.diaq h6.json --out hh6.diaq --check",
+    "matmul t5.diaq t5.json --out tt5.json --check",
+    "matmul hy6.diaq h6.diaq --out hyh6.diaq --check",
+    "simulate h6.diaq h6.diaq",
+    "simulate h6.diaq hh6.diaq --grid-rows 8 --grid-cols 8",
+    "simulate t5.diaq t5.diaq --grid-rows 8 --grid-cols 8 --trace t5.jsonl "
+    "--product-out t5t5.diaq --out sim-t5.json",
+    "simulate m6.diaq h6.diaq --grid-rows 8 --grid-cols 8 --cuts 16,40 --trace mh.jsonl "
+    "--product-out mh.json --out sim-mh.json",
+    "expm --model heisenberg --qubits 4 --t 0.5",
+    "expm --model tfim --qubits 5 --t -0.3 --functional-only",
+    "expm --model heisenberg --qubits 5 --t 0.5 --iters 9 --out it-h5.json --csv it-h5.csv",
+    "expm --model tfim --qubits 4 --t 0.5 --segments 2 --out seg-t4.json --u-out seg-t4-u.json "
+    "--csv seg-t4.csv",
+    "expm --h-file hy6.diaq --t 0.5 --functional-only --out hy6-f.json --u-out hy6-f.diaq",
+    "expm --h-file hy6.diaq --t -0.3 --grid-rows 8 --grid-cols 8 --out hy6-s.json "
+    "--u-out hy6-s-u.json --csv hy6-s.csv",
+    "report sim-t5.json --csv sim-t5.csv",
+    "report it-h5.json --csv it-h5-report.csv",
+]
+COMMANDS += [
+    f"expm --model {model} --qubits {qubits} --t {t}{flag} --out {name}.json "
+    f"--u-out {name}.diaq --csv {name}.csv"
+    for model, qubits in (("heisenberg", 6), ("tfim", 6), ("maxcut", 4), ("maxcut", 6))
+    for t in ("0.5", "-0.3")
+    for mode, flag in (("f", " --functional-only"), ("s", ""))
+    for name in [f"{model}{qubits}-{mode}{t}"]
+]
+COMMANDS.append("expm --model tfim --qubits 4 --t -0.3 --u-out tfim4-u.json")
+
+
+def write_inputs() -> None:
+    """The complex H: heisenberg-6 plus 0.3 Y on qubit 0."""
+    h = pauli_to_diagmatrix(heisenberg_chain(6) + [term(0.3, 6, q0="Y")], 6)
+    diagio.save_matrix(h, "hy6.diaq")
+
+
+def census() -> dict[str, str]:
+    """sha256 of each command's stdout and of each file the commands leave,
+    run in the current directory; every command must exit 0."""
+    write_inputs()
+    hashes = {}
+    for command in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(command.split())
+        assert code == 0, f"{command} exited {code}"
+        hashes[f"$ {command}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    for path in sorted(Path(".").iterdir()):
+        if path.suffix != ".mtx":
+            hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+def test_every_output_hashes_as_recorded(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = census()
+    want = json.loads(RECORD.read_text())
+    assert got.keys() == want.keys()
+    assert [key for key in got if got[key] != want[key]] == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        json.dump(census(), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")

@@ -103,12 +103,6 @@ class TestBuildGrid:
                 run_whole(a, a, **limits)
         assert run_whole(a, a, max_rows=5, max_cols=5).counters["active_dpes"] == 25
 
-    def test_empty_side_zero_cycles(self):
-        res = run_job([], whole_segments(identity(4)))
-        assert res.stage.total == 0
-        assert res.counters["multiplies"] == 0
-        assert res.offsets == []
-
     def test_feed_order_controls_columns(self):
         rng = np.random.default_rng(163)
         a = rand_matrix(rng, 6, offsets=[-2, 1, 3])

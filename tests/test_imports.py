@@ -16,6 +16,8 @@ entries and the tracer's span targets are.  Tests do not count.  Names are
 matched bare, not by their owner, so a test-only method whose name some other
 object's attribute shares (a ``get`` beside ``dict.get`` calls) passes
 unseen: the guard finds test-only names, it does not prove there are none.
+No ``src/diagsim`` module imports or reads an underscore name of another
+one: what a module shares is public.
 Only ``cli._shared_parser`` may be memoized with ``functools.cache`` or
 ``lru_cache``: a cache that outlives a call carries results across runs in
 one process, as the benchmark's passes are.
@@ -143,6 +145,52 @@ def test_guard_sees_unnamed_private_definitions():
                      "def public(): return _used\n"),
                "b": "import a\nx = a._named_by_b\n"}
     assert unnamed_private_definitions(sources) == ["a:_Gone", "a:_dead"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_names(sources: dict[str, str]) -> list[str]:
+    """module:line owner._name of each underscore name of another package
+    module that a module imports from it or reads off it; sources are keyed
+    by file path, and a package module is named by its file's stem."""
+    stems = {Path(module).stem for module in sources}
+    found = []
+    for module, source in sources.items():
+        aliases = {}  # local name -> the package module it is bound to
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            owner = (node.module or "").rpartition(".")[2]
+            if owner in stems and owner != Path(module).stem:
+                found += [f"{module}:{node.lineno} {owner}.{a.name}"
+                          for a in node.names if _private(a.name)]
+            elif node.level or node.module == "diagsim":  # from . import diagio
+                aliases |= {a.asname or a.name: a.name for a in node.names if a.name in stems}
+        found += [f"{module}:{node.lineno} {aliases[node.value.id]}.{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases
+                  and _private(node.attr)]
+    return sorted(found)
+
+
+def test_no_module_uses_another_modules_private_names():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SRC}
+    assert foreign_private_names(sources) == []
+
+
+def test_guard_sees_foreign_private_names():
+    sources = {"pkg/io.py": "def _write(): pass\n_TABLE = {}\ndef write(): _write()\n",
+               "pkg/cli.py": ("from . import io as files\n"
+                              "from .io import _TABLE, write\n"
+                              "import argparse\n"
+                              "def run(p):\n"
+                              "    files._write(); files.write(); p._actions\n"
+                              "    return files.__name__, _TABLE, write\n")}
+    assert foreign_private_names(sources) == ["pkg/cli.py:2 io._TABLE",
+                                              "pkg/cli.py:5 io._write"]
 
 
 def test_no_unnamed_public_definitions():
