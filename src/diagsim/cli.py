@@ -95,7 +95,10 @@ def _load_config(path: str) -> dict:
             key, sep, val = line.partition("=")
             if not sep:
                 raise DomainError(f"config line {raw.rstrip()!r} is not key=value")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise DomainError(f"key {key} is given twice")
+            values[key] = val.strip()
     return values
 
 
@@ -323,7 +326,8 @@ def _apply_config(parser: argparse.ArgumentParser, path: str, given) -> None:
     argparse then types them like command-line values, and explicit flags
     still win, dropping the config values of the flags they exclude
     (_EXCLUDES; given is the run parsed without the config).  Keys the
-    subcommand lacks and malformed or unreadable files are usage errors.
+    subcommand lacks, a key given twice and malformed or unreadable files are
+    usage errors.
     """
     try:
         values = _load_config(path)

@@ -27,9 +27,6 @@ value buffer, sized from the file (a pipe is read whole first), so no header
 makes it allocate more than the file holds.  Writers pass their pieces to
 ``os.writev`` uncopied, into a temporary file renamed over the target.
 
-Every format holds complex128 values; a float64-buffered matrix is written
-as its complex128 twin, each x as x + 0j, byte for byte.
-
 Matrix Market coordinate files never densify: duplicate entries are summed,
 then ``diagmat.from_coo`` puts each on the diagonal at offset col - row and
 drops a diagonal whose sums are all zero, as ``from_dense`` drops it.  Memory
@@ -84,7 +81,7 @@ def reading(path: str):
 
 
 def write_diaq(m: DiagMatrix, path: str) -> None:
-    data = memoryview(m.values.astype("<c16", copy=False)).cast("B")  # real: complex twin
+    data = memoryview(m.values).cast("B")
     bounds = (16 * m.starts).tolist()
     chunks = [MAGIC + struct.pack("<QQ", m.dim, m.nnzd)]
     for d, lo, hi in zip(m.offsets, bounds, bounds[1:]):
@@ -134,7 +131,7 @@ def _json_diagonals(m: DiagMatrix, i: int, j: int) -> list:
     """Diagonals i to j - 1 as json.dumps writes them: one text per distinct
     value, told by raw bits (so -0.0 and 0.0 stay distinct), once per run."""
     lo, hi = int(m.starts[i]), int(m.starts[j])
-    pairs = m.values[lo:hi].astype(COMPLEX, copy=False)
+    pairs = m.values[lo:hi]
     real, imag = pairs.view(np.uint64).reshape(-1, 2).T
     breaks = np.empty(hi - lo, bool)
     breaks[0], breaks[1:] = True, (real[1:] != real[:-1]) | (imag[1:] != imag[:-1])

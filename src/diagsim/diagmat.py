@@ -10,13 +10,11 @@ matrix position (row, col) with
 All other modules inherit this indexing convention.
 
 Storage: ``offsets``, a strictly increasing tuple of ints (also kept as the
-int64 array ``offset_array``), and ``values``, one flat float64 or complex128
-buffer holding the diagonals back to back in that order: diagonal i is
+int64 array ``offset_array``), and ``values``, one flat complex128 buffer
+holding the diagonals back to back in that order: diagonal i is
 ``values[starts[i]:starts[i + 1]]``, ``starts`` being 0 and the running sum
 of the lengths.  Operations on the buffer alone are a fixed number of numpy
-calls, and their results take numpy's promoted dtype: a real matrix stays
-real under real scaling, sums and products, and meets a complex one in
-complex128.  A float64 entry x stands for the complex x + 0j.
+calls.
 
 Everything else walks the diagonals through ``offset_views()``, (offset,
 view) pairs of the buffer, and ``diagonal_view(grid, d)``, diagonal d of a
@@ -29,8 +27,8 @@ compares matrices through it: the ``Diagonal`` record, the list constructor
 ``Diagonal``s, which the library never writes through.
 
 Every construction checks 1 <= dim < 2**63, integer offsets strictly increasing
-inside (-N, N), a contiguous float64 or complex128 buffer of length
-sum(N - |d|) and finite values, naming the failing diagonal.
+inside (-N, N), a contiguous complex128 buffer of length sum(N - |d|) and
+finite values, naming the failing diagonal.
 ``DiagMatrix(dim, diagonals)`` first converts each Diagonal's values to
 complex128 and length-checks them, then packs them;
 ``DiagMatrix.packed(dim, offsets, values)`` takes a buffer as it is and
@@ -48,7 +46,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 COMPLEX = np.complex128
-DTYPES = (np.dtype(np.float64), np.dtype(COMPLEX))  # the buffer dtypes
 
 
 def diag_length(n: int, d: int) -> int:
@@ -121,14 +118,13 @@ class DiagMatrix:
             diag_length(n, d)
         self.starts = buffer_starts(n, offs)
         values, total = self.values, int(self.starts[-1])
-        if not (type(values) is np.ndarray and values.dtype in DTYPES
+        if not (type(values) is np.ndarray and values.dtype == COMPLEX
                 and values.shape == (total,) and values.flags.c_contiguous):
             raise ShapeError(f"{len(offs)} diagonals of a dim-{n} matrix need a contiguous "
-                             f"float64 or complex128 buffer of {total} values, "
-                             f"got {values!r:.60}")
+                             f"complex128 buffer of {total} values, got {values!r:.60}")
         finite = np.isfinite(values.view(np.float64))  # faster than on complex128
         if not finite.all():
-            entry = np.argmin(finite) // (values.itemsize // 8)  # float64s per entry
+            entry = np.argmin(finite) // 2  # two parts per entry
             i = np.searchsorted(self.starts, entry, side="right") - 1
             raise DomainError(f"diagonal {self.offsets[i]} contains non-finite values")
 
@@ -170,9 +166,8 @@ class DiagMatrix:
         both = np.sort(np.concatenate((self.offset_array, other.offset_array)))
         offsets = both[np.diff(both, prepend=-self.dim) > 0]
         starts = buffer_starts(self.dim, offsets)
-        dtype = np.result_type(self.values, other.values)
-        # -0.0 in every float64 of the buffer, as -0.0 + x is x bit for bit
-        values = np.full(starts[-1] * (dtype.itemsize // 8), -0.0).view(dtype)
+        # -0.0 in both parts of every entry, as -0.0 + x is x bit for bit
+        values = np.full(2 * starts[-1], -0.0).view(COMPLEX)
         for m in (self, other):
             # each maximal run of m's diagonals that stays contiguous in the union
             shift = starts[np.searchsorted(offsets, m.offset_array)] - m.starts[:-1]
@@ -192,8 +187,8 @@ def diagonal_view(grid: np.ndarray, d: int) -> np.ndarray:
     return view
 
 
-def identity(n: int, dtype=COMPLEX) -> DiagMatrix:
-    return DiagMatrix.packed(n, (0,), np.ones(n, dtype=dtype))
+def identity(n: int) -> DiagMatrix:
+    return DiagMatrix.packed(n, (0,), np.ones(n, dtype=COMPLEX))
 
 
 def from_coo(n: int, rows, cols, values) -> DiagMatrix:
@@ -210,16 +205,15 @@ def from_coo(n: int, rows, cols, values) -> DiagMatrix:
     return drop_zero_diagonals(DiagMatrix.packed(n, offsets, buf))
 
 
-def from_dense(rows, dtype=COMPLEX) -> DiagMatrix:
-    """Compress a dense square grid into a buffer of dtype (float64 or
-    complex128); only diagonals with a nonzero survive."""
-    grid = np.asarray(rows, dtype=dtype)
+def from_dense(rows) -> DiagMatrix:
+    """Compress a dense square grid; only diagonals with a nonzero survive."""
+    grid = np.asarray(rows, dtype=COMPLEX)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ShapeError(f"square input required, got shape {grid.shape}")
     n = grid.shape[0]
     offsets = [d for d in range(1 - n, n) if diagonal_view(grid, d).any()]
     return DiagMatrix.packed(n, offsets, np.concatenate(
-        [np.empty(0, grid.dtype), *(diagonal_view(grid, d) for d in offsets)]))
+        [np.empty(0, COMPLEX), *(diagonal_view(grid, d) for d in offsets)]))
 
 
 def to_dense(m: DiagMatrix) -> np.ndarray:

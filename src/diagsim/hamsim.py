@@ -31,38 +31,38 @@ and no replay carries over from one call to the next.
 When no fixed term count is given, K is the smallest k whose one-norm
 remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
 
-A real H (every imaginary part zero, as all three generators give) runs the
-chain in float64.  With Q = t Re(H), T_k = (-i)^k P_k for the real
-P_k = P_{k-1} Q / k, so T_k has one nonzero component, the real one for even
-k and the imaginary one for odd k: R_k = +-P_k.  The chain computes
-R_k = R_{k-1} Q_k / k, where Q_k is -Q for odd k and Q for even k, and _term
-writes R_k into the complex128 term that U adds.  U, the records and the
-modeled figures keep every bit the complex chain T_k = T_{k-1} (-i t H) / k
-gives them.  In that chain each product of one-component entries is one
-real product, equal to the real chain's up to an exact negation.  The
-kernel's accumulator starts at +0.0, so every term's other component is
-+0.0, and the scaling by 1/k leaves both as _term writes them.  A complex H
-keeps the complex chain.
+The chain runs in complex128 for every H.  A real H (every imaginary part
+zero, as all three generators give) makes T_k = (-i)^k P_k for the real
+P_k = P_{k-1} Q / k, Q = t Re(H), so T_k has one nonzero component, the real
+one for even k and the imaginary one for odd k: R_k = +-P_k, and
+R_k = R_{k-1} Q_k / k, where Q_k is -Q for odd k and Q for even k.  Each
+complex product of one-component entries is one real product of R_{k-1} and
+Q_k, plus a product with a zero factor, and the kernel's accumulator starts
+at +0.0 (x + -0.0 = x), so T_k's component is R_k bit for bit and its other
+one is +0.0.
 
-Once a real term stores DENSE_FILL n^2 scalars (k < K, and no -0.0 in it or
-U), R_k and U are held dense (_DenseChain) and U is packed once, at the end.
-A product is then Q_k^T R^T with Q_k^T in CSR, its column indices ascending:
-each entry starts at +0.0 and adds its terms in ascending inner index, as
-diag_matmul does (spmspm).  Its extra terms each have a zero factor, and
-x + -0.0 = x, so the bits are the same and no product holds -0.0.  Only the
-1/k scaling can then make a -0.0, by taking a nonzero to zero, which raises
-the underflow flag; a step that raises it, or whose product is not finite,
-goes back to the packed chain, which keeps that -0.0 or raises DomainError
-as it always does.  Without -0.0, an entry U does not store may read +0.0
-(-0.0 + x = +0.0 + x unless x is -0.0), T_k's +0.0 other part changes
-nothing, and U += T_k is one real add into a plane of U, which turns
-non-finite only by overflow, raising that flag.  So a step is the product
-(of the contiguous R^T, into a zeroed grid the chain reuses) and five passes
-over n^2: scaling, |R_k| into a band whose sheared view holds each diagonal
-as a column, its column maxima (the floor, the offsets, NaN or inf for a
-non-finite product), the add and the nonzero count, whose mask takes the
-spent grid of R_{k-1}.  U and R go in, and U comes out, one diagonal at a
-time.
+Once such a term stores DENSE_FILL n^2 scalars (k < K, and no -0.0 in it or
+U), R_k, taken from T_k's nonzero component, and U are held dense
+(_DenseChain) and U is packed once, at the end.  A product is then
+Q_k^T R^T with Q^T built in CSR straight from t Re(H), its column indices
+ascending: each entry starts at +0.0 and adds its terms in ascending inner
+index, as diag_matmul does (spmspm).  Its extra terms each have a zero
+factor, and x + -0.0 = x, so the bits are the same and no product holds
+-0.0.  Only the 1/k scaling can then make a -0.0, by taking a nonzero to
+zero, which raises the underflow flag; a step that raises it, or whose
+product is not finite, goes back to the packed chain with T_{k-1}, R_{k-1}
+in component (k - 1) mod 2, which keeps that -0.0 or raises DomainError as
+it always does.  The zero signs of T_{k-1}'s other component cannot reach
+that product, whose accumulator starts at +0.0.  Without -0.0, an entry U
+does not store may read +0.0 (-0.0 + x = +0.0 + x unless x is -0.0), T_k's
++0.0 other part changes nothing, and U += T_k is one real add into a plane
+of U, which turns non-finite only by overflow, raising that flag.  So a step
+is the product (of the contiguous R^T, into a zeroed grid the chain reuses)
+and five passes over n^2: scaling, |R_k| into a band whose sheared view
+holds each diagonal as a column, its column maxima (the floor, the offsets,
+NaN or inf for a non-finite product), the add and the nonzero count, whose
+mask takes the spent grid of R_{k-1}.  U and R go in, and U comes out, one
+diagonal at a time.
 
 DENSE_FILL is 0.1, from whole chains (eps 1e-8) switching at each share of
 n^2 or never: median ms (of 9 runs at 6-8 qubits, 5 at 10, 2 at 12, the
@@ -114,7 +114,7 @@ from .spmspm import diag_matmul, multiply_count
 TERM_CAP = 64
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
-DENSE_FILL = 0.1  # share of n^2 a real term stores when the chain turns dense
+DENSE_FILL = 0.1  # share of n^2 a real H's term stores when the chain turns dense
 
 
 @dataclass(frozen=True)
@@ -187,30 +187,23 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     product's share of that cache's stats.  U is the same either way.
     """
     n = h.dim
-    real = not h.values.imag.any()
-    if real:  # the factors Q_k into even and odd k (module docstring)
-        q = DiagMatrix.packed(n, h.offset_array, h.values.real * cfg.t)
-        factors = (q, q.scaled(-1.0))
-    else:
-        factors = (h.scaled(-1j * cfg.t),) * 2
-    k_max = (cfg.terms if cfg.terms is not None
-             else term_count_for(one_norm(factors[0]), cfg.eps))
+    m = h.scaled(-1j * cfg.t)
+    k_max = cfg.terms if cfg.terms is not None else term_count_for(one_norm(m), cfg.eps)
+    real = not h.values.imag.any()  # only a real H's chain turns dense (module docstring)
     cache = SetAssocCache(grid.cache) if grid is not None else None
     counted: dict = {}  # this chain's distinct products (simulate_product)
 
-    u = identity(n)
-    t_k = identity(n, factors[0].values.dtype)
-    dense = None  # the _DenseChain once a real term fills DENSE_FILL of n^2
+    u = t_k = identity(n)
+    dense = None  # the _DenseChain once a real H's term fills DENSE_FILL of n^2
     offsets = t_k.offset_array
     records: list[IterationRecord] = []
     for k in range(1, k_max + 1):
-        m = factors[k % 2]
         stepped = dense and dense.step(k)
         if stepped:
             made, live, nnze = stepped
         else:
             if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
-                t_k, u = from_dense(dense.r_t.T, np.float64), dense.take_u()
+                t_k, u = from_dense(dense.r_t.T * 1j ** ((k - 1) % 2)), dense.take_u()
                 dense = None
             product = diag_matmul(t_k, m)
             made = product.offset_array
@@ -218,7 +211,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
             if t_k.nnzd:
                 t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
-            u = u.add(_term(t_k, k) if real else t_k)
+            u = u.add(t_k)
             live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
         if grid is not None:
             stage, counters, mem = simulate_product(
@@ -237,7 +230,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         if (real and not dense and k < k_max and scalars >= DENSE_FILL * n * n
                 and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
             product = mag = None  # no packed buffer outlives the switch
-            dense, t_k, u = _DenseChain(t_k, u, factors[0]), None, None
+            dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t)), None, None
     if dense:
         u, dense = dense.take_u(), None
     return u, records
@@ -263,30 +256,20 @@ def _fold(parts) -> tuple[StageCycles, dict]:
     return stage, counters
 
 
-def _term(r: DiagMatrix, k: int) -> DiagMatrix:
-    """T_k in complex128 from R_k, its real part for even k and imaginary part
-    for odd k: the other part is +0.0, and an odd term's part is +0.0 + R_k,
-    as the complex chain's 1/k scaling computes it."""
-    values = np.zeros(r.storage_scalars, COMPLEX)
-    np.add(0.0 if k % 2 else -0.0, r.values, out=values.view(np.float64)[k % 2::2])
-    return DiagMatrix.packed(r.dim, r.offset_array, values)
-
-
 def _negative_zero(values: np.ndarray) -> bool:
     """Whether some float64 part of values is -0.0."""
     parts = values.view(np.float64)
     return bool(np.signbit(parts[parts == 0]).any())
 
 
-def _csr_t(m: DiagMatrix):
-    """m^T in CSR, each row's column indices ascending; explicit zeros may go."""
-    if not m.nnzd:
-        return scipy.sparse.csr_array((m.dim, m.dim), dtype=m.values.dtype)
-    m_t = scipy.sparse.diags_array([vec for _, vec in m.offset_views()],
-                                   offsets=[-d for d in m.offsets], shape=(m.dim, m.dim),
-                                   dtype=m.values.dtype).tocsr()
-    m_t.sort_indices()
-    return m_t
+def _csr_t(h: DiagMatrix, t: float):
+    """(t Re H)^T in CSR, each row's column indices ascending; explicit zeros may go."""
+    if not h.nnzd:
+        return scipy.sparse.csr_array((h.dim, h.dim))
+    q_t = scipy.sparse.diags_array([vec.real * t for _, vec in h.offset_views()],
+                                   offsets=[-d for d in h.offsets], shape=(h.dim, h.dim)).tocsr()
+    q_t.sort_indices()
+    return q_t
 
 
 def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -318,17 +301,17 @@ class _DenseChain:
     stores nothing, never -0.0.  Each matrix goes in, and U out, diagonal by
     diagonal."""
 
-    def __init__(self, r: DiagMatrix, u: DiagMatrix, q: DiagMatrix):
-        n = self.n = r.dim
+    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t):
+        """From T_k, whose component k mod 2 is R_k, U and Q^T (_csr_t)."""
+        n = self.n = t_k.dim
         self.offsets, self.window = np.arange(1 - n, n), None
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
         self.u = [np.zeros((n, n)), np.zeros((n, n))]
         self.r_t, self.spare = _grid(n, 0), _grid(n, 2048)
         for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
-                              (self.r_t, r, np.real)):
+                              (self.r_t, t_k, (np.real, np.imag)[k % 2])):
             for d, vec in m.offset_views():
                 diagonal_view(grid.T, d)[:] = part(vec)
-        q_t = _csr_t(q)
         self.q_t = (q_t, -q_t)  # Q_k^T for even and odd k
 
     def take_u(self) -> DiagMatrix:

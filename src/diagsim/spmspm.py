@@ -36,12 +36,6 @@ visited in ascending order.)  Ascending dA is ascending inner index, from an
 accumulator at +0.0: the order hamsim's dense Taylor product keeps, which is
 why that product is bit-identical to this one (hamsim module docstring).
 
-Dtype: a block keeps its operand's buffer dtype, and the accumulator, so
-the product, takes ``np.result_type`` of the two operands.  Two float64
-operands multiply in real arithmetic on half the bytes of complex128; a
-float64 operand meeting a complex128 one is promoted entry by entry to
-x + 0j, so the product has the bits of its complex128 twins' product.
-
 Memory: operands are read from their flat value buffers (see ``diagmat``):
 a block of A is one buffer slice scattered into its layout, and a diagonal
 of B is a slice view.  The accumulator holds one length-N row per output
@@ -85,7 +79,7 @@ def _window(offsets: np.ndarray, n: int) -> np.ndarray:
 def _layout(m: DiagMatrix, lo: int, hi: int) -> np.ndarray:
     """Diagonals lo..hi-1 of m as the rows of a zero-padded (hi - lo, n) array."""
     mask = _window(m.offset_array[lo:hi], m.dim)
-    out = np.zeros(mask.shape, dtype=m.values.dtype)
+    out = np.zeros(mask.shape, dtype=COMPLEX)
     out[mask] = m.values[m.starts[lo]:m.starts[hi]]
     return out
 
@@ -100,13 +94,12 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     if a.dim != b.dim:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     n = a.dim
-    dtype = np.result_type(a.values, b.values)
     sums = a.offset_array[:, None] + b.offset_array[None, :]
     out_offsets = np.unique(sums)
     out_offsets = out_offsets[np.abs(out_offsets) < n]
     slot = np.searchsorted(out_offsets, sums)
     slot[np.abs(sums) >= n] = len(out_offsets)  # the scratch row
-    acc = np.zeros((len(out_offsets) + 1, n), dtype=dtype)
+    acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
     b_starts = b.starts.tolist()
     for i0 in range(0, a.nnzd, BLOCK):
         block = _layout(a, i0, min(i0 + BLOCK, a.nnzd))

@@ -55,12 +55,6 @@ def diag_matrix(n, diags: dict[int, np.ndarray]) -> DiagMatrix:
     return DiagMatrix(n, tuple(Diagonal(d, diags[d]) for d in sorted(diags)))
 
 
-def float64_copy(m: DiagMatrix) -> DiagMatrix:
-    """m's real parts in a float64 buffer: the matrix whose complex128 twin,
-    each x as x + 0j, is m when m is real."""
-    return DiagMatrix.packed(m.dim, m.offsets, m.values.real.copy())
-
-
 def same_bits(got: DiagMatrix, want: DiagMatrix) -> bool:
     """Same dim, offsets and value bits (so -0.0 differs from 0.0)."""
     return (got.dim, got.offsets) == (want.dim, want.offsets) and \
@@ -259,8 +253,8 @@ def to_dense_oracle(m) -> np.ndarray:
     return grid
 
 
-def from_dense_oracle(grid: np.ndarray, dtype=COMPLEX) -> DiagMatrix:
-    grid = np.asarray(grid, dtype=dtype)
+def from_dense_oracle(grid: np.ndarray) -> DiagMatrix:
+    grid = np.asarray(grid, dtype=COMPLEX)
     n, (rows, cols) = grid.shape[0], np.nonzero(grid)
     offsets = np.unique(cols - rows)
     return DiagMatrix.packed(n, offsets, grid[entry_coordinates(offsets, buffer_starts(n, offsets))])
@@ -270,10 +264,11 @@ def one_norm_oracle(m) -> float:
     return float(np.bincount(coordinates(m)[1], weights=np.abs(m.values), minlength=m.dim).max())
 
 
-def csr_t_oracle(m):
-    """m^T in CSR with every stored entry kept, each row's column indices ascending."""
+def csr_t_oracle(m, t: float):
+    """(t Re m)^T in CSR with every stored entry kept, each row's column indices
+    ascending."""
     rows, cols = coordinates(m)
-    m_t = scipy.sparse.csr_array((m.values, (cols, rows)), shape=(m.dim, m.dim))
+    m_t = scipy.sparse.csr_array((m.values.real * t, (cols, rows)), shape=(m.dim, m.dim))
     m_t.sort_indices()
     return m_t
 
@@ -295,16 +290,15 @@ EDGE_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300, 1.0
 
 @st.composite
 def edge_matrices(draw) -> DiagMatrix:
-    """A float64 or complex128 matrix of dim 1..12, with no diagonals up to all
-    2n - 1, whose parts mix EDGE_PARTS with random normals."""
+    """A matrix of dim 1..12, with no diagonals up to all 2n - 1, whose real
+    and imaginary parts mix EDGE_PARTS with random normals."""
     n = draw(st.integers(1, 12))
-    dtype = draw(st.sampled_from([np.float64, COMPLEX]))
     offsets = sorted(draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=2 * n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = int(buffer_starts(n, offsets)[-1]) * (2 if dtype is COMPLEX else 1)
+    count = 2 * int(buffer_starts(n, offsets)[-1])
     parts = np.where(rng.random(count) < 0.5, rng.choice(EDGE_PARTS, count),
                      rng.standard_normal(count))
-    return DiagMatrix.packed(n, offsets, parts.view(dtype))
+    return DiagMatrix.packed(n, offsets, parts.view(COMPLEX))
 
 
 @pytest.fixture

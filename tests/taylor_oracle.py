@@ -1,14 +1,13 @@
-"""The Taylor chain as it ran in complex128 for every H: the tests' oracle.
+"""The packed Taylor chain in complex128 for every H: the tests' oracle.
 
-hamsim.taylor_expm runs the chain of a real H in float64, on P_k = T_k / (-i)^k,
-writes each (-i)^k P_k into U's complex128 sum, and holds the term and U dense
-once the term fills its band.  This version keeps the packed chain
-T_k = T_{k-1} (-i t H) / k in complex128 whatever H is, on the per-diagonal
-oracles of scaled, add and drop_zero_diagonals, so the two must agree bit for
-bit, signed zeros included.  Given a grid, it also plans every product from
-its own offsets, as the simulator did while every product was packed, and
-charges every job of it access by access to the per-access cache of
-memory_oracle, with no memo.
+hamsim.taylor_expm runs this chain packed, and once a real H's term fills its
+band holds U and the term's one nonzero component dense, in float64.  This
+version keeps the packed chain T_k = T_{k-1} (-i t H) / k to the end whatever
+H is, on the per-diagonal oracles of scaled, add and drop_zero_diagonals, so
+the two must agree bit for bit, signed zeros included.  Given a grid, it also
+plans every product from its own offsets, as the simulator did while every
+product was packed, and charges every job of it access by access to the
+per-access cache of memory_oracle, with no memo.
 """
 
 from __future__ import annotations

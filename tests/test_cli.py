@@ -281,6 +281,23 @@ def test_config_key_the_subcommand_lacks_is_a_usage_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, key", [("grid-rows = 8\ngrid_rows = 16\n", "grid_rows"),
+                                         ("t=0.5\nfunctional_only=true\nt=0.5\n", "t")],
+                         ids=["two-spellings", "same-value"])
+def test_config_key_given_twice_is_a_usage_error(tmp_path, capsys, config, key):
+    # the last value used to win unnoticed, even under the other spelling
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "expm", "--model", "tfim", "--qubits", "3",
+                  "--out", str(out)])
+    assert exc.value.code == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: config {cfg}: key {key} is given twice"
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("content", [None, b"t=0.01\n# \xff\xfe\n"], ids=["missing", "not-utf8"])
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "run.cfg"

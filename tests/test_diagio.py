@@ -65,16 +65,6 @@ def test_binary_layout(tmp_path):
     assert np.frombuffer(blob[29:], dtype="<f8").tolist() == [3.0, 4.0]
 
 
-def test_binary_writes_a_real_buffer_as_its_complex_twin(tmp_path):
-    twin = rand_matrix(np.random.default_rng(5), 9, k=5, real=True)
-    real = DiagMatrix.packed(twin.dim, twin.offsets, np.ascontiguousarray(twin.values.real))
-    paths = [str(tmp_path / name) for name in ("real.diaq", "twin.diaq")]
-    for m, path in zip((real, twin), paths):
-        write_diaq(m, path)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
-    assert matrices_equal(read_diaq(paths[0]), twin)
-
-
 def test_binary_round_trip_keeps_signed_zeros(tmp_path):
     m = diag_matrix(3, {
         0: from_parts([-0.0, 2.0, 0.0], [-1.0, -0.0, 0.0]),
@@ -148,29 +138,26 @@ def test_json_reader_sorts_diagonals(tmp_path):
 @settings(max_examples=200)
 @given(edge_matrices())
 def test_json_writer_and_reader_match_the_oracles_bit_for_bit(m):
-    twin = DiagMatrix.packed(m.dim, m.offsets, m.values.astype(COMPLEX))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         write_diaq_json(m, path)
         with open(path, "rb") as fh:
             assert fh.read() == diaq_json_oracle(m)
-        assert same_bits(read_diaq_json(path), twin)
+        assert same_bits(read_diaq_json(path), m)
 
 
 @st.composite
 def run_matrices(draw) -> DiagMatrix:
-    """A float64 or complex128 matrix of dim 1..40 with up to 6 diagonals whose
-    buffer is runs over an alphabet of 2-4 values, parts drawn from +-0.0 and a
-    few numbers (so x + 0j and x - 0j): runs cross diagonal starts."""
+    """A matrix of dim 1..40 with up to 6 diagonals whose buffer is runs over
+    an alphabet of 2-4 values, parts drawn from +-0.0, a subnormal and a few
+    numbers (so x + 0j and x - 0j): runs cross diagonal starts."""
     n = draw(st.integers(1, 40))
-    dtype = draw(st.sampled_from([np.float64, COMPLEX]))
     offsets = sorted(draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    width = 2 if dtype is COMPLEX else 1
-    alphabet = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300], (draw(st.integers(2, 4)), width))
+    alphabet = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324], (draw(st.integers(2, 4)), 2))
     total = int(buffer_starts(n, offsets)[-1])
     picks = np.repeat(rng.integers(0, len(alphabet), total), rng.geometric(0.2, total))[:total]
-    return DiagMatrix.packed(n, offsets, alphabet[picks].view(dtype).ravel())
+    return DiagMatrix.packed(n, offsets, alphabet[picks].view(COMPLEX).ravel())
 
 
 @settings(max_examples=300)
@@ -659,18 +646,6 @@ def test_read_diaq_damaged_file(fuzz_path, n, seed, cut, flips):
     for pos, xor in flips:
         blob[pos % len(blob)] ^= xor
     _read_damaged(fuzz_path, bytes(blob if cut is None else blob[:cut % len(blob)]))
-
-
-@pytest.mark.parametrize("fmt", ["diaq", "json", "mtx"])
-def test_float64_matrix_is_written_as_its_complex128_twin(tmp_path, fmt):
-    values = np.array([1.5, -0.0, 0.0, -2.25, 1e-300, 0.1, 3.0])
-    real = DiagMatrix.packed(4, (-1, 0), values)
-    twin = DiagMatrix.packed(4, (-1, 0), values.astype(complex))  # each x as x + 0j
-    save_matrix(real, str(tmp_path / f"real.{fmt}"), fmt)
-    save_matrix(twin, str(tmp_path / f"twin.{fmt}"), fmt)
-    written = (tmp_path / f"real.{fmt}").read_bytes()
-    assert written == (tmp_path / f"twin.{fmt}").read_bytes()
-    assert load_matrix(str(tmp_path / f"real.{fmt}"), fmt).values.dtype == complex
 
 
 # -- atomic writes --------------------------------------------------------------

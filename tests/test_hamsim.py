@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from diagsim import (DiagMatrix, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory,
-                     to_dense)
+from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
 from diagsim.dataflow import StageCycles
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
@@ -236,7 +235,8 @@ def test_real_hamiltonian_multiplies_in_float64(monkeypatch, use_simulator):
     seen = _product_dtypes(monkeypatch)
     grid = GridSetup(rows=4, cols=4) if use_simulator else None
     u, _ = taylor_expm(gen_benchmark("tfim", 4), TaylorConfig(t=0.5, terms=6), grid)
-    assert seen == [(np.float64, np.float64)] * 6
+    # the packed first product in complex128; from its term the chain is dense
+    assert seen == [(COMPLEX, COMPLEX)] + [(np.float64, np.float64)] * 5
     assert u.values.dtype == COMPLEX
 
 
@@ -281,19 +281,6 @@ def test_complex_hamiltonian_keeps_the_complex_chain(monkeypatch, use_simulator)
     assert same_bits(u, complex_chain(h, 0.7, eps=1e-12)[0])
 
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_term_is_the_complex_chain_scaling_of_a_product(k):
-    # the kernel's products hold no -0.0; a subnormal may still scale to -0.0
-    rng = np.random.default_rng(k)
-    product = np.concatenate([rng.standard_normal(20), np.zeros(3),
-                              5e-324 * rng.integers(-3, 4, 20)]) + 0.0
-    complex_product = np.zeros(len(product), COMPLEX)
-    complex_product.view(np.float64)[k % 2::2] = product  # its one nonzero component
-    r = DiagMatrix.packed(len(product), (0,), product * (1.0 / k))
-    got = hamsim._term(r, k).values
-    assert got.tobytes() == (complex_product * (1.0 / k)).tobytes()
-
-
 def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(monkeypatch):
     # entries near 1e-108 fill the band at once, and T_3's product holds
     # subnormals that the 1/3 scaling takes to zero (to -0.0 where negative)
@@ -307,7 +294,9 @@ def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(mo
                         lambda *args: kinds.append("dense") or dense(*args))
     u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6))
     want, fields = complex_chain(h, 1.0, terms=6)
-    assert kinds == ["packed", "dense", "dense", "packed", "packed"]  # k = 3 runs twice
+    # k = 3 runs twice; its complex 1/3 scaling adds the +0.0 other part to each
+    # -0.0 it makes, so T_3 holds none and k = 4 is dense again
+    assert kinds == ["packed", "dense", "dense", "packed", "dense"]
     assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == fields
     assert same_bits(u, want)
 
@@ -393,12 +382,12 @@ def test_dense_chain_peak_memory_does_not_grow(model):
 
 
 @settings(max_examples=200)
-@given(edge_matrices())
-def test_csr_transpose_matches_the_coordinate_oracle(m):
+@given(edge_matrices(), st.sampled_from([1.0, -0.5, 1e-300, 3.0]))
+def test_csr_transpose_matches_the_coordinate_oracle(m, t):
     # built from the diagonals, Q^T may lose explicit zeros, which add nothing
     # to a dense product's sums (test_dense_product_matches_pair_loop_bit_for_bit)
-    got, want = hamsim._csr_t(m), csr_t_oracle(m)
-    assert got.shape == want.shape and got.dtype == m.values.dtype and got.has_sorted_indices
+    got, want = hamsim._csr_t(m, t), csr_t_oracle(m, t)
+    assert got.shape == want.shape and got.dtype == np.float64 and got.has_sorted_indices
     got.eliminate_zeros()
     want.eliminate_zeros()
     assert got.indptr.tolist() == want.indptr.tolist()
