@@ -151,9 +151,14 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_matmul(args) -> int:
+def _operands(args) -> tuple[DiagMatrix, DiagMatrix]:
+    """A and B of matmul and simulate; one path given twice is read once."""
     a = diagio.load_matrix(args.a)
-    b = diagio.load_matrix(args.b)
+    return a, a if args.b == args.a else diagio.load_matrix(args.b)
+
+
+def cmd_matmul(args) -> int:
+    a, b = _operands(args)
     c = diag_matmul(a, b)
     if args.check:
         if a.dim > CHECK_DIM_CAP:
@@ -175,8 +180,7 @@ def cmd_matmul(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    a = diagio.load_matrix(args.a)
-    b = diagio.load_matrix(args.b)
+    a, b = _operands(args)
     grid = _grid_setup(args)
     cache = SetAssocCache(grid.cache)
     events: list[dict] = []

@@ -11,8 +11,9 @@ cancellation debris below a relative floor is dropped so the diagonal-count
 trajectory reflects genuine structure.
 
 expm is the series driver: one chain at t / segments, its U raised to the
-segments-th power by diag_matmul, functionally and uncharged, and the chain's
-records summed into the run's stage cycles, counters and mem.
+segments-th power by a left fold of diag_matmul, functionally and uncharged,
+and the chain's records summed into the run's stage cycles, counters and
+mem.
 
 A product's plan, its jobs' grid figures and its multiply count depend on
 nothing but n, the operands' offsets and the GridSetup, so a chain counts
@@ -56,41 +57,85 @@ it always does.  The zero signs of T_{k-1}'s other component cannot reach
 that product, whose accumulator starts at +0.0.  Without -0.0, an entry U
 does not store may read +0.0 (-0.0 + x = +0.0 + x unless x is -0.0), T_k's
 +0.0 other part changes nothing, and U += T_k is one real add into a plane
-of U, which turns non-finite only by overflow, raising that flag.  So a step
-is the product (of the contiguous R^T, into a zeroed grid the chain reuses)
-and five passes over n^2: scaling, |R_k| into a band whose sheared view
-holds each diagonal as a column, its column maxima (the floor, the offsets,
-NaN or inf for a non-finite product), the add and the nonzero count, whose
-mask takes the spent grid of R_{k-1}.  U and R go in, and U comes out, one
-diagonal at a time.
+of U, which turns non-finite only by overflow, raising that flag.
+
+Held dense means held block by block.  If H never couples two sets of
+states, no power of H does, so the chain finds the connected components of
+Q^T's pattern once, at the switch (_layout).  Components under MIN_BLOCK
+states share blocks; a block's states keep their ascending natural order.
+With more than one block (_Blocks), R^T, the grid its product goes into and
+U^T's planes are each one flat buffer of per-block m x m grids, and the
+blocked chain is the whole one bit for bit:
+- every entry of T_k and U between blocks is +0.0: a sum of products with a
+  zero factor, started from +0.0, and the switch admits no -0.0;
+- a row of Q^T reaches only its own block;
+- within a block, Q^T's rows keep their columns in ascending natural order,
+  so each held entry adds the same terms in the same order.
+A step calls the product once per block, on the block's rows of Q^T (cut
+from the rows permuted by block, columns numbered within it), and scaling,
+|R_k|, the add and the nonzero count each take one pass over the flat
+buffer.  The per-diagonal peaks (the floor, the offsets, NaN or inf for a
+non-finite product) come from np.maximum.at over each entry's natural
+diagonal, and each matrix goes in, and U and a handed-back R_{k-1} come
+out, through (offset, position) maps: no n x n array is built.  An H of one
+block, as tfim is, keeps whole n x n grids (_Band): |R_k| goes into a band
+whose sheared view holds each diagonal as a column, whose maxima are the
+peaks, and each matrix goes in and out one diagonal at a time.  Either way,
+the nonzero count's mask takes the spent grid of R_{k-1}.
+
+MIN_BLOCK is 16, from whole chains (eps 1e-8) at each minimum block size,
+median ms of alternating in-process runs (41 at heisenberg-6, 21 at
+heisenberg-8, 15 at heisenberg-10, 5 and 11 for the groups); "whole" is one
+block.  A group H couples each of n / 2 (or n / 4) random sets of 2 (or 4)
+states, all of whose pairs it couples, so its components spread over about
+n diagonals.
+
+    chain, t                     1       4       8      16      32      64   whole
+    heisenberg-6, 1           3.58    3.47    3.34    3.50    3.40    3.69    3.65
+    heisenberg-8, 0.5         11.1    11.2    11.7    11.4    11.6    14.1    26.9
+    heisenberg-10, 0.5         120     118     111     109     118     112     388
+    groups of 2, n 1024, 0.5  89.4    75.9    69.3    63.7    64.7    72.8     181
+    groups of 4, n 256, 0.5   16.7    15.8    15.4    13.4    15.4    14.2    20.9
+
+Heisenberg's chains hardly depend on it, as its small components (of 1 and
+q states) hold few entries; many small components need blocks of a dozen
+states or more, as a product costs a call per block, and blocks much larger
+multiply zeros.
 
 DENSE_FILL is 0.1, from whole chains (eps 1e-8) switching at each share of
 n^2 or never: median ms (of 9 runs at 6-8 qubits, 5 at 10, 2 at 12, the
-shares taking turns) / tracemalloc peak in MiB.
+shares taking turns) / tracemalloc peak in MiB; heisenberg runs on blocks,
+tfim on whole grids.
 
     chain, t                 0.02        0.05         0.1         0.2         0.5       never
-    heisenberg-6, 0.5     2.2/0.3     2.2/0.3     2.2/0.3     2.6/0.3     3.1/0.3    19.3/0.4
-    tfim-6, 0.5           2.4/0.3     2.3/0.3     2.3/0.3     2.7/0.3     2.9/0.3    20.3/0.5
-    heisenberg-8, 0.5    15.6/3.2    16.5/3.2    16.5/3.2    16.9/3.2    18.6/3.2     210/4.9
-    tfim-8, 0.5          15.9/3.2    15.5/3.2    17.4/3.2    17.4/3.2    19.7/3.4     202/5.2
-    heisenberg-10, 0.5   422/48.6    421/48.6    430/48.6    480/48.6    485/48.6   5878/78.8
-    tfim-10, 0.5         453/48.8    447/48.8    452/48.8    467/48.8    552/60.8   5721/80.9
-    heisenberg-12, 0.25  7873/770    7827/770    7945/770    8486/770    9469/784
-    tfim-12, 0.25        7069/772    7032/772    6923/772    7187/772    8189/772
+    heisenberg-6, 0.5     3.5/0.2     3.6/0.2     3.5/0.2     3.6/0.2     4.2/0.4    23.0/0.7
+    heisenberg-8, 0.5     9.9/1.9     9.9/1.9    11.3/1.9    11.4/1.9    14.8/2.8     402/6.7
+    heisenberg-10, 0.5   120/28.2    118/28.2    121/28.2    155/28.2    253/47.0  12085/106
+    heisenberg-12, 0.25  1897/444    1936/444    2162/444    3332/531    5075/858
+    tfim-6, 0.5           2.5/0.3     2.4/0.3     2.4/0.3     3.1/0.3     3.5/0.3    22.6/0.7
+    tfim-8, 0.5          19.5/3.2    19.5/3.2    23.8/3.2    24.0/3.2    31.2/3.7     385/7.1
+    tfim-10, 0.5         401/48.8    455/48.8    423/48.8    519/48.8    588/62.9  11471/108
+    tfim-12, 0.25        8884/772    9065/772    9554/772    9476/772   11040/814
 
-From 0.02 to 0.1 the chains lie within 2% of each other at 10 and 12 qubits,
-where most of them switch after the same k, and 0.5 is slower at every size.
-At 8 qubits 0.05 beats 0.1 by 7-9% in alternating in-process pairs
-(heisenberg-8 and tfim-8 switch one step sooner), but it would switch a
-diagonal term of 4 qubits, 1/16 of n^2.  A term that never fills the share
-never switches, so a narrow chain allocates no O(n^2): maxcut's term is
-diagonal, 1/n of n^2.  From the switch the chain holds 48 n^2 bytes (the
-band 16, U 16, R_k and the grid its product goes into 8 each), where the
-term alone held at least 0.8 n^2; the packed chain's accumulator and sums
-reach more (the never column).  The trade: a chain whose term stalls
-between 0.1 and 0.5 of n^2 now holds those 48 n^2 where its packed term and
-U held under 12 n^2; the terms of heisenberg and tfim pass that range in two
-or three steps, and maxcut's never reaches it.
+0.5 is slower at every size.  0.02 and 0.05 beat 0.1 by 12-18% at 8
+qubits, where the term switches one step sooner, and by 5-12% at 12; at 10
+qubits the three lie within the spread of their runs.  But 0.05 would
+switch a diagonal term of 4 qubits, 1/16 of n^2, so 0.1 stays.  A term that
+never fills the share never switches, so a narrow chain allocates no
+O(n^2): maxcut's term is diagonal, 1/n of n^2.
+
+Memory.  From the switch a one-block chain holds 48 n^2 bytes (the band 16,
+U 16, R_k and the grid its product goes into 8 each), where the term alone
+held at least 0.8 n^2; the packed chain's accumulator and sums reach more
+(the never column).  The trade: a chain whose term stalls between 0.1 and
+0.5 of n^2 now holds those 48 n^2 where its packed term and U held under
+12 n^2; the terms of heisenberg and tfim pass that range in two or three
+steps, and maxcut's never reaches it.  Blocks of m_b states hold
+S = sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare
+and U's two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  For
+heisenberg, S is 0.199, 0.176 and 0.161 of n^2 at 8, 10 and 12 qubits, and
+the peaks at 0.1 fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2
+and 444; U is packed in the natural basis at the end, as large as before.
 """
 
 from __future__ import annotations
@@ -98,6 +143,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -106,7 +153,7 @@ from scipy.sparse._sparsetools import csr_matvecs
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
 from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, diagonal_view, drop_below,
-                      drop_zero_diagonals, from_dense, identity, one_norm)
+                      drop_zero_diagonals, identity, one_norm)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -115,6 +162,7 @@ TERM_CAP = 64
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
 DENSE_FILL = 0.1  # share of n^2 a real H's term stores when the chain turns dense
+MIN_BLOCK = 16  # states; smaller components of H share the dense chain's blocks
 
 
 @dataclass(frozen=True)
@@ -203,8 +251,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             made, live, nnze = stepped
         else:
             if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
-                t_k, u = from_dense(dense.r_t.T * 1j ** ((k - 1) % 2)), dense.take_u()
-                dense = None
+                (t_k, u), dense = dense.hand_back(k), None
             product = diag_matmul(t_k, m)
             made = product.offset_array
             t_k = product.scaled(1.0 / k)
@@ -244,7 +291,7 @@ def expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None, segmen
     u, records = taylor_expm(h, TaylorConfig(cfg.t / segments, cfg.terms, cfg.eps), grid)
     stage, counters = _fold((r.stage_cycles, r.counters) for r in records)
     mem = reduce(MemStats.__iadd__, (r.mem for r in records), MemStats())
-    return reduce(diag_matmul, [u] * segments), records, stage, counters, mem
+    return reduce(diag_matmul, repeat(u, segments - 1), u), records, stage, counters, mem
 
 
 def _fold(parts) -> tuple[StageCycles, dict]:
@@ -273,93 +320,251 @@ def _csr_t(h: DiagMatrix, t: float):
 
 
 def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t) into out: each entry starts
-    at +0.0 and adds its terms in ascending inner index, the order of spmspm.
-    It is scipy's kernel for q_t @ r_t, on a grid the chain reuses (_grid)."""
+    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or a block's rows of it) into
+    out: each entry starts at +0.0 and adds its terms in ascending inner index,
+    the order of spmspm.  It is scipy's kernel for q_t @ r_t, on a grid the
+    chain reuses (_grid)."""
     out.fill(0.0)
     n = len(out)
     csr_matvecs(n, n, n, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1), out.reshape(-1))
     return out
 
 
-def _grid(n: int, at: int) -> np.ndarray:
-    """A zero n x n float64 grid whose first entry lies at byte at of a 4 KiB
-    page.  A product whose entries lie a few bytes after its operand's, modulo
-    4 KiB, takes three times as long (false store-to-load dependencies), so
-    the chain's two R grids lie half a page apart."""
-    buf = np.zeros(n * n + 512)
+def _grid(shape: tuple[int, ...], at: int) -> np.ndarray:
+    """A zero float64 grid whose first entry lies at byte at of a 4 KiB page.
+    A product whose entries lie a few bytes after its operand's, modulo 4 KiB,
+    takes three times as long (false store-to-load dependencies), so the
+    chain's two R grids lie half a page apart."""
+    size = math.prod(shape)
+    buf = np.zeros(size + 512)
     skip = (at - buf.ctypes.data) % 4096 // 8
-    return buf[skip:skip + n * n].reshape(n, n)
+    return buf[skip:skip + size].reshape(shape)
+
+
+def _components(q_t) -> np.ndarray:
+    """Each state's connected component in Q^T's pattern, named by its least
+    state; a stored entry is an edge both ways, zero or not.  Each round hooks
+    every root to the least root across its edges, then points each state at
+    its new root, until no root moves (two rounds for heisenberg, tfim and
+    maxcut, 12 for a random path of 65,536 states)."""
+    n = q_t.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(q_t.indptr)), q_t.indices
+    label = np.arange(n)
+    while True:
+        a, b = label[rows], label[cols]
+        hooked = label.copy()
+        np.minimum.at(hooked, a, b)
+        np.minimum.at(hooked, b, a)
+        while not np.array_equal(hooked, jumped := hooked[hooked]):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _layout(q_t) -> _Band | _Blocks:
+    """_Blocks over the connected components of Q^T's pattern (_csr_t), those
+    under MIN_BLOCK states merged, in the order of their first states, into
+    blocks of MIN_BLOCK or more (the last may hold fewer); _Band if that
+    leaves one block."""
+    _, label = np.unique(_components(q_t), return_inverse=True)  # by first state
+    sizes = np.bincount(label)
+    if len(sizes) > 1:
+        block, blocks, small, fill = np.empty(len(sizes), np.int64), 0, -1, MIN_BLOCK
+        for c, size in enumerate(sizes.tolist()):
+            if size >= MIN_BLOCK:
+                block[c], blocks = blocks, blocks + 1
+                continue
+            if fill >= MIN_BLOCK:  # open a block for the small components
+                small, blocks, fill = blocks, blocks + 1, 0
+            block[c], fill = small, fill + size
+        if blocks > 1:
+            return _Blocks(q_t, block[label])
+    return _Band(q_t)
+
+
+class _Band:
+    """One block, the whole matrix: n x n grids, and from the first peaks a
+    band: n rows of pitch 2n - 1, each after n - 1 pads, then n - 1 more, whose
+    (n, 2n - 1) sheared view holds diagonal d of the transposed window (each
+    row's last n) in column n - 1 - d, pads elsewhere."""
+
+    def __init__(self, q_t):
+        n = self.n = q_t.shape[0]
+        self.shape, self.blocks, self.window = (n, n), [(0, n, (q_t, -q_t))], None
+
+    def peaks(self, grid: np.ndarray) -> np.ndarray:
+        """Each diagonal's largest |entry| of the grid's transpose, by offset;
+        NaN or inf where an entry is."""
+        n = self.n
+        if self.window is None:  # once the packed chain's buffers are gone
+            band = np.zeros(n * (2 * n - 1) + n - 1)
+            self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
+            self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
+        np.abs(grid, out=self.window)
+        return self.sheared.max(axis=0)[::-1]
+
+    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
+        """Zero the diagonals that drop marks, by offset + n - 1."""
+        for d in (np.flatnonzero(drop) + 1 - self.n).tolist():
+            diagonal_view(grid.T, d)[:] = 0.0
+
+    def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
+        """Write part (np.real or np.imag) of m's values into a zero grid."""
+        for d, vec in m.offset_views():
+            diagonal_view(grid.T, d)[:] = part(vec)
+
+    def unload(self, grid: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
+        """Write the grid's diagonals of these offsets into a zero packed buffer."""
+        bounds = buffer_starts(self.n, offsets).tolist()
+        for d, lo, hi in zip(offsets.tolist(), bounds, bounds[1:]):
+            out[lo:hi] = diagonal_view(grid.T, d)
+
+    def free(self) -> None:
+        self.window = self.sheared = None
+
+
+class _Rows(NamedTuple):
+    """A block's rows of Q^T in CSR, columns numbered within the block."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+class _Blocks:
+    """H's blocks: a grid is one flat buffer of per-block m x m grids, block
+    states s in ascending natural index, entry (i, c) holding (s_i, s_c) of
+    the transposed matrix; entries between blocks are +0.0 and not held.  at
+    maps each entry to its natural diagonal, offset + n - 1."""
+
+    def __init__(self, q_t, block: np.ndarray):
+        """From Q^T (_csr_t) and each state's block."""
+        n = self.n = q_t.shape[0]
+        order = np.argsort(block, kind="stable")  # by block, each ascending
+        sizes = np.bincount(block)
+        ends = np.cumsum(sizes)
+        local = np.empty(n, np.int64)
+        local[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
+        # Q^T's rows in that order, each keeping its entries in ascending
+        # column order, the columns numbered within the block
+        counts = np.diff(q_t.indptr)[order]
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(q_t.indptr.dtype)
+        take = np.repeat(q_t.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+        indices, data = local[q_t.indices[take]].astype(q_t.indices.dtype), q_t.data[take]
+        self.states, self.blocks, lo = [], [], 0
+        for m, end in zip(sizes.tolist(), ends.tolist()):
+            first, last = indptr[end - m], indptr[end]
+            rows = _Rows(indptr[end - m:end + 1] - first, indices[first:last], data[first:last])
+            self.blocks.append((lo, m, (rows, rows._replace(data=-rows.data))))
+            self.states.append(order[end - m:end])
+            lo += m * m
+        self.shape, self.mag = (lo,), None
+        self.at = np.concatenate([np.subtract.outer(s, s).ravel() for s in self.states]) + (n - 1)
+
+    def peaks(self, grid: np.ndarray) -> np.ndarray:
+        """_Band.peaks, over the blocks."""
+        if self.mag is None:  # once the packed chain's buffers are gone
+            self.mag = np.empty(self.shape)
+        peak = np.zeros(2 * self.n - 1)
+        np.maximum.at(peak, self.at, np.abs(grid, out=self.mag))
+        return peak
+
+    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
+        grid[drop[self.at]] = 0.0
+
+    def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
+        held, slots = self._slots(m.offset_array)
+        grid[held] = part(m.values)[slots]
+
+    def unload(self, grid: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
+        held, slots = self._slots(offsets)
+        out[slots] = grid[held]
+
+    def _slots(self, offsets: np.ndarray):
+        """Which entries lie on these diagonals, and where each lies in their
+        packed buffer: the diagonal's start plus min(row, col)."""
+        start = np.full(2 * self.n - 1, -1)
+        start[offsets + self.n - 1] = buffer_starts(self.n, offsets)[:-1]
+        slots = start[self.at]
+        held = slots >= 0
+        slots += np.concatenate([np.minimum.outer(s, s).ravel() for s in self.states])
+        return held, slots[held]
+
+    def free(self) -> None:
+        self.mag = None
 
 
 class _DenseChain:
     """R_k^T, the grid its product goes into (spare) and U^T's real and
-    imaginary planes as n x n float64 grids, and from the first step a band:
-    n rows of pitch 2n - 1, each after n - 1 pads, then n - 1 more, whose
-    (n, 2n - 1) sheared view holds diagonal d of the transposed window (each
-    row's last n) in column n - 1 - d, pads elsewhere.  +0.0 where a matrix
-    stores nothing, never -0.0.  Each matrix goes in, and U out, diagonal by
-    diagonal."""
+    imaginary planes as float64 grids of one layout (_layout): +0.0 where a
+    matrix stores nothing, never -0.0.  Each matrix goes in, and U and a
+    handed-back R_k out, through the layout's diagonal maps."""
 
     def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t):
         """From T_k, whose component k mod 2 is R_k, U and Q^T (_csr_t)."""
         n = self.n = t_k.dim
-        self.offsets, self.window = np.arange(1 - n, n), None
+        self.offsets = np.arange(1 - n, n)
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
-        self.u = [np.zeros((n, n)), np.zeros((n, n))]
-        self.r_t, self.spare = _grid(n, 0), _grid(n, 2048)
+        self.live = t_k.offset_array  # R_k's diagonals, each holding a nonzero
+        layout = self.layout = _layout(q_t)
+        self.u = [np.zeros(layout.shape), np.zeros(layout.shape)]
+        # each R grid with its blocks' m x m views, which _dense_product takes
+        self.r_t, self.spare = (
+            (grid, [grid.reshape(-1)[lo:lo + m * m].reshape(m, m) for lo, m, _ in layout.blocks])
+            for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
         for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
-                              (self.r_t, t_k, (np.real, np.imag)[k % 2])):
-            for d, vec in m.offset_views():
-                diagonal_view(grid.T, d)[:] = part(vec)
-        self.q_t = (q_t, -q_t)  # Q_k^T for even and odd k
+                              (self.r_t[0], t_k, (np.real, np.imag)[k % 2])):
+            layout.load(grid, m, part)
 
     def take_u(self) -> DiagMatrix:
         """U with each diagonal that holds a nonzero (from_dense's); spends the chain."""
-        self.r_t = self.spare = self.window = self.sheared = None  # R_k and the band go first
+        self.r_t = self.spare = None  # R_k and the layout's scratch go first
+        self.layout.free()
         offsets = self.offsets[self.stored]
-        bounds = buffer_starts(self.n, offsets).tolist()
-        values = np.empty(bounds[-1], COMPLEX)
-        (re, re_t), (im, im_t) = (values.real, self.u[0].T), (values.imag, self.u[1].T)
-        for d, lo, hi in zip(offsets.tolist(), bounds, bounds[1:]):
-            re[lo:hi] = diagonal_view(re_t, d)
-            im[lo:hi] = diagonal_view(im_t, d)
+        values = np.zeros(buffer_starts(self.n, offsets)[-1], COMPLEX)
+        self.layout.unload(self.u[0], offsets, values.real)
+        self.layout.unload(self.u[1], offsets, values.imag)
         return drop_zero_diagonals(DiagMatrix.packed(self.n, offsets, values))
+
+    def hand_back(self, k: int) -> tuple[DiagMatrix, DiagMatrix]:
+        """T_{k-1}, with R_{k-1} in component (k - 1) mod 2, and U (take_u), after
+        step k failed; spends the chain."""
+        values = np.zeros(buffer_starts(self.n, self.live)[-1])
+        self.layout.unload(self.r_t[0], self.live, values)
+        return DiagMatrix.packed(self.n, self.live, values * 1j ** ((k - 1) % 2)), self.take_u()
 
     def step(self, k: int):
         """R_k from R_{k-1}, the floor and U += T_k; returns the product's nonzero
         offsets, R_k's offsets and its nonzero count.  None, with R_{k-1} and U
         as they were, if the product is not finite (the packed chain raises) or
         its scaling underflows; DomainError, as the packed sum raises it, if U is not."""
-        n = self.n
-        if self.window is None:  # once the packed chain's buffers are gone
-            band = np.zeros(n * (2 * n - 1) + n - 1)
-            self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
-            self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
-        product = _dense_product(self.q_t[k % 2], self.r_t, self.spare)
+        layout, (product, outs), (_, ins) = self.layout, self.spare, self.r_t
+        for (_, _, q_ts), r_t, out in zip(layout.blocks, ins, outs):
+            _dense_product(q_ts[k % 2], r_t, out)
         try:
             with np.errstate(under="raise"):
                 product *= 1.0 / k
         except FloatingPointError:
             return None
-        np.abs(product, out=self.window)
-        peak = self.sheared.max(axis=0)[::-1]  # by offset; NaN or inf if an entry is
+        peak = layout.peaks(product)
         top = peak.max()
         if not np.isfinite(top):
             return None
-        self.r_t, self.spare = product, self.r_t  # R_{k-1} is spent
+        self.r_t, self.spare = self.spare, self.r_t  # R_{k-1} is spent
         live, made = peak > CANCEL_EPS * top, peak > 0
-        for d in self.offsets[made & ~live].tolist():
-            diagonal_view(product.T, d)[:] = 0.0
+        self.live, made_offsets = self.offsets[live], self.offsets[made]
+        if len(made_offsets) > len(self.live):  # live diagonals are made ones
+            layout.zero(product, made & ~live)
         self.stored |= live
         try:
             with np.errstate(over="raise"):  # finite U + R_k is finite unless it overflows
                 self.u[k % 2] += product
         except FloatingPointError:
             self.take_u()  # raises the DomainError of the packed chain's sum
-        nonzero = self.spare.reshape(-1).view(np.bool_)[:n * n]  # no new n^2 buffer
-        np.not_equal(product, 0.0, out=nonzero.reshape(n, n))
-        return self.offsets[made], self.offsets[live], int(np.count_nonzero(nonzero))
+        nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
+        np.not_equal(product, 0.0, out=nonzero.reshape(product.shape))
+        return made_offsets, self.live, int(np.count_nonzero(nonzero))
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

@@ -5,10 +5,14 @@ and an 8 x 8 grid with --trace and --product-out), expm and report --csv.
 expm runs heisenberg, tfim and maxcut at 4-6 qubits, functional and
 simulated, at t = 0.5 and t = -0.3, with --iters, --segments 2, --csv and
 --u-out in both DiaQ formats, plus one complex H (heisenberg-6 with a Y term
-on qubit 0), whose chain stays packed.  Each command's stdout and every file
-left in the run's directory is hashed with sha256, except Matrix Market
-files, whose text is scipy's.  The commands run in a fresh directory with
-relative names, so no output holds a path of the run.
+on qubit 0), whose chain stays packed.  Split inputs, whose dense chains run
+block by block, follow: heisenberg-8 at t = 0.5, functional and simulated on
+a 16 x 16 grid, heisenberg-10 at t = 0.5, functional, and a hand-built real H
+of two interleaved 20-state components and one 1-state component.  Each
+command's stdout and every file left in the run's directory is hashed with
+sha256, except Matrix Market files, whose text is scipy's.  The commands run
+in a fresh directory with relative names, so no output holds a path of the
+run.
 
 census_sha256.json holds the hashes.  A change that means to change an
 output rewrites it, from the tests directory:
@@ -19,13 +23,17 @@ output rewrites it, from the tests directory:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from diagsim import cli, diagio
+from diagsim.diagmat import from_coo
 from diagsim.hamiltonians import heisenberg_chain, pauli_to_diagmatrix, term
 
 RECORD = Path(__file__).resolve().parent / "census_sha256.json"
@@ -70,12 +78,39 @@ COMMANDS += [
     for name in [f"{model}{qubits}-{mode}{t}"]
 ]
 COMMANDS.append("expm --model tfim --qubits 4 --t -0.3 --u-out tfim4-u.json")
+COMMANDS += [
+    "expm --model heisenberg --qubits 8 --t 0.5 --functional-only --out h8-f.json "
+    "--u-out h8-f.diaq --csv h8-f.csv",
+    "expm --model heisenberg --qubits 8 --t 0.5 --grid-rows 16 --grid-cols 16 --out h8-s.json "
+    "--u-out h8-s.diaq --csv h8-s.csv",
+    "expm --model heisenberg --qubits 10 --t 0.5 --functional-only --out h10-f.json "
+    "--u-out h10-f.diaq",
+    "expm --h-file split.diaq --t 0.5 --functional-only --out split-f.json --u-out split-f.diaq "
+    "--csv split-f.csv",
+    "expm --h-file split.diaq --t -0.3 --grid-rows 8 --grid-cols 8 --out split-s.json "
+    "--u-out split-s-u.json --csv split-s.csv",
+]
+
+
+def split_h():
+    """A real symmetric H on 41 states whose components are the even states
+    but 20, the odd states, and state 20 alone; each state is coupled to
+    itself and to the next and the third-next state of its component."""
+    rows, cols = [20], [20]
+    for states in (np.setdiff1d(np.arange(0, 41, 2), [20]), np.arange(1, 41, 2)):
+        for i, j in itertools.product(range(len(states)), repeat=2):
+            if abs(i - j) in (0, 1, 3):
+                rows.append(states[i])
+                cols.append(states[j])
+    rows, cols = np.array(rows), np.array(cols)
+    return from_coo(41, rows, cols, np.cos(rows + cols) + 0.5 * (rows == cols))
 
 
 def write_inputs() -> None:
-    """The complex H: heisenberg-6 plus 0.3 Y on qubit 0."""
+    """The complex H, heisenberg-6 plus 0.3 Y on qubit 0, and the split H."""
     h = pauli_to_diagmatrix(heisenberg_chain(6) + [term(0.3, 6, q0="Y")], 6)
     diagio.save_matrix(h, "hy6.diaq")
+    diagio.save_matrix(split_h(), "split.diaq")
 
 
 def census() -> dict[str, str]:

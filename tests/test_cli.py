@@ -50,6 +50,26 @@ def test_failed_simulate_leaves_the_trace_path_as_it_was(tmp_path, capsys, exist
         ["h.diaq"] + (["t.jsonl"] if existing is not None else []))
 
 
+@pytest.mark.parametrize("command", ["matmul", "simulate"])
+def test_one_path_given_twice_is_read_once(tmp_path, monkeypatch, command):
+    # the same product as from two copies of the file, which are read twice
+    h = gen_benchmark("heisenberg", 5)
+    for name in ("h.diaq", "copy.diaq"):
+        save_matrix(h, str(tmp_path / name))
+    loads, real = [], cli.diagio.load_matrix
+    monkeypatch.setattr(cli.diagio, "load_matrix", lambda *args: loads.append(args) or real(*args))
+    products, reads = [], []
+    for b in ("h.diaq", "copy.diaq"):
+        out = tmp_path / f"{b}.out.diaq"
+        flag = "--out" if command == "matmul" else "--product-out"
+        argv = [command, str(tmp_path / "h.diaq"), str(tmp_path / b), flag, str(out)]
+        assert cli.main(argv) == 0
+        products.append(out.read_bytes())
+        reads.append(len(loads))
+    assert reads == [1, 3]
+    assert products[0] == products[1]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-150])
 def test_matmul_check_passes_at_any_scale(tmp_path, capsys, scale):
     # at 1e100 the product's entries near 1e200 overflow an unscaled norm

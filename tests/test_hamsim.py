@@ -1,8 +1,11 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
 from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
@@ -260,6 +263,26 @@ def test_expm_is_the_power_of_one_short_chain(model, qubits, segments, simulated
     assert (counters.get("multiplies", 0) > 0) == simulated
 
 
+def test_expm_folds_the_outer_power_without_a_list_of_segments(monkeypatch):
+    # 2**62 references would need 32 EiB; the fold reaches its first product
+    class Sentinel(Exception):
+        pass
+
+    def refuse(a, b):
+        raise Sentinel
+
+    chain = hamsim.taylor_expm
+
+    def then_refuse(*args):
+        result = chain(*args)
+        monkeypatch.setattr(hamsim, "diag_matmul", refuse)
+        return result
+
+    monkeypatch.setattr(hamsim, "taylor_expm", then_refuse)
+    with pytest.raises(Sentinel):
+        hamsim.expm(gen_benchmark("tfim", 3), TaylorConfig(terms=2), segments=2**62)
+
+
 @pytest.mark.parametrize("segments", [0, -4])
 def test_expm_rejects_fewer_than_one_segment(segments):
     with pytest.raises(DomainError, match=f"^--segments must be at least 1, got {segments}$"):
@@ -281,22 +304,60 @@ def test_complex_hamiltonian_keeps_the_complex_chain(monkeypatch, use_simulator)
     assert same_bits(u, complex_chain(h, 0.7, eps=1e-12)[0])
 
 
-def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(monkeypatch):
+def _split(monkeypatch, dense: np.ndarray, layout: str):
+    """H from a real dense grid ("whole"), or from the direct sum of the grid
+    with a copy of itself ("split"), the grid's states at the even states and
+    the copy's, reversed, at the odd ones, each copy one block of the dense
+    chain; and the number of blocks.  Diagonal d of the grid and -d of the
+    copy lie on diagonal 2d, so a symmetric grid's diagonals fall below the
+    floor together."""
+    if layout == "split":
+        n = len(dense)
+        pair = np.zeros((2 * n, 2 * n))
+        pair[:n, :n] = pair[n:, n:] = dense
+        order = np.empty(2 * n, np.int64)
+        order[0::2], order[1::2] = np.arange(n), np.arange(2 * n - 1, n - 1, -1)
+        dense = pair[np.ix_(order, order)]
+        monkeypatch.setattr(hamsim, "MIN_BLOCK", 1)
+    rows, cols = np.nonzero(dense)
+    return from_coo(len(dense), rows, cols, dense[rows, cols]), 1 + (layout == "split")
+
+
+def _raised(call) -> str:
+    """The DomainError text call() raises."""
+    with pytest.raises(DomainError) as raised:
+        call()
+    return str(raised.value)
+
+
+def _on_a_split_h(test):
+    """test's twin on the split H (_split): test runs as itself with layout
+    "split", under its own marks, as test_..._on_a_split_h."""
+    @functools.wraps(test)
+    def twin(**kwargs):
+        test(**kwargs, layout="split")
+
+    twin.__name__ = twin.__qualname__ = f"{test.__name__}_on_a_split_h"
+    return twin
+
+
+def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(monkeypatch,
+                                                                              layout="whole"):
     # entries near 1e-108 fill the band at once, and T_3's product holds
     # subnormals that the 1/3 scaling takes to zero (to -0.0 where negative)
     base = np.array([[1.0, -2.0, 0.5, 3.0], [-2.0, -1.0, 1.5, -0.5],
                      [0.5, 1.5, 2.0, -1.0], [3.0, -0.5, -1.0, 0.25]])
-    rows, cols = np.nonzero(base)
-    h = from_coo(4, rows, cols, base[rows, cols] * 1e-108)
+    h, blocks = _split(monkeypatch, base * 1e-108, layout)
     kinds, packed, dense = [], hamsim.diag_matmul, hamsim._dense_product
     monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: kinds.append("packed") or packed(a, b))
     monkeypatch.setattr(hamsim, "_dense_product",
-                        lambda *args: kinds.append("dense") or dense(*args))
+                        lambda q_t, r_t, out: kinds.append(r_t.shape) or dense(q_t, r_t, out))
     u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6))
     want, fields = complex_chain(h, 1.0, terms=6)
     # k = 3 runs twice; its complex 1/3 scaling adds the +0.0 other part to each
     # -0.0 it makes, so T_3 holds none and k = 4 is dense again
-    assert kinds == ["packed", "dense", "dense", "packed", "dense"]
+    step = [(4, 4)] * blocks
+    assert kinds == ["packed", *step, *step, "packed", *step]
     assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == fields
     assert same_bits(u, want)
 
@@ -305,39 +366,47 @@ def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(mo
 @pytest.mark.parametrize("signs", ["positive", "mixed"])
 @pytest.mark.parametrize("use_simulator", [False, True])
 def test_overflow_after_the_switch_raises_as_the_packed_chain_does(monkeypatch, signs,
-                                                                   use_simulator):
+                                                                   use_simulator, layout="whole"):
     # the band fills at k = 1; T_4's product overflows (to -inf, or with NaN
     # where signs mix), and the packed chain's product check names diagonal -3
+    # of the whole H
     base = np.arange(1.0, 17.0).reshape(4, 4)
     if signs == "mixed":
         base[::2, 1::2] *= -1
-    rows, cols = np.nonzero(base)
-    h = from_coo(4, rows, cols, base[rows, cols])
+    h, blocks = _split(monkeypatch, base, layout)
+    want = _raised(lambda: complex_chain(h, 1e100, terms=6))
+    assert layout == "split" or want == "diagonal -3 contains non-finite values"
     dense = _dense_calls(monkeypatch)
-    with pytest.raises(DomainError, match=r"^diagonal -3 contains non-finite values$"):
-        taylor_expm(h, TaylorConfig(t=1e100, terms=6), GridSetup() if use_simulator else None)
-    assert len(dense) == 3  # k = 2, 3 and the overflowing k = 4
+    got = _raised(lambda: taylor_expm(h, TaylorConfig(t=1e100, terms=6),
+                                      GridSetup() if use_simulator else None))
+    assert got == want
+    assert dense == [(4, 4)] * blocks * 3  # k = 2, 3 and the overflowing k = 4
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("use_simulator", [False, True])
-def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simulator):
+def test_sum_overflow_after_the_switch_raises_at_its_step(monkeypatch, use_simulator,
+                                                          layout="whole"):
     # rows 0 and 5 of H couple at 1.7e308 to a block that squares to -1, so
     # every product stays finite while U's entries in those rows sum, like
-    # sinh(1), past the float64 range at k = 3
+    # sinh(1), past the float64 range at k = 3; the packed chain names
+    # diagonal -4 of the whole H
     g = np.zeros((6, 6))
     g[1:5, 1:5] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     g[0, 1:5] = g[5, 1:5] = 1.7e308
-    rows, cols = np.nonzero(g)
-    h = from_coo(6, rows, cols, g[rows, cols])
+    h, blocks = _split(monkeypatch, g, layout)
+    want = _raised(lambda: complex_chain(h, 1.0, terms=6))
+    assert layout == "split" or want == "diagonal -4 contains non-finite values"
     dense = _dense_calls(monkeypatch)
-    with pytest.raises(DomainError, match=r"^diagonal -4 contains non-finite values$"):
-        taylor_expm(h, TaylorConfig(t=1.0, terms=6), GridSetup() if use_simulator else None)
-    assert len(dense) == 2  # k = 2 and 3, as the packed chain stops at k = 3
+    got = _raised(lambda: taylor_expm(h, TaylorConfig(t=1.0, terms=6),
+                                      GridSetup() if use_simulator else None))
+    assert got == want
+    assert dense == [(6, 6)] * blocks * 2  # k = 2 and 3, as the packed chain stops at k = 3
 
 
 @pytest.mark.parametrize("use_simulator", [False, True])
-def test_cancellation_floor_drops_diagonals_after_the_switch(monkeypatch, use_simulator):
+def test_cancellation_floor_drops_diagonals_after_the_switch(monkeypatch, use_simulator,
+                                                             layout="whole"):
     # a band of width 5 fills half of n^2 at k = 1; couplings near 1e-20 at
     # offset +-12 put diagonals 11..15 into T_2's product (and 7..10 under
     # real ones) far below the floor of 1e-14 times its largest entry
@@ -346,39 +415,102 @@ def test_cancellation_floor_drops_diagonals_after_the_switch(monkeypatch, use_si
     g = np.where(abs(i - j) <= 5, np.cos(i + 2 * j) / (1.0 + abs(i - j)), 0.0)
     g = g + g.T
     g[abs(i - j) == 12] = 1e-20 * (1 + (i + j) % 3)[abs(i - j) == 12]
-    rows, cols = np.nonzero(g)
-    h = from_coo(n, rows, cols, g[rows, cols])
+    h, blocks = _split(monkeypatch, g, layout)
     grid = GridSetup(rows=4, cols=4)
     want, fields = complex_chain(h, 0.7, eps=1e-12, grid=grid)
     dense = _dense_calls(monkeypatch)
     u, records = taylor_expm(h, TaylorConfig(t=0.7, eps=1e-12), grid if use_simulator else None)
-    assert len(dense) == len(records) - 1  # every step after k = 1 is dense
-    assert [r.nnzd for r in records[:3]] == [11, 21, 31]
+    assert dense == [(n, n)] * blocks * (len(records) - 1)  # every step after k = 1 is dense
+    if layout == "whole":
+        assert [r.nnzd for r in records[:3]] == [11, 21, 31]
     assert [(r.nnzd, r.nnze, r.storage_scalars) for r in records] == [f[:3] for f in fields]
     if use_simulator:
         assert [(r.stage_cycles, r.counters, r.mem) for r in records] == [f[3:] for f in fields]
     assert same_bits(u, want)
 
 
+test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel_on_a_split_h = \
+    _on_a_split_h(test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel)
+test_overflow_after_the_switch_raises_as_the_packed_chain_does_on_a_split_h = \
+    _on_a_split_h(test_overflow_after_the_switch_raises_as_the_packed_chain_does)
+test_sum_overflow_after_the_switch_raises_at_its_step_on_a_split_h = \
+    _on_a_split_h(test_sum_overflow_after_the_switch_raises_at_its_step)
+test_cancellation_floor_drops_diagonals_after_the_switch_on_a_split_h = \
+    _on_a_split_h(test_cancellation_floor_drops_diagonals_after_the_switch)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+def test_components_match_the_graph_oracle(n, density, seed):
+    # a random pattern, not symmetric, with stored zeros: the weak components
+    # of scipy's graph routine, each named by its least state
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(rng.random((n, n)) < density)
+    q_t = scipy.sparse.csr_array((rng.choice([0.0, 1.5, -2.0], len(rows)), (rows, cols)),
+                                 shape=(n, n))
+    count, label = connected_components(q_t, directed=True, connection="weak")
+    least = np.full(count, n)
+    np.minimum.at(least, label, np.arange(n))
+    assert hamsim._components(q_t).tolist() == least[label].tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_layout_agrees_with_the_band_layout(monkeypatch, seed):
+    # a sparse real matrix on three interleaved sets of states, loaded into
+    # both layouts: each diagonal's peak, the zeroing of marked diagonals and
+    # the packed values read back agree with the matrix, bit for bit
+    rng = np.random.default_rng(seed)
+    n, sets = 24, rng.integers(0, 3, 24)
+    coupled = (sets[:, None] == sets) & (rng.random((n, n)) < 0.4)
+    dense = np.where(coupled, rng.normal(size=(n, n)), 0.0)
+    rows, cols = np.nonzero(dense)
+    m = from_coo(n, rows, cols, dense[rows, cols])
+    monkeypatch.setattr(hamsim, "MIN_BLOCK", 1)
+    q_t = hamsim._csr_t(m, 1.0)
+    blocks, band = hamsim._layout(q_t), hamsim._Band(q_t)
+    assert isinstance(blocks, hamsim._Blocks) and len(blocks.blocks) >= 3
+    drop = rng.random(2 * n - 1) < 0.3
+    want = [np.abs(np.diagonal(dense, d)).max(initial=0.0) for d in range(1 - n, n)]
+    for layout in (blocks, band):
+        grid = np.zeros(layout.shape)
+        layout.load(grid, m, np.real)
+        assert layout.peaks(grid).tolist() == want
+        layout.zero(grid, drop)
+        got = np.zeros(m.storage_scalars)
+        layout.unload(grid, m.offset_array, got)
+        kept = np.repeat(~drop[m.offset_array + n - 1], np.diff(m.starts))
+        assert got.tobytes() == np.where(kept, m.values.real, 0.0).tobytes()
+
+
 # tracemalloc peaks of these chains as this test measures them, and as it
 # measured them while the dense chain held U as one complex128 array and R_k
 # in its band, and scipy copied R^T for each product; they spread by about
-# 2 kB from run to run, and one more 256 x 256 float64 buffer is 512 kB
-PEAKS = {"heisenberg": (3_346_000, 3_869_000), "tfim": (3_395_500, 4_270_500)}
+# 2 kB from run to run, and one more 256 x 256 float64 buffer is 512 kB.
+# heisenberg's chain runs on its magnetization blocks, 0.196 of n^2
+PEAKS = {"heisenberg": (1_949_000, 3_869_000), "tfim": (3_395_500, 4_270_500)}
 
 
-@pytest.mark.parametrize("model", PEAKS)
-def test_dense_chain_peak_memory_does_not_grow(model):
-    h, cfg = gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8)
+def _chain_peak(h: diagmat.DiagMatrix, cfg: TaylorConfig) -> int:
+    """The tracemalloc peak of a warm taylor_expm chain, in bytes."""
     taylor_expm(h, cfg)  # lazy imports and first-call caches
     tracemalloc.start()
     try:
         taylor_expm(h, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", PEAKS)
+def test_dense_chain_peak_memory_does_not_grow(model):
+    peak = _chain_peak(gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8))
     now, before = PEAKS[model]
     assert peak <= min(now + 32_000, before)
+
+
+def test_blocked_chain_peak_memory_at_ten_qubits():
+    # 29.6 MB measured; the whole-matrix chain took 50.9 MB (48 n^2 bytes and U)
+    assert _chain_peak(gen_benchmark("heisenberg", 10), TaylorConfig(t=0.5, eps=1e-8)) <= 40e6
 
 
 @settings(max_examples=200)
