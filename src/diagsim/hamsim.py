@@ -13,7 +13,8 @@ trajectory reflects genuine structure.
 expm is the series driver: one chain at t / segments, its U raised to the
 segments-th power by a left fold of diag_matmul, functionally and uncharged,
 and the chain's records summed into the run's stage cycles, counters and
-mem.
+mem.  The fold runs one product per segment after the first, so segments
+is capped at SEGMENT_CAP; a larger count is refused before the chain runs.
 
 A product's plan, its jobs' grid figures and its multiply count depend on
 nothing but n, the operands' offsets and the GridSetup, so a chain counts
@@ -159,6 +160,7 @@ from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_prod
 from .spmspm import diag_matmul, multiply_count
 
 TERM_CAP = 64
+SEGMENT_CAP = 1024  # most --segments: the outer power runs segments - 1 products
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
 DENSE_FILL = 0.1  # share of n^2 a real H's term stores when the chain turns dense
@@ -288,6 +290,8 @@ def expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None, segmen
     returns (U^segments, U's records, their summed stage cycles, counters and mem)."""
     if segments < 1:
         raise DomainError(f"--segments must be at least 1, got {segments}")
+    if segments > SEGMENT_CAP:
+        raise DomainError(f"--segments must be at most {SEGMENT_CAP}, got {segments}")
     u, records = taylor_expm(h, TaylorConfig(cfg.t / segments, cfg.terms, cfg.eps), grid)
     stage, counters = _fold((r.stage_cycles, r.counters) for r in records)
     mem = reduce(MemStats.__iadd__, (r.mem for r in records), MemStats())

@@ -10,9 +10,13 @@ back when evicted or its product ends, and a miss if written once evicted.
 
 A line is a plain (kind, tag, id) tuple: kind 'A' | 'B' | 'C', a matrix tag
 (epoch identity, which keeps the lines of chained products distinct) and the
-group id or output offset, which picks the set (id mod sets).  A and B lines
-are only read and C lines only written, and each product's C lines are
-flushed before the next, so a line is dirty exactly when it is a C line.
+group id or output offset, which picks the set (id mod sets).  The cache
+holds only the sets that hold a line, by index, so its memory and time follow
+the lines a run touches, not the set count.  The walks that build and apply a
+replay go in ascending index, the order of a list of all sets; stepping and
+flushing go in any order, as no set's outcome depends on another's.  A and
+B lines are only read and C lines only written, and each product's C lines
+are flushed before the next, so a line is dirty exactly when it is a C line.
 
 charge_job takes a whole product, whose jobs touch only its own lines: those
 with the product's tag for their kind.  Any other line only ages, keeping
@@ -28,6 +32,7 @@ as the same jobs object (hamsim._count_product): the memo holds it by id.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -77,11 +82,12 @@ class MemStats:
 
 
 class SetAssocCache:
-    """LRU cache; each set lists its lines least-recent first."""
+    """LRU cache; each set that holds a line lists them least-recent first,
+    under its index."""
 
     def __init__(self, config: CacheConfig = CacheConfig()):
         self.config = config
-        self._sets: list[list[tuple]] = [[] for _ in range(config.sets)]
+        self._sets: dict[int, list[tuple]] = {}  # never an empty list
         self._ever_seen: dict[tuple, set] = {}  # (kind, tag) -> ids of the lines charged
         self._memo: dict = {}  # charge_job: id(jobs) -> (own ids per kind, {key: result}, jobs)
         self.stats = MemStats()
@@ -99,10 +105,12 @@ def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
                                         "C": frozenset().union(*(o for *_, o in jobs))}, {}, jobs
     own, results, _ = memo
     seen = {kind: cache._ever_seen.setdefault((kind, tag), set()) for kind, tag in tags.items()}
-    others = [line for held in cache._sets for line in held if line[1] != tags[line[0]]]
+    others = [line for _, held in sorted(cache._sets.items()) for line in held
+              if line[1] != tags[line[0]]]
     place = {line: (line[0] == "C", i) for i, line in enumerate(others)}
     def renamed():  # own lines as (kind, id), any other line as its placeholder
-        return tuple(tuple(place.get(line) or line[::2] for line in held) for held in cache._sets)
+        return tuple([(s, tuple([place.get(line) or line[::2] for line in held]))
+                      for s, held in sorted(cache._sets.items())])
     key = renamed(), tuple(own[kind] & seen[kind] for kind in tags)
     if key not in results:
         before = cache.stats.snapshot()
@@ -111,8 +119,8 @@ def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
         return deltas
     deltas, total, after = results[key]
     cache.stats += total
-    cache._sets = [[(p[0], tags[p[0]], p[1]) if p[0] in tags else others[p[1]] for p in held]
-                   for held in after]
+    cache._sets = {s: [(p[0], tags[p[0]], p[1]) if p[0] in tags else others[p[1]] for p in held]
+                   for s, held in after}
     for kind, ids in own.items():
         seen[kind] |= ids
     return deltas
@@ -127,47 +135,59 @@ def _step_jobs(cache: SetAssocCache, jobs: tuple, tags: dict, seen: dict) -> lis
     as a fresh partial, and evicts the line `ways` accesses before it: the
     counts, write-backs and the set's last `ways` lines follow in closed form."""
     cfg, sets, ways, c_tag = cache.config, cache.config.sets, cache.config.ways, tags["C"]
-    deltas = []
+    seen_c, deltas = seen["C"], []
     for a_group, b_group, offsets in jobs:
-        job = MemStats()
-        reads, writes = [[] for _ in range(sets)], [[] for _ in range(sets)]
+        hits = misses = compulsory = dirty = 0  # dirty: C lines evicted, so written back
+        reads = {}  # set index -> how many of the job's two reads it takes
         for line in (("A", tags["A"], a_group), ("B", tags["B"], b_group)):
-            reads[line[2] % sets].append(line)
+            kind, _, i = line
+            reads[i % sets] = reads.get(i % sets, 0) + 1
+            held = cache._sets.setdefault(i % sets, [])
+            if line in held:
+                held.remove(line)
+                hits += 1
+            else:
+                misses += 1
+                compulsory += i not in seen[kind]
+                seen[kind].add(i)
+                if len(held) == ways and held.pop(0)[0] == "C":
+                    dirty += 1
+            held.append(line)
+        writes = defaultdict(list)  # set index -> the job's output offsets in it
         for dc in offsets:
             writes[dc % sets].append(dc)
-        for held, set_reads, set_writes in zip(cache._sets, reads, writes):
-            stepped = max(ways - len(set_reads), 0)  # C lines among the first `ways`
-            for line in set_reads + [("C", c_tag, dc) for dc in set_writes[:stepped]]:
-                kind, _, i = line
-                latency = cfg.hit_cycles
+        for s, set_writes in writes.items():  # sets are independent: any order
+            held = cache._sets.setdefault(s, [])
+            # C lines among the set's first `ways` accesses
+            stepped = max(ways - reads[s], 0) if s in reads else ways
+            for dc in set_writes[:stepped]:
+                line = ("C", c_tag, dc)
                 if line in held:
                     held.remove(line)
-                    job.hits += 1
+                    hits += 1
                 else:
-                    if kind == "C" and i not in seen["C"]:  # a fresh partial: no fetch
-                        job.hits += 1
-                    else:
-                        job.misses += 1
-                        job.compulsory_misses += i not in seen[kind]
-                        job.dram_reads += 1
-                        latency = cfg.miss_penalty_cycles + cfg.dram_cycles
-                    seen[kind].add(i)
-                    if len(held) == ways and held.pop(0)[0] == "C":  # evicts a dirty line
-                        job.dram_writes += 1
-                        latency += cfg.dram_cycles
+                    if dc in seen_c:  # seen, so never compulsory
+                        misses += 1
+                    else:  # a fresh partial: no fetch
+                        hits += 1
+                        seen_c.add(dc)
+                    if len(held) == ways and held.pop(0)[0] == "C":
+                        dirty += 1
                 held.append(line)
-                job.stall_cycles += latency
             late = set_writes[stepped:]
             if not late:
                 continue
-            count = len(seen["C"])
-            seen["C"].update(late)
-            fresh = len(seen["C"]) - count  # fresh partials allocate as hits
-            misses, dirty = len(late) - fresh, max(len(set_writes) - ways, 0)  # C lines evicted
-            job += MemStats(fresh, misses, 0, misses, dirty,
-                            fresh * cfg.hit_cycles + dirty * cfg.dram_cycles
-                            + misses * (cfg.miss_penalty_cycles + cfg.dram_cycles))
-            held[:] = (set_reads + [("C", c_tag, dc) for dc in set_writes[-ways:]])[-ways:]
+            count = len(seen_c)
+            seen_c.update(late)
+            fresh = len(seen_c) - count  # fresh partials allocate as hits
+            hits, misses = hits + fresh, misses + len(late) - fresh
+            dirty += max(len(set_writes) - ways, 0)
+            # held ends with the set's `ways` latest accesses; each late line evicts one
+            held[:] = (held + [("C", c_tag, dc) for dc in late[-ways:]])[-ways:]
+        # a hit costs hit_cycles, a miss a penalty and a DRAM read, a write-back a DRAM write
+        job = MemStats(hits, misses, compulsory, misses, dirty,
+                       hits * cfg.hit_cycles + dirty * cfg.dram_cycles
+                       + misses * (cfg.miss_penalty_cycles + cfg.dram_cycles))
         cache.stats += job
         deltas.append(job)
     return deltas
@@ -176,11 +196,11 @@ def _step_jobs(cache: SetAssocCache, jobs: tuple, tags: dict, seen: dict) -> lis
 def flush_product(cache: SetAssocCache, c_tag: str) -> int:
     """Write the finished product's partials back to DRAM and drop them, end
     of a full multiply; returns how many.  They re-enter as a fresh epoch."""
-    written = 0
-    for held in cache._sets:
-        kept = [line for line in held if line[0] != "C" or line[1] != c_tag]
-        written += len(held) - len(kept)
-        held[:] = kept
+    held_before = sum(map(len, cache._sets.values()))
+    # a set left without a line is dropped
+    cache._sets = {s: kept for s, held in cache._sets.items()
+                   if (kept := [line for line in held if line[0] != "C" or line[1] != c_tag])}
+    written = held_before - sum(map(len, cache._sets.values()))
     cache.stats.dram_writes += written
     cache.stats.stall_cycles += written * cache.config.dram_cycles
     return written

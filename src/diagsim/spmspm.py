@@ -36,19 +36,37 @@ visited in ascending order.)  Ascending dA is ascending inner index, from an
 accumulator at +0.0: the order hamsim's dense Taylor product keeps, which is
 why that product is bit-identical to this one (hamsim module docstring).
 
+Real operands: when every imaginary part of both operands is +-0.0 (one
+``.imag.any()`` per operand), A's block layout, B's diagonals and the step
+products are float64, and they accumulate into the accumulator's real plane.
+This is bit-identical to the complex path.  In a complex product of such
+values a*b the extra terms Im(a)Im(b), Re(a)Im(b) and Im(a)Re(b) are exact
+zeros, so its real part is Re(a)Re(b) rounded once (a zero's sign aside) and
+its imaginary part is a zero.  An accumulator that starts at +0.0 never holds
+-0.0: +0.0 + -0.0 is +0.0, and x + (-x) is +0.0 under round-to-nearest.  So
+adding a zero of either sign leaves every entry's bits as they were, the real
+plane receives the same sums as in the complex path, and the imaginary plane
+stays +0.0.  Overflow gives the same infinities, and the same DomainError.
+
 Memory: operands are read from their flat value buffers (see ``diagmat``):
 a block of A is one buffer slice scattered into its layout, and a diagonal
-of B is a slice view.  The accumulator holds one length-N row per output
-offset plus the scratch row; other temporaries stay within about BLOCK x N
-values.  The kept (not all-zero) rows are gathered into one exact-length
-buffer that becomes the product's value buffer as it is.
+of B is a slice view (of one contiguous copy of B's real parts on the real
+path).  The accumulator is one flat buffer, read as one length-N row per
+output offset plus the scratch row; other temporaries stay within about
+BLOCK x N values.  After the loop the kept (not all-zero) rows move forward
+into packed order, in ascending offset, inside the accumulator.  Row i's
+values start at i N + max(0, d) and pack to the summed lengths of the kept
+rows before it, at most i N, so no move overwrites a value not yet moved.
+``ndarray.resize`` then shrinks the accumulator to the packed length, and it
+becomes the product's value buffer as it is: no padding is retained and no
+second buffer is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagmat import COMPLEX, DiagMatrix
+from .diagmat import COMPLEX, DiagMatrix, buffer_starts
 from .errors import ShapeError
 
 # diagonals of A laid out, and multiplied, per array operation
@@ -69,18 +87,19 @@ def _window(offsets: np.ndarray, n: int) -> np.ndarray:
     """(len(offsets), n) mask of the columns each diagonal fills when laid out.
 
     Row-major order over the mask is the order of the diagonals' values
-    concatenated, so one boolean index scatters or gathers them all.
+    concatenated, so one boolean index scatters them all.
     """
     start = np.maximum(0, offsets)
     j = np.arange(n)
     return (j >= start[:, None]) & (j < (start + n - np.abs(offsets))[:, None])
 
 
-def _layout(m: DiagMatrix, lo: int, hi: int) -> np.ndarray:
-    """Diagonals lo..hi-1 of m as the rows of a zero-padded (hi - lo, n) array."""
+def _layout(m: DiagMatrix, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Diagonals lo..hi-1 of m, read from values (m's buffer or its real
+    parts), as the rows of a zero-padded (hi - lo, n) array."""
     mask = _window(m.offset_array[lo:hi], m.dim)
-    out = np.zeros(mask.shape, dtype=COMPLEX)
-    out[mask] = m.values[m.starts[lo]:m.starts[hi]]
+    out = np.zeros(mask.shape, dtype=values.dtype)
+    out[mask] = values[m.starts[lo]:m.starts[hi]]
     return out
 
 
@@ -99,19 +118,28 @@ def diag_matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     out_offsets = out_offsets[np.abs(out_offsets) < n]
     slot = np.searchsorted(out_offsets, sums)
     slot[np.abs(sums) >= n] = len(out_offsets)  # the scratch row
-    acc = np.zeros((len(out_offsets) + 1, n), dtype=COMPLEX)
+    flat = np.zeros((len(out_offsets) + 1) * n, dtype=COMPLEX)
+    if a.values.imag.any() or b.values.imag.any():
+        a_values, b_values, acc = a.values, b.values, flat
+    else:  # real operands (module docstring)
+        a_values, b_values, acc = a.values.real, b.values.real.copy(), flat.real
+    acc = acc.reshape(-1, n)
     b_starts = b.starts.tolist()
     for i0 in range(0, a.nnzd, BLOCK):
-        block = _layout(a, i0, min(i0 + BLOCK, a.nnzd))
+        block = _layout(a, a_values, i0, min(i0 + BLOCK, a.nnzd))
         for j in range(b.nnzd - 1, -1, -1):
-            db, b_vals = b.offsets[j], b.values[b_starts[j]:b_starts[j + 1]]
+            db, b_vals = b.offsets[j], b_values[b_starts[j]:b_starts[j + 1]]
             lo, hi = max(0, -db), n - max(0, db)
             acc[slot[i0:i0 + BLOCK, j], lo + db:hi + db] += block[:, lo:hi] * b_vals
-    keep = acc[:-1].any(axis=1)
-    mask = _window(out_offsets, n) & keep[:, None]
-    values = acc[:-1][mask]
-    del acc
-    return DiagMatrix.packed(n, out_offsets[keep], values)
+    kept = np.flatnonzero(acc[:-1].any(axis=1))
+    del acc  # the last view of flat: resize may move it
+    offsets = out_offsets[kept]
+    starts = buffer_starts(n, offsets)
+    sources = kept * n + np.maximum(offsets, 0)
+    for to, src, length in zip(starts.tolist(), sources.tolist(), np.diff(starts).tolist()):
+        flat[to:to + length] = flat[src:src + length]
+    flat.resize(starts[-1], refcheck=False)
+    return DiagMatrix.packed(n, offsets, flat)
 
 
 def dense_matmul_oracle(a, b) -> np.ndarray:

@@ -8,7 +8,12 @@ simulated, at t = 0.5 and t = -0.3, with --iters, --segments 2, --csv and
 on qubit 0), whose chain stays packed.  Split inputs, whose dense chains run
 block by block, follow: heisenberg-8 at t = 0.5, functional and simulated on
 a 16 x 16 grid, heisenberg-10 at t = 0.5, functional, and a hand-built real H
-of two interleaved 20-state components and one 1-state component.  Each
+of two interleaved 20-state components and one 1-state component.  Last come
+products that reach each side of the kernel's real/complex choice: the real
+heisenberg-8 squared (77 diagonals, so A is laid out in two blocks) times
+heisenberg-8, a complex U times the real h6 in both orders, and a real H whose
+imaginary parts and stored zeros all hold -0.0, through matmul and through
+simulate --product-out.  Each
 command's stdout and every file left in the run's directory is hashed with
 sha256, except Matrix Market files, whose text is scipy's.  The commands run
 in a fresh directory with relative names, so no output holds a path of the
@@ -33,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from diagsim import cli, diagio
-from diagsim.diagmat import from_coo
+from diagsim.diagmat import DiagMatrix, from_coo
 from diagsim.hamiltonians import heisenberg_chain, pauli_to_diagmatrix, term
 
 RECORD = Path(__file__).resolve().parent / "census_sha256.json"
@@ -90,6 +95,15 @@ COMMANDS += [
     "expm --h-file split.diaq --t -0.3 --grid-rows 8 --grid-cols 8 --out split-s.json "
     "--u-out split-s-u.json --csv split-s.csv",
 ]
+COMMANDS += [
+    "gen heisenberg 8 --out h8.diaq",
+    "matmul h8.diaq h8.diaq --out h8h8.diaq",
+    "matmul h8h8.diaq h8.diaq --out h8h8h8.diaq",
+    "matmul heisenberg6-f0.5.diaq h6.diaq --out uh6.diaq --check",
+    "matmul h6.diaq heisenberg6-f0.5.diaq --out h6u.diaq --check",
+    "matmul nz.diaq nz.diaq --out nznz.diaq --check",
+    "simulate nz.diaq nz.diaq --grid-rows 8 --grid-cols 8 --product-out nznz-sim.diaq",
+]
 
 
 def split_h():
@@ -106,11 +120,22 @@ def split_h():
     return from_coo(41, rows, cols, np.cos(rows + cols) + 0.5 * (rows == cols))
 
 
+def negative_zero_h():
+    """Heisenberg-5 with -0.0 in every imaginary part and in every stored zero."""
+    h = pauli_to_diagmatrix(heisenberg_chain(5), 5)
+    values = h.values.copy()
+    values.imag = -0.0
+    values.real[values.real == 0] = -0.0
+    return DiagMatrix.packed(h.dim, h.offsets, values)
+
+
 def write_inputs() -> None:
-    """The complex H, heisenberg-6 plus 0.3 Y on qubit 0, and the split H."""
+    """The complex H, heisenberg-6 plus 0.3 Y on qubit 0, the split H and the
+    H of negative zeros."""
     h = pauli_to_diagmatrix(heisenberg_chain(6) + [term(0.3, 6, q0="Y")], 6)
     diagio.save_matrix(h, "hy6.diaq")
     diagio.save_matrix(split_h(), "split.diaq")
+    diagio.save_matrix(negative_zero_h(), "nz.diaq")
 
 
 def census() -> dict[str, str]:

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -391,6 +392,18 @@ def test_qubits_without_model_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--qubits" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_huge_segments_exit_2_with_one_line_at_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["expm", "--model", "tfim", "--qubits", "3", "--functional-only",
+            "--segments", str(2**62)]
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.DATA_EXIT
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: --segments must be at most {hamsim.SEGMENT_CAP}, got {2**62}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

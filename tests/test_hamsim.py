@@ -263,24 +263,23 @@ def test_expm_is_the_power_of_one_short_chain(model, qubits, segments, simulated
     assert (counters.get("multiplies", 0) > 0) == simulated
 
 
-def test_expm_folds_the_outer_power_without_a_list_of_segments(monkeypatch):
-    # 2**62 references would need 32 EiB; the fold reaches its first product
-    class Sentinel(Exception):
-        pass
+@pytest.mark.parametrize("segments", [hamsim.SEGMENT_CAP + 1, 2**62])
+def test_expm_rejects_more_segments_than_the_cap(segments, monkeypatch):
+    # refused before the chain: a count of 2**62 would otherwise fold for ever
+    monkeypatch.setattr(hamsim, "taylor_expm", None)
+    with pytest.raises(DomainError, match=f"^--segments must be at most "
+                                          f"{hamsim.SEGMENT_CAP}, got {segments}$"):
+        hamsim.expm(gen_benchmark("tfim", 3), TaylorConfig(terms=2), segments=segments)
 
-    def refuse(a, b):
-        raise Sentinel
 
-    chain = hamsim.taylor_expm
-
-    def then_refuse(*args):
-        result = chain(*args)
-        monkeypatch.setattr(hamsim, "diag_matmul", refuse)
-        return result
-
-    monkeypatch.setattr(hamsim, "taylor_expm", then_refuse)
-    with pytest.raises(Sentinel):
-        hamsim.expm(gen_benchmark("tfim", 3), TaylorConfig(terms=2), segments=2**62)
+def test_expm_runs_the_cap_of_segments():
+    h, cfg = gen_benchmark("tfim", 3), TaylorConfig(t=0.5, terms=4)
+    u = hamsim.expm(h, cfg, segments=hamsim.SEGMENT_CAP)[0]
+    step = taylor_expm(h, TaylorConfig(t=0.5 / hamsim.SEGMENT_CAP, terms=4))[0]
+    want = step
+    for _ in range(hamsim.SEGMENT_CAP - 1):
+        want = diag_matmul(want, step)
+    assert same_bits(u, want)
 
 
 @pytest.mark.parametrize("segments", [0, -4])

@@ -1,6 +1,8 @@
 """The per-access LRU oracle, access by access, and memory.charge_job, which
 charges a whole product, and flush_product against it."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -105,15 +107,29 @@ def test_empty_geometry_rejected(field):
         CacheConfig(**{field: 0})
 
 
+def test_cache_memory_follows_the_lines_not_the_set_count():
+    tracemalloc.start()
+    try:
+        cache = SetAssocCache(CacheConfig(sets=10**6))
+        charge_job(cache, ((0, 1, (-3, 0, 5)),), "A", "B", "C")
+        flush_product(cache, "C")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def _state(cache):
-    """Each set's lines in LRU order with their dirty bits, the lines ever seen,
-    the stats.  A counted cache keeps no dirty bits: its C lines are dirty."""
-    sets = [list(held.items()) if isinstance(held, dict)
-            else [(line, line[0] == "C") for line in held] for held in cache._sets]
-    assert all(type(line) is tuple for held in sets for line, _ in held)
-    seen = cache._ever_seen
-    if isinstance(seen, dict):  # a counted cache keeps each (kind, tag)'s ids
-        seen = {(kind, tag, i) for (kind, tag), ids in seen.items() for i in ids}
+    """Each set that holds a line, by index: its lines in LRU order with their
+    dirty bits; the lines ever seen; the stats.  A counted cache keeps only
+    the sets that hold a line and no dirty bits: its C lines are dirty."""
+    if isinstance(cache, PerAccessCache):
+        sets = {s: list(held.items()) for s, held in enumerate(cache._sets) if held}
+        seen = cache._ever_seen
+    else:
+        sets = {s: [(line, line[0] == "C") for line in held] for s, held in cache._sets.items()}
+        seen = {(kind, tag, i) for (kind, tag), ids in cache._ever_seen.items() for i in ids}
+    assert all(type(line) is tuple for held in sets.values() for line, _ in held)
     assert all(type(line) is tuple for line in seen)
     return sets, seen, cache.stats
 
@@ -167,3 +183,21 @@ def test_counted_charge_matches_the_per_access_oracle(sets, ways, warm, chain):
         if k:
             assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
             assert _state(counted) == _state(oracle)
+
+
+@settings(max_examples=100)
+@given(ways=st.integers(1, 4), warm=PRODUCTS, chain=CHAINS)
+def test_a_huge_set_count_charges_like_one_set_per_id(ways, warm, chain):
+    # ids lie in [-7, 7], so under 16 sets and under 10**5 sets two ids share a
+    # set exactly when they are equal: the same lines share a set, under other
+    # indices
+    counted = SetAssocCache(CacheConfig(sets=10**5, ways=ways))
+    oracle = PerAccessCache(CacheConfig(sets=16, ways=ways))
+    for k, jobs in enumerate([warm, *chain]):
+        tags = ("T1", "V", "W") if k == 0 else (f"T{k - 1}", "M", f"T{k}")
+        assert (charge_job(counted, jobs, *tags)
+                == charge_product_oracle(oracle, jobs, *tags))
+        if k:
+            assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
+        (got, *rest), (want, *want_rest) = _state(counted), _state(oracle)
+        assert sorted(got.values()) == sorted(want.values()) and rest == want_rest

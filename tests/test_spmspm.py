@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagsim import (DiagMatrix, Diagonal, dense_matmul_oracle, diag_matmul, from_dense,
-                     hamsim, identity, multiply_count, spmspm, to_dense)
+                     gen_benchmark, hamsim, identity, multiply_count, spmspm, to_dense)
 from diagsim.errors import DomainError, ShapeError
 
 from conftest import (minkowski, overlap_range, pair_loop_matmul, pair_products,
@@ -124,13 +126,28 @@ def _check_against_oracles(a, b):
 
 @st.composite
 def operand_pairs(draw, real=False):
-    """Random operands of one dim, from empty to every diagonal present."""
+    """Random operands of one dim, from empty to every diagonal present.  Real
+    ones hold imaginary parts of +0.0 and -0.0, and stored zeros of either
+    sign, subnormals and values whose products underflow among their real parts."""
     n = draw(st.integers(1, 40))
     offsets = st.lists(st.integers(-(n - 1), n - 1), max_size=2 * n - 1, unique=True)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rand_matrix(rng, n, offsets=sorted(draw(offsets)), real=real)
     b = rand_matrix(rng, n, offsets=sorted(draw(offsets)), real=real)
+    if real:
+        a, b = (_with_signed_zeros(rng, m) for m in (a, b))
     return a, b
+
+
+def _with_signed_zeros(rng, m):
+    values = m.values.copy()
+    values.imag = np.where(rng.integers(0, 2, len(values)), -0.0, 0.0)
+    re, kind = values.real, rng.integers(0, 5, len(values))
+    re[kind == 1] = 0.0
+    re[kind == 2] = -0.0
+    re[kind == 3] = 5e-324 * rng.integers(-3, 4, np.count_nonzero(kind == 3))
+    re[kind == 4] *= 1e-160
+    return DiagMatrix.packed(m.dim, m.offsets, values)
 
 
 class TestKernelAgainstOracles:
@@ -204,6 +221,23 @@ class TestKernelAgainstOracles:
             diag_matmul(a, b)
         with pytest.raises(DomainError):
             diag_matmul(b, a)
+
+
+def test_product_owns_exactly_its_buffer_and_peaks_under_the_padded_bound():
+    # the accumulator is packed in place and shrunk to the product's length:
+    # no padding stays behind and no second buffer of the product is built
+    h = gen_benchmark("tfim", 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = diag_matmul(h, h)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.values.base is None and c.values.flags.owndata
+    assert c.storage_scalars == sum(h.dim - abs(d) for d in c.offsets)
+    assert held - before < c.values.nbytes + 64 * 1024  # offsets and the matrix object
+    assert peak - before < 1.75 * c.values.nbytes
 
 
 class TestWorkCount:
