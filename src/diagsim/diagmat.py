@@ -180,7 +180,7 @@ class DiagMatrix:
 
 
 def diagonal_view(grid: np.ndarray, d: int) -> np.ndarray:
-    """Diagonal d of a square grid, strided or not, as a view that is writable
+    """Diagonal d of a grid, strided or not, as a view that is writable
     when grid is: entry r is grid[r + max(0, -d), r + max(0, d)]."""
     view = grid.diagonal(d)
     view.flags.writeable = grid.flags.writeable

@@ -43,7 +43,8 @@ Q_k, plus a product with a zero factor, and the kernel's accumulator starts
 at +0.0 (x + -0.0 = x), so T_k's component is R_k bit for bit and its other
 one is +0.0.
 
-Once such a term stores DENSE_FILL n^2 scalars (k < K, and no -0.0 in it or
+Once such a term stores its share of n^2 scalars (DENSE_FILL if its band grew
+in its last step, STALLED times that if not; k < K, and no -0.0 in it or
 U), R_k, taken from T_k's nonzero component, and U are held dense
 (_DenseChain) and U is packed once, at the end.  A product is then
 Q_k^T R^T with Q^T built in CSR straight from t Re(H), its column indices
@@ -103,45 +104,88 @@ q states) hold few entries; many small components need blocks of a dozen
 states or more, as a product costs a call per block, and blocks much larger
 multiply zeros.
 
-DENSE_FILL is 0.1, from whole chains (eps 1e-8) switching at each share of
-n^2 or never: median ms (of 9 runs at 6-8 qubits, 5 at 10, 2 at 12, the
-shares taking turns) / tracemalloc peak in MiB; heisenberg runs on blocks,
-tfim on whole grids.
+DENSE_FILL is 0.02 and STALLED 5, from whole chains (eps 1e-8) under each
+rule: one share of 0.1 for every term (the rule before), or 0.05 or 0.02
+for a term that grew and 0.1 for one that did not; median ms (of 9 runs at
+6-8 qubits, 5 at 10, 2 at 12, the rules taking turns) / tracemalloc peak in
+MiB, and the step that switches.  heisenberg runs on blocks, tfim on whole
+grids, and steps of 2^18 entries or more on two threads.
 
-    chain, t                 0.02        0.05         0.1         0.2         0.5       never
-    heisenberg-6, 0.5     3.5/0.2     3.6/0.2     3.5/0.2     3.6/0.2     4.2/0.4    23.0/0.7
-    heisenberg-8, 0.5     9.9/1.9     9.9/1.9    11.3/1.9    11.4/1.9    14.8/2.8     402/6.7
-    heisenberg-10, 0.5   120/28.2    118/28.2    121/28.2    155/28.2    253/47.0  12085/106
-    heisenberg-12, 0.25  1897/444    1936/444    2162/444    3332/531    5075/858
-    tfim-6, 0.5           2.5/0.3     2.4/0.3     2.4/0.3     3.1/0.3     3.5/0.3    22.6/0.7
-    tfim-8, 0.5          19.5/3.2    19.5/3.2    23.8/3.2    24.0/3.2    31.2/3.7     385/7.1
-    tfim-10, 0.5         401/48.8    455/48.8    423/48.8    519/48.8    588/62.9  11471/108
-    tfim-12, 0.25        8884/772    9065/772    9554/772    9476/772   11040/814
+    chain, t                   0.1          0.05, 0.1         0.02, 0.1
+    heisenberg-6, 0.5     2.5/0.2 k=1      2.5/0.2 k=1      2.4/0.2 k=1
+    heisenberg-8, 0.5     8.4/1.9 k=2      7.1/1.9 k=1      7.2/1.9 k=1
+    heisenberg-10, 0.5   102/28.2 k=2     102/28.2 k=2     101/28.2 k=2
+    heisenberg-12, 0.25  1444/444 k=3     1367/444 k=3     1092/444 k=2
+    tfim-6, 0.5           2.8/0.3 k=1      2.8/0.3 k=1      2.8/0.3 k=1
+    tfim-8, 0.5          20.0/3.3 k=2     19.0/3.3 k=1     18.8/3.3 k=1
+    tfim-10, 0.5          313/49.0 k=2     324/49.0 k=2     293/49.0 k=2
+    tfim-12, 0.25        4312/772 k=3     4002/772 k=2     3974/772 k=2
 
-0.5 is slower at every size.  0.02 and 0.05 beat 0.1 by 12-18% at 8
-qubits, where the term switches one step sooner, and by 5-12% at 12; at 10
-qubits the three lie within the spread of their runs.  But 0.05 would
-switch a diagonal term of 4 qubits, 1/16 of n^2, so 0.1 stays.  A term that
-never fills the share never switches, so a narrow chain allocates no
-O(n^2): maxcut's term is diagonal, 1/n of n^2.
+Switching one step sooner saves 5-15% at 8 qubits and 8-24% at 12; at 6
+and 10 qubits every rule switches at the same step.  One share of 0.02 or
+0.05 would switch a diagonal term of 4 qubits, 1/16 of n^2, and of 5, 1/32:
+such a term never grows from I, so it keeps the share of 0.1, as does
+maxcut's at every size.  A term that never fills its share never switches,
+so a narrow chain allocates no O(n^2).
+
+Threads.  A step whose grids hold THREAD_MIN entries or more runs on
+_threads() threads, the CPUs the process may run on but at most THREAD_CAP:
+each round's first part on the calling thread, the others on a pool that
+taylor_expm holds for the chain, which starts its threads at the first such
+step and joins them when the chain ends or raises.  A step runs three
+rounds: the products, as slabs of Q^T's rows into the same rows of the grid
+(_Band) or as whole blocks dealt by their multiplies, the heaviest first to
+the least loaded thread (_Blocks); the 1/k scaling, |R_k| and each slab's
+peaks, whose maximum is the step's; and the floor's zeroing, the U add and
+the nonzero count.  The last two take slabs of the grid: rows for _Band,
+parts of the flat buffer for _Blocks.  Each entry is still made by one
+thread, in the same order, and a maximum is exact, so U and every record
+are the single thread's bit for bit.  numpy's errstate is a context
+variable, which a pool thread does not inherit, so each slab raises on
+underflow (the scaling) or overflow (the add) itself, and a step fails
+once every slab has run.  scipy's csr_matvecs and numpy's passes release
+the GIL; np.maximum.at holds it for part of its run, so blocks gain less.
+
+THREAD_MIN is 2^18, from whole chains (eps 1e-8) on one thread and on two,
+median ms of alternating in-process runs (21 at 8 qubits, 15 at 9, 7 at 10,
+3 at 11, 2 at 12) on a 2-core machine; heisenberg's blocks hold fewer
+entries than n^2.
+
+    chain, t                  entries   one thread   two threads
+    tfim-8, 0.5                65,536         20.6          27.2
+    heisenberg-8, 0.5          13,030          8.3          24.9
+    tfim-9, 0.5               262,144         96.4          72.1
+    heisenberg-9, 0.5          48,818         22.4          38.8
+    tfim-10, 0.5            1,048,576          512           313
+    heisenberg-10, 0.5        184,996          113           107
+    tfim-11, 0.5            4,194,304         2377          1382
+    heisenberg-11, 0.5        705,718          504           432
+    tfim-12, 0.25          16,777,216         7252          4132
+    heisenberg-12, 0.25     2,704,492         1437          1077
+
+On smaller grids handing a round over costs more than it saves, so every
+chain of 8 qubits, the benchmark's included, runs on one thread.
 
 Memory.  From the switch a one-block chain holds 48 n^2 bytes (the band 16,
 U 16, R_k and the grid its product goes into 8 each), where the term alone
-held at least 0.8 n^2; the packed chain's accumulator and sums reach more
-(the never column).  The trade: a chain whose term stalls between 0.1 and
-0.5 of n^2 now holds those 48 n^2 where its packed term and U held under
-12 n^2; the terms of heisenberg and tfim pass that range in two or three
-steps, and maxcut's never reaches it.  Blocks of m_b states hold
+held at least 0.16 n^2; the packed chain's accumulator and sums reach more
+(never switching, heisenberg-8 at t = 0.5 peaked at 6.7 MiB and
+heisenberg-10 at 106).  The trade: a chain whose term stops growing between 0.02 and 0.5 of
+n^2 holds those 48 n^2 where its packed term and U held under 12 n^2; the
+terms of heisenberg and tfim pass that range in two or three steps, and
+maxcut's never enters it.  Blocks of m_b states hold
 S = sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare
 and U's two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  For
 heisenberg, S is 0.199, 0.176 and 0.161 of n^2 at 8, 10 and 12 qubits, and
-the peaks at 0.1 fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2
+the peaks fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2
 and 444; U is packed in the natural basis at the end, as large as before.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
@@ -163,8 +207,11 @@ TERM_CAP = 64
 SEGMENT_CAP = 1024  # most --segments: the outer power runs segments - 1 products
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
-DENSE_FILL = 0.1  # share of n^2 a real H's term stores when the chain turns dense
+DENSE_FILL = 0.02  # share of n^2 a real H's growing term stores when the chain turns dense
+STALLED = 5  # a term whose band did not grow in its last step needs STALLED times that share
 MIN_BLOCK = 16  # states; smaller components of H share the dense chain's blocks
+THREAD_MIN = 2**18  # entries of a dense grid from which a step runs on threads
+THREAD_CAP = 4  # most threads a dense step runs on
 
 
 @dataclass(frozen=True)
@@ -244,44 +291,48 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     counted: dict = {}  # this chain's distinct products (simulate_product)
 
     u = t_k = identity(n)
-    dense = None  # the _DenseChain once a real H's term fills DENSE_FILL of n^2
-    offsets = t_k.offset_array
+    dense = None  # the _DenseChain once a real H's term fills its share of n^2
+    offsets, scalars = t_k.offset_array, n
     records: list[IterationRecord] = []
-    for k in range(1, k_max + 1):
-        stepped = dense and dense.step(k)
-        if stepped:
-            made, live, nnze = stepped
-        else:
-            if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
-                (t_k, u), dense = dense.hand_back(k), None
-            product = diag_matmul(t_k, m)
-            made = product.offset_array
-            t_k = product.scaled(1.0 / k)
-            mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
-            if t_k.nnzd:
-                t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
-            u = u.add(t_k)
-            live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
-        if grid is not None:
-            stage, counters, mem = simulate_product(
-                n, offsets, m.offsets, made.tolist(), grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"),
-                counted=counted)
-        else:
-            stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
-        offsets, scalars = live, n * len(live) - int(np.abs(live).sum())
-        records.append(IterationRecord(
-            k=k, nnzd=len(live), nnze=nnze, storage_scalars=scalars,
-            savings=1.0 - scalars / float(n) ** 2,
-            stage_cycles=stage, mem=mem, counters=counters,
-        ))
-        if not len(live):
-            break  # exact nilpotency: every later term is zero too
-        if (real and not dense and k < k_max and scalars >= DENSE_FILL * n * n
-                and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
-            product = mag = None  # no packed buffer outlives the switch
-            dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t)), None, None
-    if dense:
-        u, dense = dense.take_u(), None
+    # a pool starts no thread until a step large enough asks (_DenseChain)
+    with ThreadPoolExecutor(max(1, THREAD_CAP - 1)) as pool:
+        for k in range(1, k_max + 1):
+            stepped = dense and dense.step(k)
+            if stepped:
+                made, live, nnze = stepped
+            else:
+                if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
+                    (t_k, u), dense = dense.hand_back(k), None
+                product = diag_matmul(t_k, m)
+                made = product.offset_array
+                t_k = product.scaled(1.0 / k)
+                mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
+                if t_k.nnzd:
+                    t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
+                u = u.add(t_k)
+                live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
+            if grid is not None:
+                stage, counters, mem = simulate_product(
+                    n, offsets, m.offsets, made.tolist(), grid, cache,
+                    tags=(f"T{k - 1}", "M", f"T{k}"), counted=counted)
+            else:
+                stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
+            before, scalars = scalars, n * len(live) - int(np.abs(live).sum())
+            offsets = live
+            records.append(IterationRecord(
+                k=k, nnzd=len(live), nnze=nnze, storage_scalars=scalars,
+                savings=1.0 - scalars / float(n) ** 2,
+                stage_cycles=stage, mem=mem, counters=counters,
+            ))
+            if not len(live):
+                break  # exact nilpotency: every later term is zero too
+            share = DENSE_FILL * (1 if scalars > before else STALLED)
+            if (real and not dense and k < k_max and scalars >= share * n * n
+                    and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
+                product = mag = None  # no packed buffer outlives the switch
+                dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t), pool), None, None
+        if dense:
+            u, dense = dense.take_u(), None
     return u, records
 
 
@@ -324,14 +375,39 @@ def _csr_t(h: DiagMatrix, t: float):
 
 
 def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or a block's rows of it) into
-    out: each entry starts at +0.0 and adds its terms in ascending inner index,
-    the order of spmspm.  It is scipy's kernel for q_t @ r_t, on a grid the
-    chain reuses (_grid)."""
+    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or some of its rows, _Rows)
+    into out, one row per row of q_t: each entry starts at +0.0 and adds its
+    terms in ascending inner index, the order of spmspm.  It is scipy's kernel
+    for q_t @ r_t, on a grid the chain reuses (_grid); it runs without the GIL."""
     out.fill(0.0)
-    n = len(out)
-    csr_matvecs(n, n, n, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1), out.reshape(-1))
+    csr_matvecs(len(out), *r_t.shape, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1),
+                out.reshape(-1))
     return out
+
+
+def _threads() -> int:
+    """Threads a large dense step runs on: the CPUs this process may run on,
+    at most THREAD_CAP."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(THREAD_CAP, len(os.sched_getaffinity(0)))
+    return min(THREAD_CAP, os.cpu_count() or 1)
+
+
+def _slabs(size: int, parts: int) -> list[slice]:
+    """range(size) cut into parts consecutive slices, their lengths within one."""
+    bounds = [size * i // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _deal(weights: list[int], threads: int) -> list[list[int]]:
+    """Indices of the weights dealt to at most threads lists, each in
+    ascending order: the heaviest first, each to the lightest list so far."""
+    loads, deals = [0] * threads, [[] for _ in range(threads)]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        least = loads.index(min(loads))
+        loads[least] += weights[i]
+        deals[least].append(i)
+    return [sorted(deal) for deal in deals if deal]
 
 
 def _grid(shape: tuple[int, ...], at: int) -> np.ndarray:
@@ -387,31 +463,60 @@ def _layout(q_t) -> _Band | _Blocks:
     return _Band(q_t)
 
 
+class _Product(NamedTuple):
+    """One _dense_product of a step: rows of Q^T in CSR (Q_k^T's are q_ts[k % 2])
+    into a rows x m grid at flat offset dst of the spare grid, from the m x m
+    grid at flat offset src of R^T's."""
+
+    q_ts: tuple
+    src: int
+    dst: int
+    rows: int
+    m: int
+
+
 class _Band:
     """One block, the whole matrix: n x n grids, and from the first peaks a
     band: n rows of pitch 2n - 1, each after n - 1 pads, then n - 1 more, whose
     (n, 2n - 1) sheared view holds diagonal d of the transposed window (each
-    row's last n) in column n - 1 - d, pads elsewhere."""
+    row's last n) in column n - 1 - d, pads elsewhere.  A row of the sheared
+    view holds its row of the window and pads, so rows of the grid are slabs."""
 
     def __init__(self, q_t):
         n = self.n = q_t.shape[0]
-        self.shape, self.blocks, self.window = (n, n), [(0, n, (q_t, -q_t))], None
+        self.q_t, self.shape, self.window = q_t, (n, n), None
 
-    def peaks(self, grid: np.ndarray) -> np.ndarray:
-        """Each diagonal's largest |entry| of the grid's transpose, by offset;
-        NaN or inf where an entry is."""
-        n = self.n
-        if self.window is None:  # once the packed chain's buffers are gone
+    def slabs(self, threads: int) -> list[slice]:
+        """Rows of the grid, one slab per thread."""
+        return _slabs(self.n, threads)
+
+    def products(self, threads: int) -> list[_Product]:
+        """Q^T's rows of each slab into the slab's rows, from the whole grid."""
+        n, q_t = self.n, self.q_t
+        return [_Product((q_t[rows], -q_t[rows]), 0, rows.start * n, rows.stop - rows.start, n)
+                for rows in self.slabs(threads)]
+
+    def held(self) -> np.ndarray:
+        """The window |R| goes into, allocated at the first call, once the
+        packed chain's buffers are gone."""
+        if self.window is None:
+            n = self.n
             band = np.zeros(n * (2 * n - 1) + n - 1)
             self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
             self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
-        np.abs(grid, out=self.window)
-        return self.sheared.max(axis=0)[::-1]
+        return self.window
 
-    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
-        """Zero the diagonals that drop marks, by offset + n - 1."""
+    def peaks(self, grid: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Each diagonal's largest |entry| of the grid's transpose in these
+        rows, by offset; NaN or inf where an entry is."""
+        np.abs(grid[rows], out=self.held()[rows])
+        return self.sheared[rows].max(axis=0)[::-1]
+
+    def zero(self, grid: np.ndarray, drop: np.ndarray, rows: slice = slice(None)) -> None:
+        """Zero the diagonals that drop marks, by offset + n - 1, in these rows."""
+        slab, first = grid[rows], rows.start or 0
         for d in (np.flatnonzero(drop) + 1 - self.n).tolist():
-            diagonal_view(grid.T, d)[:] = 0.0
+            diagonal_view(slab, first - d)[:] = 0.0
 
     def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
         """Write part (np.real or np.imag) of m's values into a zero grid."""
@@ -460,22 +565,34 @@ class _Blocks:
         for m, end in zip(sizes.tolist(), ends.tolist()):
             first, last = indptr[end - m], indptr[end]
             rows = _Rows(indptr[end - m:end + 1] - first, indices[first:last], data[first:last])
-            self.blocks.append((lo, m, (rows, rows._replace(data=-rows.data))))
+            self.blocks.append(_Product((rows, rows._replace(data=-rows.data)), lo, lo, m, m))
             self.states.append(order[end - m:end])
             lo += m * m
         self.shape, self.mag = (lo,), None
         self.at = np.concatenate([np.subtract.outer(s, s).ravel() for s in self.states]) + (n - 1)
 
-    def peaks(self, grid: np.ndarray) -> np.ndarray:
-        """_Band.peaks, over the blocks."""
-        if self.mag is None:  # once the packed chain's buffers are gone
+    def slabs(self, threads: int) -> list[slice]:
+        """Parts of the flat buffer, one per thread."""
+        return _slabs(self.shape[0], threads)
+
+    def products(self, threads: int) -> list[_Product]:
+        """Each block's rows of Q^T into its grid, from its grid."""
+        return self.blocks
+
+    def held(self) -> np.ndarray:
+        """_Band.held: the buffer |R| goes into."""
+        if self.mag is None:
             self.mag = np.empty(self.shape)
+        return self.mag
+
+    def peaks(self, grid: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+        """_Band.peaks, over the blocks' entries in this part of the buffer."""
         peak = np.zeros(2 * self.n - 1)
-        np.maximum.at(peak, self.at, np.abs(grid, out=self.mag))
+        np.maximum.at(peak, self.at[part], np.abs(grid[part], out=self.held()[part]))
         return peak
 
-    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
-        grid[drop[self.at]] = 0.0
+    def zero(self, grid: np.ndarray, drop: np.ndarray, part: slice = slice(None)) -> None:
+        grid[part][drop[self.at[part]]] = 0.0
 
     def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
         held, slots = self._slots(m.offset_array)
@@ -503,20 +620,30 @@ class _DenseChain:
     """R_k^T, the grid its product goes into (spare) and U^T's real and
     imaginary planes as float64 grids of one layout (_layout): +0.0 where a
     matrix stores nothing, never -0.0.  Each matrix goes in, and U and a
-    handed-back R_k out, through the layout's diagonal maps."""
+    handed-back R_k out, through the layout's diagonal maps.  A step whose
+    grids hold THREAD_MIN entries or more runs on the pool (module docstring)."""
 
-    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t):
-        """From T_k, whose component k mod 2 is R_k, U and Q^T (_csr_t)."""
+    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t, pool: ThreadPoolExecutor):
+        """From T_k, whose component k mod 2 is R_k, U, Q^T (_csr_t) and the
+        pool a large step runs on."""
         n = self.n = t_k.dim
         self.offsets = np.arange(1 - n, n)
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
         self.live = t_k.offset_array  # R_k's diagonals, each holding a nonzero
         layout = self.layout = _layout(q_t)
+        threads = _threads() if math.prod(layout.shape) >= THREAD_MIN else 1
+        self.pool, self.slabs = pool, layout.slabs(threads)
+        products = self.products = layout.products(threads)
+        self.deals = _deal([len(p.q_ts[0].data) * p.m for p in products], threads)
         self.u = [np.zeros(layout.shape), np.zeros(layout.shape)]
-        # each R grid with its blocks' m x m views, which _dense_product takes
+
+        def views(grid):  # each product's operand and output views of the grid
+            flat = grid.reshape(-1)
+            return [(flat[p.src:p.src + p.m * p.m].reshape(p.m, p.m),
+                     flat[p.dst:p.dst + p.rows * p.m].reshape(p.rows, p.m)) for p in products]
+
         self.r_t, self.spare = (
-            (grid, [grid.reshape(-1)[lo:lo + m * m].reshape(m, m) for lo, m, _ in layout.blocks])
-            for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
+            (grid, views(grid)) for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
         for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
                               (self.r_t[0], t_k, (np.real, np.imag)[k % 2])):
             layout.load(grid, m, part)
@@ -544,31 +671,60 @@ class _DenseChain:
         as they were, if the product is not finite (the packed chain raises) or
         its scaling underflows; DomainError, as the packed sum raises it, if U is not."""
         layout, (product, outs), (_, ins) = self.layout, self.spare, self.r_t
-        for (_, _, q_ts), r_t, out in zip(layout.blocks, ins, outs):
-            _dense_product(q_ts[k % 2], r_t, out)
+        u, scale = self.u[k % 2], 1.0 / k
+
+        def multiply(deal):
+            for i in deal:
+                _dense_product(self.products[i].q_ts[k % 2], ins[i][0], outs[i][1])
+
+        def scaled_peaks(slab):
+            part = product[slab]
+            with np.errstate(under="raise"):  # numpy's errstate is per thread
+                part *= scale
+            return layout.peaks(product, slab)
+
+        self._run(multiply, self.deals)
+        layout.held()  # allocated here, not on the pool's threads
         try:
-            with np.errstate(under="raise"):
-                product *= 1.0 / k
+            peak = reduce(np.maximum, self._run(scaled_peaks, self.slabs))
         except FloatingPointError:
             return None
-        peak = layout.peaks(product)
         top = peak.max()
         if not np.isfinite(top):
             return None
         self.r_t, self.spare = self.spare, self.r_t  # R_{k-1} is spent
         live, made = peak > CANCEL_EPS * top, peak > 0
         self.live, made_offsets = self.offsets[live], self.offsets[made]
-        if len(made_offsets) > len(self.live):  # live diagonals are made ones
-            layout.zero(product, made & ~live)
+        drop = made & ~live if len(made_offsets) > len(self.live) else None  # live ones are made
         self.stored |= live
-        try:
+        nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
+        nonzero = nonzero.reshape(product.shape)
+
+        def add(slab):
+            if drop is not None:
+                layout.zero(product, drop, slab)
+            part = u[slab]
             with np.errstate(over="raise"):  # finite U + R_k is finite unless it overflows
-                self.u[k % 2] += product
+                part += product[slab]
+            return np.count_nonzero(np.not_equal(product[slab], 0.0, out=nonzero[slab]))
+
+        try:
+            nnze = sum(self._run(add, self.slabs))
         except FloatingPointError:
             self.take_u()  # raises the DomainError of the packed chain's sum
-        nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
-        np.not_equal(product, 0.0, out=nonzero.reshape(product.shape))
-        return made_offsets, self.live, int(np.count_nonzero(nonzero))
+        return made_offsets, self.live, int(nnze)
+
+    def _run(self, work, parts: list) -> list:
+        """[work(part) for part in parts]: the first on this thread, the others
+        on the pool; every part has run when it returns or raises."""
+        if len(parts) == 1:
+            return [work(parts[0])]
+        futures = [self.pool.submit(work, part) for part in parts[1:]]
+        try:
+            done = [work(parts[0])]
+        finally:
+            wait(futures)
+        return done + [future.result() for future in futures]
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

@@ -109,8 +109,71 @@ def records_to_json(records: list[IterationRecord]) -> list[dict]:
 
 
 def report_to_json(report: dict) -> str:
-    """Deterministic rendering: identical inputs give identical bytes."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """json.dumps(report, indent=2, sort_keys=True) and a newline: identical
+    inputs give identical bytes.  json's indented encoder is pure Python, so
+    the iterations list, most of an expm report, fills one per-record
+    template (_iterations_json); the rest goes through json."""
+    iterations = report["iterations"]
+    rendered = _iterations_json(iterations) if iterations else "[]"
+    if rendered is None:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(dict(report, iterations=[]), indent=2, sort_keys=True)
+    return text.replace('\n  "iterations": []', '\n  "iterations": ' + rendered, 1) + "\n"
+
+
+_MARK = "\0"  # a leaf of the template's record, which json writes as "\u0000"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _iterations_json(records) -> str | None:
+    """The records as json writes a top-level value at indent=2, from the
+    first record's sorted key schema, or None unless every record has that
+    schema and only int and float leaves.  Those json writes as repr does,
+    but for NaN and the infinities."""
+    if type(records) is not list or type(records[0]) is not dict:
+        return None
+    leaves: list = []
+    try:
+        schema = _schema(records[0])
+        for record in records:
+            _flatten(record, schema, leaves)
+    except (KeyError, TypeError):
+        return None
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    text = list(map(repr, leaves))
+    if "n" in "".join(text):
+        text = [_NON_FINITE.get(leaf, leaf) for leaf in text]
+    template = json.dumps(_marked(schema), indent=2, sort_keys=True).replace("%", "%%")
+    width = len(text) // len(records)
+    if template.count(json.dumps(_MARK)) != width:
+        return None
+    template = "    " + template.replace(json.dumps(_MARK), "%s").replace("\n", "\n    ")
+    rows = (template % tuple(text[i * width:(i + 1) * width]) for i in range(len(records)))
+    return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+def _schema(record: dict) -> list:
+    """(key, the schema of a dict value or None) for each key, sorted."""
+    return [(key, _schema(value) if type(value) is dict else None)
+            for key, value in sorted(record.items())]
+
+
+def _flatten(record: dict, schema: list, leaves: list) -> None:
+    """Append the record's leaves in schema order; KeyError or TypeError if
+    the record does not have the schema."""
+    if type(record) is not dict or len(record) != len(schema):
+        raise KeyError
+    for key, sub in schema:
+        if sub is None:
+            leaves.append(record[key])
+        else:
+            _flatten(record[key], sub, leaves)
+
+
+def _marked(schema: list) -> dict:
+    """A record of the schema, each leaf _MARK."""
+    return {key: _MARK if sub is None else _marked(sub) for key, sub in schema}
 
 
 def report_to_csv(report: dict) -> str:

@@ -1,4 +1,5 @@
 import functools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -535,3 +536,157 @@ def test_a_narrow_term_never_turns_dense(monkeypatch):
     h = gen_benchmark("maxcut", 12)
     _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=12))
     assert len(records) == 12 and all(r.nnzd == 1 for r in records)
+
+
+def _switches(monkeypatch) -> list:
+    """The step k of every switch to the dense chain, as the chain runs."""
+    seen, real = [], hamsim._DenseChain
+    monkeypatch.setattr(hamsim, "_DenseChain",
+                        lambda t_k, k, *rest: seen.append(k) or real(t_k, k, *rest))
+    return seen
+
+
+@pytest.mark.parametrize("model, qubits, t, k", [
+    ("heisenberg", 8, 0.5, 1), ("tfim", 8, 0.5, 1),  # the expm-func benchmark's chains
+    ("heisenberg", 10, 0.5, 2), ("tfim", 10, 0.5, 2),
+    ("heisenberg", 6, 1.0, 1)])  # expm-sim's
+def test_a_growing_term_turns_dense_at_its_share(monkeypatch, model, qubits, t, k):
+    # T_1 grows from I to 5.5% (heisenberg-8) and 5.9% (tfim-8) of n^2, over
+    # DENSE_FILL; at 10 qubits it holds 1.8-1.9%, so T_2 switches
+    switched = _switches(monkeypatch)
+    taylor_expm(gen_benchmark(model, qubits), TaylorConfig(t=t, eps=1e-8))
+    assert switched == [k]
+
+
+def _shift(n: int) -> diagmat.DiagMatrix:
+    """The nilpotent shift: ones on diagonal 1, so T_k holds diagonal k alone."""
+    return from_coo(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+@pytest.mark.parametrize("h", [*(gen_benchmark("maxcut", q) for q in range(4, 9)), _shift(16)],
+                         ids=[*(f"maxcut-{q}" for q in range(4, 9)), "shift-16"])
+def test_a_term_that_stops_growing_never_turns_dense(monkeypatch, h):
+    # a diagonal term of 4 or 5 qubits holds 1/n of n^2 and the shift's T_1
+    # (n - 1) / n^2, each between DENSE_FILL and STALLED times it, but none
+    # grows from I
+    switched = _switches(monkeypatch)
+    _, records = taylor_expm(h, TaylorConfig(t=0.5, terms=12))
+    assert switched == [] and all(r.nnzd == 1 for r in records)
+    if h.dim <= 32:
+        share = records[0].storage_scalars / h.dim ** 2
+        assert hamsim.DENSE_FILL <= share < hamsim.STALLED * hamsim.DENSE_FILL
+
+
+def _threaded(monkeypatch, threads: int = 3) -> list:
+    """Dense steps of every size on threads; the thread of each dense product."""
+    monkeypatch.setattr(hamsim, "THREAD_MIN", 0)
+    monkeypatch.setattr(hamsim, "_threads", lambda: threads)
+    seen, real = [], hamsim._dense_product
+    monkeypatch.setattr(hamsim, "_dense_product",
+                        lambda *args: seen.append(threading.get_ident()) or real(*args))
+    return seen
+
+
+def _chain_or_error(h, cfg, grid=None):
+    """(U's bytes and records) of the chain, or the DomainError text it raises;
+    the threads alive before and after are the same."""
+    before = threading.enumerate()
+    try:
+        u, records = taylor_expm(h, cfg, grid)
+        got = (u.offset_array.tobytes(), u.values.tobytes(), records)
+    except DomainError as raised:
+        got = str(raised)
+    assert threading.enumerate() == before
+    return got
+
+
+@pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])
+@pytest.mark.parametrize("model", ["heisenberg", "tfim"])  # _Blocks and _Band
+def test_threaded_chain_is_bit_identical_to_one_thread(monkeypatch, model, use_simulator):
+    h, cfg = gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8)
+    grid = GridSetup(rows=16, cols=16) if use_simulator else None
+    want = _chain_or_error(h, cfg, grid)
+    on = _threaded(monkeypatch)
+    assert _chain_or_error(h, cfg, grid) == want
+    assert len(set(on)) > 1  # the products ran on more than one thread
+
+
+def _edge_cases():
+    """(grid, t, terms, eps) of the dense chain's edge cases above: a scaling
+    that underflows, a product that overflows (to -inf, or with NaN), U's sum
+    that overflows and the cancellation floor; "late", after a block that
+    stays in range, so that only a pool thread's slab meets the edge."""
+    base = np.array([[1.0, -2.0, 0.5, 3.0], [-2.0, -1.0, 1.5, -0.5],
+                     [0.5, 1.5, 2.0, -1.0], [3.0, -0.5, -1.0, 0.25]])
+    positive = np.arange(1.0, 17.0).reshape(4, 4)
+    mixed = positive.copy()
+    mixed[::2, 1::2] *= -1
+    g = np.zeros((6, 6))
+    g[1:5, 1:5] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    g[0, 1:5] = g[5, 1:5] = 1.7e308
+    i, j = np.indices((16, 16))
+    floor = np.where(abs(i - j) <= 5, np.cos(i + 2 * j) / (1.0 + abs(i - j)), 0.0)
+    floor = floor + floor.T
+    floor[abs(i - j) == 12] = 1e-20 * (1 + (i + j) % 3)[abs(i - j) == 12]
+    return {"underflow": (base * 1e-108, 1.0, 6, None),
+            "underflow-late": (scipy.linalg.block_diag(base, base * 1e-108), 1.0, 6, None),
+            "overflow": (positive, 1e100, 6, None), "overflow-nan": (mixed, 1e100, 6, None),
+            "sum-overflow": (g, 1.0, 6, None),
+            "sum-overflow-late": (scipy.linalg.block_diag(np.minimum(g, 1.0), g), 1.0, 6, None),
+            "floor": (floor, 0.7, None, 1e-12)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("layout", ["whole", "split"])
+@pytest.mark.parametrize("case", list(_edge_cases()))
+def test_threaded_edge_cases_act_as_one_thread(monkeypatch, case, layout, threads):
+    # numpy's errstate is per thread, so each slab sets under or over itself:
+    # the same steps, hand-backs, DomainError and bits
+    dense, t, terms, eps = _edge_cases()[case]
+    h, _ = _split(monkeypatch, dense, layout)
+    cfg = TaylorConfig(t=t, terms=terms, eps=eps)
+    steps, step, packed = [], hamsim._DenseChain.step, hamsim.diag_matmul
+    monkeypatch.setattr(hamsim._DenseChain, "step",
+                        lambda chain, k: steps.append(k) or step(chain, k))
+    monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: steps.append("packed") or packed(a, b))
+
+    def runs():
+        got = [_chain_or_error(h, cfg, grid) for grid in (None, GridSetup(rows=4, cols=4))]
+        return got, steps[:], steps.clear()
+
+    want = runs()
+    on = _threaded(monkeypatch, threads)
+    assert runs() == want
+    assert len(set(on)) > 1
+    assert isinstance(want[0][0], str) == ("overflow" in case)
+    if case.startswith("underflow"):  # dense k = 3 fails and runs packed
+        assert want[1][:5] == ["packed", 2, 3, "packed", 4]
+
+
+def test_benchmark_chains_start_no_thread(monkeypatch):
+    # at the default THREAD_MIN the expm workloads' chains (heisenberg-8 and
+    # tfim-8 at t = 0.5, heisenberg-6 at t = 1 on a 16 x 16 grid) run on this
+    # thread alone; simulate and io-roundtrip run no chain
+    def refuse(thread):
+        raise AssertionError(f"a chain started {thread}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for model, qubits, t, grid in [("heisenberg", 8, 0.5, None), ("tfim", 8, 0.5, None),
+                                   ("heisenberg", 6, 1.0, GridSetup(rows=16, cols=16))]:
+        taylor_expm(gen_benchmark(model, qubits), TaylorConfig(t=t, eps=1e-8), grid)
+
+
+@pytest.mark.parametrize("weights, threads, deals", [
+    ([5], 1, [[0]]), ([1, 2, 3], 1, [[0, 1, 2]]), ([4, 4, 4, 4], 2, [[0, 2], [1, 3]]),
+    ([9, 1, 1, 7], 2, [[0], [1, 2, 3]]), ([3, 1], 4, [[0], [1]])])
+def test_deal_puts_the_heaviest_first_on_the_lightest_thread(weights, threads, deals):
+    assert hamsim._deal(weights, threads) == deals
+
+
+@pytest.mark.parametrize("size, parts", [(1, 1), (4, 3), (4096, 2), (184_996, 4), (5, 4)])
+def test_slabs_cover_the_range_in_order(size, parts):
+    slabs = hamsim._slabs(size, parts)
+    assert len(slabs) == parts and slabs[0].start == 0 and slabs[-1].stop == size
+    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+    assert max(s.stop - s.start for s in slabs) - min(s.stop - s.start for s in slabs) <= 1

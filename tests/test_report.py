@@ -1,8 +1,11 @@
 """The report document, its CSV rendering and the ``diagsim report`` command."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagsim import cli
 from diagsim.dataflow import StageCycles
@@ -40,6 +43,58 @@ def test_schema_keys():
                                             "savings", "cycles", "mem", "hit_rate"}
     assert report["energy_pj"] == 3086.0
     assert report["serialized_total_cycles"] == 170
+
+
+INTS = st.integers(-(2**63), 2**63 - 1)
+COUNTS = st.integers(0, 2**63 - 1)
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1e-5, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def records(draw):
+    """An IterationRecord of any fields; hit_rate is hits / (hits + misses)."""
+    return IterationRecord(k=draw(INTS), nnzd=draw(INTS), nnze=draw(INTS),
+                           storage_scalars=draw(INTS), savings=draw(FLOATS),
+                           stage_cycles=StageCycles(*draw(st.tuples(INTS, INTS, INTS, INTS))),
+                           mem=MemStats(*draw(st.tuples(*[COUNTS] * 6))), counters={})
+
+
+@settings(max_examples=300)
+@given(st.lists(records(), max_size=5), FLOATS, st.text())
+def test_report_renders_as_json_does(records, hit_rate, workload):
+    report = build_report(workload, 2, 2, STAGE, COUNTERS, MEM, records)
+    report["hit_rate"] = hit_rate
+    assert report_to_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _iteration(**changes) -> dict:
+    """small_report's iteration record, with these keys changed or, set to
+    None, removed."""
+    record = {**small_report()["iterations"][0], **changes}
+    return {key: value for key, value in record.items() if value is not None}
+
+
+@pytest.mark.parametrize("iterations", [
+    [_iteration(), _iteration(savings="x")], [_iteration(), _iteration(mem=None)],
+    [_iteration(), _iteration(extra=1)], [_iteration(), _iteration(cycles=[1, 2, 3, 4])],
+    [_iteration(), _iteration(k=True)], [_iteration(savings=np.float64(0.25))],
+    [_iteration(cycles={})], [_iteration(mem={"%s": 1.5})], [[1, 2]], [None],
+    (_iteration(),), {"k": 1}, [{}, {}], [_iteration(), _iteration(cycles="")],
+    [{1: 2, "a": 3}]],
+    ids=["str", "missing", "extra", "list", "bool", "float64", "empty", "percent", "lists",
+         "none", "tuple", "dict", "no-leaves", "empty-str", "mixed-keys"])
+def test_records_of_another_shape_render_as_json_does(iterations):
+    # the template serves records of the first one's schema and int or float
+    # leaves; any other iterations list goes through json whole
+    report = {**small_report(), "iterations": iterations}
+    try:
+        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    except TypeError:  # keys json cannot sort
+        with pytest.raises(TypeError):
+            report_to_json(report)
+        return
+    assert report_to_json(report) == want
 
 
 def test_report_to_csv_bytes():
