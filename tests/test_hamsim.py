@@ -1,4 +1,5 @@
 import functools
+import sys
 import threading
 import tracemalloc
 
@@ -606,8 +607,13 @@ def test_threaded_chain_is_bit_identical_to_one_thread(monkeypatch, model, use_s
     h, cfg = gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8)
     grid = GridSetup(rows=16, cols=16) if use_simulator else None
     want = _chain_or_error(h, cfg, grid)
-    on = _threaded(monkeypatch)
-    assert _chain_or_error(h, cfg, grid) == want
+    on = _threaded(monkeypatch, threads=4)  # likely more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as the interpreter can
+    try:
+        assert _chain_or_error(h, cfg, grid) == want
+    finally:
+        sys.setswitchinterval(interval)
     assert len(set(on)) > 1  # the products ran on more than one thread
 
 
