@@ -85,8 +85,8 @@ def _iteration(**changes) -> dict:
     ids=["str", "missing", "extra", "list", "bool", "float64", "empty", "percent", "lists",
          "none", "tuple", "dict", "no-leaves", "empty-str", "mixed-keys"])
 def test_records_of_another_shape_render_as_json_does(iterations):
-    # the template serves records of the first one's schema and int or float
-    # leaves; any other iterations list goes through json whole
+    # shapes at the template's edges (empty dicts, a key with %s) and shapes
+    # it refuses, which go through json whole: either way, json's bytes
     report = {**small_report(), "iterations": iterations}
     try:
         want = json.dumps(report, indent=2, sort_keys=True) + "\n"
