@@ -43,23 +43,24 @@ Q_k, plus a product with a zero factor, and the kernel's accumulator starts
 at +0.0 (x + -0.0 = x), so T_k's component is R_k bit for bit and its other
 one is +0.0.
 
-Once such a term stores its share of n^2 scalars (DENSE_FILL if its band grew
-in its last step, STALLED times that if not; k < K, and no -0.0 in it or
-U), R_k, taken from T_k's nonzero component, and U are held dense
-(_DenseChain) and U is packed once, at the end.  A product is then
-Q_k^T R^T with Q^T built in CSR straight from t Re(H), its column indices
-ascending: each entry starts at +0.0 and adds its terms in ascending inner
-index, as diag_matmul does (spmspm).  Its extra terms each have a zero
-factor, and x + -0.0 = x, so the bits are the same and no product holds
--0.0.  Only the 1/k scaling can then make a -0.0, by taking a nonzero to
-zero, which raises the underflow flag; a step that raises it, or whose
-product is not finite, goes back to the packed chain with T_{k-1}, R_{k-1}
-in component (k - 1) mod 2, which keeps that -0.0 or raises DomainError as
-it always does.  The zero signs of T_{k-1}'s other component cannot reach
-that product, whose accumulator starts at +0.0.  Without -0.0, an entry U
-does not store may read +0.0 (-0.0 + x = +0.0 + x unless x is -0.0), T_k's
-+0.0 other part changes nothing, and U += T_k is one real add into a plane
-of U, which turns non-finite only by overflow, raising that flag.
+Once such a term stores its share of n^2 scalars (DENSE_FILL if it stores
+GROWING times the scalars of T_{k-1} or more, STALLED times that if not;
+k < K, and no -0.0 in it or U), R_k, taken from T_k's nonzero component, and
+U are held dense (_DenseChain) and U is packed once, at the end.  A product
+is then Q_k^T R^T with Q^T built in CSR straight from t Re(H), its column
+indices ascending: each entry starts at +0.0 and adds its terms in
+ascending inner index, as diag_matmul does (spmspm).  Its extra terms each
+have a zero factor, and x + -0.0 = x, so the bits are the same and no
+product holds -0.0.  Only the 1/k scaling can then make a -0.0, by taking a
+nonzero to zero, which raises the underflow flag; a step that raises it, or
+whose product is not finite, goes back to the packed chain with T_{k-1},
+R_{k-1} in component (k - 1) mod 2, which keeps that -0.0 or raises
+DomainError as it always does.  The zero signs of T_{k-1}'s other component
+cannot reach that product, whose accumulator starts at +0.0.  Without -0.0,
+an entry U does not store may read +0.0 (-0.0 + x = +0.0 + x unless x is
+-0.0), T_k's +0.0 other part changes nothing, and U += T_k is one real add
+into a plane of U, which turns non-finite only by overflow, raising that
+flag.
 
 Held dense means held block by block.  If H never couples two sets of
 states, no power of H does, so the chain finds the connected components of
@@ -125,26 +126,52 @@ Switching one step sooner saves 5-15% at 8 qubits and 8-24% at 12; at 6
 and 10 qubits every rule switches at the same step.  One share of 0.02 or
 0.05 would switch a diagonal term of 4 qubits, 1/16 of n^2, and of 5, 1/32:
 such a term never grows from I, so it keeps the share of 0.1, as does
-maxcut's at every size.  A term that never fills its share never switches,
-so a narrow chain allocates no O(n^2).
+maxcut's at every size.
 
-Threads.  A step whose grids hold THREAD_MIN entries or more runs on
-_threads() threads, the CPUs the process may run on but at most THREAD_CAP:
-each round's first part on the calling thread, the others on a pool that
-taylor_expm holds for the chain, which starts its threads at the first such
-step and joins them when the chain ends or raises.  A step runs three
-rounds: the products, as slabs of Q^T's rows into the same rows of the grid
-(_Band) or as whole blocks dealt by their multiplies, the heaviest first to
-the least loaded thread (_Blocks); the 1/k scaling, |R_k| and each slab's
-peaks, whose maximum is the step's; and the floor's zeroing, the U add and
-the nonzero count.  The last two take slabs of the grid: rows for _Band,
-parts of the flat buffer for _Blocks.  Each entry is still made by one
-thread, in the same order, and a maximum is exact, so U and every record
-are the single thread's bit for bit.  numpy's errstate is a context
-variable, which a pool thread does not inherit, so each slab raises on
-underflow (the scaling) or overflow (the add) itself, and a step fails
-once every slab has run.  scipy's csr_matvecs and numpy's passes release
-the GIL; np.maximum.at holds it for part of its run, so blocks gain less.
+GROWING is 2.  The table ran with "grew" as any growth; heisenberg's and
+tfim's terms of 6-12 qubits grow 6.6 to 17 times in the step at which they
+switch, so it holds for any GROWING up to 6.  A band of width w (entries
+within w of the diagonal) widens by 2w diagonals a step, less than double
+from k = 2 on, where the share of 0.02 would switch it with few diagonals,
+and its n^2 grids cost more than they save.  Whole chains (eps 1e-8,
+t = 0.5, values uniform in [-1, 1], symmetric), median ms of 9 alternating
+runs / tracemalloc peak in MiB, and the step that switches ("-": none); a
+lattice couples each state to those 1 and sqrt(n) away:
+
+    H, n                    0.1            0.02 if grown      0.02 if doubled
+    tridiagonal, 128     3.18/0.86 k=7     1.91/0.86 k=1     1.83/0.86 k=1
+    tridiagonal, 256     3.03/0.66 -       5.00/3.13 k=3     2.66/0.66 -
+    tridiagonal, 512     3.81/1.30 -      11.32/12.3 k=5     3.32/1.30 -
+    pentadiagonal, 256   6.04/3.16 k=7     5.39/3.16 k=2     6.11/3.16 k=7
+    pentadiagonal, 1024  16.2/5.67 -       46.0/48.4 k=5     16.2/5.67 -
+    lattice, 256         6.96/3.16 k=4     6.29/3.16 k=2     6.21/3.16 k=2
+    lattice, 1024        52.6/48.4 k=7     53.0/48.4 k=3     52.1/48.4 k=7
+
+So a band switches at DENSE_FILL only at k = 1, where T_1 holds three or
+five times I's scalars (n up to 150 for a tridiagonal H, 250 for a
+pentadiagonal one), and otherwise at 0.1 of n^2, as before: a chain whose
+terms never store 0.1 of n^2 and never double into DENSE_FILL of it
+allocates no O(n^2).
+
+Threads.  A chain whose grids hold THREAD_MIN entries or more runs each
+step on _threads() threads, the CPUs the process may run on but at most
+THREAD_CAP, 2, the only count measured: each round's first part on the
+calling thread, the others on a pool of one thread fewer, which
+taylor_expm's exit stack joins when the chain ends or raises.  A step runs
+three rounds: the products, as slabs of Q^T's rows into the same rows of
+the grid (_Band) or as whole blocks dealt by their multiplies, the heaviest
+first to the least loaded thread (_Blocks); the 1/k scaling, |R_k| and each
+slab's peaks, whose maximum is the step's; and the floor's zeroing, the U
+add and the nonzero count.  The last two take slabs of the grid: rows for
+_Band, parts of the flat buffer for _Blocks.  Each entry is still made by
+one thread, in the same order, and a maximum is exact, so U and every
+record are the single thread's bit for bit.  numpy's errstate is a context
+variable, which a pool thread does not inherit, so each part runs in a copy
+of the calling thread's context (the CLI's errstate included), each slab
+raises on underflow (the scaling) or overflow (the add) itself, and a step
+fails once every slab has run.  scipy's csr_matvecs and numpy's passes
+release the GIL; np.maximum.at holds it for part of its run, so blocks gain
+less.
 
 THREAD_MIN is 2^18, from whole chains (eps 1e-8) on one thread and on two,
 median ms of alternating in-process runs (21 at 8 qubits, 15 at 9, 7 at 10,
@@ -170,22 +197,23 @@ Memory.  From the switch a one-block chain holds 48 n^2 bytes (the band 16,
 U 16, R_k and the grid its product goes into 8 each), where the term alone
 held at least 0.16 n^2; the packed chain's accumulator and sums reach more
 (never switching, heisenberg-8 at t = 0.5 peaked at 6.7 MiB and
-heisenberg-10 at 106).  The trade: a chain whose term stops growing between 0.02 and 0.5 of
-n^2 holds those 48 n^2 where its packed term and U held under 12 n^2; the
-terms of heisenberg and tfim pass that range in two or three steps, and
-maxcut's never enters it.  Blocks of m_b states hold
-S = sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare
-and U's two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  For
+heisenberg-10 at 106).  The trade: a chain whose term stops growing between
+0.02 and 0.5 of n^2 holds those 48 n^2 where its packed term and U held
+under 12 n^2; the terms of heisenberg and tfim pass that range in two or
+three steps, and maxcut's never enters it.  Blocks of m_b states hold S =
+sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare and
+U's two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  For
 heisenberg, S is 0.199, 0.176 and 0.161 of n^2 at 8, 10 and 12 qubits, and
-the peaks fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2
-and 444; U is packed in the natural basis at the end, as large as before.
-"""
+the peaks fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2 and
+444; U is packed in the natural basis at the end, as large as before. """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
@@ -208,10 +236,11 @@ SEGMENT_CAP = 1024  # most --segments: the outer power runs segments - 1 product
 DEFAULT_EPS = 1e-8  # the remainder threshold when neither terms nor eps is chosen
 CANCEL_EPS = 1e-14
 DENSE_FILL = 0.02  # share of n^2 a real H's growing term stores when the chain turns dense
-STALLED = 5  # a term whose band did not grow in its last step needs STALLED times that share
+GROWING = 2  # a term grows if it stores GROWING times the scalars of the term before
+STALLED = 5  # a term that does not grow needs STALLED times that share
 MIN_BLOCK = 16  # states; smaller components of H share the dense chain's blocks
 THREAD_MIN = 2**18  # entries of a dense grid from which a step runs on threads
-THREAD_CAP = 4  # most threads a dense step runs on
+THREAD_CAP = 2  # most threads a dense step runs on: the most measured (module docstring)
 
 
 @dataclass(frozen=True)
@@ -294,8 +323,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     dense = None  # the _DenseChain once a real H's term fills its share of n^2
     offsets, scalars = t_k.offset_array, n
     records: list[IterationRecord] = []
-    # a pool starts no thread until a step large enough asks (_DenseChain)
-    with ThreadPoolExecutor(max(1, THREAD_CAP - 1)) as pool:
+    with ExitStack() as pools:  # a large dense chain's pool, joined however the chain ends
         for k in range(1, k_max + 1):
             stepped = dense and dense.step(k)
             if stepped:
@@ -326,11 +354,11 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             ))
             if not len(live):
                 break  # exact nilpotency: every later term is zero too
-            share = DENSE_FILL * (1 if scalars > before else STALLED)
+            share = DENSE_FILL * (1 if scalars >= GROWING * before else STALLED)
             if (real and not dense and k < k_max and scalars >= share * n * n
                     and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
                 product = mag = None  # no packed buffer outlives the switch
-                dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t), pool), None, None
+                dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t), pools), None, None
         if dense:
             u, dense = dense.take_u(), None
     return u, records
@@ -620,19 +648,22 @@ class _DenseChain:
     """R_k^T, the grid its product goes into (spare) and U^T's real and
     imaginary planes as float64 grids of one layout (_layout): +0.0 where a
     matrix stores nothing, never -0.0.  Each matrix goes in, and U and a
-    handed-back R_k out, through the layout's diagonal maps.  A step whose
-    grids hold THREAD_MIN entries or more runs on the pool (module docstring)."""
+    handed-back R_k out, through the layout's diagonal maps.  A chain whose
+    grids hold THREAD_MIN entries or more runs each step on threads (module
+    docstring)."""
 
-    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t, pool: ThreadPoolExecutor):
+    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t, pools: ExitStack):
         """From T_k, whose component k mod 2 is R_k, U, Q^T (_csr_t) and the
-        pool a large step runs on."""
+        stack that holds, and at the chain's end joins, the pool of a chain on
+        threads."""
         n = self.n = t_k.dim
         self.offsets = np.arange(1 - n, n)
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
         self.live = t_k.offset_array  # R_k's diagonals, each holding a nonzero
         layout = self.layout = _layout(q_t)
         threads = _threads() if math.prod(layout.shape) >= THREAD_MIN else 1
-        self.pool, self.slabs = pool, layout.slabs(threads)
+        self.pool = pools.enter_context(ThreadPoolExecutor(threads - 1)) if threads > 1 else None
+        self.slabs = layout.slabs(threads)
         products = self.products = layout.products(threads)
         self.deals = _deal([len(p.q_ts[0].data) * p.m for p in products], threads)
         self.u = [np.zeros(layout.shape), np.zeros(layout.shape)]
@@ -716,10 +747,12 @@ class _DenseChain:
 
     def _run(self, work, parts: list) -> list:
         """[work(part) for part in parts]: the first on this thread, the others
-        on the pool; every part has run when it returns or raises."""
+        on the pool, each in a copy of this thread's context, numpy's errstate
+        included; every part has run when it returns or raises."""
         if len(parts) == 1:
             return [work(parts[0])]
-        futures = [self.pool.submit(work, part) for part in parts[1:]]
+        futures = [self.pool.submit(contextvars.copy_context().run, work, part)
+                   for part in parts[1:]]
         try:
             done = [work(parts[0])]
         finally:

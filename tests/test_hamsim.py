@@ -2,6 +2,9 @@ import functools
 import sys
 import threading
 import tracemalloc
+import types
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
-from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
+from diagsim import cli, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
 from diagsim.dataflow import StageCycles
+from diagsim.diagio import save_matrix
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
@@ -578,6 +582,28 @@ def test_a_term_that_stops_growing_never_turns_dense(monkeypatch, h):
         assert hamsim.DENSE_FILL <= share < hamsim.STALLED * hamsim.DENSE_FILL
 
 
+def _band(n: int, width: int) -> diagmat.DiagMatrix:
+    """A real symmetric band: entries within width of the diagonal."""
+    i, j = np.indices((n, n))
+    rows, cols = np.nonzero(abs(i - j) <= width)
+    return from_coo(n, rows, cols, np.cos(rows + cols) + 2.0 * (rows == cols))
+
+
+@pytest.mark.parametrize("n, width, t, k", [
+    (128, 1, 0.5, [1]), (256, 1, 0.25, []), (256, 1, 0.5, [13]), (512, 1, 2.0, []),
+    (256, 2, 0.5, [7]), (1024, 2, 0.5, [])])
+def test_a_band_that_grows_by_diagonals_keeps_the_stalled_share(monkeypatch, n, width, t, k):
+    # T_k's band widens by 2 width diagonals a step, less than doubling from
+    # k = 2 on, so from there it needs STALLED times DENSE_FILL as every term
+    # did before: a dense grid costs more than its few diagonals.  Only T_1,
+    # three or five times I, may switch at DENSE_FILL
+    switched = _switches(monkeypatch)
+    _, records = taylor_expm(_band(n, width), TaylorConfig(t=t, eps=1e-8))
+    assert switched == k
+    scalars = [n] + [r.storage_scalars for r in records]
+    assert all(now < hamsim.GROWING * before for before, now in zip(scalars[1:], scalars[2:]))
+
+
 def _threaded(monkeypatch, threads: int = 3) -> list:
     """Dense steps of every size on threads; the thread of each dense product."""
     monkeypatch.setattr(hamsim, "THREAD_MIN", 0)
@@ -668,6 +694,44 @@ def test_threaded_edge_cases_act_as_one_thread(monkeypatch, case, layout, thread
     assert isinstance(want[0][0], str) == ("overflow" in case)
     if case.startswith("underflow"):  # dense k = 3 fails and runs packed
         assert want[1][:5] == ["packed", 2, 3, "packed", 4]
+
+
+@pytest.mark.parametrize("case", ["overflow", "overflow-nan", "sum-overflow-late"])
+def test_threaded_cli_run_writes_what_one_thread_writes(monkeypatch, tmp_path, capsys, case):
+    # each slab runs in a copy of the caller's context, so under the CLI's
+    # errstate a pool thread warns no more than the calling thread: one line
+    dense, t, terms, _ = _edge_cases()[case]
+    h, _ = _split(monkeypatch, dense, "split" if case.endswith("late") else "whole")
+    path = str(tmp_path / "h.diaq")
+    save_matrix(h, path)
+    argv = ["expm", "--h-file", path, "--t", repr(t), "--iters", str(terms),
+            "--functional-only", "--out", str(tmp_path / "r.json")]
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        return code, capsys.readouterr(), [str(w.message) for w in caught]
+
+    want = run()
+    on = _threaded(monkeypatch, threads=2)
+    assert run() == want
+    assert len(set(on)) > 1
+    code, (out, err), caught = want
+    assert code == cli.DATA_EXIT and out == "" and caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_slabs_run_under_the_callers_errstate():
+    # numpy 2's errstate is a context variable; a pool thread starts from an
+    # empty context unless the part is run in a copy of the caller's
+    chain = types.SimpleNamespace(pool=None)
+    with ThreadPoolExecutor(2) as chain.pool, np.errstate(over="ignore", invalid="ignore"):
+        seen = hamsim._DenseChain._run(chain, lambda part: (np.geterr(), threading.get_ident()),
+                                       [0, 1, 2])
+    caller = np.geterr() | {"over": "ignore", "invalid": "ignore"}
+    assert [state for state, _ in seen] == [caller] * 3
+    assert len({ident for _, ident in seen}) > 1
 
 
 def test_benchmark_chains_start_no_thread(monkeypatch):
