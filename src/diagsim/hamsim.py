@@ -110,23 +110,23 @@ rule: one share of 0.1 for every term (the rule before), or 0.05 or 0.02
 for a term that grew and 0.1 for one that did not; median ms (of 9 runs at
 6-8 qubits, 5 at 10, 2 at 12, the rules taking turns) / tracemalloc peak in
 MiB, and the step that switches.  heisenberg runs on blocks, tfim on whole
-grids, and steps of 2^18 entries or more on two threads.
+grids.
 
     chain, t                   0.1          0.05, 0.1         0.02, 0.1
     heisenberg-6, 0.5     2.5/0.2 k=1      2.5/0.2 k=1      2.4/0.2 k=1
     heisenberg-8, 0.5     8.4/1.9 k=2      7.1/1.9 k=1      7.2/1.9 k=1
-    heisenberg-10, 0.5   102/28.2 k=2     102/28.2 k=2     101/28.2 k=2
-    heisenberg-12, 0.25  1444/444 k=3     1367/444 k=3     1092/444 k=2
+    heisenberg-10, 0.5   102/28.2 k=2     102/28.2 k=2     102/28.2 k=2
+    heisenberg-12, 0.25  1792/444 k=3     1697/444 k=3     1562/444 k=2
     tfim-6, 0.5           2.8/0.3 k=1      2.8/0.3 k=1      2.8/0.3 k=1
     tfim-8, 0.5          20.0/3.3 k=2     19.0/3.3 k=1     18.8/3.3 k=1
-    tfim-10, 0.5          313/49.0 k=2     324/49.0 k=2     293/49.0 k=2
-    tfim-12, 0.25        4312/772 k=3     4002/772 k=2     3974/772 k=2
+    tfim-10, 0.5          424/48.8 k=2     432/48.8 k=2     425/48.8 k=2
+    tfim-12, 0.25        6776/772 k=3     6686/772 k=2     6742/772 k=2
 
-Switching one step sooner saves 5-15% at 8 qubits and 8-24% at 12; at 6
-and 10 qubits every rule switches at the same step.  One share of 0.02 or
-0.05 would switch a diagonal term of 4 qubits, 1/16 of n^2, and of 5, 1/32:
-such a term never grows from I, so it keeps the share of 0.1, as does
-maxcut's at every size.
+Switching one step sooner saves 5-15% at 8 qubits, 13% at heisenberg-12
+and 1% at tfim-12; at 6 and 10 qubits every rule switches at the same
+step.  One share of 0.02 or 0.05 would switch a diagonal term of 4 qubits,
+1/16 of n^2, and of 5, 1/32: such a term never grows from I, so it keeps
+the share of 0.1, as does maxcut's at every size.
 
 GROWING is 2.  The table ran with "grew" as any growth; heisenberg's and
 tfim's terms of 6-12 qubits grow 6.6 to 17 times in the step at which they
@@ -153,46 +153,6 @@ pentadiagonal one), and otherwise at 0.1 of n^2, as before: a chain whose
 terms never store 0.1 of n^2 and never double into DENSE_FILL of it
 allocates no O(n^2).
 
-Threads.  A chain whose grids hold THREAD_MIN entries or more runs each
-step on _threads() threads, the CPUs the process may run on but at most
-THREAD_CAP, 2, the only count measured: each round's first part on the
-calling thread, the others on a pool of one thread fewer, which
-taylor_expm's exit stack joins when the chain ends or raises.  A step runs
-three rounds: the products, as slabs of Q^T's rows into the same rows of
-the grid (_Band) or as whole blocks dealt by their multiplies, the heaviest
-first to the least loaded thread (_Blocks); the 1/k scaling, |R_k| and each
-slab's peaks, whose maximum is the step's; and the floor's zeroing, the U
-add and the nonzero count.  The last two take slabs of the grid: rows for
-_Band, parts of the flat buffer for _Blocks.  Each entry is still made by
-one thread, in the same order, and a maximum is exact, so U and every
-record are the single thread's bit for bit.  numpy's errstate is a context
-variable, which a pool thread does not inherit, so each part runs in a copy
-of the calling thread's context (the CLI's errstate included), each slab
-raises on underflow (the scaling) or overflow (the add) itself, and a step
-fails once every slab has run.  scipy's csr_matvecs and numpy's passes
-release the GIL; np.maximum.at holds it for part of its run, so blocks gain
-less.
-
-THREAD_MIN is 2^18, from whole chains (eps 1e-8) on one thread and on two,
-median ms of alternating in-process runs (21 at 8 qubits, 15 at 9, 7 at 10,
-3 at 11, 2 at 12) on a 2-core machine; heisenberg's blocks hold fewer
-entries than n^2.
-
-    chain, t                  entries   one thread   two threads
-    tfim-8, 0.5                65,536         20.6          27.2
-    heisenberg-8, 0.5          13,030          8.3          24.9
-    tfim-9, 0.5               262,144         96.4          72.1
-    heisenberg-9, 0.5          48,818         22.4          38.8
-    tfim-10, 0.5            1,048,576          512           313
-    heisenberg-10, 0.5        184,996          113           107
-    tfim-11, 0.5            4,194,304         2377          1382
-    heisenberg-11, 0.5        705,718          504           432
-    tfim-12, 0.25          16,777,216         7252          4132
-    heisenberg-12, 0.25     2,704,492         1437          1077
-
-On smaller grids handing a round over costs more than it saves, so every
-chain of 8 qubits, the benchmark's included, runs on one thread.
-
 Memory.  From the switch a one-block chain holds 48 n^2 bytes (the band 16,
 U 16, R_k and the grid its product goes into 8 each), where the term alone
 held at least 0.16 n^2; the packed chain's accumulator and sums reach more
@@ -209,11 +169,7 @@ the peaks fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2 and
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
@@ -239,8 +195,6 @@ DENSE_FILL = 0.02  # share of n^2 a real H's growing term stores when the chain 
 GROWING = 2  # a term grows if it stores GROWING times the scalars of the term before
 STALLED = 5  # a term that does not grow needs STALLED times that share
 MIN_BLOCK = 16  # states; smaller components of H share the dense chain's blocks
-THREAD_MIN = 2**18  # entries of a dense grid from which a step runs on threads
-THREAD_CAP = 2  # most threads a dense step runs on: the most measured (module docstring)
 
 
 @dataclass(frozen=True)
@@ -323,44 +277,43 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     dense = None  # the _DenseChain once a real H's term fills its share of n^2
     offsets, scalars = t_k.offset_array, n
     records: list[IterationRecord] = []
-    with ExitStack() as pools:  # a large dense chain's pool, joined however the chain ends
-        for k in range(1, k_max + 1):
-            stepped = dense and dense.step(k)
-            if stepped:
-                made, live, nnze = stepped
-            else:
-                if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
-                    (t_k, u), dense = dense.hand_back(k), None
-                product = diag_matmul(t_k, m)
-                made = product.offset_array
-                t_k = product.scaled(1.0 / k)
-                mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
-                if t_k.nnzd:
-                    t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
-                u = u.add(t_k)
-                live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
-            if grid is not None:
-                stage, counters, mem = simulate_product(
-                    n, offsets, m.offsets, made.tolist(), grid, cache,
-                    tags=(f"T{k - 1}", "M", f"T{k}"), counted=counted)
-            else:
-                stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
-            before, scalars = scalars, n * len(live) - int(np.abs(live).sum())
-            offsets = live
-            records.append(IterationRecord(
-                k=k, nnzd=len(live), nnze=nnze, storage_scalars=scalars,
-                savings=1.0 - scalars / float(n) ** 2,
-                stage_cycles=stage, mem=mem, counters=counters,
-            ))
-            if not len(live):
-                break  # exact nilpotency: every later term is zero too
-            share = DENSE_FILL * (1 if scalars >= GROWING * before else STALLED)
-            if (real and not dense and k < k_max and scalars >= share * n * n
-                    and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
-                product = mag = None  # no packed buffer outlives the switch
-                dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t), pools), None, None
-        if dense:
-            u, dense = dense.take_u(), None
+    for k in range(1, k_max + 1):
+        stepped = dense and dense.step(k)
+        if stepped:
+            made, live, nnze = stepped
+        else:
+            if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
+                (t_k, u), dense = dense.hand_back(k), None
+            product = diag_matmul(t_k, m)
+            made = product.offset_array
+            t_k = product.scaled(1.0 / k)
+            mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
+            if t_k.nnzd:
+                t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
+            u = u.add(t_k)
+            live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
+        if grid is not None:
+            stage, counters, mem = simulate_product(
+                n, offsets, m.offsets, made.tolist(), grid, cache,
+                tags=(f"T{k - 1}", "M", f"T{k}"), counted=counted)
+        else:
+            stage, counters, mem = StageCycles(0, 0, 0, 0), {}, MemStats()
+        before, scalars = scalars, n * len(live) - int(np.abs(live).sum())
+        offsets = live
+        records.append(IterationRecord(
+            k=k, nnzd=len(live), nnze=nnze, storage_scalars=scalars,
+            savings=1.0 - scalars / float(n) ** 2,
+            stage_cycles=stage, mem=mem, counters=counters,
+        ))
+        if not len(live):
+            break  # exact nilpotency: every later term is zero too
+        share = DENSE_FILL * (1 if scalars >= GROWING * before else STALLED)
+        if (real and not dense and k < k_max and scalars >= share * n * n
+                and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
+            product = mag = None  # no packed buffer outlives the switch
+            dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t)), None, None
+    if dense:
+        u, dense = dense.take_u(), None
     return u, records
 
 
@@ -403,39 +356,14 @@ def _csr_t(h: DiagMatrix, t: float):
 
 
 def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or some of its rows, _Rows)
-    into out, one row per row of q_t: each entry starts at +0.0 and adds its
-    terms in ascending inner index, the order of spmspm.  It is scipy's kernel
-    for q_t @ r_t, on a grid the chain reuses (_grid); it runs without the GIL."""
+    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or a block's rows of it) into
+    out: each entry starts at +0.0 and adds its terms in ascending inner index,
+    the order of spmspm.  It is scipy's kernel for q_t @ r_t, on a grid the
+    chain reuses (_grid)."""
     out.fill(0.0)
-    csr_matvecs(len(out), *r_t.shape, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1),
-                out.reshape(-1))
+    n = len(out)
+    csr_matvecs(n, n, n, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1), out.reshape(-1))
     return out
-
-
-def _threads() -> int:
-    """Threads a large dense step runs on: the CPUs this process may run on,
-    at most THREAD_CAP."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(THREAD_CAP, len(os.sched_getaffinity(0)))
-    return min(THREAD_CAP, os.cpu_count() or 1)
-
-
-def _slabs(size: int, parts: int) -> list[slice]:
-    """range(size) cut into parts consecutive slices, their lengths within one."""
-    bounds = [size * i // parts for i in range(parts + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _deal(weights: list[int], threads: int) -> list[list[int]]:
-    """Indices of the weights dealt to at most threads lists, each in
-    ascending order: the heaviest first, each to the lightest list so far."""
-    loads, deals = [0] * threads, [[] for _ in range(threads)]
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        least = loads.index(min(loads))
-        loads[least] += weights[i]
-        deals[least].append(i)
-    return [sorted(deal) for deal in deals if deal]
 
 
 def _grid(shape: tuple[int, ...], at: int) -> np.ndarray:
@@ -491,60 +419,31 @@ def _layout(q_t) -> _Band | _Blocks:
     return _Band(q_t)
 
 
-class _Product(NamedTuple):
-    """One _dense_product of a step: rows of Q^T in CSR (Q_k^T's are q_ts[k % 2])
-    into a rows x m grid at flat offset dst of the spare grid, from the m x m
-    grid at flat offset src of R^T's."""
-
-    q_ts: tuple
-    src: int
-    dst: int
-    rows: int
-    m: int
-
-
 class _Band:
     """One block, the whole matrix: n x n grids, and from the first peaks a
     band: n rows of pitch 2n - 1, each after n - 1 pads, then n - 1 more, whose
     (n, 2n - 1) sheared view holds diagonal d of the transposed window (each
-    row's last n) in column n - 1 - d, pads elsewhere.  A row of the sheared
-    view holds its row of the window and pads, so rows of the grid are slabs."""
+    row's last n) in column n - 1 - d, pads elsewhere."""
 
     def __init__(self, q_t):
         n = self.n = q_t.shape[0]
-        self.q_t, self.shape, self.window = q_t, (n, n), None
+        self.shape, self.blocks, self.window = (n, n), [(0, n, (q_t, -q_t))], None
 
-    def slabs(self, threads: int) -> list[slice]:
-        """Rows of the grid, one slab per thread."""
-        return _slabs(self.n, threads)
-
-    def products(self, threads: int) -> list[_Product]:
-        """Q^T's rows of each slab into the slab's rows, from the whole grid."""
-        n, q_t = self.n, self.q_t
-        return [_Product((q_t[rows], -q_t[rows]), 0, rows.start * n, rows.stop - rows.start, n)
-                for rows in self.slabs(threads)]
-
-    def held(self) -> np.ndarray:
-        """The window |R| goes into, allocated at the first call, once the
-        packed chain's buffers are gone."""
-        if self.window is None:
-            n = self.n
+    def peaks(self, grid: np.ndarray) -> np.ndarray:
+        """Each diagonal's largest |entry| of the grid's transpose, by offset;
+        NaN or inf where an entry is."""
+        n = self.n
+        if self.window is None:  # once the packed chain's buffers are gone
             band = np.zeros(n * (2 * n - 1) + n - 1)
             self.window = band[:n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, n - 1:]
             self.sheared = np.lib.stride_tricks.as_strided(band, (n, 2 * n - 1), (16 * n, 8))
-        return self.window
+        np.abs(grid, out=self.window)
+        return self.sheared.max(axis=0)[::-1]
 
-    def peaks(self, grid: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Each diagonal's largest |entry| of the grid's transpose in these
-        rows, by offset; NaN or inf where an entry is."""
-        np.abs(grid[rows], out=self.held()[rows])
-        return self.sheared[rows].max(axis=0)[::-1]
-
-    def zero(self, grid: np.ndarray, drop: np.ndarray, rows: slice = slice(None)) -> None:
-        """Zero the diagonals that drop marks, by offset + n - 1, in these rows."""
-        slab, first = grid[rows], rows.start or 0
+    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
+        """Zero the diagonals that drop marks, by offset + n - 1."""
         for d in (np.flatnonzero(drop) + 1 - self.n).tolist():
-            diagonal_view(slab, first - d)[:] = 0.0
+            diagonal_view(grid.T, d)[:] = 0.0
 
     def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
         """Write part (np.real or np.imag) of m's values into a zero grid."""
@@ -593,34 +492,22 @@ class _Blocks:
         for m, end in zip(sizes.tolist(), ends.tolist()):
             first, last = indptr[end - m], indptr[end]
             rows = _Rows(indptr[end - m:end + 1] - first, indices[first:last], data[first:last])
-            self.blocks.append(_Product((rows, rows._replace(data=-rows.data)), lo, lo, m, m))
+            self.blocks.append((lo, m, (rows, rows._replace(data=-rows.data))))
             self.states.append(order[end - m:end])
             lo += m * m
         self.shape, self.mag = (lo,), None
         self.at = np.concatenate([np.subtract.outer(s, s).ravel() for s in self.states]) + (n - 1)
 
-    def slabs(self, threads: int) -> list[slice]:
-        """Parts of the flat buffer, one per thread."""
-        return _slabs(self.shape[0], threads)
-
-    def products(self, threads: int) -> list[_Product]:
-        """Each block's rows of Q^T into its grid, from its grid."""
-        return self.blocks
-
-    def held(self) -> np.ndarray:
-        """_Band.held: the buffer |R| goes into."""
-        if self.mag is None:
+    def peaks(self, grid: np.ndarray) -> np.ndarray:
+        """_Band.peaks, over the blocks."""
+        if self.mag is None:  # once the packed chain's buffers are gone
             self.mag = np.empty(self.shape)
-        return self.mag
-
-    def peaks(self, grid: np.ndarray, part: slice = slice(None)) -> np.ndarray:
-        """_Band.peaks, over the blocks' entries in this part of the buffer."""
         peak = np.zeros(2 * self.n - 1)
-        np.maximum.at(peak, self.at[part], np.abs(grid[part], out=self.held()[part]))
+        np.maximum.at(peak, self.at, np.abs(grid, out=self.mag))
         return peak
 
-    def zero(self, grid: np.ndarray, drop: np.ndarray, part: slice = slice(None)) -> None:
-        grid[part][drop[self.at[part]]] = 0.0
+    def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
+        grid[drop[self.at]] = 0.0
 
     def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
         held, slots = self._slots(m.offset_array)
@@ -648,33 +535,20 @@ class _DenseChain:
     """R_k^T, the grid its product goes into (spare) and U^T's real and
     imaginary planes as float64 grids of one layout (_layout): +0.0 where a
     matrix stores nothing, never -0.0.  Each matrix goes in, and U and a
-    handed-back R_k out, through the layout's diagonal maps.  A chain whose
-    grids hold THREAD_MIN entries or more runs each step on threads (module
-    docstring)."""
+    handed-back R_k out, through the layout's diagonal maps."""
 
-    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t, pools: ExitStack):
-        """From T_k, whose component k mod 2 is R_k, U, Q^T (_csr_t) and the
-        stack that holds, and at the chain's end joins, the pool of a chain on
-        threads."""
+    def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t):
+        """From T_k, whose component k mod 2 is R_k, U and Q^T (_csr_t)."""
         n = self.n = t_k.dim
         self.offsets = np.arange(1 - n, n)
         self.stored = np.isin(self.offsets, u.offset_array)  # U's diagonals, zero ones too
         self.live = t_k.offset_array  # R_k's diagonals, each holding a nonzero
         layout = self.layout = _layout(q_t)
-        threads = _threads() if math.prod(layout.shape) >= THREAD_MIN else 1
-        self.pool = pools.enter_context(ThreadPoolExecutor(threads - 1)) if threads > 1 else None
-        self.slabs = layout.slabs(threads)
-        products = self.products = layout.products(threads)
-        self.deals = _deal([len(p.q_ts[0].data) * p.m for p in products], threads)
         self.u = [np.zeros(layout.shape), np.zeros(layout.shape)]
-
-        def views(grid):  # each product's operand and output views of the grid
-            flat = grid.reshape(-1)
-            return [(flat[p.src:p.src + p.m * p.m].reshape(p.m, p.m),
-                     flat[p.dst:p.dst + p.rows * p.m].reshape(p.rows, p.m)) for p in products]
-
+        # each R grid with its blocks' m x m views, which _dense_product takes
         self.r_t, self.spare = (
-            (grid, views(grid)) for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
+            (grid, [grid.reshape(-1)[lo:lo + m * m].reshape(m, m) for lo, m, _ in layout.blocks])
+            for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
         for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
                               (self.r_t[0], t_k, (np.real, np.imag)[k % 2])):
             layout.load(grid, m, part)
@@ -702,62 +576,31 @@ class _DenseChain:
         as they were, if the product is not finite (the packed chain raises) or
         its scaling underflows; DomainError, as the packed sum raises it, if U is not."""
         layout, (product, outs), (_, ins) = self.layout, self.spare, self.r_t
-        u, scale = self.u[k % 2], 1.0 / k
-
-        def multiply(deal):
-            for i in deal:
-                _dense_product(self.products[i].q_ts[k % 2], ins[i][0], outs[i][1])
-
-        def scaled_peaks(slab):
-            part = product[slab]
-            with np.errstate(under="raise"):  # numpy's errstate is per thread
-                part *= scale
-            return layout.peaks(product, slab)
-
-        self._run(multiply, self.deals)
-        layout.held()  # allocated here, not on the pool's threads
+        for (_, _, q_ts), r_t, out in zip(layout.blocks, ins, outs):
+            _dense_product(q_ts[k % 2], r_t, out)
         try:
-            peak = reduce(np.maximum, self._run(scaled_peaks, self.slabs))
+            with np.errstate(under="raise"):
+                product *= 1.0 / k
         except FloatingPointError:
             return None
+        peak = layout.peaks(product)
         top = peak.max()
         if not np.isfinite(top):
             return None
         self.r_t, self.spare = self.spare, self.r_t  # R_{k-1} is spent
         live, made = peak > CANCEL_EPS * top, peak > 0
         self.live, made_offsets = self.offsets[live], self.offsets[made]
-        drop = made & ~live if len(made_offsets) > len(self.live) else None  # live ones are made
+        if len(made_offsets) > len(self.live):  # live diagonals are made ones
+            layout.zero(product, made & ~live)
         self.stored |= live
-        nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
-        nonzero = nonzero.reshape(product.shape)
-
-        def add(slab):
-            if drop is not None:
-                layout.zero(product, drop, slab)
-            part = u[slab]
-            with np.errstate(over="raise"):  # finite U + R_k is finite unless it overflows
-                part += product[slab]
-            return np.count_nonzero(np.not_equal(product[slab], 0.0, out=nonzero[slab]))
-
         try:
-            nnze = sum(self._run(add, self.slabs))
+            with np.errstate(over="raise"):  # finite U + R_k is finite unless it overflows
+                self.u[k % 2] += product
         except FloatingPointError:
             self.take_u()  # raises the DomainError of the packed chain's sum
-        return made_offsets, self.live, int(nnze)
-
-    def _run(self, work, parts: list) -> list:
-        """[work(part) for part in parts]: the first on this thread, the others
-        on the pool, each in a copy of this thread's context, numpy's errstate
-        included; every part has run when it returns or raises."""
-        if len(parts) == 1:
-            return [work(parts[0])]
-        futures = [self.pool.submit(contextvars.copy_context().run, work, part)
-                   for part in parts[1:]]
-        try:
-            done = [work(parts[0])]
-        finally:
-            wait(futures)
-        return done + [future.result() for future in futures]
+        nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
+        np.not_equal(product, 0.0, out=nonzero.reshape(product.shape))
+        return made_offsets, self.live, int(np.count_nonzero(nonzero))
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

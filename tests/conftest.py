@@ -11,9 +11,9 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import settings, strategies as st
 
-from diagsim import COMPLEX, DiagMatrix, Diagonal, diag_matmul, diagio, to_dense
+from diagsim import COMPLEX, DiagMatrix, Diagonal, diag_matmul, diagio, hamsim, to_dense
 from diagsim.blocking import segment_bounds
-from diagsim.diagmat import buffer_starts, diag_length
+from diagsim.diagmat import buffer_starts, diag_length, from_coo
 from diagsim.errors import ShapeError
 from diagsim.hamsim import DEFAULT_EPS
 
@@ -310,3 +310,22 @@ def corner_matrix():
     dense[0, 3] = b
     dense[3, 0] = e
     return dense
+
+
+def split_h(monkeypatch, dense: np.ndarray, layout: str) -> tuple[DiagMatrix, int]:
+    """H from a real dense grid ("whole"), or from the direct sum of the grid
+    with a copy of itself ("split"), the grid's states at the even states and
+    the copy's, reversed, at the odd ones, each copy one block of the dense
+    chain; and the number of blocks.  Diagonal d of the grid and -d of the
+    copy lie on diagonal 2d, so a symmetric grid's diagonals fall below the
+    floor together."""
+    if layout == "split":
+        n = len(dense)
+        pair = np.zeros((2 * n, 2 * n))
+        pair[:n, :n] = pair[n:, n:] = dense
+        order = np.empty(2 * n, np.int64)
+        order[0::2], order[1::2] = np.arange(n), np.arange(2 * n - 1, n - 1, -1)
+        dense = pair[np.ix_(order, order)]
+        monkeypatch.setattr(hamsim, "MIN_BLOCK", 1)
+    rows, cols = np.nonzero(dense)
+    return from_coo(len(dense), rows, cols, dense[rows, cols]), 1 + (layout == "split")

@@ -14,7 +14,7 @@ from diagsim.dataflow import FeedConfig
 from diagsim.diagio import load_matrix, save_matrix
 from diagsim.hamsim import DEFAULT_EPS, TaylorConfig, taylor_expm
 
-from conftest import SEGMENT_CASES, check_segmented_u
+from conftest import SEGMENT_CASES, check_segmented_u, split_h
 
 
 def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -345,22 +345,52 @@ def test_non_finite_t_or_eps_exits_2_with_one_line(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+def _dense_overflows() -> dict:
+    """(H's grid, t) whose 6-term chain overflows after it turns dense (the
+    edge cases of test_hamsim): a product that overflows to -inf, one that
+    overflows with NaN where signs mix, and U's sum."""
+    positive = np.arange(1.0, 17.0).reshape(4, 4)
+    mixed = positive.copy()
+    mixed[::2, 1::2] *= -1
+    g = np.zeros((6, 6))
+    g[1:5, 1:5] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    g[0, 1:5] = g[5, 1:5] = 1.7e308
+    return {"overflow": (positive, 1e100), "overflow-nan": (mixed, 1e100), "sum-overflow": (g, 1.0)}
+
+
+DENSE_OVERFLOWS = _dense_overflows()
+
+
 @pytest.mark.parametrize("mode", [[], ["--functional-only"]], ids=["simulated", "functional"])
-@pytest.mark.parametrize("t", ["1e308", "1e200"])
-def test_overflowing_t_exits_2_with_one_line(tmp_path, capsys, t, mode):
-    # 1e308 overflows t H itself, 1e200 the chain's first products; either way
-    # DiagMatrix names the non-finite diagonal and numpy stays quiet
+@pytest.mark.parametrize("case", ["1e308", "1e200", *(f"{name}-{layout}" for name in DENSE_OVERFLOWS
+                                                      for layout in ("whole", "split"))])
+def test_overflowing_t_exits_2_with_one_line(monkeypatch, tmp_path, capsys, case, mode):
+    # tfim-3's t H overflows at t = 1e308, before the chain starts; at 1e200
+    # T_1 turns the chain dense and T_2's product overflows.  The other cases
+    # overflow a later product or U's sum, on a whole H and on a split one.
+    # Either way DiagMatrix names the non-finite diagonal and numpy stays quiet
     out = tmp_path / "r.json"
-    argv = ["expm", "--model", "tfim", "--qubits", "3", "--t", t, "--iters", "3",
-            "--out", str(out), *mode]
+    if case in ("1e308", "1e200"):
+        source, t, iters = ["--model", "tfim", "--qubits", "3"], case, "3"
+    else:
+        name, layout = case.rsplit("-", 1)
+        grid, t = DENSE_OVERFLOWS[name]
+        path = str(tmp_path / "h.diaq")
+        save_matrix(split_h(monkeypatch, grid, layout)[0], path)
+        source, t, iters = ["--h-file", path], repr(t), "6"
+    dense, real = [], hamsim._dense_product
+    monkeypatch.setattr(hamsim, "_dense_product", lambda *args: dense.append(1) or real(*args))
+    argv = ["expm", *source, "--t", t, "--iters", iters, "--out", str(out), *mode]
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv) == cli.DATA_EXIT
     assert np.geterr() == before  # library calls keep numpy's defaults
-    err = capsys.readouterr().err
-    assert err.startswith("error: diagonal ") and err.count("\n") == 1
-    assert err.endswith(" contains non-finite values\n") and not out.exists()
+    assert bool(dense) == (case != "1e308")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: diagonal ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(" contains non-finite values\n") and not out.exists()
 
 
 def test_negative_maxcut_seed_exits_2_with_one_line(tmp_path, capsys):

@@ -1,10 +1,6 @@
 import functools
-import sys
 import threading
 import tracemalloc
-import types
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,15 +9,15 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
-from diagsim import cli, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
+from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
 from diagsim.dataflow import StageCycles
-from diagsim.diagio import save_matrix
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
 from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
 from diagsim.memory import CacheConfig, MemStats, SetAssocCache
 
-from conftest import SEGMENT_CASES, check_segmented_u, csr_t_oracle, edge_matrices, same_bits
+from conftest import (SEGMENT_CASES, check_segmented_u, csr_t_oracle, edge_matrices, same_bits,
+                      split_h as _split)
 from taylor_oracle import complex_chain
 
 
@@ -309,25 +305,6 @@ def test_complex_hamiltonian_keeps_the_complex_chain(monkeypatch, use_simulator)
     assert same_bits(u, complex_chain(h, 0.7, eps=1e-12)[0])
 
 
-def _split(monkeypatch, dense: np.ndarray, layout: str):
-    """H from a real dense grid ("whole"), or from the direct sum of the grid
-    with a copy of itself ("split"), the grid's states at the even states and
-    the copy's, reversed, at the odd ones, each copy one block of the dense
-    chain; and the number of blocks.  Diagonal d of the grid and -d of the
-    copy lie on diagonal 2d, so a symmetric grid's diagonals fall below the
-    floor together."""
-    if layout == "split":
-        n = len(dense)
-        pair = np.zeros((2 * n, 2 * n))
-        pair[:n, :n] = pair[n:, n:] = dense
-        order = np.empty(2 * n, np.int64)
-        order[0::2], order[1::2] = np.arange(n), np.arange(2 * n - 1, n - 1, -1)
-        dense = pair[np.ix_(order, order)]
-        monkeypatch.setattr(hamsim, "MIN_BLOCK", 1)
-    rows, cols = np.nonzero(dense)
-    return from_coo(len(dense), rows, cols, dense[rows, cols]), 1 + (layout == "split")
-
-
 def _raised(call) -> str:
     """The DomainError text call() raises."""
     with pytest.raises(DomainError) as raised:
@@ -604,159 +581,16 @@ def test_a_band_that_grows_by_diagonals_keeps_the_stalled_share(monkeypatch, n, 
     assert all(now < hamsim.GROWING * before for before, now in zip(scalars[1:], scalars[2:]))
 
 
-def _threaded(monkeypatch, threads: int = 3) -> list:
-    """Dense steps of every size on threads; the thread of each dense product."""
-    monkeypatch.setattr(hamsim, "THREAD_MIN", 0)
-    monkeypatch.setattr(hamsim, "_threads", lambda: threads)
-    seen, real = [], hamsim._dense_product
-    monkeypatch.setattr(hamsim, "_dense_product",
-                        lambda *args: seen.append(threading.get_ident()) or real(*args))
-    return seen
-
-
-def _chain_or_error(h, cfg, grid=None):
-    """(U's bytes and records) of the chain, or the DomainError text it raises;
-    the threads alive before and after are the same."""
-    before = threading.enumerate()
-    try:
-        u, records = taylor_expm(h, cfg, grid)
-        got = (u.offset_array.tobytes(), u.values.tobytes(), records)
-    except DomainError as raised:
-        got = str(raised)
-    assert threading.enumerate() == before
-    return got
-
-
-@pytest.mark.parametrize("use_simulator", [False, True], ids=["functional", "simulated"])
-@pytest.mark.parametrize("model", ["heisenberg", "tfim"])  # _Blocks and _Band
-def test_threaded_chain_is_bit_identical_to_one_thread(monkeypatch, model, use_simulator):
-    h, cfg = gen_benchmark(model, 8), TaylorConfig(t=0.5, eps=1e-8)
-    grid = GridSetup(rows=16, cols=16) if use_simulator else None
-    want = _chain_or_error(h, cfg, grid)
-    on = _threaded(monkeypatch, threads=4)  # likely more threads than cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the GIL over as often as the interpreter can
-    try:
-        assert _chain_or_error(h, cfg, grid) == want
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(set(on)) > 1  # the products ran on more than one thread
-
-
-def _edge_cases():
-    """(grid, t, terms, eps) of the dense chain's edge cases above: a scaling
-    that underflows, a product that overflows (to -inf, or with NaN), U's sum
-    that overflows and the cancellation floor; "late", after a block that
-    stays in range, so that only a pool thread's slab meets the edge."""
-    base = np.array([[1.0, -2.0, 0.5, 3.0], [-2.0, -1.0, 1.5, -0.5],
-                     [0.5, 1.5, 2.0, -1.0], [3.0, -0.5, -1.0, 0.25]])
-    positive = np.arange(1.0, 17.0).reshape(4, 4)
-    mixed = positive.copy()
-    mixed[::2, 1::2] *= -1
-    g = np.zeros((6, 6))
-    g[1:5, 1:5] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    g[0, 1:5] = g[5, 1:5] = 1.7e308
-    i, j = np.indices((16, 16))
-    floor = np.where(abs(i - j) <= 5, np.cos(i + 2 * j) / (1.0 + abs(i - j)), 0.0)
-    floor = floor + floor.T
-    floor[abs(i - j) == 12] = 1e-20 * (1 + (i + j) % 3)[abs(i - j) == 12]
-    return {"underflow": (base * 1e-108, 1.0, 6, None),
-            "underflow-late": (scipy.linalg.block_diag(base, base * 1e-108), 1.0, 6, None),
-            "overflow": (positive, 1e100, 6, None), "overflow-nan": (mixed, 1e100, 6, None),
-            "sum-overflow": (g, 1.0, 6, None),
-            "sum-overflow-late": (scipy.linalg.block_diag(np.minimum(g, 1.0), g), 1.0, 6, None),
-            "floor": (floor, 0.7, None, 1e-12)}
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize("threads", [2, 3])
-@pytest.mark.parametrize("layout", ["whole", "split"])
-@pytest.mark.parametrize("case", list(_edge_cases()))
-def test_threaded_edge_cases_act_as_one_thread(monkeypatch, case, layout, threads):
-    # numpy's errstate is per thread, so each slab sets under or over itself:
-    # the same steps, hand-backs, DomainError and bits
-    dense, t, terms, eps = _edge_cases()[case]
-    h, _ = _split(monkeypatch, dense, layout)
-    cfg = TaylorConfig(t=t, terms=terms, eps=eps)
-    steps, step, packed = [], hamsim._DenseChain.step, hamsim.diag_matmul
-    monkeypatch.setattr(hamsim._DenseChain, "step",
-                        lambda chain, k: steps.append(k) or step(chain, k))
-    monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: steps.append("packed") or packed(a, b))
-
-    def runs():
-        got = [_chain_or_error(h, cfg, grid) for grid in (None, GridSetup(rows=4, cols=4))]
-        return got, steps[:], steps.clear()
-
-    want = runs()
-    on = _threaded(monkeypatch, threads)
-    assert runs() == want
-    assert len(set(on)) > 1
-    assert isinstance(want[0][0], str) == ("overflow" in case)
-    if case.startswith("underflow"):  # dense k = 3 fails and runs packed
-        assert want[1][:5] == ["packed", 2, 3, "packed", 4]
-
-
-@pytest.mark.parametrize("case", ["overflow", "overflow-nan", "sum-overflow-late"])
-def test_threaded_cli_run_writes_what_one_thread_writes(monkeypatch, tmp_path, capsys, case):
-    # each slab runs in a copy of the caller's context, so under the CLI's
-    # errstate a pool thread warns no more than the calling thread: one line
-    dense, t, terms, _ = _edge_cases()[case]
-    h, _ = _split(monkeypatch, dense, "split" if case.endswith("late") else "whole")
-    path = str(tmp_path / "h.diaq")
-    save_matrix(h, path)
-    argv = ["expm", "--h-file", path, "--t", repr(t), "--iters", str(terms),
-            "--functional-only", "--out", str(tmp_path / "r.json")]
-
-    def run():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(argv)
-        return code, capsys.readouterr(), [str(w.message) for w in caught]
-
-    want = run()
-    on = _threaded(monkeypatch, threads=2)
-    assert run() == want
-    assert len(set(on)) > 1
-    code, (out, err), caught = want
-    assert code == cli.DATA_EXIT and out == "" and caught == []
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_slabs_run_under_the_callers_errstate():
-    # numpy 2's errstate is a context variable; a pool thread starts from an
-    # empty context unless the part is run in a copy of the caller's
-    chain = types.SimpleNamespace(pool=None)
-    with ThreadPoolExecutor(2) as chain.pool, np.errstate(over="ignore", invalid="ignore"):
-        seen = hamsim._DenseChain._run(chain, lambda part: (np.geterr(), threading.get_ident()),
-                                       [0, 1, 2])
-    caller = np.geterr() | {"over": "ignore", "invalid": "ignore"}
-    assert [state for state, _ in seen] == [caller] * 3
-    assert len({ident for _, ident in seen}) > 1
-
-
 def test_benchmark_chains_start_no_thread(monkeypatch):
-    # at the default THREAD_MIN the expm workloads' chains (heisenberg-8 and
-    # tfim-8 at t = 0.5, heisenberg-6 at t = 1 on a 16 x 16 grid) run on this
-    # thread alone; simulate and io-roundtrip run no chain
+    # the expm workloads' chains (heisenberg-8 and tfim-8 at t = 0.5,
+    # heisenberg-6 at t = 1 on a 16 x 16 grid) and tfim-9's, whose dense grids
+    # hold 2^18 entries, run on this thread alone; simulate and io-roundtrip
+    # run no chain
     def refuse(thread):
         raise AssertionError(f"a chain started {thread}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for model, qubits, t, grid in [("heisenberg", 8, 0.5, None), ("tfim", 8, 0.5, None),
-                                   ("heisenberg", 6, 1.0, GridSetup(rows=16, cols=16))]:
+                                   ("heisenberg", 6, 1.0, GridSetup(rows=16, cols=16)),
+                                   ("tfim", 9, 0.5, None)]:
         taylor_expm(gen_benchmark(model, qubits), TaylorConfig(t=t, eps=1e-8), grid)
-
-
-@pytest.mark.parametrize("weights, threads, deals", [
-    ([5], 1, [[0]]), ([1, 2, 3], 1, [[0, 1, 2]]), ([4, 4, 4, 4], 2, [[0, 2], [1, 3]]),
-    ([9, 1, 1, 7], 2, [[0], [1, 2, 3]]), ([3, 1], 4, [[0], [1]])])
-def test_deal_puts_the_heaviest_first_on_the_lightest_thread(weights, threads, deals):
-    assert hamsim._deal(weights, threads) == deals
-
-
-@pytest.mark.parametrize("size, parts", [(1, 1), (4, 3), (4096, 2), (184_996, 4), (5, 4)])
-def test_slabs_cover_the_range_in_order(size, parts):
-    slabs = hamsim._slabs(size, parts)
-    assert len(slabs) == parts and slabs[0].start == 0 and slabs[-1].stop == size
-    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
-    assert max(s.stop - s.start for s in slabs) - min(s.stop - s.start for s in slabs) <= 1
