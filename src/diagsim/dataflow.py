@@ -99,7 +99,7 @@ def longest_diagonal(a_lengths: list[int], b_lengths: list[int]) -> tuple[str, i
     return "A", best_a, a_lengths.index(best_a) + 1
 
 
-def predict_cycles(rows: int, cols: int, side: str, length: int, position: int) -> StageCycles:
+def predict_cycles(rows: int, cols: int, length: int, position: int) -> StageCycles:
     """Closed-form stage cycles for a stall-free single job.
 
     preload = R + C - 1; compute = L + p - R - C + 1 with p the feed position
@@ -175,7 +175,7 @@ def run_job(a_bounds: np.ndarray, b_bounds: np.ndarray, feed: FeedConfig = FeedC
     if max_rows is not None and rows > max_rows:
         raise GridCapacityError(f"{rows} B segments exceed the {max_rows}-row grid")
     longest = longest_diagonal(a_len, b_len)
-    stage = predict_cycles(rows, cols, *longest)
+    stage = predict_cycles(rows, cols, *longest[1:])
     # one row per A segment, one column per B segment: offset, first and last row
     da, a_lo, a_hi = a_bounds.T[:, :, None]
     db, b_lo, b_hi = b_bounds.T

@@ -55,7 +55,6 @@ from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .diagmat import COMPLEX, DiagMatrix, diag_length, from_coo, from_dense
@@ -226,19 +225,21 @@ def _integer(value) -> int:
 
 def write_matrix_market(m: DiagMatrix, path: str) -> None:
     """Coordinate file of the nonzero entries, by diagonal then row (zeros are not written)."""
+    from scipy.io import mmwrite  # scipy.io loads slowly, and only these two functions use it
     parts = [(d, np.flatnonzero(vec), vec) for d, vec in m.offset_views()]
     rows = np.concatenate([np.empty(0, np.int64)] + [at + max(0, -d) for d, at, _ in parts])
     cols = np.concatenate([np.empty(0, np.int64)] + [at + max(0, d) for d, at, _ in parts])
     values = np.concatenate([np.empty(0, COMPLEX)] + [vec[at] for _, at, vec in parts])
     coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(m.dim, m.dim))
     text = io.BytesIO()
-    scipy.io.mmwrite(text, coo)
+    mmwrite(text, coo)
     atomic_write(path, text.getvalue())
 
 
 def read_matrix_market(path: str) -> DiagMatrix:
+    from scipy.io import mmread
     with reading(path):
-        mat = scipy.io.mmread(path)
+        mat = mmread(path)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"square matrix required, got {mat.shape}")
         if not scipy.sparse.issparse(mat):

@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 
+from .dataflow import StageCycles
 from .hamsim import IterationRecord
 from .memory import MemStats
 
@@ -109,71 +110,43 @@ def records_to_json(records: list[IterationRecord]) -> list[dict]:
 
 
 def report_to_json(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True) and a newline: identical
-    inputs give identical bytes.  json's indented encoder is pure Python, so
-    the iterations list, most of an expm report, fills one per-record
-    template (_iterations_json); the rest goes through json."""
-    iterations = report["iterations"]
-    rendered = _iterations_json(iterations) if iterations else "[]"
-    if rendered is None:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """json.dumps(report, indent=2, sort_keys=True) and a newline, for
+    build_report's reports and the documents json reads back from them.
+    json's indented encoder is pure Python, so the iterations, most of an
+    expm report, fill one per-record template built at import from
+    records_to_json, which alone defines a record's shape; the rest of the
+    report goes through json.  repr writes int and float leaves as json
+    does, but for nan and the infinities."""
     text = json.dumps(dict(report, iterations=[]), indent=2, sort_keys=True)
-    return text.replace('\n  "iterations": []', '\n  "iterations": ' + rendered, 1) + "\n"
+    iterations = report["iterations"]
+    if iterations:
+        leaves = list(map(repr, [r[key] if sub is None else r[key][sub]
+                                 for r in iterations for key, sub in _LEAVES]))
+        if "n" in "".join(leaves):
+            leaves = [_NON_FINITE.get(leaf, leaf) for leaf in leaves]
+        width = len(_LEAVES)
+        rows = ",\n".join(_TEMPLATE % tuple(leaves[i:i + width])
+                           for i in range(0, len(leaves), width))
+        text = text.replace('\n  "iterations": []', '\n  "iterations": [\n' + rows + "\n  ]", 1)
+    return text + "\n"
 
 
-_MARK = "\0"  # a leaf of the template's record, which json writes as "\u0000"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _iterations_json(records) -> str | None:
-    """The records as json writes a top-level value at indent=2, from the
-    first record's sorted key schema, or None unless every record has that
-    schema and only int and float leaves.  Those json writes as repr does,
-    but for NaN and the infinities."""
-    if type(records) is not list or type(records[0]) is not dict:
-        return None
-    leaves: list = []
-    try:
-        schema = _schema(records[0])
-        for record in records:
-            _flatten(record, schema, leaves)
-    except (KeyError, TypeError):
-        return None
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
-    text = list(map(repr, leaves))
-    if "n" in "".join(text):
-        text = [_NON_FINITE.get(leaf, leaf) for leaf in text]
-    template = json.dumps(_marked(schema), indent=2, sort_keys=True).replace("%", "%%")
-    width = len(text) // len(records)
-    if template.count(json.dumps(_MARK)) != width:
-        return None
-    template = "    " + template.replace(json.dumps(_MARK), "%s").replace("\n", "\n    ")
-    rows = (template % tuple(text[i * width:(i + 1) * width]) for i in range(len(records)))
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+def _record_template(record: dict) -> tuple[str, list]:
+    """One entry of a report's iterations as json writes it there, each leaf
+    %s, and the (key, subkey or None) of each leaf in the template's order."""
+    leaves = [(key, sub) for key, value in sorted(record.items())
+              for sub in (sorted(value) if type(value) is dict else [None])]
+    marked = {key: dict.fromkeys(value, "\0") if type(value) is dict else "\0"
+              for key, value in record.items()}
+    text = json.dumps(marked, indent=2, sort_keys=True).replace(json.dumps("\0"), "%s")
+    return "    " + text.replace("\n", "\n    "), leaves
 
 
-def _schema(record: dict) -> list:
-    """(key, the schema of a dict value or None) for each key, sorted."""
-    return [(key, _schema(value) if type(value) is dict else None)
-            for key, value in sorted(record.items())]
-
-
-def _flatten(record: dict, schema: list, leaves: list) -> None:
-    """Append the record's leaves in schema order; KeyError or TypeError if
-    the record does not have the schema."""
-    if type(record) is not dict or len(record) != len(schema):
-        raise KeyError
-    for key, sub in schema:
-        if sub is None:
-            leaves.append(record[key])
-        else:
-            _flatten(record[key], sub, leaves)
-
-
-def _marked(schema: list) -> dict:
-    """A record of the schema, each leaf _MARK."""
-    return {key: _MARK if sub is None else _marked(sub) for key, sub in schema}
+_TEMPLATE, _LEAVES = _record_template(records_to_json([IterationRecord(
+    0, 0, 0, 0, 0.0, StageCycles(0, 0, 0, 0), MemStats(), {})])[0])
 
 
 def report_to_csv(report: dict) -> str:

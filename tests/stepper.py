@@ -166,7 +166,7 @@ def step_job(a, b, a_bounds, b_bounds, feed: FeedConfig = FeedConfig(), *,
     grid = DpeGrid(a, b, a_bounds, b_bounds, feed,
                    max_rows=max_rows, max_cols=max_cols, interleave=interleave)
     stage = predict_cycles(grid.rows, grid.cols,
-                           *longest_diagonal(grid.a_lengths(), grid.b_lengths()))
+                           *longest_diagonal(grid.a_lengths(), grid.b_lengths())[1:])
     sim = GridRun(grid, bank, collect_products=collect_products, trace=trace)
     total = sim.drain()
     stage = StageCycles(stage.preload, stage.compute, stage.popout, total)

@@ -243,10 +243,10 @@ class TestRunJob:
 
 class TestPredictCycles:
     def test_reference_substitution(self):
-        assert predict_cycles(3, 3, "B", 5, 2).total == 10
+        assert predict_cycles(3, 3, 5, 2).total == 10
 
     def test_degenerate_grid(self):
-        stage = predict_cycles(1, 1, "B", 1, 1)
+        stage = predict_cycles(1, 1, 1, 1)
         assert stage.total == 2
         assert stage.preload == 1
 
@@ -260,12 +260,12 @@ class TestPredictCycles:
             stepped = step_whole(a, b).stage.total
             assert stepped == predict_cycles(
                 grid.rows, grid.cols,
-                *longest_diagonal(grid.a_lengths(), grid.b_lengths())).total
+                *longest_diagonal(grid.a_lengths(), grid.b_lengths())[1:]).total
             assert run_whole(a, b).stage.total == stepped
 
     def test_stage_split_can_go_negative(self):
         # a short early diagonal finishes feeding before the preload wave
-        stage = predict_cycles(4, 4, "B", 2, 1)
+        stage = predict_cycles(4, 4, 2, 1)
         assert stage.compute < 0
         assert stage.preload + stage.compute + stage.popout == stage.total
 

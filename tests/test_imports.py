@@ -21,9 +21,14 @@ one: what a module shares is public.
 Only ``cli._shared_parser`` may be memoized with ``functools.cache`` or
 ``lru_cache``: a cache that outlives a call carries results across runs in
 one process, as the benchmark's passes are.
+A fresh ``import diagsim.cli`` leaves ``scipy.io`` unloaded: only the Matrix
+Market reader and writer use it, and it is about a tenth of the import's time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,3 +286,11 @@ def test_guard_sees_memoizers():
                      "cache = {}\n"
                      "def f(cache): return cache\n")}
     assert memoized(sources) == ["a:2", "a:8", "a:parser", "a:plan"]
+
+
+def test_cli_import_leaves_scipy_io_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, diagsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.io')))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "[]\n"

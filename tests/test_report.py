@@ -3,9 +3,8 @@
 import json
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagsim import cli
 from diagsim.dataflow import StageCycles
@@ -23,10 +22,13 @@ MODEL = EnergyModel(dpe_active_cycle=1.0, multiply=2.0, fifo_rw=0.5,
                     cache_access=10.0, dram_access=1000.0)
 
 
+def record(savings: float) -> IterationRecord:
+    return IterationRecord(k=1, nnzd=3, nnze=8, storage_scalars=8, savings=savings,
+                           stage_cycles=STAGE, mem=MEM, counters=COUNTERS)
+
+
 def small_report():
-    record = IterationRecord(k=1, nnzd=3, nnze=8, storage_scalars=8, savings=0.5,
-                             stage_cycles=STAGE, mem=MEM, counters=COUNTERS)
-    return build_report("w", 2, 2, STAGE, COUNTERS, MEM, [record], model=MODEL)
+    return build_report("w", 2, 2, STAGE, COUNTERS, MEM, [record(0.5)], model=MODEL)
 
 
 def test_schema_keys():
@@ -61,6 +63,9 @@ def records(draw):
 
 
 @settings(max_examples=300)
+@example([record(math.nan), record(math.inf), record(-math.inf)], math.nan, "w")
+@example([record(-math.inf)], math.inf, "w")
+@example([record(math.nan)], -math.inf, "w")
 @given(st.lists(records(), max_size=5), FLOATS, st.text())
 def test_report_renders_as_json_does(records, hit_rate, workload):
     report = build_report(workload, 2, 2, STAGE, COUNTERS, MEM, records)
@@ -68,33 +73,19 @@ def test_report_renders_as_json_does(records, hit_rate, workload):
     assert report_to_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _iteration(**changes) -> dict:
-    """small_report's iteration record, with these keys changed or, set to
-    None, removed."""
-    record = {**small_report()["iterations"][0], **changes}
-    return {key: value for key, value in record.items() if value is not None}
-
-
-@pytest.mark.parametrize("iterations", [
-    [_iteration(), _iteration(savings="x")], [_iteration(), _iteration(mem=None)],
-    [_iteration(), _iteration(extra=1)], [_iteration(), _iteration(cycles=[1, 2, 3, 4])],
-    [_iteration(), _iteration(k=True)], [_iteration(savings=np.float64(0.25))],
-    [_iteration(cycles={})], [_iteration(mem={"%s": 1.5})], [[1, 2]], [None],
-    (_iteration(),), {"k": 1}, [{}, {}], [_iteration(), _iteration(cycles="")],
-    [{1: 2, "a": 3}]],
-    ids=["str", "missing", "extra", "list", "bool", "float64", "empty", "percent", "lists",
-         "none", "tuple", "dict", "no-leaves", "empty-str", "mixed-keys"])
-def test_records_of_another_shape_render_as_json_does(iterations):
-    # shapes at the template's edges (empty dicts, a key with %s) and shapes
-    # it refuses, which go through json whole: either way, json's bytes
-    report = {**small_report(), "iterations": iterations}
-    try:
-        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    except TypeError:  # keys json cannot sort
-        with pytest.raises(TypeError):
-            report_to_json(report)
-        return
-    assert report_to_json(report) == want
+@pytest.mark.parametrize("argv, count", [
+    (["heisenberg", "--qubits", "6", "--t", "1", "--grid-rows", "16", "--grid-cols", "16"], 54),
+    (["heisenberg", "--qubits", "8", "--t", "0.5", "--functional-only"], 41),
+    (["tfim", "--qubits", "8", "--t", "0.5", "--functional-only"], 32)],
+    ids=["heisenberg-6-sim", "heisenberg-8-func", "tfim-8-func"])
+def test_program_built_reports_render_as_json_does(monkeypatch, capsys, argv, count):
+    # the benchmark's expm chains: one simulated, two functional
+    reports = []
+    monkeypatch.setattr(cli, "report_to_json", lambda r: reports.append(r) or report_to_json(r))
+    assert cli.main(["expm", "--model", *argv, "--eps", "1e-8"]) == 0
+    (report,) = reports
+    assert len(report["iterations"]) == count
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_to_csv_bytes():
