@@ -8,12 +8,15 @@ simulated, at t = 0.5 and t = -0.3, with --iters, --segments 2, --csv and
 on qubit 0), whose chain stays packed.  Split inputs, whose dense chains run
 block by block, follow: heisenberg-8 at t = 0.5, functional and simulated on
 a 16 x 16 grid, heisenberg-10 at t = 0.5, functional, and a hand-built real H
-of two interleaved 20-state components and one 1-state component.  Last come
+of two interleaved 20-state components and one 1-state component.  Then come
 products that reach each side of the kernel's real/complex choice: the real
 heisenberg-8 squared (77 diagonals, so A is laid out in two blocks) times
 heisenberg-8, a complex U times the real h6 in both orders, and a real H whose
 imaginary parts and stored zeros all hold -0.0, through matmul and through
-simulate --product-out.  Each
+simulate --product-out.  Last, simulated runs off the default cache and
+feed pin the memory and grid flags: 3 sets of 1 way, 100,000 sets of 3
+ways, 5 sets of 1 way with a descending A feed and A groups of 3,
+--interleave 2, and --cuts with B groups of 2 on 4 sets.  Each
 command's stdout and every file left in the run's directory is hashed with
 sha256, except Matrix Market files, whose text is scipy's.  The commands run
 in a fresh directory with relative names, so no output holds a path of the
@@ -103,6 +106,15 @@ COMMANDS += [
     "matmul h6.diaq heisenberg6-f0.5.diaq --out h6u.diaq --check",
     "matmul nz.diaq nz.diaq --out nznz.diaq --check",
     "simulate nz.diaq nz.diaq --grid-rows 8 --grid-cols 8 --product-out nznz-sim.diaq",
+]
+COMMANDS += [
+    "expm --model heisenberg --qubits 5 --t 0.5 --cache-sets 3 --cache-ways 1 --out c-h5.json",
+    "expm --model tfim --qubits 5 --t 0.5 --cache-sets 100000 --cache-ways 3 --out c-t5.json",
+    "simulate h6.diaq h6.diaq --grid-rows 8 --grid-cols 8 --cache-sets 5 --cache-ways 1 "
+    "--feed a=desc,b=asc --a-group-size 3 --trace c-h6.jsonl --out c-h6.json",
+    "expm --model maxcut --qubits 4 --t 0.5 --interleave 2 --out c-m4.json",
+    "expm --model heisenberg --qubits 6 --t 0.5 --grid-rows 4 --grid-cols 4 --b-group-size 2 "
+    "--cuts 16,40 --cache-sets 4 --cache-ways 2 --out c-h6g.json",
 ]
 
 

@@ -160,6 +160,9 @@ def _chain(*jobs_per_product):
 # `ways` lines, then within them
 @example(sets=1, ways=2, warm=(), chain=_chain([(0, 1, {0}), (2, 3, {0})]))
 @example(sets=1, ways=3, warm=(), chain=_chain([(0, 1, {0}), (2, 3, {1}), (4, 5, {0})]))
+# A and B fill the only set's ways, so every partial takes the closed form, and
+# the second job writes C0 again after it was written back
+@example(sets=1, ways=2, warm=(), chain=_chain([(0, 1, {0, 1, 2}), (0, 1, {0, 3})]))
 # A and B in one set: B past the first line at ways=1, and no C line in the set
 @example(sets=2, ways=1, warm=(), chain=_chain([(0, 2, {1, 3}), (2, 0, ())]) * 2)
 @example(sets=2, ways=2, warm=(), chain=_chain([(0, 2, {1}), (4, 4, {-1, 3})]))
