@@ -39,8 +39,7 @@ C columns, A-column lengths La and B-row lengths Lb:
 The product's values come from the caller (spmspm.diag_matmul, or hamsim's
 dense Taylor product); no job computes values.  The per-job value reference
 and a per-cycle stepper of the same grid live with the tests as the oracles
-these closed forms are held to.  blocking.merge_outputs, the sum of per-job
-partial outputs, stays in the program only for the benchmark's tracer.
+these closed forms are held to.
 """
 
 from __future__ import annotations

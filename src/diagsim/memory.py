@@ -128,62 +128,53 @@ def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
 
 def _step_jobs(cache: SetAssocCache, jobs: tuple, tags: dict, seen: dict) -> list[MemStats]:
     """charge_job job by job; seen maps each kind to the ids charged under
-    the product's tag.  Reads are stepped, and so are the C lines among a
-    set's first `ways`; only they can hit.  LRU keeps the `ways` most recent
-    distinct lines of a set (Mattson et al., IBM Systems Journal 9(2), 1970)
-    and a job's lines are distinct, so each later C line misses, or allocates
-    as a fresh partial, and evicts the line `ways` accesses before it: the
-    counts, write-backs and the set's last `ways` lines follow in closed form."""
+    the product's tag.  A job's lines go to their sets in access order, reads
+    first, and each set steps its first max(ways, reads) lines: a line held is
+    a hit, a new read a compulsory miss, a new partial a hit with no fetch.
+    LRU keeps a set's `ways` most recent distinct lines (Mattson et al., IBM
+    Systems Journal 9(2), 1970) and a job's lines are distinct, so each later
+    line, a partial, misses or allocates fresh and evicts the line `ways`
+    accesses before it: counts, write-backs and held lines follow in closed form."""
     cfg, sets, ways, c_tag = cache.config, cache.config.sets, cache.config.ways, tags["C"]
     seen_c, deltas = seen["C"], []
     for a_group, b_group, offsets in jobs:
         hits = misses = compulsory = dirty = 0  # dirty: C lines evicted, so written back
-        reads = {}  # set index -> how many of the job's two reads it takes
-        for line in (("A", tags["A"], a_group), ("B", tags["B"], b_group)):
-            kind, _, i = line
-            reads[i % sets] = reads.get(i % sets, 0) + 1
-            held = cache._sets.setdefault(i % sets, [])
-            if line in held:
-                held.remove(line)
-                hits += 1
-            else:
-                misses += 1
-                compulsory += i not in seen[kind]
-                seen[kind].add(i)
-                if len(held) == ways and held.pop(0)[0] == "C":
-                    dirty += 1
-            held.append(line)
-        writes = defaultdict(list)  # set index -> the job's output offsets in it
+        a_set, b_set = a_group % sets, b_group % sets
+        dealt = defaultdict(list)  # set index -> the job's reads as lines, then its offsets
+        dealt[a_set].append(("A", tags["A"], a_group))
+        dealt[b_set].append(("B", tags["B"], b_group))
         for dc in offsets:
-            writes[dc % sets].append(dc)
-        for s, set_writes in writes.items():  # sets are independent: any order
+            dealt[dc % sets].append(dc)
+        for s, set_lines in dealt.items():  # sets are independent: any order
+            reads = (s == a_set) + (s == b_set)
+            stepped = ways if reads <= ways else reads
             held = cache._sets.setdefault(s, [])
-            # C lines among the set's first `ways` accesses
-            stepped = max(ways - reads[s], 0) if s in reads else ways
-            for dc in set_writes[:stepped]:
-                line = ("C", c_tag, dc)
+            for line in set_lines[:stepped]:
+                if type(line) is not tuple:  # a partial, dealt by offset: most never step
+                    line = ("C", c_tag, line)
                 if line in held:
                     held.remove(line)
                     hits += 1
                 else:
-                    if dc in seen_c:  # seen, so never compulsory
-                        misses += 1
-                    else:  # a fresh partial: no fetch
-                        hits += 1
-                        seen_c.add(dc)
                     if len(held) == ways and held.pop(0)[0] == "C":
                         dirty += 1
+                    kind, _, i = line
+                    if kind == "C" and i not in seen_c:  # a fresh partial: no fetch
+                        hits += 1
+                        seen_c.add(i)
+                    else:  # a miss, compulsory for a read never charged
+                        misses += 1
+                        compulsory += i not in seen[kind]
+                        seen[kind].add(i)
                 held.append(line)
-            late = set_writes[stepped:]
-            if not late:
-                continue
-            count = len(seen_c)
-            seen_c.update(late)
-            fresh = len(seen_c) - count  # fresh partials allocate as hits
-            hits, misses = hits + fresh, misses + len(late) - fresh
-            dirty += max(len(set_writes) - ways, 0)
-            # held ends with the set's `ways` latest accesses; each late line evicts one
-            held[:] = (held + [("C", c_tag, dc) for dc in late[-ways:]])[-ways:]
+            late = set_lines[stepped:]
+            if late:
+                count = len(seen_c)
+                seen_c.update(late)
+                fresh = len(seen_c) - count
+                hits, misses = hits + fresh, misses + len(late) - fresh
+                dirty += max(len(set_lines) - reads - ways, 0)
+                held[:] = (held + [("C", c_tag, dc) for dc in late[-ways:]])[-ways:]
         # a hit costs hit_cycles, a miss a penalty and a DRAM read, a write-back a DRAM write
         job = MemStats(hits, misses, compulsory, misses, dirty,
                        hits * cfg.hit_cycles + dirty * cfg.dram_cycles

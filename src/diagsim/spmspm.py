@@ -12,7 +12,7 @@ which pins r to [max(0, -dA, -(dA+dB)), N-1 - max(0, dA, dA+dB)].  The same
 range, cut to two segments' bounds, sets dataflow.run_job's multiply count
 and the tests' per-job value reference.  simulate_product checks the jobs'
 summed count against multiply_count; the tests hold both to the per-cycle
-grid stepper.  blocking.merge_outputs stays only for the benchmark's tracer.
+grid stepper.
 
 ``diag_matmul`` does the work as dense array operations on whole diagonals,
 each laid out by column: a length-N vector whose position k holds the entry

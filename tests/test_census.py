@@ -13,10 +13,10 @@ products that reach each side of the kernel's real/complex choice: the real
 heisenberg-8 squared (77 diagonals, so A is laid out in two blocks) times
 heisenberg-8, a complex U times the real h6 in both orders, and a real H whose
 imaginary parts and stored zeros all hold -0.0, through matmul and through
-simulate --product-out.  Last, simulated runs off the default cache and
-feed pin the memory and grid flags: 3 sets of 1 way, 100,000 sets of 3
-ways, 5 sets of 1 way with a descending A feed and A groups of 3,
---interleave 2, and --cuts with B groups of 2 on 4 sets.  Each
+simulate --product-out.  Last, simulated runs pin the memory and grid
+flags off their defaults: 3 sets of 1 way, 100,000 sets of 3 ways, 5 sets
+of 1 way with a descending A feed and A groups of 3, --interleave 2, and
+--cuts with B groups of 2 on 4 sets.  Each
 command's stdout and every file left in the run's directory is hashed with
 sha256, except Matrix Market files, whose text is scipy's.  The commands run
 in a fresh directory with relative names, so no output holds a path of the
