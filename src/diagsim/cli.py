@@ -9,7 +9,8 @@ An explicit flag also drops the config values of the flags it excludes:
 --iters or --eps, --h-file or --model with --qubits.  Every built-in default
 is the library's: GridSetup's, CacheConfig's and FeedConfig's fields,
 TaylorConfig.t, hamsim.DEFAULT_EPS and the couplings MODELS lists.
-cmd_expm parses, calls hamsim.expm (the series, segments and totals) and writes.
+cmd_expm parses, calls hamsim.expm (the series, segments, totals and tail bound)
+and writes.
 """
 
 from __future__ import annotations
@@ -213,12 +214,14 @@ def cmd_expm(args) -> int:
     cfg = TaylorConfig(t=args.t, terms=args.iters, eps=eps)
     grid = _grid_setup(args)
     check_cuts(grid.cuts, h.dim)  # before the series, which plans only with the simulator
-    u, records, *totals = expm(h, cfg, None if args.functional_only else grid, args.segments)
+    u, records, *totals, tail = expm(h, cfg, None if args.functional_only else grid,
+                                     args.segments)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
     report = build_report(workload, grid.rows, grid.cols, *totals, records)
     report["segments"] = args.segments
     report["taylor_terms"] = len(records)
+    report["tail_bound"] = tail
     _write_report(report, args.out)
     if args.csv:
         diagio.atomic_write(args.csv, iterations_to_csv(report["iterations"]).encode())

@@ -231,14 +231,17 @@ def drop_zero_diagonals(m: DiagMatrix) -> DiagMatrix:
     return drop_below(m, np.abs(m.values), 0.0)[0]
 
 
-def drop_below(m: DiagMatrix, mag: np.ndarray, eps: float) -> tuple[DiagMatrix, np.ndarray]:
+def drop_below(m: DiagMatrix, mag: np.ndarray,
+               eps: float) -> tuple[DiagMatrix, np.ndarray, np.ndarray]:
     """m without the diagonals whose largest entry of mag, the magnitudes of
-    m's values, is <= eps; and mag cut to the diagonals kept.  m has a diagonal."""
-    live = np.maximum.reduceat(mag, m.starts[:-1]) > eps
+    m's values, is <= eps; mag cut to the diagonals kept; and the kept
+    diagonals' largest entries, by offset.  m has a diagonal."""
+    peak = np.maximum.reduceat(mag, m.starts[:-1])
+    live = peak > eps
     if live.all():
-        return m, mag
+        return m, mag, peak
     keep = np.repeat(live, np.diff(m.starts))
-    return DiagMatrix.packed(m.dim, m.offset_array[live], m.values[keep]), mag[keep]
+    return DiagMatrix.packed(m.dim, m.offset_array[live], m.values[keep]), mag[keep], peak[live]
 
 
 def one_norm(m: DiagMatrix) -> float:

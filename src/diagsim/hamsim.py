@@ -10,28 +10,48 @@ k! at the end) so the chain stays finite for deep truncations, and
 cancellation debris below a relative floor is dropped so the diagonal-count
 trajectory reflects genuine structure.
 
-expm is the series driver: one chain at t / segments, its U raised to the
-segments-th power by a left fold of diag_matmul, functionally and uncharged,
-and the chain's records summed into the run's stage cycles, counters and
-mem.  The fold runs one product per segment after the first, so segments
-is capped at SEGMENT_CAP; a larger count is refused before the chain runs.
+expm is the series driver: one chain at t / segments and eps / segments,
+its U raised to the segments-th power by a left fold of diag_matmul,
+functionally and uncharged, and the chain's records summed into the run's
+stage cycles, counters and mem.  The fold runs one product per segment after
+the first, so segments is capped at SEGMENT_CAP; a larger count is refused
+before the chain runs.
 
 A product's plan, its jobs' grid figures and its multiply count depend on
 nothing but n, the operands' offsets and the GridSetup, so a chain counts
 each distinct product once: simulate_product keeps them in a dict that
 lives in one taylor_expm call.  Q and -Q share offsets and a term's offsets
 stop changing once its band fills, so the expm-sim benchmark's chain
-(heisenberg-6, t = 1, 55 products) has 10 distinct products and runs 41
-grid jobs in place of 311.  Each product is charged to the cache in one
+(heisenberg-6, t = 1, 41 products) has 10 distinct products and runs 41
+grid jobs in place of 227.  Each product is charged to the cache in one
 memory.charge_job call, with its jobs' line pattern (A group, B group and
 output offsets per job, kept with the plan).  The cache replays a product
 whose pattern, entry state up to the tags and charged lines it has met
 before, and steps any other, so that chain steps 10 products and replays
-the other 45.  Every product is checked against its own offsets; no figure
+the other 31.  Every product is checked against its own offsets; no figure
 and no replay carries over from one call to the next.
 
-When no fixed term count is given, K is the smallest k whose one-norm
-remainder bound satisfies ||M||^(k+1) / (k+1)! <= eps.
+When no fixed term count is given, the chain stops at the first k with
+r = ||M||_1 / (k + 1) < 1 and S_k r / (1 - r) <= eps (Al-Mohy and Higham,
+SIAM J. Sci. Comput. 33(2), 2011, bound the tail from computed terms too),
+where S_k sums the largest magnitude of each diagonal T_k keeps after the
+floor.  A column meets each diagonal at most once, so ||T_k||_1 <= S_k; and
+T_{k+j} = T_k M^j / ((k+1)...(k+j)), so ||T_{k+j}||_1 <= S_k r^j and the
+terms after T_k sum to at most S_k r / (1 - r) in the 1-norm (and, a row
+meeting each diagonal once too, in the 2-norm for a Hermitian H, whose tail
+is normal).  The floor's drops stay outside the bound, as they always were:
+each is below CANCEL_EPS times its term's largest entry.  Either layout
+holds the peaks every step already: the packed step's per-diagonal maxima of
+|T_k| (drop_below), the dense step's peaks; S_k is np.sum over the kept ones
+in ascending offset, so both give the same bits.  An exact ||T_k||_1 (the
+row sums of |R_k^T|) stops heisenberg-8 at t = 0.5 and heisenberg-10 at
+t = 1 one term sooner, and tfim-8 and heisenberg-6 at the same term, but
+adds an n^2 pass per step, which cost the expm-func benchmark's chains more
+time than the term saved.  A chain that reaches TERM_CAP terms above eps
+raises ConvergenceError; under a fixed count the last record still holds
+its bound (tail_bound), which may exceed eps, or be inf where r >= 1.  The
+tables below were timed while K came from ||M||_1^(K+1) / (K+1)! <= eps,
+with a fifth to a quarter more terms; each switch comes before either stop.
 
 The chain runs in complex128 for every H.  A real H (every imaginary part
 zero, as all three generators give) makes T_k = (-i)^k P_k for the real
@@ -244,17 +264,16 @@ class IterationRecord:
     stage_cycles: StageCycles
     mem: MemStats
     counters: dict
+    tail_bound: float = math.inf  # on the 1-norm of the terms after this one (_tail)
 
 
-def term_count_for(norm: float, eps: float) -> int:
-    """Smallest K <= TERM_CAP with norm^(K+1) / (K+1)! <= eps."""
-    bound = 1.0
-    for k in range(TERM_CAP + 1):
-        bound *= norm / (k + 1)
-        if bound <= eps:
-            return k
-    raise ConvergenceError(
-        f"one-norm {norm:.4g} needs more than {TERM_CAP} terms to reach eps={eps:g}")
+def _tail(peak_sum, r: float) -> float:
+    """peak_sum r / (1 - r), the bound on the 1-norm of the series' tail past a
+    term whose diagonal peaks sum to peak_sum, r = ||M||_1 / (k + 1); 0.0 if
+    the peaks are all zero, inf if r >= 1 (module docstring)."""
+    if not peak_sum:
+        return 0.0
+    return float(peak_sum * r / (1.0 - r)) if r < 1.0 else math.inf
 
 
 def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
@@ -268,7 +287,10 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     """
     n = h.dim
     m = h.scaled(-1j * cfg.t)
-    k_max = cfg.terms if cfg.terms is not None else term_count_for(one_norm(m), cfg.eps)
+    norm = one_norm(m)
+    eps = cfg.eps
+    tail = _tail(1.0, norm)  # T_0 = I: one diagonal, peak 1
+    k_max = cfg.terms if eps is None else 0 if tail <= eps else TERM_CAP
     real = not h.values.imag.any()  # only a real H's chain turns dense (module docstring)
     cache = SetAssocCache(grid.cache) if grid is not None else None
     counted: dict = {}  # this chain's distinct products (simulate_product)
@@ -280,7 +302,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     for k in range(1, k_max + 1):
         stepped = dense and dense.step(k)
         if stepped:
-            made, live, nnze = stepped
+            made, live, nnze, peak_sum = stepped
         else:
             if dense:  # underflow or overflow: the packed chain keeps -0.0 or raises
                 (t_k, u), dense = dense.hand_back(k), None
@@ -288,10 +310,13 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
             made = product.offset_array
             t_k = product.scaled(1.0 / k)
             mag = np.abs(t_k.values)  # one magnitude pass: the floor, the drop and nnze
+            peak_sum = 0.0
             if t_k.nnzd:
-                t_k, mag = drop_below(t_k, mag, CANCEL_EPS * mag.max())
+                t_k, mag, peak = drop_below(t_k, mag, CANCEL_EPS * mag.max())
+                peak_sum = np.sum(peak)
             u = u.add(t_k)
             live, nnze = t_k.offset_array, int(np.count_nonzero(mag != 0))
+        tail = _tail(peak_sum, norm / (k + 1))
         if grid is not None:
             stage, counters, mem = simulate_product(
                 n, offsets, m.offsets, made.tolist(), grid, cache,
@@ -303,31 +328,42 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
         records.append(IterationRecord(
             k=k, nnzd=len(live), nnze=nnze, storage_scalars=scalars,
             savings=1.0 - scalars / float(n) ** 2,
-            stage_cycles=stage, mem=mem, counters=counters,
+            stage_cycles=stage, mem=mem, counters=counters, tail_bound=tail,
         ))
-        if not len(live):
-            break  # exact nilpotency: every later term is zero too
+        if not len(live) or (eps is not None and tail <= eps):
+            break  # the tail bound holds, or exact nilpotency: every later term is zero
         share = DENSE_FILL * (1 if scalars >= GROWING * before else STALLED)
         if (real and not dense and k < k_max and scalars >= share * n * n
                 and not _negative_zero(t_k.values) and not _negative_zero(u.values)):
             product = mag = None  # no packed buffer outlives the switch
             dense, t_k, u = _DenseChain(t_k, k, u, _csr_t(h, cfg.t)), None, None
+    if eps is not None and tail > eps:
+        raise ConvergenceError(
+            f"the series tail bound is still {tail:.3g} after {TERM_CAP} terms, above "
+            f"eps={eps:g}; more --segments shorten each chain")
     if dense:
         u, dense = dense.take_u(), None
     return u, records
 
 
 def expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None, segments: int = 1):
-    """exp(-i cfg.t H) as U^segments, U one taylor_expm chain at cfg.t / segments;
-    returns (U^segments, U's records, their summed stage cycles, counters and mem)."""
+    """exp(-i cfg.t H) as U^segments, U one taylor_expm chain at cfg.t / segments
+    to cfg.eps / segments; returns (U^segments, U's records, their summed stage
+    cycles, counters and mem, and the tail bound of U^segments: for a Hermitian
+    H, ||U^segments - exp(-i cfg.t H)||_2 <= (1 + b)^segments - 1, b the bound
+    after U's last term, from rounding and the floor's drops apart)."""
     if segments < 1:
         raise DomainError(f"--segments must be at least 1, got {segments}")
     if segments > SEGMENT_CAP:
         raise DomainError(f"--segments must be at most {SEGMENT_CAP}, got {segments}")
-    u, records = taylor_expm(h, TaylorConfig(cfg.t / segments, cfg.terms, cfg.eps), grid)
+    t, eps = cfg.t / segments, None if cfg.eps is None else cfg.eps / segments
+    u, records = taylor_expm(h, TaylorConfig(t, cfg.terms, eps), grid)
     stage, counters = _fold((r.stage_cycles, r.counters) for r in records)
     mem = reduce(MemStats.__iadd__, (r.mem for r in records), MemStats())
-    return reduce(diag_matmul, repeat(u, segments - 1), u), records, stage, counters, mem
+    tail = records[-1].tail_bound if records else _tail(1.0, one_norm(h.scaled(-1j * t)))
+    if segments > 1:
+        tail = math.expm1(segments * math.log1p(tail))
+    return reduce(diag_matmul, repeat(u, segments - 1), u), records, stage, counters, mem, tail
 
 
 def _fold(parts) -> tuple[StageCycles, dict]:
@@ -572,9 +608,10 @@ class _DenseChain:
 
     def step(self, k: int):
         """R_k from R_{k-1}, the floor and U += T_k; returns the product's nonzero
-        offsets, R_k's offsets and its nonzero count.  None, with R_{k-1} and U
-        as they were, if the product is not finite (the packed chain raises) or
-        its scaling underflows; DomainError, as the packed sum raises it, if U is not."""
+        offsets, R_k's offsets, its nonzero count and the sum of its kept peaks.
+        None, with R_{k-1} and U as they were, if the product is not finite (the
+        packed chain raises) or its scaling underflows; DomainError, as the
+        packed sum raises it, if U is not."""
         layout, (product, outs), (_, ins) = self.layout, self.spare, self.r_t
         for (_, _, q_ts), r_t, out in zip(layout.blocks, ins, outs):
             _dense_product(q_ts[k % 2], r_t, out)
@@ -590,6 +627,7 @@ class _DenseChain:
         self.r_t, self.spare = self.spare, self.r_t  # R_{k-1} is spent
         live, made = peak > CANCEL_EPS * top, peak > 0
         self.live, made_offsets = self.offsets[live], self.offsets[made]
+        peak_sum = np.sum(peak[live])
         if len(made_offsets) > len(self.live):  # live diagonals are made ones
             layout.zero(product, made & ~live)
         self.stored |= live
@@ -600,7 +638,7 @@ class _DenseChain:
             self.take_u()  # raises the DomainError of the packed chain's sum
         nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
         np.not_equal(product, 0.0, out=nonzero.reshape(product.shape))
-        return made_offsets, self.live, int(np.count_nonzero(nonzero))
+        return made_offsets, self.live, int(np.count_nonzero(nonzero)), peak_sum
 
 
 def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,

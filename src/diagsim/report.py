@@ -1,11 +1,11 @@
 """Event-count aggregation and the energy proxy.
 
-Energy is a pure linear model over event counters.  The per-cycle cell
-constant is calibrated from synthesized power at the design clock
-(4.3877 mW at 700 MHz -> pJ per cycle), with the multiplier and FIFO shares
-taken from the same breakdown.  Cache and DRAM access costs have no
-synthesis source and default to order-of-magnitude SRAM/DRAM figures; all
-constants are configurable.
+Energy is a pure linear model over event counters.  Its constants are
+assumptions, not measurements: nothing here backs them with a synthesis
+run.  The per-cycle cell power is taken as 4.3877 mW at a 700 MHz clock
+(-> pJ per cycle), with multiplier and FIFO shares of 1.6354 and 0.7568 mW;
+cache and DRAM accesses cost order-of-magnitude SRAM/DRAM figures.  All
+constants are configurable (EnergyModel).
 """
 
 from __future__ import annotations

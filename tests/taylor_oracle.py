@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 
 from diagsim import diag_matmul, hamsim, identity, one_norm
-from diagsim.hamsim import CANCEL_EPS, simulate_product, term_count_for
+from diagsim.hamsim import CANCEL_EPS, TERM_CAP, simulate_product
 
 from conftest import add_oracle, drop_zero_oracle, scaled_oracle
 from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
@@ -26,12 +26,20 @@ from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_o
 def complex_chain(h, t: float, terms: int | None = None, eps: float | None = None,
                   grid=None):
     """(U, per term (nnzd, nnze, storage_scalars)) of the series of
-    exp(-i t H), K fixed by terms or chosen from eps as taylor_expm chooses it.
+    exp(-i t H), K fixed by terms or chosen from eps as taylor_expm chooses it:
+    the first k whose kept diagonals' peaks, summed in ascending offset, times
+    r / (1 - r), r = ||M||_1 / (k + 1) < 1, are at most eps.
     Given a grid, each term's tuple also holds its product's stage cycles,
     counters and MemStats, charged to one per-access cache across the chain,
     each product planned and run on its own."""
     m = scaled_oracle(h, -1j * t)
-    k_max = terms if terms is not None else term_count_for(one_norm(m), eps)
+    norm = one_norm(m)
+
+    def converged(peak_sum: float, k: int) -> bool:
+        r = norm / (k + 1)
+        return eps is not None and r < 1.0 and peak_sum * r / (1.0 - r) <= eps
+
+    k_max = terms if terms is not None else 0 if converged(1.0, 0) else TERM_CAP
     cache = grid and PerAccessCache(grid.cache)
     u = t_k = identity(h.dim)
     records = []
@@ -49,6 +57,7 @@ def complex_chain(h, t: float, terms: int | None = None, eps: float | None = Non
             t_k = drop_zero_oracle(t_k, CANCEL_EPS * peak)
         u = add_oracle(u, t_k)
         records.append((t_k.nnzd, t_k.nnze, t_k.storage_scalars, *modeled))
-        if not t_k.nnzd:
+        peaks = np.array([np.abs(d.values).max() for d in t_k.diagonals])
+        if not t_k.nnzd or converged(np.sum(peaks), k):
             break
     return u, records

@@ -113,7 +113,7 @@ def test_config_fills_flag_without_default(tmp_path):
 
 
 def test_explicit_flag_beats_config(tmp_path):
-    assert _expm_terms(tmp_path, "t=0.01\n", "--functional-only", "--t", "1") == 37
+    assert _expm_terms(tmp_path, "t=0.01\n", "--functional-only", "--t", "1") == 30
 
 
 def test_explicit_iters_beats_config_eps(tmp_path):
@@ -249,7 +249,7 @@ def test_config_leaves_later_runs_on_built_in_defaults(tmp_path, monkeypatch):
     argv = ["expm", "--model", "heisenberg", "--qubits", "4", "--functional-only",
             "--out", str(out)]
     assert cli.main(argv) == 0
-    assert json.loads(out.read_text())["taylor_terms"] == 37
+    assert json.loads(out.read_text())["taylor_terms"] == 30
     # runs without a config share one parser
     builds = []
     monkeypatch.setattr(cli, "build_parser",
@@ -550,18 +550,18 @@ def test_output_in_missing_directory_exits_2_with_one_line(tmp_path, capsys, nam
 def test_segments_give_the_power_of_one_short_chain(tmp_path, model, qubits, segments, mode):
     t = 1.5
 
-    def run(name, t, segments):
+    def run(name, t, segments, eps):
         out, u_out = tmp_path / f"{name}.json", tmp_path / f"{name}.diaq"
         assert cli.main(["expm", "--model", model, "--qubits", str(qubits), "--t", repr(t),
-                         "--segments", str(segments), "--out", str(out), "--u-out", str(u_out),
-                         *mode]) == 0
+                         "--eps", repr(eps), "--segments", str(segments), "--out", str(out),
+                         "--u-out", str(u_out), *mode]) == 0
         return load_matrix(str(u_out)), json.loads(out.read_text())
 
-    u, report = run("whole", t, segments)
-    step, _ = run("step", t / segments, 1)
+    u, report = run("whole", t, segments, DEFAULT_EPS)
+    step, _ = run("step", t / segments, 1, DEFAULT_EPS / segments)  # each chain's eps
     h = gen_benchmark(model, qubits)
     check_segmented_u(u, step, h, t, segments)
-    _, chain = taylor_expm(h, TaylorConfig(t=t / segments, eps=DEFAULT_EPS))
+    _, chain = taylor_expm(h, TaylorConfig(t=t / segments, eps=DEFAULT_EPS / segments))
     iterations = report["iterations"]
     assert report["segments"] == segments
     assert report["taylor_terms"] == len(iterations) == len(chain)

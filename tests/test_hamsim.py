@@ -250,9 +250,10 @@ def test_real_hamiltonian_multiplies_in_float64(monkeypatch, use_simulator):
 @pytest.mark.parametrize("model, qubits", SEGMENT_CASES)
 def test_expm_is_the_power_of_one_short_chain(model, qubits, segments, simulated):
     h, t, grid = gen_benchmark(model, qubits), 1.5, GridSetup() if simulated else None
-    u, records, stage, counters, mem = hamsim.expm(
+    u, records, stage, counters, mem, _ = hamsim.expm(
         h, TaylorConfig(t=t, eps=hamsim.DEFAULT_EPS), grid, segments)
-    step, chain = taylor_expm(h, TaylorConfig(t=t / segments, eps=hamsim.DEFAULT_EPS), grid)
+    step, chain = taylor_expm(
+        h, TaylorConfig(t=t / segments, eps=hamsim.DEFAULT_EPS / segments), grid)
     check_segmented_u(u, step, h, t, segments)
     assert records == chain
     # the outer power is uncharged: the totals are the one chain's

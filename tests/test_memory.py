@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagsim.memory import CacheConfig, SetAssocCache, charge_job, flush_product
+from diagsim.memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 
 from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
 
@@ -20,6 +20,20 @@ def a(group: int) -> tuple:
 
 def c(offset: int, tag: str = "T1") -> tuple:
     return ("C", tag, offset)
+
+
+FIELDS = len(vars(MemStats()))
+
+
+@given(st.lists(st.integers(-(2**40), 2**40), min_size=2 * FIELDS, max_size=2 * FIELDS))
+def test_mem_stats_arithmetic_covers_every_field(values):
+    # the field-by-field sums agree with a walk over vars, which a new field joins
+    a, b = MemStats(*values[:FIELDS]), MemStats(*values[FIELDS:])
+    assert a.snapshot() == a and a.snapshot() is not a
+    assert vars(a.delta(b)) == {key: vars(a)[key] - vars(b)[key] for key in vars(a)}
+    total = a.snapshot()
+    total += b
+    assert vars(total) == {key: vars(a)[key] + vars(b)[key] for key in vars(a)}
 
 
 def test_lru_victim_is_least_recently_used():

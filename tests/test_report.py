@@ -74,9 +74,9 @@ def test_report_renders_as_json_does(records, hit_rate, workload):
 
 
 @pytest.mark.parametrize("argv, count", [
-    (["heisenberg", "--qubits", "6", "--t", "1", "--grid-rows", "16", "--grid-cols", "16"], 54),
-    (["heisenberg", "--qubits", "8", "--t", "0.5", "--functional-only"], 41),
-    (["tfim", "--qubits", "8", "--t", "0.5", "--functional-only"], 32)],
+    (["heisenberg", "--qubits", "6", "--t", "1", "--grid-rows", "16", "--grid-cols", "16"], 41),
+    (["heisenberg", "--qubits", "8", "--t", "0.5", "--functional-only"], 32),
+    (["tfim", "--qubits", "8", "--t", "0.5", "--functional-only"], 26)],
     ids=["heisenberg-6-sim", "heisenberg-8-func", "tfim-8-func"])
 def test_program_built_reports_render_as_json_does(monkeypatch, capsys, argv, count):
     # the benchmark's expm chains: one simulated, two functional
