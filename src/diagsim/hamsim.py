@@ -49,9 +49,7 @@ t = 1 one term sooner, and tfim-8 and heisenberg-6 at the same term, but
 adds an n^2 pass per step, which cost the expm-func benchmark's chains more
 time than the term saved.  A chain that reaches TERM_CAP terms above eps
 raises ConvergenceError; under a fixed count the last record still holds
-its bound (tail_bound), which may exceed eps, or be inf where r >= 1.  The
-tables below were timed while K came from ||M||_1^(K+1) / (K+1)! <= eps,
-with a fifth to a quarter more terms; each switch comes before either stop.
+its bound (tail_bound), which may exceed eps, or be inf where r >= 1.
 
 The chain runs in complex128 for every H.  A real H (every imaginary part
 zero, as all three generators give) makes T_k = (-i)^k P_k for the real
@@ -67,8 +65,8 @@ Once such a term stores its share of n^2 scalars (DENSE_FILL if it stores
 GROWING times the scalars of T_{k-1} or more, STALLED times that if not;
 k < K, and no -0.0 in it or U), R_k, taken from T_k's nonzero component, and
 U are held dense (_DenseChain) and U is packed once, at the end.  A product
-is then Q_k^T R^T with Q^T built in CSR straight from t Re(H), its column
-indices ascending: each entry starts at +0.0 and adds its terms in
+is then Q_k^T R^T with Q^T built in CSR from H's packed buffer (_csr_t), its
+column indices ascending: each entry starts at +0.0 and adds its terms in
 ascending inner index, as diag_matmul does (spmspm).  Its extra terms each
 have a zero factor, and x + -0.0 = x, so the bits are the same and no
 product holds -0.0.  Only the 1/k scaling can then make a -0.0, by taking a
@@ -94,98 +92,53 @@ blocked chain is the whole one bit for bit:
 - a row of Q^T reaches only its own block;
 - within a block, Q^T's rows keep their columns in ascending natural order,
   so each held entry adds the same terms in the same order.
-A step calls the product once per block, on the block's rows of Q^T (cut
-from the rows permuted by block, columns numbered within it), and scaling,
-|R_k|, the add and the nonzero count each take one pass over the flat
-buffer.  The per-diagonal peaks (the floor, the offsets, NaN or inf for a
-non-finite product) come from np.maximum.at over each entry's natural
-diagonal, and each matrix goes in, and U and a handed-back R_{k-1} come
-out, through (offset, position) maps: no n x n array is built.  An H of one
-block, as tfim is, keeps whole n x n grids (_Band): |R_k| goes into a band
-whose sheared view holds each diagonal as a column, whose maxima are the
-peaks, and each matrix goes in and out one diagonal at a time.  Either way,
-the nonzero count's mask takes the spent grid of R_{k-1}.
+The switch prepares scipy's csr_matvecs arguments for each block, both
+signs of Q and both roles of the two R grids (_calls), so a step is one
+zero-fill, one C call per block and one pass over the flat buffer each for
+the scaling, |R_k|, the add and the nonzero count, whose mask takes the
+spent grid of R_{k-1}.  The per-diagonal peaks (the floor, the offsets, NaN
+or inf for a non-finite product) come from np.maximum.at over each entry's
+natural diagonal or, for an H of one block (tfim's) held in whole n x n
+grids (_Band), from a band whose sheared view holds each diagonal of |R_k|
+as a column.
 
-MIN_BLOCK is 16, from whole chains (eps 1e-8) at each minimum block size,
-median ms of alternating in-process runs (41 at heisenberg-6, 21 at
-heisenberg-8, 15 at heisenberg-10, 5 and 11 for the groups); "whole" is one
-block.  A group H couples each of n / 2 (or n / 4) random sets of 2 (or 4)
-states, all of whose pairs it couples, so its components spread over about
-n diagonals.
+Entering and leaving take a fixed number of numpy calls per plane, whatever
+the diagonal count.  _Band scatters a packed matrix in, and zeroes the
+floor's drops, at the flat positions r (n + 1) + max(0, d) n + max(0, -d) of
+entry r of diagonal d (_positions).  _Blocks gathers a matrix in, and either
+layout scatters U's planes or a handed-back R_{k-1} out, through each held
+entry's slot in the packed buffer (slots), written into the spare R grid
+seen as int64; entries off the buffer's diagonals fall on n slots past it.
+U keeps the diagonals that hold a nonzero, as from_dense does, found by one
+bitwise-or reduction of the packed parts.
 
-    chain, t                     1       4       8      16      32      64   whole
-    heisenberg-6, 1           3.58    3.47    3.34    3.50    3.40    3.69    3.65
-    heisenberg-8, 0.5         11.1    11.2    11.7    11.4    11.6    14.1    26.9
-    heisenberg-10, 0.5         120     118     111     109     118     112     388
-    groups of 2, n 1024, 0.5  89.4    75.9    69.3    63.7    64.7    72.8     181
-    groups of 4, n 256, 0.5   16.7    15.8    15.4    13.4    15.4    14.2    20.9
-
-Heisenberg's chains hardly depend on it, as its small components (of 1 and
-q states) hold few entries; many small components need blocks of a dozen
-states or more, as a product costs a call per block, and blocks much larger
-multiply zeros.
-
-DENSE_FILL is 0.02 and STALLED 5, from whole chains (eps 1e-8) under each
-rule: one share of 0.1 for every term (the rule before), or 0.05 or 0.02
-for a term that grew and 0.1 for one that did not; median ms (of 9 runs at
-6-8 qubits, 5 at 10, 2 at 12, the rules taking turns) / tracemalloc peak in
-MiB, and the step that switches.  heisenberg runs on blocks, tfim on whole
-grids.
-
-    chain, t                   0.1          0.05, 0.1         0.02, 0.1
-    heisenberg-6, 0.5     2.5/0.2 k=1      2.5/0.2 k=1      2.4/0.2 k=1
-    heisenberg-8, 0.5     8.4/1.9 k=2      7.1/1.9 k=1      7.2/1.9 k=1
-    heisenberg-10, 0.5   102/28.2 k=2     102/28.2 k=2     102/28.2 k=2
-    heisenberg-12, 0.25  1792/444 k=3     1697/444 k=3     1562/444 k=2
-    tfim-6, 0.5           2.8/0.3 k=1      2.8/0.3 k=1      2.8/0.3 k=1
-    tfim-8, 0.5          20.0/3.3 k=2     19.0/3.3 k=1     18.8/3.3 k=1
-    tfim-10, 0.5          424/48.8 k=2     432/48.8 k=2     425/48.8 k=2
-    tfim-12, 0.25        6776/772 k=3     6686/772 k=2     6742/772 k=2
-
-Switching one step sooner saves 5-15% at 8 qubits, 13% at heisenberg-12
-and 1% at tfim-12; at 6 and 10 qubits every rule switches at the same
-step.  One share of 0.02 or 0.05 would switch a diagonal term of 4 qubits,
-1/16 of n^2, and of 5, 1/32: such a term never grows from I, so it keeps
-the share of 0.1, as does maxcut's at every size.
-
-GROWING is 2.  The table ran with "grew" as any growth; heisenberg's and
-tfim's terms of 6-12 qubits grow 6.6 to 17 times in the step at which they
-switch, so it holds for any GROWING up to 6.  A band of width w (entries
-within w of the diagonal) widens by 2w diagonals a step, less than double
-from k = 2 on, where the share of 0.02 would switch it with few diagonals,
-and its n^2 grids cost more than they save.  Whole chains (eps 1e-8,
-t = 0.5, values uniform in [-1, 1], symmetric), median ms of 9 alternating
-runs / tracemalloc peak in MiB, and the step that switches ("-": none); a
-lattice couples each state to those 1 and sqrt(n) away:
-
-    H, n                    0.1            0.02 if grown      0.02 if doubled
-    tridiagonal, 128     3.18/0.86 k=7     1.91/0.86 k=1     1.83/0.86 k=1
-    tridiagonal, 256     3.03/0.66 -       5.00/3.13 k=3     2.66/0.66 -
-    tridiagonal, 512     3.81/1.30 -      11.32/12.3 k=5     3.32/1.30 -
-    pentadiagonal, 256   6.04/3.16 k=7     5.39/3.16 k=2     6.11/3.16 k=7
-    pentadiagonal, 1024  16.2/5.67 -       46.0/48.4 k=5     16.2/5.67 -
-    lattice, 256         6.96/3.16 k=4     6.29/3.16 k=2     6.21/3.16 k=2
-    lattice, 1024        52.6/48.4 k=7     53.0/48.4 k=3     52.1/48.4 k=7
-
-So a band switches at DENSE_FILL only at k = 1, where T_1 holds three or
-five times I's scalars (n up to 150 for a tridiagonal H, 250 for a
-pentadiagonal one), and otherwise at 0.1 of n^2, as before: a chain whose
-terms never store 0.1 of n^2 and never double into DENSE_FILL of it
-allocates no O(n^2).
+MIN_BLOCK is 16: many small components need blocks of a dozen states or
+more, as a product costs a call per block, and blocks much larger multiply
+zeros.  DENSE_FILL is 0.02 and STALLED 5: a growing term switches a step
+sooner than at 0.1, and 0.02 for every term would switch a diagonal term of
+4 or 5 qubits (1/16 or 1/32 of n^2), which never grows from I and so keeps
+the share of 0.1, as maxcut's does at every size.  GROWING is 2:
+heisenberg's and tfim's terms of 6-12 qubits grow 6.6 to 17 times in the
+step at which they switch.  A band of width w widens by 2w diagonals a step,
+less than double from k = 2 on, where 0.02 would switch it with few
+diagonals and its n^2 grids cost more than they save; so a band switches at
+DENSE_FILL only at k = 1, and a chain whose terms never store 0.1 of n^2 and
+never double into DENSE_FILL of it allocates no O(n^2).
 
 Memory.  From the switch a one-block chain holds 48 n^2 bytes (the band 16,
 U 16, R_k and the grid its product goes into 8 each), where the term alone
-held at least 0.16 n^2; the packed chain's accumulator and sums reach more
-(never switching, heisenberg-8 at t = 0.5 peaked at 6.7 MiB and
-heisenberg-10 at 106).  The trade: a chain whose term stops growing between
+held at least 0.16 n^2.  The trade: a chain whose term stops growing between
 0.02 and 0.5 of n^2 holds those 48 n^2 where its packed term and U held
 under 12 n^2; the terms of heisenberg and tfim pass that range in two or
 three steps, and maxcut's never enters it.  Blocks of m_b states hold S =
-sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare and
-U's two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  For
-heisenberg, S is 0.199, 0.176 and 0.161 of n^2 at 8, 10 and 12 qubits, and
-the peaks fell from 3.2, 48.6 and 770 MiB on whole grids to 1.9, 28.2 and
-444; U is packed in the natural basis at the end, as large as before. """
+sum m_b^2 entries per grid, and the chain 48 S bytes: R_k, its spare and U's
+two planes 8 S each, |R_k| 8 S and the diagonal map 8 S.  U is packed in
+the natural basis once the band (or |R_k|) and R_k are freed.
+
+The sweeps behind MIN_BLOCK, DENSE_FILL, STALLED and GROWING, and measured
+memory peaks, are in CHANGES.md ("Dense-chain sweeps"); they were timed
+while K came from ||M||_1^(K+1) / (K+1)! <= eps, with a fifth to a quarter
+more terms, and each switch comes before either stop. """
 
 from __future__ import annotations
 
@@ -193,7 +146,6 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -201,8 +153,8 @@ from scipy.sparse._sparsetools import csr_matvecs
 
 from .blocking import check_cuts, group_sizes, make_plan
 from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
-from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, diagonal_view, drop_below,
-                      drop_zero_diagonals, identity, one_norm)
+from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, drop_below, drop_zero_diagonals,
+                      identity, one_norm)
 from .errors import ConvergenceError, DomainError, VerificationError
 from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
 from .spmspm import diag_matmul, multiply_count
@@ -382,23 +334,38 @@ def _negative_zero(values: np.ndarray) -> bool:
 
 
 def _csr_t(h: DiagMatrix, t: float):
-    """(t Re H)^T in CSR, each row's column indices ascending; explicit zeros may go."""
-    if not h.nnzd:
-        return scipy.sparse.csr_array((h.dim, h.dim))
-    q_t = scipy.sparse.diags_array([vec.real * t for _, vec in h.offset_views()],
-                                   offsets=[-d for d in h.offsets], shape=(h.dim, h.dim)).tocsr()
-    q_t.sort_indices()
-    return q_t
+    """(t Re H)^T in CSR from H's packed buffer, each row's column indices
+    ascending, explicit zeros (-0.0 too) dropped, as scipy's diags_array of the
+    diagonals gives it.  Entry r of diagonal d is Q^T's (r + max(0, d), r + max(0, -d)),
+    so a row's columns ascend as its diagonals' offsets descend."""
+    n, offsets, lengths = h.dim, h.offset_array, np.diff(h.starts)
+    data = h.values.real * t
+    r = np.arange(len(data)) - np.repeat(h.starts[:-1], lengths)
+    rows = r + np.repeat(np.maximum(0, offsets), lengths)
+    cols = r + np.repeat(np.maximum(0, -offsets), lengths)
+    kept = np.flatnonzero(data)[::-1]  # in descending offset
+    order = kept[np.argsort(rows[kept], kind="stable")]
+    index = np.int32 if max(len(order), n) <= np.iinfo(np.int32).max else np.int64  # scipy's
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[order], minlength=n)))).astype(index)
+    return scipy.sparse.csr_array((data[order], cols[order].astype(index), indptr), shape=(n, n))
 
 
-def _dense_product(q_t, r_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(R Q)^T = Q^T R^T from Q^T in CSR (_csr_t, or a block's rows of it) into
-    out: each entry starts at +0.0 and adds its terms in ascending inner index,
-    the order of spmspm.  It is scipy's kernel for q_t @ r_t, on a grid the
-    chain reuses (_grid)."""
+def _calls(blocks, r_t: np.ndarray, out: np.ndarray) -> tuple[list, list]:
+    """csr_matvecs's arguments for each block's product Q_k^T R^T from grid
+    r_t into grid out, for Q_k = Q and for -Q (_dense_product), from the
+    block's rows of Q^T in CSR, its data for each sign."""
+    r_t, out = r_t.reshape(-1), out.reshape(-1)
+    return tuple([(m, m, m, indptr, indices, data[sign], r_t[lo:lo + m * m], out[lo:lo + m * m])
+                  for lo, m, indptr, indices, data in blocks] for sign in (0, 1))
+
+
+def _dense_product(out: np.ndarray, calls) -> np.ndarray:
+    """(R Q)^T = Q^T R^T into out, one scipy csr_matvecs (the kernel of
+    q_t @ r_t) per block on the arguments _calls prepared: each entry starts
+    at +0.0 and adds its terms in ascending inner index, the order of spmspm."""
     out.fill(0.0)
-    n = len(out)
-    csr_matvecs(n, n, n, q_t.indptr, q_t.indices, q_t.data, r_t.reshape(-1), out.reshape(-1))
+    for args in calls:
+        csr_matvecs(*args)
     return out
 
 
@@ -411,6 +378,28 @@ def _grid(shape: tuple[int, ...], at: int) -> np.ndarray:
     buf = np.zeros(size + 512)
     skip = (at - buf.ctypes.data) % 4096 // 8
     return buf[skip:skip + size].reshape(shape)
+
+
+def _positions(n: int, offsets: np.ndarray) -> np.ndarray:
+    """Where each packed entry of these diagonals of M lies in a flat n x n
+    grid of M^T: entry r of diagonal d at r (n + 1) + max(0, d) n + max(0, -d)."""
+    starts = buffer_starts(n, offsets)
+    first = np.maximum(0, offsets) * n + np.maximum(0, -offsets)
+    last = first + (np.diff(starts) - 1) * (n + 1)
+    steps = np.full(starts[-1], n + 1)  # from each entry to the next: n + 1 along a diagonal
+    steps[starts[:-1]] = first - np.append(0, last[:-1])
+    return np.cumsum(steps, out=steps)
+
+
+def _table(n: int, offsets: np.ndarray) -> tuple[np.ndarray, int]:
+    """By d + n - 1, where entry (a, b) of M^T, d = a - b, lies in the packed
+    buffer of these diagonals of M, less b: start(d) + min(0, d); for a
+    diagonal not among them, the buffer's length, so that its entries fall on
+    the n slots past the buffer.  Returns (table, the buffer's length)."""
+    starts = buffer_starts(n, offsets)
+    table = np.full(2 * n - 1, starts[-1])
+    table[offsets + n - 1] = starts[:-1] + np.minimum(0, offsets)
+    return table, int(starts[-1])
 
 
 def _components(q_t) -> np.ndarray:
@@ -463,7 +452,8 @@ class _Band:
 
     def __init__(self, q_t):
         n = self.n = q_t.shape[0]
-        self.shape, self.blocks, self.window = (n, n), [(0, n, (q_t, -q_t))], None
+        self.shape, self.window = (n, n), None
+        self.blocks = [(0, n, q_t.indptr, q_t.indices, (q_t.data, -q_t.data))]  # as _Blocks'
 
     def peaks(self, grid: np.ndarray) -> np.ndarray:
         """Each diagonal's largest |entry| of the grid's transpose, by offset;
@@ -478,30 +468,25 @@ class _Band:
 
     def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
         """Zero the diagonals that drop marks, by offset + n - 1."""
-        for d in (np.flatnonzero(drop) + 1 - self.n).tolist():
-            diagonal_view(grid.T, d)[:] = 0.0
+        grid.reshape(-1)[_positions(self.n, np.flatnonzero(drop) + 1 - self.n)] = 0.0
 
-    def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
-        """Write part (np.real or np.imag) of m's values into a zero grid."""
-        for d, vec in m.offset_views():
-            diagonal_view(grid.T, d)[:] = part(vec)
+    def load(self, m: DiagMatrix, planes, scratch: np.ndarray) -> None:
+        """Write part of m's values, for each (zero grid, part) of planes."""
+        flat = _positions(self.n, m.offset_array)
+        for grid, part in planes:
+            grid.reshape(-1)[flat] = part(m.values)
 
-    def unload(self, grid: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
-        """Write the grid's diagonals of these offsets into a zero packed buffer."""
-        bounds = buffer_starts(self.n, offsets).tolist()
-        for d, lo, hi in zip(offsets.tolist(), bounds, bounds[1:]):
-            out[lo:hi] = diagonal_view(grid.T, d)
+    def slots(self, offsets: np.ndarray, out: np.ndarray) -> int:
+        """Into out, where each grid entry lies in the packed buffer of these
+        offsets (_table); returns the buffer's length."""
+        n, (table, total) = self.n, _table(self.n, offsets)
+        by_entry = np.lib.stride_tricks.as_strided(  # [a, b] is table[n - 1 + a - b]
+            table[n - 1:], (n, n), (table.itemsize, -table.itemsize), writeable=False)
+        np.add(by_entry, np.arange(n), out=out.reshape(n, n))
+        return total
 
     def free(self) -> None:
         self.window = self.sheared = None
-
-
-class _Rows(NamedTuple):
-    """A block's rows of Q^T in CSR, columns numbered within the block."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
 
 
 class _Blocks:
@@ -527,8 +512,9 @@ class _Blocks:
         self.states, self.blocks, lo = [], [], 0
         for m, end in zip(sizes.tolist(), ends.tolist()):
             first, last = indptr[end - m], indptr[end]
-            rows = _Rows(indptr[end - m:end + 1] - first, indices[first:last], data[first:last])
-            self.blocks.append((lo, m, (rows, rows._replace(data=-rows.data))))
+            q = data[first:last]  # its rows of Q^T, columns numbered within it
+            self.blocks.append((lo, m, indptr[end - m:end + 1] - first, indices[first:last],
+                                (q, -q)))
             self.states.append(order[end - m:end])
             lo += m * m
         self.shape, self.mag = (lo,), None
@@ -545,23 +531,21 @@ class _Blocks:
     def zero(self, grid: np.ndarray, drop: np.ndarray) -> None:
         grid[drop[self.at]] = 0.0
 
-    def load(self, grid: np.ndarray, m: DiagMatrix, part) -> None:
-        held, slots = self._slots(m.offset_array)
-        grid[held] = part(m.values)[slots]
+    def load(self, m: DiagMatrix, planes, scratch: np.ndarray) -> None:
+        """_Band.load, by gathers through m's slots, which go into scratch."""
+        total = self.slots(m.offset_array, scratch)
+        source = np.zeros(total + self.n)
+        for grid, part in planes:
+            source[:total] = part(m.values)
+            np.take(source, scratch, out=grid)
 
-    def unload(self, grid: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
-        held, slots = self._slots(offsets)
-        out[slots] = grid[held]
-
-    def _slots(self, offsets: np.ndarray):
-        """Which entries lie on these diagonals, and where each lies in their
-        packed buffer: the diagonal's start plus min(row, col)."""
-        start = np.full(2 * self.n - 1, -1)
-        start[offsets + self.n - 1] = buffer_starts(self.n, offsets)[:-1]
-        slots = start[self.at]
-        held = slots >= 0
-        slots += np.concatenate([np.minimum.outer(s, s).ravel() for s in self.states])
-        return held, slots[held]
+    def slots(self, offsets: np.ndarray, out: np.ndarray) -> int:
+        """_Band.slots: at into the table, plus each entry's column state."""
+        table, total = _table(self.n, offsets)
+        np.take(table, self.at, out=out)
+        for (lo, m, *_), s in zip(self.blocks, self.states):
+            out[lo:lo + m * m].reshape(m, m)[:] += s
+        return total
 
     def free(self) -> None:
         self.mag = None
@@ -571,7 +555,7 @@ class _DenseChain:
     """R_k^T, the grid its product goes into (spare) and U^T's real and
     imaginary planes as float64 grids of one layout (_layout): +0.0 where a
     matrix stores nothing, never -0.0.  Each matrix goes in, and U and a
-    handed-back R_k out, through the layout's diagonal maps."""
+    handed-back R_k out, by one gather or scatter per plane."""
 
     def __init__(self, t_k: DiagMatrix, k: int, u: DiagMatrix, q_t):
         """From T_k, whose component k mod 2 is R_k, U and Q^T (_csr_t)."""
@@ -581,30 +565,39 @@ class _DenseChain:
         self.live = t_k.offset_array  # R_k's diagonals, each holding a nonzero
         layout = self.layout = _layout(q_t)
         self.u = [np.zeros(layout.shape), np.zeros(layout.shape)]
-        # each R grid with its blocks' m x m views, which _dense_product takes
-        self.r_t, self.spare = (
-            (grid, [grid.reshape(-1)[lo:lo + m * m].reshape(m, m) for lo, m, _ in layout.blocks])
-            for grid in (_grid(layout.shape, 0), _grid(layout.shape, 2048)))
-        for grid, m, part in ((self.u[0], u, np.real), (self.u[1], u, np.imag),
-                              (self.r_t[0], t_k, (np.real, np.imag)[k % 2])):
-            layout.load(grid, m, part)
+        grids = _grid(layout.shape, 0), _grid(layout.shape, 2048)
+        # each R grid with the product calls that read it, by the sign of Q_k
+        self.r_t, self.spare = ((grid, _calls(layout.blocks, grid, out))
+                                for grid, out in (grids, grids[::-1]))
+        scratch = grids[1].view(np.int64)  # the spare grid holds slots till a product
+        layout.load(u, ((self.u[0], np.real), (self.u[1], np.imag)), scratch)
+        layout.load(t_k, ((grids[0], (np.real, np.imag)[k % 2]),), scratch)
 
     def take_u(self) -> DiagMatrix:
         """U with each diagonal that holds a nonzero (from_dense's); spends the chain."""
-        self.r_t = self.spare = None  # R_k and the layout's scratch go first
-        self.layout.free()
+        layout, slots = self.layout, self.spare[0].view(np.int64)
+        self.layout = self.r_t = self.spare = None  # R_k and the band or |R_k| go first
+        layout.free()
         offsets = self.offsets[self.stored]
-        values = np.zeros(buffer_starts(self.n, offsets)[-1], COMPLEX)
-        self.layout.unload(self.u[0], offsets, values.real)
-        self.layout.unload(self.u[1], offsets, values.imag)
-        return drop_zero_diagonals(DiagMatrix.packed(self.n, offsets, values))
+        total = layout.slots(offsets, slots)  # into the spare grid, which slots keeps
+        values = np.zeros(total + self.n, COMPLEX)
+        values.real[slots], values.imag[slots] = self.u
+        self.u = None
+        u = DiagMatrix.packed(self.n, offsets, values[:total])
+        # a diagonal whose parts' bits, OR-ed, are at most a sign bit holds only zeros
+        if (np.bitwise_or.reduceat(u.values.view(np.uint64), 2 * u.starts[:-1]) << 1).all():
+            return u
+        return drop_zero_diagonals(u)  # a stored diagonal cancelled
 
     def hand_back(self, k: int) -> tuple[DiagMatrix, DiagMatrix]:
         """T_{k-1}, with R_{k-1} in component (k - 1) mod 2, and U (take_u), after
         step k failed; spends the chain."""
-        values = np.zeros(buffer_starts(self.n, self.live)[-1])
-        self.layout.unload(self.r_t[0], self.live, values)
-        return DiagMatrix.packed(self.n, self.live, values * 1j ** ((k - 1) % 2)), self.take_u()
+        slots = self.spare[0].view(np.int64)
+        total = self.layout.slots(self.live, slots)
+        values = np.zeros(total + self.n)
+        values[slots] = self.r_t[0]
+        t_k = DiagMatrix.packed(self.n, self.live, values[:total] * 1j ** ((k - 1) % 2))
+        return t_k, self.take_u()
 
     def step(self, k: int):
         """R_k from R_{k-1}, the floor and U += T_k; returns the product's nonzero
@@ -612,9 +605,8 @@ class _DenseChain:
         None, with R_{k-1} and U as they were, if the product is not finite (the
         packed chain raises) or its scaling underflows; DomainError, as the
         packed sum raises it, if U is not."""
-        layout, (product, outs), (_, ins) = self.layout, self.spare, self.r_t
-        for (_, _, q_ts), r_t, out in zip(layout.blocks, ins, outs):
-            _dense_product(q_ts[k % 2], r_t, out)
+        layout, (product, _), (_, calls) = self.layout, self.spare, self.r_t
+        _dense_product(product, calls[k % 2])
         try:
             with np.errstate(under="raise"):
                 product *= 1.0 / k

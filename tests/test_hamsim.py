@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
 from diagsim.dataflow import StageCycles
@@ -206,12 +206,12 @@ def test_the_switch_point_changes_no_bit(monkeypatch, model, qubits, couplings, 
 
 
 def _dense_calls(monkeypatch) -> list:
-    """The R^T shape of every dense product hamsim takes, as it runs."""
+    """The R^T shape of every block's dense product hamsim takes, as it runs."""
     calls, real = [], hamsim._dense_product
 
-    def spy(q_t, r_t, out):
-        calls.append(r_t.shape)
-        return real(q_t, r_t, out)
+    def spy(out, blocks):
+        calls.extend((args[0], args[2]) for args in blocks)  # csr_matvecs's m rows, m vectors
+        return real(out, blocks)
 
     monkeypatch.setattr(hamsim, "_dense_product", spy)
     return calls
@@ -226,9 +226,9 @@ def _product_dtypes(monkeypatch) -> list:
         seen.append((a.values.dtype, b.values.dtype))
         return packed(a, b)
 
-    def dense_spy(q_t, r_t, out):
-        seen.append((q_t.dtype, r_t.dtype))
-        return dense(q_t, r_t, out)
+    def dense_spy(out, blocks):
+        seen.extend((args[5].dtype, args[6].dtype) for args in blocks)  # Q_k^T's data, R^T
+        return dense(out, blocks)
 
     monkeypatch.setattr(hamsim, "diag_matmul", packed_spy)
     monkeypatch.setattr(hamsim, "_dense_product", dense_spy)
@@ -333,8 +333,8 @@ def test_underflow_after_the_switch_hands_the_chain_back_to_the_packed_kernel(mo
     h, blocks = _split(monkeypatch, base * 1e-108, layout)
     kinds, packed, dense = [], hamsim.diag_matmul, hamsim._dense_product
     monkeypatch.setattr(hamsim, "diag_matmul", lambda a, b: kinds.append("packed") or packed(a, b))
-    monkeypatch.setattr(hamsim, "_dense_product",
-                        lambda q_t, r_t, out: kinds.append(r_t.shape) or dense(q_t, r_t, out))
+    monkeypatch.setattr(hamsim, "_dense_product", lambda out, blocks: kinds.extend(
+        (args[0], args[2]) for args in blocks) or dense(out, blocks))
     u, records = taylor_expm(h, TaylorConfig(t=1.0, terms=6))
     want, fields = complex_chain(h, 1.0, terms=6)
     # k = 3 runs twice; its complex 1/3 scaling adds the +0.0 other part to each
@@ -455,14 +455,119 @@ def test_block_layout_agrees_with_the_band_layout(monkeypatch, seed):
     drop = rng.random(2 * n - 1) < 0.3
     want = [np.abs(np.diagonal(dense, d)).max(initial=0.0) for d in range(1 - n, n)]
     for layout in (blocks, band):
-        grid = np.zeros(layout.shape)
-        layout.load(grid, m, np.real)
+        grid, slots = np.zeros(layout.shape), np.empty(layout.shape, np.int64)
+        layout.load(m, [(grid, np.real)], slots)
         assert layout.peaks(grid).tolist() == want
         layout.zero(grid, drop)
-        got = np.zeros(m.storage_scalars)
-        layout.unload(grid, m.offset_array, got)
+        total = layout.slots(m.offset_array, slots)
+        got = np.zeros(total + n)  # the n slots past the buffer take the other entries
+        got[slots] = grid
         kept = np.repeat(~drop[m.offset_array + n - 1], np.diff(m.starts))
-        assert got.tobytes() == np.where(kept, m.values.real, 0.0).tobytes()
+        assert got[:total].tobytes() == np.where(kept, m.values.real, 0.0).tobytes()
+        assert not got[total:].any()
+
+
+def _on_all_offsets(real: np.ndarray, imag: np.ndarray) -> diagmat.DiagMatrix:
+    """The matrix of real + i imag, exactly, storing all 2n - 1 diagonals."""
+    n = len(real)
+    parts = [np.concatenate([np.diagonal(grid, d) for d in range(1 - n, n)])
+             for grid in (real, imag)]
+    return diagmat.DiagMatrix.packed(n, np.arange(1 - n, n),
+                                     np.stack(parts, axis=-1).reshape(-1).view(COMPLEX))
+
+
+ROUND_TRIPS = [*(("tfim", q) for q in range(1, 5)), *(("heisenberg", q) for q in range(2, 6)),
+               *(("split", sizes) for sizes in [(1,), (1, 2), (3, 1), (1, 4)])]
+
+
+def _round_trip_h(monkeypatch, family: str, size) -> tuple[diagmat.DiagMatrix, type]:
+    """H and its dense layout, from dim 2 up: tfim's band; heisenberg's blocks,
+    one per magnetization sector; a split grid, its components of these sizes
+    and their copies each a block."""
+    if family == "tfim":
+        return gen_benchmark("tfim", size), hamsim._Band
+    monkeypatch.setattr(hamsim, "MIN_BLOCK", 1)
+    if family == "heisenberg":
+        return gen_benchmark("heisenberg", size), hamsim._Blocks
+    grid = scipy.linalg.block_diag(*(np.full((m, m), 0.5) + np.eye(m) for m in size))
+    return _split(monkeypatch, grid, "split")[0], hamsim._Blocks
+
+
+@pytest.mark.parametrize("family, size", ROUND_TRIPS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_chain_entry_and_exit_return_the_packed_bytes(monkeypatch, family, size, k):
+    # T_k and U, random on H's components with +0.0 entries, go in; take_u
+    # gives U back with the diagonals that hold a nonzero, as the packed sum
+    # keeps them, and hand_back(k + 1) gives T_k back, bit for bit.  U goes in
+    # as packed and storing every diagonal, some all zero: those between
+    # blocks, and the corner one, zeroed
+    h, kind = _round_trip_h(monkeypatch, family, size)
+    n, q_t = h.dim, hamsim._csr_t(h, 0.5)
+    label = hamsim._components(q_t)
+    rng = np.random.default_rng(n + k)
+
+    def on_blocks():
+        coupled = (label[:, None] == label) & (rng.random((n, n)) < 0.7)
+        return np.where(coupled, rng.normal(size=(n, n)), 0.0)
+
+    re, im, r_k = on_blocks(), on_blocks(), on_blocks()
+    re[n - 1, 0] = im[n - 1, 0] = 0.0
+    u = _on_all_offsets(re, im)
+    # R_k in component k mod 2, as hand_back writes it: R_k times 1j ** (k mod 2)
+    t_k = diagmat.drop_zero_diagonals(_on_all_offsets(r_k, np.zeros((n, n))).scaled(1j ** (k % 2)))
+    packed = diagmat.drop_zero_diagonals(u)
+    assert u.nnzd == 2 * n - 1 > packed.nnzd
+    for given in (u, packed):
+        chain = hamsim._DenseChain(t_k, k, given, q_t)
+        assert isinstance(chain.layout, kind)
+        assert same_bits(chain.take_u(), packed)
+        got_t, got_u = hamsim._DenseChain(t_k, k, given, q_t).hand_back(k + 1)
+        assert same_bits(got_t, t_k) and same_bits(got_u, packed)
+
+
+def test_dense_chains_take_no_diagonal_view(monkeypatch):
+    # no per-diagonal walk into, inside or out of the dense chain: the
+    # expm workloads' chains, tfim-5's and a split H that hands back
+    def refuse(*args):
+        raise AssertionError("took a diagonal view")
+
+    assert not hasattr(hamsim, "diagonal_view")
+    # the split H of the underflow test: its T_3 goes back to the packed chain
+    base = np.array([[1.0, -2.0, 0.5, 3.0], [-2.0, -1.0, 1.5, -0.5],
+                     [0.5, 1.5, 2.0, -1.0], [3.0, -0.5, -1.0, 0.25]])
+    split, _ = _split(monkeypatch, base * 1e-108, "split")
+    dense = _dense_calls(monkeypatch)
+    monkeypatch.setattr(diagmat, "diagonal_view", refuse)
+    eps = TaylorConfig(t=0.5, eps=1e-8)
+    for h, cfg, grid in [(gen_benchmark("heisenberg", 8), eps, None),
+                         (gen_benchmark("tfim", 8), eps, None),
+                         (gen_benchmark("heisenberg", 6), TaylorConfig(t=1.0, eps=1e-8),
+                          GridSetup(rows=16, cols=16)),
+                         (gen_benchmark("tfim", 5), eps, GridSetup(rows=4, cols=4)),
+                         (split, TaylorConfig(t=1.0, terms=6), None)]:
+        before = len(dense)
+        taylor_expm(h, cfg, grid)
+        assert len(dense) > before
+
+
+@pytest.mark.parametrize("model, qubits, t, grid, blocks", [
+    ("heisenberg", 8, 0.5, None, 7), ("tfim", 8, 0.5, None, 1),  # expm-func's chains
+    ("heisenberg", 6, 1.0, GridSetup(rows=16, cols=16), 4)])  # expm-sim's
+def test_each_dense_step_calls_the_kernel_once_per_block(monkeypatch, model, qubits, t, grid,
+                                                          blocks):
+    kernels, steps = [], []
+    kernel, product = hamsim.csr_matvecs, hamsim._dense_product
+    monkeypatch.setattr(hamsim, "csr_matvecs", lambda *args: kernels.append(1) or kernel(*args))
+
+    def counting(out, calls):
+        before = len(kernels)
+        product(out, calls)
+        steps.append(len(kernels) - before)
+
+    monkeypatch.setattr(hamsim, "_dense_product", counting)
+    switched = _switches(monkeypatch)
+    _, records = taylor_expm(gen_benchmark(model, qubits), TaylorConfig(t=t, eps=1e-8), grid)
+    assert steps == [blocks] * (len(records) - switched[0]) and switched[0] < len(records)
 
 
 # tracemalloc peaks of these chains as this test measures them, and as it
@@ -496,14 +601,40 @@ def test_blocked_chain_peak_memory_at_ten_qubits():
     assert _chain_peak(gen_benchmark("heisenberg", 10), TaylorConfig(t=0.5, eps=1e-8)) <= 40e6
 
 
+def diags_csr_t(m, t: float):
+    """(t Re m)^T as scipy builds it from the diagonals: diags_array at the
+    negated offsets, tocsr, sort_indices (the builder before numpy's)."""
+    if not m.nnzd:
+        return scipy.sparse.csr_array((m.dim, m.dim))
+    q_t = scipy.sparse.diags_array([vec.real * t for _, vec in m.offset_views()],
+                                   offsets=[-d for d in m.offsets], shape=(m.dim, m.dim)).tocsr()
+    q_t.sort_indices()
+    return q_t
+
+
+def _stored(n: int, offsets, values) -> diagmat.DiagMatrix:
+    return diagmat.DiagMatrix.packed(n, offsets, np.array(values, COMPLEX))
+
+
 @settings(max_examples=200)
 @given(edge_matrices(), st.sampled_from([1.0, -0.5, 1e-300, 3.0]))
+@example(_stored(1, [0], [0.0]), 1.0)  # dim 1, a stored zero
+@example(_stored(1, [0], [-0.0 + 2j]), -0.5)  # -0.0 with an imaginary part
+@example(_stored(1, [0], [-1.5 - 3j]), 3.0)
+@example(_stored(1, [], []), 1.0)
+@example(_stored(3, [-2, 0, 1], [0.0, 1 + 1j, 0.0, -0.0, 0.0, 2j]), 1.0)  # stored zeros only off 0
+@example(_stored(4, [-1, 3], [1e-300, -2.0, 0j, 5.0]), 1e-300)  # underflow to +-0.0 drops them
 def test_csr_transpose_matches_the_coordinate_oracle(m, t):
-    # built from the diagonals, Q^T may lose explicit zeros, which add nothing
+    # the same indptr, indices and data as scipy's diagonal builder, stored
+    # zeros (-0.0 too) dropped; with every stored entry kept by the
+    # coordinate oracle, the same once the zeros are gone, which add nothing
     # to a dense product's sums (test_dense_product_matches_pair_loop_bit_for_bit)
-    got, want = hamsim._csr_t(m, t), csr_t_oracle(m, t)
+    got, scipy_t, want = hamsim._csr_t(m, t), diags_csr_t(m, t), csr_t_oracle(m, t)
     assert got.shape == want.shape and got.dtype == np.float64 and got.has_sorted_indices
-    got.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(scipy_t, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(scipy_t, name).tobytes(), name
+    assert not (got.data == 0).any()
     want.eliminate_zeros()
     assert got.indptr.tolist() == want.indptr.tolist()
     assert got.indices.tolist() == want.indices.tolist()

@@ -190,7 +190,9 @@ class TestKernelAgainstOracles:
             re[kind == 2] = 5e-324 * rng.integers(-3, 4, np.count_nonzero(kind == 2))
             re[kind == 3] *= 1e-160
         stale = np.full((a.dim, a.dim), np.nan)  # the grid a chain reuses holds its last R
-        got = hamsim._dense_product(hamsim._csr_t(b, 1.0), to_dense(a).real.T, stale).T
+        r_t = np.ascontiguousarray(to_dense(a).real.T)
+        calls = hamsim._calls(hamsim._Band(hamsim._csr_t(b, 1.0)).blocks, r_t, stale)[0]
+        got = hamsim._dense_product(stale, calls).T
         want = np.zeros((a.dim, a.dim))
         for d, values in pair_loop_matmul(a, b).items():
             rows = np.arange(max(0, -d), a.dim - max(0, d))
