@@ -23,13 +23,13 @@ import sys
 import numpy as np
 
 from . import diagio
-from .blocking import check_cuts
+from .blocking import GridSetup, check_cuts, simulate_product
 from .dataflow import FeedConfig
 from .diagmat import DiagMatrix, to_dense
 from .errors import (ConvergenceError, DomainError, GridCapacityError,
                      PlanError, ShapeError, VerificationError)
 from .hamiltonians import MODELS, gen_benchmark
-from .hamsim import DEFAULT_EPS, GridSetup, TaylorConfig, expm, simulate_product
+from .hamsim import DEFAULT_EPS, TaylorConfig, expm
 from .memory import CacheConfig, SetAssocCache
 from .report import build_report, iterations_to_csv, report_to_csv, report_to_json
 from .spmspm import dense_matmul_oracle, diag_matmul
@@ -218,10 +218,8 @@ def cmd_expm(args) -> int:
                                      args.segments)
     if args.u_out:
         diagio.save_matrix(u, args.u_out)
-    report = build_report(workload, grid.rows, grid.cols, *totals, records)
-    report["segments"] = args.segments
-    report["taylor_terms"] = len(records)
-    report["tail_bound"] = tail
+    report = build_report(workload, grid.rows, grid.cols, *totals, records,
+                          segments=args.segments, taylor_terms=len(records), tail_bound=tail)
     _write_report(report, args.out)
     if args.csv:
         diagio.atomic_write(args.csv, iterations_to_csv(report["iterations"]).encode())

@@ -136,6 +136,15 @@ def add_counters(total: dict, counters: dict) -> None:
             total[key] = total.get(key, 0) + val
 
 
+def fold(parts) -> tuple[StageCycles, dict]:
+    """The summed stage cycles and counters (add_counters) of (stage, counters) pairs."""
+    stage, counters = StageCycles(0, 0, 0, 0), {}
+    for part, part_counters in parts:
+        stage += part
+        add_counters(counters, part_counters)
+    return stage, counters
+
+
 def check_interleave(interleave: int) -> None:
     if interleave < 1:
         raise GridCapacityError(f"interleave must be at least 1, got {interleave}")

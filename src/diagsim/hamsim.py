@@ -1,14 +1,13 @@
 """Truncated-series matrix exponentiation driven through the grid stack.
 
 exp(-i t H) is approximated by K+1 series terms; each iteration performs one
-chained product T_k = T_{k-1} (-i t H) / k.  Given a GridSetup, each
-product is also planned from its operands' offsets into grid jobs, counted by
-the closed-form grid model and charged to the memory model
-(simulate_product); the chain computes the values either way.  The
-running term is renormalized by 1/k at every step (rather than dividing by
-k! at the end) so the chain stays finite for deep truncations, and
-cancellation debris below a relative floor is dropped so the diagonal-count
-trajectory reflects genuine structure.
+chained product T_k = T_{k-1} (-i t H) / k.  Given a GridSetup, the chain
+also hands each product's offsets to blocking.simulate_product, which plans
+it into grid jobs, counts them and charges them to the memory model; the
+chain computes the values either way.  The running term is renormalized by
+1/k at every step (rather than dividing by k! at the end) so the chain stays
+finite for deep truncations, and cancellation debris below a relative floor
+is dropped so the diagonal-count trajectory reflects genuine structure.
 
 expm is the series driver: one chain at t / segments and eps / segments,
 its U raised to the segments-th power by a left fold of diag_matmul,
@@ -16,20 +15,6 @@ functionally and uncharged, and the chain's records summed into the run's
 stage cycles, counters and mem.  The fold runs one product per segment after
 the first, so segments is capped at SEGMENT_CAP; a larger count is refused
 before the chain runs.
-
-A product's plan, its jobs' grid figures and its multiply count depend on
-nothing but n, the operands' offsets and the GridSetup, so a chain counts
-each distinct product once: simulate_product keeps them in a dict that
-lives in one taylor_expm call.  Q and -Q share offsets and a term's offsets
-stop changing once its band fills, so the expm-sim benchmark's chain
-(heisenberg-6, t = 1, 41 products) has 10 distinct products and runs 41
-grid jobs in place of 227.  Each product is charged to the cache in one
-memory.charge_job call, with its jobs' line pattern (A group, B group and
-output offsets per job, kept with the plan).  The cache replays a product
-whose pattern, entry state up to the tags and charged lines it has met
-before, and steps any other, so that chain steps 10 products and replays
-the other 31.  Every product is checked against its own offsets; no figure
-and no replay carries over from one call to the next.
 
 When no fixed term count is given, the chain stops at the first k with
 r = ||M||_1 / (k + 1) < 1 and S_k r / (1 - r) <= eps (Al-Mohy and Higham,
@@ -143,7 +128,7 @@ more terms, and each switch comes before either stop. """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 
@@ -151,13 +136,13 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvecs
 
-from .blocking import check_cuts, group_sizes, make_plan
-from .dataflow import FeedConfig, StageCycles, add_counters, check_interleave, run_job
+from .blocking import GridSetup, simulate_product
+from .dataflow import StageCycles, fold
 from .diagmat import (COMPLEX, DiagMatrix, buffer_starts, drop_below, drop_zero_diagonals,
                       identity, one_norm)
-from .errors import ConvergenceError, DomainError, VerificationError
-from .memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
-from .spmspm import diag_matmul, multiply_count
+from .errors import ConvergenceError, DomainError
+from .memory import MemStats, SetAssocCache
+from .spmspm import diag_matmul
 
 TERM_CAP = 64
 SEGMENT_CAP = 1024  # most --segments: the outer power runs segments - 1 products
@@ -186,24 +171,6 @@ class TaylorConfig:
             raise DomainError(f"eps must lie in (0, inf), got {self.eps}")
         if self.terms is not None and not (0 <= self.terms <= TERM_CAP):
             raise DomainError(f"terms must lie in [0, {TERM_CAP}]")
-
-
-@dataclass(frozen=True)
-class GridSetup:
-    rows: int = 32
-    cols: int = 32
-    feed: FeedConfig = field(default_factory=FeedConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    cuts: tuple[int, ...] | None = None
-    a_group_size: int | None = None
-    b_group_size: int | None = None
-    interleave: int = 1
-
-    def __post_init__(self):
-        """Check the settings that hold whatever the operands, even if nothing plans."""
-        group_sizes(self.rows, self.cols, self.a_group_size, self.b_group_size)
-        check_cuts(self.cuts)
-        check_interleave(self.interleave)
 
 
 @dataclass
@@ -245,7 +212,7 @@ def taylor_expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None,
     k_max = cfg.terms if eps is None else 0 if tail <= eps else TERM_CAP
     real = not h.values.imag.any()  # only a real H's chain turns dense (module docstring)
     cache = SetAssocCache(grid.cache) if grid is not None else None
-    counted: dict = {}  # this chain's distinct products (simulate_product)
+    counted: dict = {}  # this chain's memo of distinct products (blocking module docstring)
 
     u = t_k = identity(n)
     dense = None  # the _DenseChain once a real H's term fills its share of n^2
@@ -310,21 +277,12 @@ def expm(h: DiagMatrix, cfg: TaylorConfig, grid: GridSetup | None = None, segmen
         raise DomainError(f"--segments must be at most {SEGMENT_CAP}, got {segments}")
     t, eps = cfg.t / segments, None if cfg.eps is None else cfg.eps / segments
     u, records = taylor_expm(h, TaylorConfig(t, cfg.terms, eps), grid)
-    stage, counters = _fold((r.stage_cycles, r.counters) for r in records)
+    stage, counters = fold((r.stage_cycles, r.counters) for r in records)
     mem = reduce(MemStats.__iadd__, (r.mem for r in records), MemStats())
     tail = records[-1].tail_bound if records else _tail(1.0, one_norm(h.scaled(-1j * t)))
     if segments > 1:
         tail = math.expm1(segments * math.log1p(tail))
     return reduce(diag_matmul, repeat(u, segments - 1), u), records, stage, counters, mem, tail
-
-
-def _fold(parts) -> tuple[StageCycles, dict]:
-    """The summed stage cycles and counters (add_counters) of (stage, counters) pairs."""
-    stage, counters = StageCycles(0, 0, 0, 0), {}
-    for part, part_counters in parts:
-        stage += part
-        add_counters(counters, part_counters)
-    return stage, counters
 
 
 def _negative_zero(values: np.ndarray) -> bool:
@@ -631,63 +589,3 @@ class _DenseChain:
         nonzero = self.spare[0].reshape(-1).view(np.bool_)[:product.size]  # no new buffer
         np.not_equal(product, 0.0, out=nonzero.reshape(product.shape))
         return made_offsets, self.live, int(np.count_nonzero(nonzero)), peak_sum
-
-
-def simulate_product(n: int, a_offsets, b_offsets, product_offsets, grid: GridSetup,
-                     cache: SetAssocCache, tags: tuple[str, str, str] = ("A", "B", "C"),
-                     trace=None, counted: dict | None = None):
-    """One product of two dim-n matrices, given by their ascending offsets,
-    through plan -> grid jobs -> cache; returns (summed stage cycles, summed
-    counters, memory stats delta).
-
-    The caller computes the product; product_offsets are its nonzero
-    diagonals.  The plan must cover it, or VerificationError: the jobs'
-    multiplies sum to the product's count, and some job touches each of those
-    diagonals.  trace, when given, receives one dict per job in schedule
-    order: its plan position and closed-form figures.  counted, when given,
-    keeps each distinct product's plan, grid figures and job-line pattern
-    (_count_product) for the next product with the same key; every product
-    is still charged to the cache, in one charge_job call, and checked
-    against its own offsets.
-    """
-    a_tag, b_tag, c_tag = tags
-    counted = {} if counted is None else counted
-    key = (n, np.asarray(a_offsets, np.int64).tobytes(),
-           np.asarray(b_offsets, np.int64).tobytes(), grid)
-    if key not in counted:
-        counted[key] = _count_product(n, a_offsets, b_offsets, grid)
-    jobs, results, stage, counters, touched, want, pattern = counted[key]
-    mem_before = cache.stats.snapshot()
-    deltas = charge_job(cache, pattern, a_tag, b_tag, c_tag)
-    if trace is not None:
-        for index, (job, result, mem) in enumerate(zip(jobs, results, deltas)):
-            trace({"job": index, "window": job.window, "a_group": job.a_group.group_id,
-                   "b_group": job.b_group.group_id, "rows": result.rows, "cols": result.cols,
-                   "longest": list(result.longest), "cycles": dict(vars(result.stage)),
-                   "counters": dict(result.counters), "mem": dict(vars(mem)),
-                   "offsets": result.offsets})
-    flush_product(cache, c_tag)
-    multiplies = counters.get("multiplies", 0)
-    missed = sorted(set(product_offsets) - touched)
-    if multiplies != want or missed:
-        raise VerificationError(
-            f"plan coverage check failed: the jobs perform {multiplies} of the product's "
-            f"{want} multiplies; output diagonals no job touches: {missed}")
-    return stage, dict(counters), cache.stats.delta(mem_before)
-
-
-def _count_product(n: int, a_offsets, b_offsets, grid: GridSetup):
-    """The jobs of one product's plan, each job's RunResult, their summed stage
-    cycles and counters, the output offsets they touch, the product's
-    multiply count and the jobs' line pattern for charge_job: a pure
-    function of n, the operands' offsets and grid."""
-    plan = make_plan(n, a_offsets, b_offsets, grid.rows, grid.cols, cuts=grid.cuts,
-                     a_group_size=grid.a_group_size, b_group_size=grid.b_group_size)
-    results = [run_job(job.a_group.bounds, job.b_group.bounds, grid.feed, max_rows=grid.rows,
-                       max_cols=grid.cols, interleave=grid.interleave) for job in plan.jobs]
-    stage, counters = _fold((result.stage, result.counters) for result in results)
-    touched = {d for result in results for d in result.offsets}
-    pattern = tuple((job.a_group.group_id, job.b_group.group_id, tuple(result.offsets))
-                    for job, result in zip(plan.jobs, results))
-    return (plan.jobs, results, stage, counters, touched,
-            multiply_count(a_offsets, b_offsets, n), pattern)

@@ -25,9 +25,9 @@ line: its place and C-ness matter, not its tag or id.  Own lines matter also
 by whether they were charged before (no compulsory miss, no fresh partial).
 So the per-job deltas and the exit state are a function of the key: the
 jobs, the entry state with own lines as (kind, id) and other lines as
-placeholders (is a C line, place), and the own lines charged before.  A
-cache steps each key once and replays it when a chain repeats the product,
-as the same jobs object (hamsim._count_product): the memo holds it by id.
+placeholders (is a C line, place), and the own lines charged before.
+product_memo(jobs) holds one product's charges by key, with the cache's
+config, and charge_job steps each key once and replays it thereafter.
 """
 
 from __future__ import annotations
@@ -100,21 +100,24 @@ class SetAssocCache:
         self.config = config
         self._sets: dict[int, list[tuple]] = {}  # never an empty list
         self._ever_seen: dict[tuple, set] = {}  # (kind, tag) -> ids of the lines charged
-        self._memo: dict = {}  # charge_job: id(jobs) -> (own ids per kind, {key: result}, jobs)
         self.stats = MemStats()
 
 
-def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
+def product_memo(jobs: tuple) -> tuple[dict, dict]:
+    """charge_job's memo of one product's jobs: the ids of its own lines per
+    kind, and its charges by key, which charge_job fills."""
+    return {"A": frozenset(a for a, _, _ in jobs), "B": frozenset(b for _, b, _ in jobs),
+            "C": frozenset().union(*(o for *_, o in jobs))}, {}
+
+
+def charge_job(cache: SetAssocCache, jobs: tuple, memo: tuple, a_tag: str, b_tag: str,
                c_tag: str) -> list[MemStats]:
     """Memory traffic of one product's jobs, each (A group, B group, ascending
-    output offsets) in schedule order; returns each job's stats delta, which
-    the memo keeps and hands to every replay: read them, never change them."""
+    output offsets) in schedule order, memo their product_memo; returns each
+    job's stats delta, which the memo keeps and hands to every replay: read
+    them, never change them."""
     tags = {"A": a_tag, "B": b_tag, "C": c_tag}
-    if (memo := cache._memo.get(id(jobs))) is None:  # a hash would cost a pass over jobs
-        memo = cache._memo[id(jobs)] = {"A": frozenset(a for a, _, _ in jobs),
-                                        "B": frozenset(b for _, b, _ in jobs),
-                                        "C": frozenset().union(*(o for *_, o in jobs))}, {}, jobs
-    own, results, _ = memo
+    own, results = memo
     seen = {kind: cache._ever_seen.setdefault((kind, tag), set()) for kind, tag in tags.items()}
     others = [line for _, held in sorted(cache._sets.items()) for line in held
               if line[1] != tags[line[0]]]
@@ -122,7 +125,7 @@ def charge_job(cache: SetAssocCache, jobs: tuple, a_tag: str, b_tag: str,
     def renamed():  # own lines as (kind, id), any other line as its placeholder
         return tuple([(s, tuple([place.get(line) or line[::2] for line in held]))
                       for s, held in sorted(cache._sets.items())])
-    key = renamed(), tuple(own[kind] & seen[kind] for kind in tags)
+    key = cache.config, renamed(), tuple(own[kind] & seen[kind] for kind in tags)
     if key not in results:
         before = cache.stats.snapshot()
         deltas = _step_jobs(cache, jobs, tags, seen)

@@ -56,9 +56,12 @@ def energy(counters: dict, mem: MemStats, model: EnergyModel = EnergyModel()) ->
 
 def build_report(workload: str, grid_rows: int, grid_cols: int, stage,
                  counters: dict, mem: MemStats, records: list[IterationRecord] | None = None,
-                 model: EnergyModel = EnergyModel()) -> dict:
-    """Assemble the versioned report document."""
-    return {
+                 model: EnergyModel = EnergyModel(), *, segments: int | None = None,
+                 taylor_terms: int | None = None, tail_bound: float | None = None) -> dict:
+    """Assemble the versioned report document; an expm report also gives the
+    series' segments, term count and tail bound."""
+    series = {"segments": segments, "taylor_terms": taylor_terms, "tail_bound": tail_bound}
+    return {key: value for key, value in series.items() if value is not None} | {
         "schema": 1,
         "workload": workload,
         "grid": {"rows": grid_rows, "cols": grid_cols},

@@ -82,9 +82,10 @@ def charge_job_oracle(cache: PerAccessCache, job: tuple, a_tag: str, b_tag: str,
     return cache.stats.delta(before)
 
 
-def charge_product_oracle(cache: PerAccessCache, jobs, a_tag: str, b_tag: str,
+def charge_product_oracle(cache: PerAccessCache, jobs, memo, a_tag: str, b_tag: str,
                           c_tag: str) -> list[MemStats]:
-    """memory.charge_job with no memo: each job of the product in turn."""
+    """memory.charge_job with no memo (memo is ignored): each job of the
+    product in turn."""
     return [charge_job_oracle(cache, job, a_tag, b_tag, c_tag) for job in jobs]
 
 

@@ -16,8 +16,9 @@ from unittest import mock
 
 import numpy as np
 
-from diagsim import diag_matmul, hamsim, identity, one_norm
-from diagsim.hamsim import CANCEL_EPS, TERM_CAP, simulate_product
+from diagsim import blocking, diag_matmul, identity, one_norm
+from diagsim.blocking import simulate_product
+from diagsim.hamsim import CANCEL_EPS, TERM_CAP
 
 from conftest import add_oracle, drop_zero_oracle, scaled_oracle
 from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
@@ -47,8 +48,8 @@ def complex_chain(h, t: float, terms: int | None = None, eps: float | None = Non
         product = diag_matmul(t_k, m)
         modeled = ()
         if grid:
-            with mock.patch.object(hamsim, "charge_job", charge_product_oracle), \
-                    mock.patch.object(hamsim, "flush_product", flush_product_oracle):
+            with mock.patch.object(blocking, "charge_job", charge_product_oracle), \
+                    mock.patch.object(blocking, "flush_product", flush_product_oracle):
                 modeled = simulate_product(h.dim, t_k.offsets, m.offsets, product.offsets,
                                            grid, cache, tags=(f"T{k - 1}", "M", f"T{k}"))
         t_k = scaled_oracle(product, 1.0 / k)

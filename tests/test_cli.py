@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diagsim import DiagMatrix, cli, gen_benchmark, hamsim
+from diagsim import DiagMatrix, blocking, cli, gen_benchmark, hamsim
 from diagsim.dataflow import FeedConfig
 from diagsim.diagio import load_matrix, save_matrix
 from diagsim.hamsim import DEFAULT_EPS, TaylorConfig, taylor_expm
@@ -23,13 +23,13 @@ def test_simulate_cross_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     save_matrix(h, path)
     argv = ["simulate", path, path, "--grid-rows", "2", "--grid-cols", "2", "--out"]
     assert cli.main(argv + [str(tmp_path / "r.json")]) == 0
-    real = hamsim.make_plan
+    real = blocking.make_plan
 
     def one_job_short(*args, **kwargs):
         plan = real(*args, **kwargs)
         return dataclasses.replace(plan, jobs=plan.jobs[1:])
 
-    monkeypatch.setattr(hamsim, "make_plan", one_job_short)
+    monkeypatch.setattr(blocking, "make_plan", one_job_short)
     assert cli.main(argv + [str(tmp_path / "r2.json")]) == cli.VERIFY_EXIT
     err = capsys.readouterr().err
     assert "plan coverage check failed" in err and err.count("\n") == 1
@@ -220,7 +220,7 @@ def _trial_values(action) -> list[list[str]]:
 @pytest.mark.parametrize("command, positional", [("simulate", ["a", "b"]), ("expm", [])])
 def test_every_grid_setting_has_exactly_one_flag_with_its_default(command, positional):
     parser = cli.build_parser()
-    default = _settings(hamsim.GridSetup())
+    default = _settings(blocking.GridSetup())
     assert _settings(cli._grid_setup(parser.parse_args([command, *positional]))) == default
     setters = {name: [] for name in default}
     sub = parser._subparsers._group_actions[0].choices[command]

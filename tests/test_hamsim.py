@@ -1,5 +1,7 @@
 import functools
+import gc
 import threading
+import types
 import tracemalloc
 
 import numpy as np
@@ -9,11 +11,13 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings, strategies as st
 
-from diagsim import diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory, to_dense
-from diagsim.dataflow import StageCycles
+from diagsim import (blocking, diag_matmul, diagmat, gen_benchmark, hamsim, identity, memory,
+                     to_dense)
+from diagsim.dataflow import RunResult, StageCycles
 from diagsim.diagmat import COMPLEX, from_coo
 from diagsim.errors import DomainError, VerificationError
-from diagsim.hamsim import GridSetup, TaylorConfig, simulate_product, taylor_expm
+from diagsim.blocking import GridSetup, simulate_product
+from diagsim.hamsim import TaylorConfig, taylor_expm
 from diagsim.memory import CacheConfig, MemStats, SetAssocCache
 
 from conftest import (SEGMENT_CASES, check_segmented_u, csr_t_oracle, edge_matrices, same_bits,
@@ -87,13 +91,13 @@ def test_iteration_nnze_counts_nonzero_entries():
 
 def test_plan_missing_an_output_diagonal_fails_coverage(monkeypatch):
     h = gen_benchmark("tfim", 4)
-    real = hamsim.run_job
+    real = blocking.run_job
 
     def forgetful(*args, **kwargs):
         result = real(*args, **kwargs)
         return result._replace(offsets=[d for d in result.offsets if d != 0])
 
-    monkeypatch.setattr(hamsim, "run_job", forgetful)
+    monkeypatch.setattr(blocking, "run_job", forgetful)
     grid = GridSetup(rows=8, cols=8)
     with pytest.raises(VerificationError, match=r"no job touches: \[0\]"):
         simulate_product(h.dim, h.offsets, h.offsets, diag_matmul(h, h).offsets, grid,
@@ -119,7 +123,7 @@ def test_each_chain_counts_its_own_distinct_products(monkeypatch):
     # no plan, grid figure or charged product outlives the taylor_expm call
     # that counted it
     h, cfg = gen_benchmark("heisenberg", 4), TaylorConfig(t=1.0, eps=1e-8)
-    calls = _count_calls(monkeypatch, [(hamsim, "run_job"), (hamsim, "charge_job"),
+    calls = _count_calls(monkeypatch, [(blocking, "run_job"), (blocking, "charge_job"),
                                        (memory, "_step_jobs")])
     grids = [GridSetup(rows=4, cols=4), GridSetup(rows=4, cols=4),
              GridSetup(rows=2, cols=8, cache=CacheConfig(sets=1, ways=3)), GridSetup(rows=4, cols=4)]
@@ -138,9 +142,10 @@ def test_each_chain_counts_its_own_distinct_products(monkeypatch):
 
 def test_a_chain_starts_its_charge_memo_cold(monkeypatch):
     # two chains in one process on one grid step the same products: the
-    # memo of charged products lives in the chain's cache, never longer
+    # memo of charged products lives in the chain's memo of distinct
+    # products (counted), never longer
     h, cfg, grid = gen_benchmark("heisenberg", 6), TaylorConfig(t=1.0, eps=1e-8), GridSetup()
-    calls = _count_calls(monkeypatch, [(hamsim, "charge_job"), (memory, "_step_jobs")])
+    calls = _count_calls(monkeypatch, [(blocking, "charge_job"), (memory, "_step_jobs")])
     runs = []
     for _ in range(2):
         before = dict(calls)
@@ -148,6 +153,55 @@ def test_a_chain_starts_its_charge_memo_cold(monkeypatch):
         runs.append(tuple(calls[name] - before[name] for name in calls))
     assert runs[0] == runs[1]
     assert 0 < runs[0][1] < runs[0][0]
+
+
+def test_the_product_memo_is_keyed_by_offset_values(monkeypatch):
+    # a list, a tuple and an int64 array of one product's offsets are one
+    # memo entry: only the first call runs the grid model, and each call
+    # charges and returns what it would with a memo of its own
+    h, grid = gen_benchmark("heisenberg", 4), GridSetup(rows=4, cols=4)
+    offsets, product = h.offsets, diag_matmul(h, h).offsets
+    jobs = len(blocking.make_plan(h.dim, offsets, offsets, grid.rows, grid.cols).jobs)
+    forms = [list(offsets), tuple(offsets), np.asarray(offsets, np.int64)]
+    calls = _count_calls(monkeypatch, [(blocking, "run_job"), (memory, "_step_jobs")])
+
+    def chain(shared: bool) -> list:
+        cache, counted = SetAssocCache(grid.cache), {}
+        return [simulate_product(h.dim, form, form, product, grid, cache,
+                                 tags=(f"T{k}", "M", f"T{k + 1}"),
+                                 counted=counted if shared else {})
+                for k, form in enumerate(forms)]
+
+    shared = chain(True)
+    assert calls["run_job"] == jobs and calls["_step_jobs"] < len(forms)  # a charge replayed
+    assert shared == chain(False)
+    assert calls["run_job"] == (1 + len(forms)) * jobs
+
+
+def test_no_per_job_record_outlives_its_product(monkeypatch):
+    # the chain's memo holds each distinct product's sums, pattern and charge
+    # memo; the plan's Jobs and BlockGroups and the grid's RunResults stay in
+    # the call that counts them
+    memos, real = [], hamsim.simulate_product
+
+    def keeping(*args, counted, **kwargs):
+        memos.append(counted)
+        return real(*args, counted=counted, **kwargs)
+
+    monkeypatch.setattr(hamsim, "simulate_product", keeping)
+    taylor_expm(gen_benchmark("heisenberg", 8), TaylorConfig(t=0.5, eps=1e-8), GridSetup())
+    (counted,) = {id(memo): memo for memo in memos}.values()
+    assert counted
+    seen, stack, kinds = set(), [counted], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        kinds.add(type(obj))
+        stack.extend(gc.get_referents(obj))
+    assert not kinds & {RunResult, blocking.Job, blocking.BlockGroup}
+    assert {tuple, frozenset, memory.MemStats} <= kinds  # the walk reaches the entries
 
 
 # the couplings' signs, t's sign and a short chain all reach U's signed zeros:

@@ -21,6 +21,9 @@ one: what a module shares is public.
 Only ``cli._shared_parser`` may be memoized with ``functools.cache`` or
 ``lru_cache``: a cache that outlives a call carries results across runs in
 one process, as the benchmark's passes are.
+``hamsim`` imports none of the plan, grid and memory calls that
+``blocking.simulate_product`` makes for it, and ``memory`` calls no ``id()``:
+a memo keyed by an object's id must keep that object alive.
 A fresh ``import diagsim.cli`` leaves ``scipy.io`` unloaded: only the Matrix
 Market reader and writer use it, and it is about a tenth of the import's time.
 """
@@ -286,6 +289,34 @@ def test_guard_sees_memoizers():
                      "cache = {}\n"
                      "def f(cache): return cache\n")}
     assert memoized(sources) == ["a:2", "a:8", "a:parser", "a:plan"]
+
+
+MODELED_CALLS = {"make_plan", "run_job", "charge_job", "flush_product", "multiply_count"}
+
+
+def modeled_stack_reach(hamsim_source: str, memory_source: str) -> list[str]:
+    """Each modeled-stack call hamsim imports, and each line where memory calls id()."""
+    found = [alias.name for node in ast.walk(ast.parse(hamsim_source))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name.rpartition(".")[2] in MODELED_CALLS]
+    return found + [f"id:{node.lineno}" for node in ast.walk(ast.parse(memory_source))
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "id"]
+
+
+def test_the_series_driver_leaves_the_modeled_stack_to_blocking():
+    src = ROOT / "src" / "diagsim"
+    assert modeled_stack_reach((src / "hamsim.py").read_text(),
+                               (src / "memory.py").read_text()) == []
+
+
+def test_guard_sees_modeled_calls_and_ids():
+    hamsim = ("from .blocking import GridSetup, make_plan as plan\n"
+              "from .memory import charge_job\n"
+              "import diagsim.dataflow.run_job\n")
+    memory = "memo = {}\ndef f(jobs):\n    return memo.get(id(jobs))\n"
+    assert modeled_stack_reach(hamsim, memory) == [
+        "make_plan", "charge_job", "diagsim.dataflow.run_job", "id:3"]
 
 
 def test_cli_import_leaves_scipy_io_unloaded():

@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagsim.memory import CacheConfig, MemStats, SetAssocCache, charge_job, flush_product
+from diagsim.memory import (CacheConfig, MemStats, SetAssocCache, charge_job, flush_product,
+                            product_memo)
 
 from memory_oracle import PerAccessCache, charge_product_oracle, flush_product_oracle
 
@@ -125,7 +126,8 @@ def test_cache_memory_follows_the_lines_not_the_set_count():
     tracemalloc.start()
     try:
         cache = SetAssocCache(CacheConfig(sets=10**6))
-        charge_job(cache, ((0, 1, (-3, 0, 5)),), "A", "B", "C")
+        jobs = ((0, 1, (-3, 0, 5)),)
+        charge_job(cache, jobs, product_memo(jobs), "A", "B", "C")
         flush_product(cache, "C")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -191,11 +193,12 @@ def test_counted_charge_matches_the_per_access_oracle(sets, ways, warm, chain):
     # C tag, which the second product reads
     config = CacheConfig(sets=sets, ways=ways, hit_cycles=1, miss_penalty_cycles=5,
                          dram_cycles=50)
-    counted, oracle = SetAssocCache(config), PerAccessCache(config)
+    counted, oracle, memos = SetAssocCache(config), PerAccessCache(config), {}
     for k, jobs in enumerate([warm, *chain]):
         tags = ("T1", "V", "W") if k == 0 else (f"T{k - 1}", "M", f"T{k}")
-        assert (charge_job(counted, jobs, *tags)
-                == charge_product_oracle(oracle, jobs, *tags))
+        memo = memos.setdefault(jobs, product_memo(jobs))  # one memo per pattern
+        assert (charge_job(counted, jobs, memo, *tags)
+                == charge_product_oracle(oracle, jobs, memo, *tags))
         assert _state(counted) == _state(oracle)
         if k:
             assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
@@ -209,11 +212,12 @@ def test_a_huge_set_count_charges_like_one_set_per_id(ways, warm, chain):
     # set exactly when they are equal: the same lines share a set, under other
     # indices
     counted = SetAssocCache(CacheConfig(sets=10**5, ways=ways))
-    oracle = PerAccessCache(CacheConfig(sets=16, ways=ways))
+    oracle, memos = PerAccessCache(CacheConfig(sets=16, ways=ways)), {}
     for k, jobs in enumerate([warm, *chain]):
         tags = ("T1", "V", "W") if k == 0 else (f"T{k - 1}", "M", f"T{k}")
-        assert (charge_job(counted, jobs, *tags)
-                == charge_product_oracle(oracle, jobs, *tags))
+        memo = memos.setdefault(jobs, product_memo(jobs))
+        assert (charge_job(counted, jobs, memo, *tags)
+                == charge_product_oracle(oracle, jobs, memo, *tags))
         if k:
             assert flush_product(counted, tags[2]) == flush_product_oracle(oracle, tags[2])
         (got, *rest), (want, *want_rest) = _state(counted), _state(oracle)

@@ -15,7 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
 
-from diagsim import cli, gen_benchmark, hamsim, memory
+from diagsim import blocking, cli, gen_benchmark, hamsim, memory
 from diagsim.dataflow import run_job
 
 from conftest import whole_segments
@@ -74,7 +74,7 @@ def test_the_traced_memory_spans_see_every_charge(tmp_path, monkeypatch):
     counts = SimpleNamespace(counts=defaultdict(float))
     deltas, caches, stepped = [], [], []
     for name in ("charge_job", "flush_product"):
-        real = getattr(hamsim, name)
+        real = getattr(blocking, name)
 
         def traced(*args, _real=real, **kwargs):
             pre = tracer._cache_snapshot(args, kwargs)
@@ -84,7 +84,7 @@ def test_the_traced_memory_spans_see_every_charge(tmp_path, monkeypatch):
             caches.append(args[0])
             return result
 
-        monkeypatch.setattr(hamsim, name, traced)
+        monkeypatch.setattr(blocking, name, traced)
     real_step = memory._step_jobs
     monkeypatch.setattr(memory, "_step_jobs", lambda *args: stepped.append(1) or real_step(*args))
     out = tmp_path / "r.json"
